@@ -288,12 +288,10 @@ def plan_chars(
     return rows, bands, repair(comps, params, freq)
 
 
-def segment_chars(
-    word: RleImage,
-    params: RoiParams = DEFAULT_PARAMS,
-    counter: WorkCounter | None = None,
-) -> CharSegmentation:
-    """Segment one word image into characters, working on runs only."""
+def _plan_word(
+    word: RleImage, params: RoiParams, counter: WorkCounter | None
+) -> RepairResult:
+    """Char plan of one word image, in the word's own columns."""
     top, bot = ink_row_bounds(word)
     _, _, result = plan_chars(
         word.width,
@@ -303,6 +301,16 @@ def segment_chars(
         lambda a, b: occupancy(word, (a, b), counter),
         lambda a, b: column_frequency(word, (a, b), counter),
     )
+    return result
+
+
+def segment_chars(
+    word: RleImage,
+    params: RoiParams = DEFAULT_PARAMS,
+    counter: WorkCounter | None = None,
+) -> CharSegmentation:
+    """Segment one word image into characters, working on runs only."""
+    result = _plan_word(word, params, counter)
     separators = tuple(separator_at(word, x) for x in result.cuts)
     return CharSegmentation(result.chars, separators, result.repairs, params)
 
@@ -324,22 +332,22 @@ def segment_line_chars(
 ) -> LineCharSegmentation:
     """Run word segmentation, then character segmentation inside each word.
 
-    Character intervals, cuts and repair records are shifted back into line
-    coordinates, and separator run positions are re-located against the full
-    line image so the output is self-contained.
+    Each word is planned on its crop; character intervals, cuts and repair
+    records are shifted into line coordinates, and each cut is located once,
+    against the full line image, so the output is self-contained.
     """
     if words is None:
         words = segment_words(line, mode, counter)
     per_word = []
     for comp in words.words:
-        sub = crop_columns(line, comp.x_min, comp.x_max)
-        local = segment_chars(sub, params, counter)
-        per_word.append(_shift_to_line(local, comp.x_min, line))
+        dx = comp.x_min
+        result = _plan_word(crop_columns(line, comp.x_min, comp.x_max), params, counter)
+        per_word.append(
+            CharSegmentation(
+                tuple(Component(c.x_min + dx, c.x_max + dx) for c in result.chars),
+                tuple(separator_at(line, x + dx) for x in result.cuts),
+                tuple(RepairOp(r.op, r.x + dx) for r in result.repairs),
+                params,
+            )
+        )
     return LineCharSegmentation(words, tuple(per_word))
-
-
-def _shift_to_line(seg: CharSegmentation, dx: int, line: RleImage) -> CharSegmentation:
-    chars = tuple(Component(c.x_min + dx, c.x_max + dx) for c in seg.chars)
-    separators = tuple(separator_at(line, s.x_mid + dx) for s in seg.separators)
-    repairs = tuple(RepairOp(r.op, r.x + dx) for r in seg.repairs)
-    return CharSegmentation(chars, separators, repairs, seg.params)

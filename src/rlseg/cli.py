@@ -94,6 +94,13 @@ def _input_lines(path: Path) -> list[tuple[str, Path]]:
     return entries
 
 
+def _read_json(path):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno, f"not JSON: {exc.msg}") from exc
+
+
 def _emit(text: str, out_path) -> None:
     if out_path:
         Path(out_path).write_text(text + "\n", encoding="utf-8")
@@ -118,12 +125,15 @@ def cmd_segment(args) -> int:
     records = []
     for line_id, path in _input_lines(Path(args.input)):
         line = read_rle(path)
-        if args.mode == "words":
-            records.append(word_record(line_id, segment_words(line, mode)))
-        else:
-            records.extend(
-                line_char_records(line_id, segment_line_chars(line, params, mode))
-            )
+        try:
+            if args.mode == "words":
+                records.append(word_record(line_id, segment_words(line, mode)))
+            else:
+                records.extend(
+                    line_char_records(line_id, segment_line_chars(line, params, mode))
+                )
+        except EmptyLineError as exc:
+            raise EmptyLineError(f"{path}: {exc}") from exc
     _emit(dumps(records), args.out)
     return EXIT_OK
 
@@ -131,9 +141,12 @@ def cmd_segment(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     overlap = _setting(args, cfg, "overlap", float, 0.9)
-    pred = json.loads(Path(args.pred).read_text(encoding="utf-8"))
+    pred = _read_json(args.pred)
     truth = load_ground_truth(args.truth)
-    report = evaluate_records(pred, truth, mode=args.mode, overlap_min=overlap)
+    try:
+        report = evaluate_records(pred, truth, mode=args.mode, overlap_min=overlap)
+    except KeyError as exc:
+        raise ParseError(args.pred, 0, f"record has no {exc} field") from exc
     _emit(dumps(report), args.out)
     return EXIT_OK
 
@@ -169,7 +182,7 @@ def cmd_synth(args) -> int:
 
 def cmd_render(args) -> int:
     line = read_rle(args.rle)
-    seg = json.loads(Path(args.seg).read_text(encoding="utf-8"))
+    seg = _read_json(args.seg)
     stem = Path(args.rle).stem
     xs = sorted(
         {

@@ -5,6 +5,12 @@ with ink carry an explicit leading 0, so run parity alone determines color:
 even indices are background, odd indices are foreground. Columns are 0-based
 and run membership is half-open: column x belongs to run j when
 cumulative(j) - runs[j] <= x < cumulative(j).
+
+Cost model: a row's prefix sums (``RleRow.ends``) are built once, on first
+use, in O(runs of the row) and cached on the row. After that, locating a
+column costs O(log runs) per row, and cropping a column window costs
+O(log runs + runs overlapping the window) per row, so cutting one line into
+many words or characters does not re-walk the line's runs per word or per cut.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 
@@ -77,6 +84,15 @@ class RleRow:
     @property
     def width(self) -> int:
         return sum(self.runs)
+
+    @cached_property
+    def ends(self) -> tuple[int, ...]:
+        """Prefix sums of the run lengths, built on first use and then kept.
+
+        Run j covers columns [ends[j] - runs[j], ends[j]). Lazy because most rows
+        made by crop_columns are only projected, never located in.
+        """
+        return tuple(accumulate(self.runs))
 
     @property
     def has_ink(self) -> bool:
@@ -149,7 +165,7 @@ def decode(rle: RleImage) -> Bitmap:
 
 def cumulative_runs(row: RleRow) -> tuple[int, ...]:
     """Prefix sums of the run lengths; the last entry equals the row width."""
-    return tuple(accumulate(row.runs))
+    return row.ends
 
 
 def locate_run(row: RleRow, x: int) -> int:
@@ -157,15 +173,21 @@ def locate_run(row: RleRow, x: int) -> int:
 
     Uses the half-open convention: run j covers cumulative(j) - runs[j] <= x
     < cumulative(j), so boundary columns always resolve to exactly one run.
+    Costs O(log runs) once the row's cached prefix sums exist.
     """
-    cr = cumulative_runs(row)
-    if x < 0 or x >= cr[-1]:
-        raise OutOfBoundsError(f"column {x} outside row of width {cr[-1]}")
-    return bisect_right(cr, x)
+    ends = row.ends
+    if x < 0 or x >= ends[-1]:
+        raise OutOfBoundsError(f"column {x} outside row of width {ends[-1]}")
+    return bisect_right(ends, x)
 
 
 def crop_columns(rle: RleImage, x_min: int, x_max: int) -> RleImage:
-    """Extract an inclusive column range as a standalone image."""
+    """Extract an inclusive column range as a standalone image.
+
+    Per row, bisects the cached prefix sums to the first foreground run that
+    ends after x_min and stops at the first run that starts past x_max:
+    O(log runs + runs overlapping the window) per row.
+    """
     if not 0 <= x_min <= x_max < rle.width:
         raise OutOfBoundsError(
             f"columns [{x_min}, {x_max}] outside image of width {rle.width}"
@@ -173,15 +195,17 @@ def crop_columns(rle: RleImage, x_min: int, x_max: int) -> RleImage:
     width = x_max - x_min + 1
     rows = []
     for row in rle.rows:
+        runs, ends = row.runs, row.ends
+        j = bisect_right(ends, x_min)
+        if j % 2 == 0:
+            j += 1  # x_min is on background: start at the ink run after it
         pieces = []
-        pos = 0
-        for j, run in enumerate(row.runs):
-            if j & 1 and run:
-                a = max(pos, x_min)
-                b = min(pos + run - 1, x_max)
-                if a <= b:
-                    pieces.append((a - x_min, b - x_min))
-            pos += run
+        while j < len(runs):
+            start = ends[j] - runs[j]
+            if start > x_max:
+                break
+            pieces.append((max(start, x_min) - x_min, min(ends[j] - 1, x_max) - x_min))
+            j += 2
         rows.append(row_from_intervals(width, pieces))
     return RleImage(width, tuple(rows))
 

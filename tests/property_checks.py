@@ -12,10 +12,13 @@ import io
 import json
 import math
 import random
+from itertools import accumulate
 
 import jsonschema
+import numpy as np
 
 from rlseg import (
+    Bitmap,
     EmptyLineError,
     ThresholdMode,
     WorkCounter,
@@ -75,6 +78,48 @@ def check_locate_agrees_with_scan(seed, tmp_path):
     row = encode(bitmap).rows[0]
     for x in range(bitmap.width):
         assert locate_run(row, x) == brute_locate(bitmap.pixels[0], x)
+
+
+def check_cached_ends(seed, tmp_path):
+    rng = random.Random(seed)
+    rle = encode(random_bitmap(rng))
+    for row in rle.rows:
+        assert row.ends == tuple(accumulate(row.runs))
+        assert cumulative_runs(row) is row.ends
+
+
+def check_locate_every_row(seed, tmp_path):
+    rng = random.Random(seed)
+    bitmap = random_bitmap(rng, max_w=40, max_h=8)
+    rle = encode(bitmap)
+    for r, row in enumerate(rle.rows):
+        for x in range(bitmap.width):
+            assert locate_run(row, x) == brute_locate(bitmap.pixels[r], x)
+
+
+def _crop_windows(rng, px):
+    """Full width, one column, a random window, and windows with an edge inside ink."""
+    width = px.shape[1]
+    x = rng.randrange(width)
+    a = rng.randrange(width)
+    windows = [(0, width - 1), (x, x), (a, rng.randint(a, width - 1))]
+    inside = np.argwhere(px[:, 1:] & px[:, :-1])  # (r, c): columns c and c+1 both ink
+    if inside.size:
+        _, c = inside[rng.randrange(len(inside))]
+        c = int(c)
+        windows.append((c + 1, rng.randint(c + 1, width - 1)))  # starts mid-run
+        windows.append((rng.randint(0, c), c))  # ends mid-run
+    return windows
+
+
+def check_crop_matches_pixel_slice(seed, tmp_path):
+    rng = random.Random(seed)
+    px = random_bitmap(rng).pixels.copy()
+    px[0, 0] = 1  # row 0 starts with ink, so it carries a leading 0 run
+    rle = encode(Bitmap(px))
+    assert rle.rows[0].runs[0] == 0
+    for a, b in _crop_windows(rng, px):
+        assert crop_columns(rle, a, b) == encode(Bitmap(px[:, a : b + 1])), (a, b)
 
 
 def check_projection_oracle_equivalence(seed, tmp_path):
@@ -388,6 +433,9 @@ CHECKS = [
     ("codec_roundtrip", check_codec_roundtrip),
     ("cumulative_consistency", check_cumulative_consistency),
     ("locate_agrees_with_scan", check_locate_agrees_with_scan),
+    ("cached_ends", check_cached_ends),
+    ("locate_every_row", check_locate_every_row),
+    ("crop_matches_pixel_slice", check_crop_matches_pixel_slice),
     ("projection_oracle_equivalence", check_projection_oracle_equivalence),
     ("component_list_invariants", check_component_list_invariants),
     ("occupancy_work_counters", check_occupancy_work_counters),

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import rlseg.words
 from rlseg import (
     Bitmap,
     EmptyWordError,
@@ -240,6 +241,26 @@ def test_segment_line_chars_line_coordinates():
     for seg in result.per_word:
         for sep in seg.separators:
             assert not pixels[:, sep.x_mid].any()
+
+
+def test_segment_line_chars_locates_each_cut_once(monkeypatch):
+    px = np.zeros((24, 120), np.uint8)
+    for a, b in [(5, 12), (15, 22), (25, 31), (52, 59), (62, 70), (95, 101), (104, 111)]:
+        px[:, a : b + 1] = 1
+    line = encode(Bitmap(px))
+    calls = []
+    locate = rlseg.words.locate_run
+
+    def counting_locate(row, x):
+        calls.append(x)
+        return locate(row, x)
+
+    monkeypatch.setattr(rlseg.words, "locate_run", counting_locate)
+    result = segment_line_chars(line)
+    word_cuts = len(result.words.separators)
+    char_cuts = sum(len(seg.separators) for seg in result.per_word)
+    assert (word_cuts, char_cuts) == (2, 4)
+    assert len(calls) == (word_cuts + char_cuts) * line.height
 
 
 def test_char_cuts_avoid_top_bottom_ink():

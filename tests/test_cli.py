@@ -110,6 +110,18 @@ def test_blank_line_exits_2(tmp_path):
     assert main(["segment", str(blank)]) == 2
 
 
+def test_blank_line_in_directory_names_the_file(tmp_path, corpus, capsys):
+    lines = corpus / "lines"
+    write_rle(RleImage(8, (RleRow((8,)), RleRow((8,)))), lines / "zz_blank.rle")
+    for mode in ("words", "chars"):
+        assert main(["segment", str(lines), "--mode", mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"rlseg: empty input: {lines / 'zz_blank.rle'}: line has no foreground runs\n"
+        )
+
+
 def test_empty_truth_exits_3(tmp_path, corpus):
     words = tmp_path / "w.json"
     assert main(["segment", str(corpus / "manifest.txt"), "--out", str(words)]) == 0
@@ -122,6 +134,33 @@ def test_malformed_rle_exits_4(tmp_path):
     bad = tmp_path / "bad.rle"
     bad.write_text("RLE1 4 1\n9 9\n")
     assert main(["segment", str(bad)]) == 4
+
+
+@pytest.mark.parametrize(
+    "text,detail",
+    [
+        ("[{\"line_id\": ", ":1: not JSON: "),
+        ('[{"words": [[0, 3]]}]', ":0: record has no 'line_id' field"),
+    ],
+    ids=["not_json", "no_line_id"],
+)
+def test_evaluate_bad_predictions_exit_4(tmp_path, corpus, capsys, text, detail):
+    pred = tmp_path / "pred.json"
+    pred.write_text(text)
+    assert main(["evaluate", str(pred), str(corpus / "ground_truth.json")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"rlseg: parse error: {pred}{detail}")
+    assert err.count("\n") == 1
+
+
+def test_render_bad_segmentation_exits_4(tmp_path, corpus, capsys):
+    seg = tmp_path / "seg.json"
+    seg.write_text("not json\n")
+    first = sorted((corpus / "lines").glob("*.rle"))[0]
+    assert main(["render", str(first), str(seg), str(tmp_path / "ov.pbm")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"rlseg: parse error: {seg}:1: not JSON: ")
+    assert err.count("\n") == 1
 
 
 def test_usage_error_exits_1():
