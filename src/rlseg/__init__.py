@@ -47,13 +47,11 @@ from .projection import (
     Component,
     Gap,
     Occupancy,
-    Spread,
     WorkCounter,
     column_frequency,
     components,
     gaps,
     occupancy,
-    row_spreads,
 )
 from .rle import (
     Bitmap,

@@ -20,6 +20,7 @@ from .projection import (
     components,
     gaps,
     occupancy,
+    union,
 )
 from .rle import RleImage, crop_columns
 from .words import (
@@ -173,7 +174,8 @@ def band_or(top: Occupancy, bottom: Occupancy) -> Occupancy:
     """Columnwise OR of two band occupancies."""
     if top.width != bottom.width:
         raise WidthMismatchError(f"widths differ: {top.width} vs {bottom.width}")
-    return Occupancy(tuple(a or b for a, b in zip(top.bits, bottom.bits)))
+    spans = top.spans + bottom.spans
+    return union(top.width, [c.x_min for c in spans], [c.x_max + 1 for c in spans])
 
 
 def candidate_separators(or_occ: Occupancy) -> list[int]:
@@ -252,7 +254,7 @@ def repair(
 
 def _band_occupancy(width: int, band: range, occupancy_of) -> Occupancy:
     if len(band) == 0:
-        return Occupancy((False,) * width)
+        return Occupancy(width, ())
     return occupancy_of(band.start, band.stop)
 
 

@@ -41,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 def load_config(path) -> dict[str, str]:
     """Parse a simple key=value config file; '#' starts a comment."""
     cfg = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -84,7 +84,7 @@ def _input_lines(path: Path) -> list[tuple[str, Path]]:
     if path.suffix == ".rle":
         return [(path.stem, path)]
     entries = []
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for raw in _read_text(path).splitlines():
         name = raw.strip()
         if name:
             target = (path.parent / name).resolve()
@@ -94,9 +94,16 @@ def _input_lines(path: Path) -> list[tuple[str, Path]]:
     return entries
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, 0, f"not UTF-8: {exc}") from exc
+
+
 def _read_json(path):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, f"not JSON: {exc.msg}") from exc
 
@@ -142,7 +149,10 @@ def cmd_evaluate(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     overlap = _setting(args, cfg, "overlap", float, 0.9)
     pred = _read_json(args.pred)
-    truth = load_ground_truth(args.truth)
+    try:
+        truth = load_ground_truth(args.truth)
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON and UTF-8
+        raise ParseError(args.truth, 0, f"bad ground truth: {exc!r}") from exc
     try:
         report = evaluate_records(pred, truth, mode=args.mode, overlap_min=overlap)
     except KeyError as exc:
@@ -184,14 +194,17 @@ def cmd_render(args) -> int:
     line = read_rle(args.rle)
     seg = _read_json(args.seg)
     stem = Path(args.rle).stem
-    xs = sorted(
-        {
-            sep["x"]
-            for rec in seg
-            if rec.get("line_id") == stem
-            for sep in rec.get("separators", [])
-        }
-    )
+    try:
+        xs = sorted(
+            {
+                sep["x"]
+                for rec in seg
+                if rec.get("line_id") == stem
+                for sep in rec.get("separators", [])
+            }
+        )
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ParseError(args.seg, 0, f"bad record: {exc!r}") from exc
     write_pbm(overlay(line, xs), args.out, binary=args.binary)
     return EXIT_OK
 

@@ -19,7 +19,7 @@ from .chars import (
     plan_chars,
 )
 from .errors import EmptyLineError, EmptyWordError, OutOfBoundsError
-from .projection import Component, Occupancy, WorkCounter, _check_row_range, components
+from .projection import Component, Occupancy, WorkCounter, _check_row_range, components, union
 from .rle import Bitmap, RunCoordinate
 from .words import (
     AUTO,
@@ -44,7 +44,8 @@ def pdp_occupancy(
         for x in range(width):
             if row[x]:
                 bits[x] = True
-    return Occupancy(tuple(bits))
+    inked = [x for x in range(width) if bits[x]]
+    return union(width, inked, [x + 1 for x in inked])
 
 
 def pdp_column_frequency(

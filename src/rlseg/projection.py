@@ -1,8 +1,10 @@
 """Foreground spreads, x-axis occupancy and connected components, all from runs.
 
-Cost model: every operation here visits each run of the selected rows once;
-only the per-column output buffer scales with image width. The optional
-WorkCounter records exactly those run visits so the claim is assertable.
+Cost model: every operation here visits each run of the selected rows once.
+An occupancy is the sorted union of the ink runs' spreads, so it and its
+components take O(runs log runs) time and O(runs) memory, whatever the width;
+only ``column_frequency`` keeps a per-column buffer. The optional WorkCounter
+records exactly those run visits so the claim is assertable.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyRangeError, OutOfBoundsError
-from .rle import RleImage, RleRow
+from .rle import RleImage
 
 
 class WorkCounter:
@@ -23,22 +25,6 @@ class WorkCounter:
 
     def add(self, n: int) -> None:
         self.count += n
-
-
-@dataclass(frozen=True)
-class Spread:
-    """Inclusive x-interval covered by one foreground run."""
-
-    x_min: int
-    x_max: int
-
-    def __post_init__(self):
-        if not 0 <= self.x_min <= self.x_max:
-            raise ValueError(f"bad spread [{self.x_min}, {self.x_max}]")
-
-    @property
-    def length(self) -> int:
-        return self.x_max - self.x_min + 1
 
 
 @dataclass(frozen=True)
@@ -79,18 +65,15 @@ class Gap:
 
 @dataclass(frozen=True)
 class Occupancy:
-    """Per-column booleans: true where any selected row has ink."""
+    """Inked columns of an image `width` wide: sorted, pairwise separated spans."""
 
-    bits: tuple[bool, ...]
+    width: int
+    spans: tuple[Component, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(bool(b) for b in self.bits))
-        if not self.bits:
+        object.__setattr__(self, "spans", tuple(self.spans))
+        if self.width < 1:
             raise ValueError("occupancy cannot be zero-width")
-
-    @property
-    def width(self) -> int:
-        return len(self.bits)
 
 
 def _check_row_range(height: int, row_range) -> tuple[int, int]:
@@ -102,31 +85,40 @@ def _check_row_range(height: int, row_range) -> tuple[int, int]:
     return start, stop
 
 
-def row_spreads(row: RleRow) -> list[Spread]:
-    """One Spread per foreground run, in column order."""
-    spreads = []
-    pos = 0
-    for j, run in enumerate(row.runs):
-        if j & 1 and run:
-            spreads.append(Spread(pos, pos + run - 1))
-        pos += run
-    return spreads
+def union(width: int, starts, stops) -> Occupancy:
+    """Union of the non-empty half-open spans [starts[i], stops[i]).
+
+    With both ends sorted, the union breaks after the i-th smallest stop
+    exactly when that stop is below the (i+1)-th smallest start: in between,
+    i+1 spans have started and i+1 have stopped. Touching spans merge.
+    """
+    starts = sorted(starts)
+    stops = sorted(stops)
+    spans = []
+    first = 0
+    for i, stop in enumerate(stops):
+        if i + 1 == len(starts) or stop < starts[i + 1]:
+            spans.append(Component(starts[first], stop - 1))
+            first = i + 1
+    return Occupancy(width, tuple(spans))
 
 
 def occupancy(rle: RleImage, row_range, counter: WorkCounter | None = None) -> Occupancy:
-    """Columnwise OR of foreground coverage over rows [start, stop)."""
+    """Columnwise OR over rows [start, stop): the union of every ink run's spread."""
     start, stop = _check_row_range(rle.height, row_range)
-    bits = [False] * rle.width
+    starts = []
+    stops = []
     for r in range(start, stop):
         runs = rle.rows[r].runs
         if counter is not None:
             counter.add(len(runs))
         pos = 0
         for j, run in enumerate(runs):
-            if j & 1 and run:
-                bits[pos : pos + run] = [True] * run
+            if j & 1:
+                starts.append(pos)
+                stops.append(pos + run)
             pos += run
-    return Occupancy(tuple(bits))
+    return union(rle.width, starts, stops)
 
 
 def column_frequency(rle: RleImage, row_range, counter: WorkCounter | None = None) -> list[int]:
@@ -152,19 +144,8 @@ def column_frequency(rle: RleImage, row_range, counter: WorkCounter | None = Non
 
 
 def components(occ: Occupancy) -> list[Component]:
-    """Maximal true-runs of the occupancy, sorted and pairwise separated."""
-    comps = []
-    start = None
-    for x, b in enumerate(occ.bits):
-        if b:
-            if start is None:
-                start = x
-        elif start is not None:
-            comps.append(Component(start, x - 1))
-            start = None
-    if start is not None:
-        comps.append(Component(start, occ.width - 1))
-    return comps
+    """Maximal inked intervals of the occupancy, sorted and pairwise separated."""
+    return list(occ.spans)
 
 
 def gaps(comps: list[Component]) -> list[Gap]:

@@ -40,7 +40,7 @@ from rlseg import (
 from rlseg.chars import DEFAULT_PARAMS, RoiParams, roi_from_bounds, split_bands
 from rlseg.cli import main
 from rlseg.evaluate import GroundTruthLine
-from rlseg.projection import Component
+from rlseg.projection import Component, union
 from rlseg.records import dumps, line_char_records, word_record
 from rlseg.rle import crop_columns, cumulative_runs
 
@@ -122,6 +122,34 @@ def check_crop_matches_pixel_slice(seed, tmp_path):
         assert crop_columns(rle, a, b) == encode(Bitmap(px[:, a : b + 1])), (a, b)
 
 
+def _pairs(comps):
+    return [(c.x_min, c.x_max) for c in comps]
+
+
+def check_union_matches_column_or(seed, tmp_path):
+    rng = random.Random(seed)
+    width = rng.randint(1, 40)
+    starts, stops = [], []
+    for _ in range(rng.randint(0, 8)):
+        a = rng.randrange(width)
+        b = rng.randint(a + 1, width)
+        starts.append(a)
+        stops.append(b)
+        if rng.random() < 0.5 and b < width:  # a span touching this one
+            starts.append(b)
+            stops.append(rng.randint(b + 1, width))
+        if rng.random() < 0.5 and b - a > 2:  # a span nested inside it
+            starts.append(a + 1)
+            stops.append(b - 1)
+    bits = [False] * width
+    for a, b in zip(starts, stops):
+        for x in range(a, b):
+            bits[x] = True
+    occ = union(width, starts, stops)
+    assert occ.width == width
+    assert _pairs(occ.spans) == brute_components(bits)
+
+
 def check_projection_oracle_equivalence(seed, tmp_path):
     rng = random.Random(seed)
     bitmap = random_bitmap(rng)
@@ -131,17 +159,16 @@ def check_projection_oracle_equivalence(seed, tmp_path):
     cdp = occupancy(rle, (a, b))
     pdp = pdp_occupancy(bitmap, (a, b))
     assert cdp == pdp
-    assert list(cdp.bits) == brute_occupancy(bitmap, (a, b))
+    assert _pairs(components(cdp)) == brute_components(brute_occupancy(bitmap, (a, b)))
     assert components(cdp) == components(pdp)
 
 
 def check_component_list_invariants(seed, tmp_path):
     rng = random.Random(seed)
-    rle = encode(random_bitmap(rng))
+    bitmap = random_bitmap(rng)
+    rle = encode(bitmap)
     comps = components(occupancy(rle, (0, rle.height)))
-    assert [(c.x_min, c.x_max) for c in comps] == brute_components(
-        occupancy(rle, (0, rle.height)).bits
-    )
+    assert _pairs(comps) == brute_components(brute_occupancy(bitmap, (0, rle.height)))
     for left, right in zip(comps, comps[1:]):
         assert right.x_min - left.x_max - 1 >= 1
         assert left.length == left.x_max - left.x_min + 1
@@ -436,6 +463,7 @@ CHECKS = [
     ("cached_ends", check_cached_ends),
     ("locate_every_row", check_locate_every_row),
     ("crop_matches_pixel_slice", check_crop_matches_pixel_slice),
+    ("union_matches_column_or", check_union_matches_column_or),
     ("projection_oracle_equivalence", check_projection_oracle_equivalence),
     ("component_list_invariants", check_component_list_invariants),
     ("occupancy_work_counters", check_occupancy_work_counters),

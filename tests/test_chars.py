@@ -21,7 +21,7 @@ from rlseg import (
     split_bands,
 )
 from rlseg.chars import DEFAULT_PARAMS, RepairOp, RoiParams, RoiRows, roi_from_bounds
-from rlseg.projection import Component, Occupancy
+from rlseg.projection import Component, Occupancy, components
 from rlseg.rle import RleImage, RleRow
 
 from support import (
@@ -73,13 +73,17 @@ def test_split_bands_sizes(n, sizes):
     assert bands.top.stop == bands.middle.start and bands.middle.stop == bands.bottom.start
 
 
+def _occupancy_of_bits(bits):
+    return Occupancy(len(bits), tuple(Component(a, b) for a, b in brute_components(bits)))
+
+
 def test_band_or_examples():
-    a = Occupancy((True, True, False, False))
-    b = Occupancy((False, False, True, True))
-    assert band_or(a, b).bits == (True, True, True, True)
-    assert band_or(a, Occupancy((False,) * 4)).bits == a.bits
+    a = Occupancy(4, (Component(0, 1),))
+    b = Occupancy(4, (Component(2, 3),))
+    assert band_or(a, b) == Occupancy(4, (Component(0, 3),))
+    assert band_or(a, Occupancy(4, ())) == a
     with pytest.raises(WidthMismatchError):
-        band_or(a, Occupancy((True,)))
+        band_or(a, Occupancy(1, (Component(0, 0),)))
 
 
 def test_band_or_matches_pixel_oracle():
@@ -88,17 +92,18 @@ def test_band_or_matches_pixel_oracle():
         width = rng.randint(1, 30)
         top = Bitmap([[rng.random() < 0.4 for _ in range(width)] for _ in range(3)])
         bottom = Bitmap([[rng.random() < 0.4 for _ in range(width)] for _ in range(3)])
-        occ_a = Occupancy(tuple(brute_occupancy(top, (0, 3))))
-        occ_b = Occupancy(tuple(brute_occupancy(bottom, (0, 3))))
+        occ_a = _occupancy_of_bits(brute_occupancy(top, (0, 3)))
+        occ_b = _occupancy_of_bits(brute_occupancy(bottom, (0, 3)))
         stacked = Bitmap(np.vstack([top.pixels, bottom.pixels]))
-        assert list(band_or(occ_a, occ_b).bits) == brute_occupancy(stacked, (0, 6))
+        spans = [(c.x_min, c.x_max) for c in components(band_or(occ_a, occ_b))]
+        assert spans == brute_components(brute_occupancy(stacked, (0, 6)))
 
 
 def test_candidate_separators_examples():
-    assert candidate_separators(Occupancy((True, True, False, True, True))) == [2]
-    assert candidate_separators(Occupancy((True, True, True))) == []
+    assert candidate_separators(_occupancy_of_bits([True, True, False, True, True])) == [2]
+    assert candidate_separators(_occupancy_of_bits([True, True, True])) == []
     # leading/trailing background is a margin, not a cut
-    assert candidate_separators(Occupancy((False, True, False, True, False))) == [2]
+    assert candidate_separators(_occupancy_of_bits([False, True, False, True, False])) == [2]
 
 
 def test_candidate_separators_match_brute_midpoints():

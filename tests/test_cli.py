@@ -1,12 +1,13 @@
 """CLI behavior: subcommands, exit codes, config handling, schemas."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from rlseg import Bitmap, RleImage, encode, read_pbm, write_rle
+from rlseg import Bitmap, RleImage, encode, read_pbm, segment_words, write_rle
 from rlseg.cli import main
 from rlseg.rle import RleRow
 
@@ -122,6 +123,40 @@ def test_blank_line_in_directory_names_the_file(tmp_path, corpus, capsys):
         )
 
 
+def test_huge_declared_width_blank_line_exits_2(tmp_path, capsys):
+    blank = tmp_path / "huge.rle"
+    blank.write_text("RLE1 300000000 1\n300000000\n")
+    assert main(["segment", str(blank)]) == 2
+    assert capsys.readouterr().err == (
+        f"rlseg: empty input: {blank}: line has no foreground runs\n"
+    )
+
+
+def test_huge_declared_width_ink_line_is_one_word(tmp_path, capsys):
+    line = tmp_path / "huge.rle"
+    line.write_text("RLE1 300000000 1\n0 300000000\n")
+    assert main(["segment", str(line), "--mode", "words"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert records[0]["words"] == [[0, 299999999]]
+    assert records[0]["separators"] == []
+
+
+def test_word_memory_does_not_grow_with_width():
+    width = 10**7
+    # three words of two glyphs each, spread over the line, on four rows
+    runs = (1000, 40, 5, 40, 3_000_000, 40, 5, 40, 3_000_000, 40, 5, 40)
+    rows = tuple(RleRow(runs + (width - sum(runs),)) for _ in range(4))
+    line = RleImage(width, rows)
+    tracemalloc.start()
+    try:
+        seg = segment_words(line)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(seg.words) == 3
+    assert peak < 1_000_000
+
+
 def test_empty_truth_exits_3(tmp_path, corpus):
     words = tmp_path / "w.json"
     assert main(["segment", str(corpus / "manifest.txt"), "--out", str(words)]) == 0
@@ -153,6 +188,26 @@ def test_evaluate_bad_predictions_exit_4(tmp_path, corpus, capsys, text, detail)
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text,detail",
+    [
+        ("[{", ":0: bad ground truth: JSONDecodeError("),
+        ('[{"line_id": "a"}]', ":0: bad ground truth: KeyError('words')"),
+        ("[1,2]", ":0: bad ground truth: TypeError("),
+    ],
+    ids=["not_json", "no_words", "not_objects"],
+)
+def test_evaluate_bad_truth_exit_4(tmp_path, corpus, capsys, text, detail):
+    words = tmp_path / "w.json"
+    assert main(["segment", str(corpus / "manifest.txt"), "--out", str(words)]) == 0
+    truth = tmp_path / "truth.json"
+    truth.write_text(text)
+    assert main(["evaluate", str(words), str(truth)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"rlseg: parse error: {truth}{detail}")
+    assert err.count("\n") == 1
+
+
 def test_render_bad_segmentation_exits_4(tmp_path, corpus, capsys):
     seg = tmp_path / "seg.json"
     seg.write_text("not json\n")
@@ -161,6 +216,42 @@ def test_render_bad_segmentation_exits_4(tmp_path, corpus, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"rlseg: parse error: {seg}:1: not JSON: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text,detail",
+    [
+        ("[1,2]", ":0: bad record: AttributeError("),
+        ('[{"line_id": "STEM", "separators": [{}]}]', ":0: bad record: KeyError('x')"),
+    ],
+    ids=["not_objects", "no_x"],
+)
+def test_render_bad_records_exit_4(tmp_path, corpus, capsys, text, detail):
+    first = sorted((corpus / "lines").glob("*.rle"))[0]
+    seg = tmp_path / "seg.json"
+    seg.write_text(text.replace("STEM", first.stem))
+    assert main(["render", str(first), str(seg), str(tmp_path / "ov.pbm")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"rlseg: parse error: {seg}{detail}")
+    assert err.count("\n") == 1
+
+
+def test_non_utf8_manifest_and_config_exit_4(tmp_path, corpus, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"line\xff.rle\n")
+    assert main(["segment", str(bad)]) == 4
+    assert capsys.readouterr().err.startswith(f"rlseg: parse error: {bad}:0: not UTF-8: ")
+    manifest = str(corpus / "manifest.txt")
+    for argv in (
+        ["segment", manifest],
+        ["evaluate", manifest, manifest],
+        ["bench", manifest],
+        ["synth", "--out", str(tmp_path / "s")],
+    ):
+        assert main(argv + ["--config", str(bad)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"rlseg: parse error: {bad}:0: not UTF-8: ")
+        assert err.count("\n") == 1
 
 
 def test_usage_error_exits_1():

@@ -22,6 +22,7 @@ from rlseg import (
 )
 from rlseg.errors import EmptyWordError
 from rlseg.pixel_baseline import pdp_locate_run
+from rlseg.projection import Component, Occupancy
 from rlseg.records import dumps, line_char_records, word_record
 from rlseg.rle import locate_run
 
@@ -30,9 +31,9 @@ from support import glyph_word, random_bitmap, random_blob_line
 
 def test_pdp_occupancy_trivial_cases():
     white = Bitmap.zeros(6, 3)
-    assert pdp_occupancy(white, (0, 3)).bits == (False,) * 6
+    assert pdp_occupancy(white, (0, 3)) == Occupancy(6, ())
     dotted = Bitmap([[0, 0, 0], [0, 1, 0]])
-    assert pdp_occupancy(dotted, (0, 2)).bits == (False, True, False)
+    assert pdp_occupancy(dotted, (0, 2)) == Occupancy(3, (Component(1, 1),))
 
 
 def test_pdp_occupancy_equals_run_occupancy():

@@ -1,4 +1,4 @@
-"""Spreads, occupancy, components and gaps computed from runs."""
+"""Occupancy, components and gaps computed from run spreads."""
 
 import random
 
@@ -13,9 +13,8 @@ from rlseg import (
     encode,
     gaps,
     occupancy,
-    row_spreads,
 )
-from rlseg.projection import Component, Gap, Occupancy
+from rlseg.projection import Component, Gap, Occupancy, union
 from rlseg.rle import RleImage, RleRow
 
 from support import (
@@ -31,36 +30,52 @@ from support import (
 )
 
 
-def test_row_spreads_examples():
-    spreads = row_spreads(RleRow((3, 5, 2, 4, 6)))
-    assert [(s.x_min, s.x_max) for s in spreads] == [(3, 7), (10, 13)]
-    assert row_spreads(RleRow((20,))) == []
-    full = row_spreads(RleRow((0, 20)))
-    assert [(s.x_min, s.x_max) for s in full] == [(0, 19)]
+def _one_row_spans(runs):
+    row = RleRow(runs)
+    occ = occupancy(RleImage(row.width, (row,)), (0, 1))
+    return [(c.x_min, c.x_max) for c in components(occ)]
 
 
-def test_row_spreads_match_decoded_row():
+def test_one_row_occupancy_is_its_run_spreads():
+    assert _one_row_spans((3, 5, 2, 4, 6)) == [(3, 7), (10, 13)]
+    assert _one_row_spans((20,)) == []
+    assert _one_row_spans((0, 20)) == [(0, 19)]
+
+
+def test_one_row_occupancy_matches_decoded_row():
     rng = random.Random(17)
     for _ in range(100):
         bitmap = random_bitmap(rng, max_h=1)
         row = encode(bitmap).rows[0]
         expected = brute_components(bitmap.pixels[0])
-        assert [(s.x_min, s.x_max) for s in row_spreads(row)] == expected
+        assert _one_row_spans(row.runs) == expected
 
 
 def test_occupancy_single_row():
     rle = RleImage(4, (RleRow((0, 2, 1, 1)),))
-    assert occupancy(rle, (0, 1)).bits == (True, True, False, True)
+    assert occupancy(rle, (0, 1)) == Occupancy(4, (Component(0, 1), Component(3, 3)))
 
 
 def test_occupancy_two_rows_or():
     rle = RleImage(4, (RleRow((0, 2, 2)), RleRow((2, 2))))
-    assert occupancy(rle, (0, 2)).bits == (True, True, True, True)
+    assert occupancy(rle, (0, 2)) == Occupancy(4, (Component(0, 3),))
 
 
 def test_occupancy_all_background():
     rle = RleImage(5, (RleRow((5,)), RleRow((5,))))
-    assert occupancy(rle, (0, 2)).bits == (False,) * 5
+    assert occupancy(rle, (0, 2)) == Occupancy(5, ())
+
+
+def test_occupancy_needs_width():
+    with pytest.raises(ValueError):
+        Occupancy(0, ())
+
+
+def test_union_examples():
+    # touching spans merge, nested spans vanish, a one-column hole separates
+    assert union(9, [0, 3, 1], [3, 5, 2]) == Occupancy(9, (Component(0, 4),))
+    assert union(9, [6, 0], [9, 5]) == Occupancy(9, (Component(0, 4), Component(6, 8)))
+    assert union(9, [], []) == Occupancy(9, ())
 
 
 def test_occupancy_range_errors():
@@ -84,10 +99,10 @@ def test_occupancy_counter_equals_region_run_count():
 
 
 def test_components_examples():
-    occ = Occupancy((True, True, False, True))
+    occ = Occupancy(4, (Component(0, 1), Component(3, 3)))
     comps = components(occ)
     assert [(c.x_min, c.x_max, c.length) for c in comps] == [(0, 1, 2), (3, 3, 1)]
-    assert components(Occupancy((False, False))) == []
+    assert components(Occupancy(2, ())) == []
 
 
 def test_components_reference_word_fixture():
@@ -120,7 +135,8 @@ def test_occupancy_and_frequency_match_pixel_oracle():
         rle = encode(bitmap)
         a = rng.randint(0, rle.height - 1)
         b = rng.randint(a + 1, rle.height)
-        assert list(occupancy(rle, (a, b)).bits) == brute_occupancy(bitmap, (a, b))
+        spans = [(c.x_min, c.x_max) for c in components(occupancy(rle, (a, b)))]
+        assert spans == brute_components(brute_occupancy(bitmap, (a, b)))
         assert column_frequency(rle, (a, b)) == brute_frequency(bitmap, (a, b))
 
 
