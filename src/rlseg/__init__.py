@@ -57,7 +57,6 @@ from .rle import (
     Bitmap,
     RleImage,
     RleRow,
-    RunCoordinate,
     crop_columns,
     cumulative_runs,
     decode,

@@ -9,6 +9,7 @@ segments at the weakest middle-band column.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import EmptyWordError, WidthMismatchError
@@ -286,7 +287,7 @@ def plan_chars(
     if len(bands.middle):
         freq = frequency_of(bands.middle.start, bands.middle.stop)
     else:
-        freq = [0] * width
+        freq = Counter()  # an empty middle band: 0 in every column, stored in O(1)
     return rows, bands, repair(comps, params, freq)
 
 

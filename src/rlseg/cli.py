@@ -16,7 +16,7 @@ from .errors import (
     MalformedRleError,
     ParseError,
 )
-from .evaluate import evaluate_records, load_ground_truth
+from .evaluate import load_ground_truth, predicted_intervals, score_intervals
 from .pbm import read_pbm, write_pbm
 from .records import dumps, line_char_records, word_record
 from .render import overlay
@@ -148,15 +148,20 @@ def cmd_segment(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     overlap = _setting(args, cfg, "overlap", float, 0.9)
-    pred = _read_json(args.pred)
+    if not 0 < overlap <= 1:
+        print(f"rlseg: error: overlap must be in (0, 1], got {overlap}", file=sys.stderr)
+        return EXIT_USAGE
     try:
-        truth = load_ground_truth(args.truth)
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON and UTF-8
-        raise ParseError(args.truth, 0, f"bad ground truth: {exc!r}") from exc
-    try:
-        report = evaluate_records(pred, truth, mode=args.mode, overlap_min=overlap)
+        per_line = predicted_intervals(_read_json(args.pred), args.mode)
     except KeyError as exc:
         raise ParseError(args.pred, 0, f"record has no {exc} field") from exc
+    except ValueError as exc:
+        raise ParseError(args.pred, 0, f"bad predictions: {exc}") from exc
+    try:
+        truth = load_ground_truth(args.truth)
+        report = score_intervals(per_line, truth, args.mode, overlap)
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON and UTF-8
+        raise ParseError(args.truth, 0, f"bad ground truth: {exc!r}") from exc
     _emit(dumps(report), args.out)
     return EXIT_OK
 

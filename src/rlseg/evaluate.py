@@ -109,25 +109,51 @@ def accuracy_rate(result: MatchResult, total_truth: int) -> AccuracyReport:
     return AccuracyReport(total_truth, len(result.pairs))
 
 
-def evaluate_records(
-    pred_records, truth_lines, mode: str = "word", overlap_min: float = 0.9
-) -> dict:
-    """Score segmentation output records against ground truth, per line.
+def _is_pair(iv) -> bool:
+    return (
+        isinstance(iv, (list, tuple))
+        and len(iv) == 2
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in iv)
+    )
 
-    Word mode consumes word records; char mode consumes per-word character
-    records and flattens both sides to one interval list per line, so word
-    segmentation errors cascade into the character score.
+
+def predicted_intervals(pred_records, mode: str = "word") -> dict[str, list[tuple[int, int]]]:
+    """Each line's predicted intervals, checked before any scoring.
+
+    Word mode reads the records' "words", char mode their "chars", and
+    concatenates them per line_id; records without that key are skipped.
+    Raises KeyError for a record without line_id and ValueError when the
+    records are not a list of objects whose intervals are [start, end] integer
+    pairs, sorted and disjoint within each line.
     """
     if mode not in ("word", "char"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
+    if not isinstance(pred_records, list):
+        raise ValueError(f"expected a list of records, got {type(pred_records).__name__}")
+    key = "words" if mode == "word" else "chars"
     per_line: dict[str, list[tuple[int, int]]] = {}
-    for rec in pred_records:
-        key = "words" if mode == "word" else "chars"
+    for i, rec in enumerate(pred_records):
+        if not isinstance(rec, dict):
+            raise ValueError(f"record {i} is {type(rec).__name__}, not an object")
+        line_id = str(rec["line_id"])
         if key not in rec:
             continue
-        ivs = [(int(a), int(b)) for a, b in rec[key]]
-        per_line.setdefault(str(rec["line_id"]), []).extend(ivs)
+        ivs = rec[key]
+        if not isinstance(ivs, list) or not all(map(_is_pair, ivs)):
+            raise ValueError(f"record {i}: {key!r} is not a list of [start, end] integer pairs")
+        per_line.setdefault(line_id, []).extend((a, b) for a, b in ivs)
+    for line_id, ivs in per_line.items():
+        _check_sorted_disjoint(f"line {line_id} predicted", ivs)
+    return per_line
 
+
+def score_intervals(
+    per_line: dict[str, list[tuple[int, int]]],
+    truth_lines,
+    mode: str = "word",
+    overlap_min: float = 0.9,
+) -> dict:
+    """Score each truth line against the predicted intervals of its line_id."""
     total = matched = 0
     lines = []
     for truth in truth_lines:
@@ -158,3 +184,17 @@ def evaluate_records(
         "ar": report.ar_percent,
         "lines": lines,
     }
+
+
+def evaluate_records(
+    pred_records, truth_lines, mode: str = "word", overlap_min: float = 0.9
+) -> dict:
+    """Score segmentation output records against ground truth, per line.
+
+    Word mode consumes word records; char mode consumes per-word character
+    records and flattens both sides to one interval list per line, so word
+    segmentation errors cascade into the character score.
+    """
+    return score_intervals(
+        predicted_intervals(pred_records, mode), truth_lines, mode, overlap_min
+    )

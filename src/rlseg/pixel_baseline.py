@@ -20,7 +20,7 @@ from .chars import (
 )
 from .errors import EmptyLineError, EmptyWordError, OutOfBoundsError
 from .projection import Component, Occupancy, WorkCounter, _check_row_range, components, union
-from .rle import Bitmap, RunCoordinate
+from .rle import Bitmap
 from .words import (
     AUTO,
     SeparatorPoint,
@@ -99,11 +99,7 @@ def pdp_locate_run(row_pixels, x: int) -> int:
 
 
 def pdp_separator_at(bitmap: Bitmap, x: int) -> SeparatorPoint:
-    per_row = tuple(
-        RunCoordinate(r, pdp_locate_run(bitmap.pixels[r], x), x)
-        for r in range(bitmap.height)
-    )
-    return SeparatorPoint(x, per_row)
+    return SeparatorPoint(x, tuple(pdp_locate_run(row, x) for row in bitmap.pixels))
 
 
 def pdp_segment_words(

@@ -1,22 +1,24 @@
-"""JSON record construction, shared by the run-domain and pixel-domain paths.
+"""JSON record construction and the one serializer of the package.
 
 Both pipelines feed the same builders with the same value types, so equal
-segmentations serialize to byte-identical JSON.
+segmentations serialize to byte-identical JSON. ``dumps`` writes exactly the
+text of ``json.dumps(value, indent=1)``, but most of its bytes, the
+``[start, end]`` intervals and ``[row, run]`` pairs, are rendered a whole list
+at a time by C-level string operations instead of json's pure-Python indenting
+encoder.
 """
 
 from __future__ import annotations
 
-import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .chars import CharSegmentation, LineCharSegmentation
 from .words import SeparatorPoint, WordSegmentation
 
 
 def separator_record(sep: SeparatorPoint) -> dict:
-    return {
-        "x": sep.x_mid,
-        "runs": [[rc.row, rc.run_index] for rc in sep.per_row],
-    }
+    return {"x": sep.x_mid, "runs": [[r, j] for r, j in enumerate(sep.runs)]}
 
 
 def word_record(line_id: str, seg: WordSegmentation) -> dict:
@@ -50,6 +52,111 @@ def line_char_records(line_id: str, seg: LineCharSegmentation) -> list[dict]:
     ]
 
 
-def dumps(records) -> str:
-    """Canonical serialization used by the CLI and the differential tests."""
-    return json.dumps(records, indent=1)
+def dumps(value) -> str:
+    """Canonical serialization used by the CLI and the differential tests.
+
+    Byte-identical to ``json.dumps(value, indent=1)`` for any acyclic value
+    that json accepts, and raises TypeError where json does.
+    """
+    out: list[str] = []
+    _emit(value, 0, out)
+    return "".join(out)
+
+
+_LIST = frozenset((list,))
+_INT = frozenset((int,))
+_INF = float("inf")
+
+
+def _scalar(o) -> str | None:
+    """JSON text of a str, None, bool, int or float; None for anything else."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        if o == -_INF:
+            return "-Infinity"
+        return float.__repr__(o)
+    return None
+
+
+def _key(k) -> str:
+    """A dict key as json writes it: str, float, bool, None and int only."""
+    if isinstance(k, str):
+        return _encode_str(k)
+    if isinstance(k, (int, float)) or k is None:
+        return '"' + _scalar(k) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _int_lists(o: list, level: int) -> str | None:
+    """Indented text of a list of non-empty lists of plain ints, else None.
+
+    ``repr`` of such a list has no characters but digits, '-', ', ' and
+    brackets, so three replaces turn it into json's indent-1 layout. bool and
+    IntEnum items would repr differently, hence the exact type tests.
+    """
+    if not (_LIST.issuperset(map(type, o)) and all(o)):
+        return None
+    if not _INT.issuperset(map(type, chain.from_iterable(o))):
+        return None
+    outer = "\n" + " " * level
+    item = outer + " "
+    num = item + " "
+    body = (
+        repr(o)[2:-2]
+        .replace("], [", "|")
+        .replace(", ", "," + num)
+        .replace("|", item + "]," + item + "[" + num)
+    )
+    return "[" + item + "[" + num + body + item + "]" + outer + "]"
+
+
+def _emit(o, level: int, out: list[str]) -> None:
+    if isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        item = "\n" + " " * (level + 1)
+        sep = "{" + item
+        for k, v in o.items():
+            key = _encode_str(k) if type(k) is str else _key(k)
+            text = _scalar(v)
+            if text is None:
+                out.append(sep + key + ": ")
+                _emit(v, level + 1, out)
+            else:
+                out.append(sep + key + ": " + text)
+            sep = "," + item
+        out.append(item[:-1] + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        text = _int_lists(o, level) if type(o) is list else None
+        if text is not None:
+            out.append(text)
+            return
+        item = "\n" + " " * (level + 1)
+        sep = "[" + item
+        for v in o:
+            out.append(sep)
+            _emit(v, level + 1, out)
+            sep = "," + item
+        out.append(item[:-1] + "]")
+    else:
+        text = _scalar(o)
+        if text is None:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        out.append(text)

@@ -127,15 +127,6 @@ class RleImage:
         return sum(len(row.runs) for row in self.rows)
 
 
-@dataclass(frozen=True)
-class RunCoordinate:
-    """A column position expressed against one row's run list."""
-
-    row: int
-    run_index: int
-    x: int
-
-
 def encode(bitmap: Bitmap) -> RleImage:
     """Compress a bitmap row by row into background-first run lengths."""
     rows = []

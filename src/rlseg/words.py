@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 from .errors import EmptyLineError, NoGapsError
 from .projection import Component, Gap, WorkCounter, components, gaps, occupancy
-from .rle import RleImage, RunCoordinate, locate_run
+from .rle import RleImage, locate_run
 
 
 class GapKind(Enum):
@@ -52,15 +53,14 @@ AUTO = ThresholdMode("auto")
 
 @dataclass(frozen=True)
 class SeparatorPoint:
-    """A cut column plus its run coordinate in every row of the source image."""
+    """A cut column and, per row of the source image, the run that holds it.
+
+    ``runs[r]`` is the index of the run containing column ``x_mid`` in row r,
+    so the run coordinate of the cut in row r is ``(r, runs[r])``.
+    """
 
     x_mid: int
-    per_row: tuple[RunCoordinate, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "per_row", tuple(self.per_row))
-        if any(rc.x != self.x_mid for rc in self.per_row):
-            raise ValueError("per-row coordinates must reference x_mid")
+    runs: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -145,10 +145,7 @@ def plan_words(
 
 def separator_at(image: RleImage, x: int) -> SeparatorPoint:
     """Locate column x in every row's runs (the coordinate-position output)."""
-    per_row = tuple(
-        RunCoordinate(r, locate_run(image.rows[r], x), x) for r in range(image.height)
-    )
-    return SeparatorPoint(x, per_row)
+    return SeparatorPoint(x, tuple(map(locate_run, image.rows, repeat(x))))
 
 
 def segment_words(

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import random
+from enum import IntEnum
 from itertools import accumulate
 
 import jsonschema
@@ -238,10 +239,9 @@ def check_run_coordinate_contract(seed, tmp_path):
     for seg in result.per_word:
         seps.extend(seg.separators)
     for sep in seps:
-        assert len(sep.per_row) == line.height
-        for rc in sep.per_row:
-            assert rc.x == sep.x_mid
-            assert locate_run(line.rows[rc.row], rc.x) == rc.run_index
+        assert len(sep.runs) == line.height
+        for row, run_index in zip(line.rows, sep.runs):
+            assert locate_run(row, sep.x_mid) == run_index
 
 
 def check_char_gap_cuts_on_or_false(seed, tmp_path):
@@ -414,6 +414,85 @@ def check_cli_determinism(seed, tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
 
 
+class _Level(IntEnum):
+    LOW = 1
+    DEEP = -7
+
+
+# strings that would break a text-level rendering if one reached the int fast path
+_STRINGS = [
+    "", "line0000:w3", "\u00e9\u2603\U0001F600", "tab\tnl\n", 'q"b\\', "\x00\x1f\x7f",
+    "], [", ", ", "|",
+]
+_FLOATS = [0.0, -0.0, 1.5, 0.1 + 0.2, 1e300, -2.5e-308, math.nan, math.inf, -math.inf]
+_KEYS = ["x", "runs", "\u00e9", "", 0, -3, 2.5, -0.0, math.nan, True, False, None, _Level.DEEP]
+
+
+def _random_scalar(rng):
+    return rng.choice(
+        [
+            rng.randint(-10**6, 10**6),
+            rng.choice([True, False, None, _Level.LOW, 10**30]),
+            rng.choice(_FLOATS),
+            rng.choice(_STRINGS),
+        ]
+    )
+
+
+def _random_int_lists(rng):
+    """Mostly [[int, ...], ...]; sometimes with one item that must leave the fast path."""
+    out = [
+        [rng.randint(-50, 5000) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(1, 6))
+    ]
+    roll = rng.random()
+    row = rng.choice(out)
+    if roll < 0.1:
+        row[rng.randrange(len(row))] = rng.choice([True, False])
+    elif roll < 0.2:
+        row[rng.randrange(len(row))] = _Level.DEEP
+    elif roll < 0.3:
+        out[rng.randrange(len(out))] = []
+    elif roll < 0.4:
+        out[rng.randrange(len(out))] = tuple(row)
+    elif roll < 0.5:
+        row[rng.randrange(len(row))] = _random_scalar(rng)
+    return out
+
+
+def _random_json_value(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        return _random_scalar(rng)
+    if roll < 0.5:
+        return _random_int_lists(rng)
+    items = [_random_json_value(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    if roll < 0.65:
+        return items
+    if roll < 0.75:
+        return tuple(items)
+    return {rng.choice(_KEYS): v for v in items}
+
+
+def check_dumps_matches_json_indent(seed, tmp_path):
+    rng = random.Random(seed)
+    for _ in range(20):
+        value = _random_json_value(rng, rng.randint(0, 4))
+        assert dumps(value) == json.dumps(value, indent=1)
+    line = random_blob_line(rng)
+    bitmap = decode(line)
+    word_recs = [
+        word_record("p", segment_words(line)),
+        word_record("p", pdp_segment_words(bitmap)),
+    ]
+    char_recs = [
+        *line_char_records("p", segment_line_chars(line)),
+        *line_char_records("p", pdp_segment_line_chars(bitmap)),
+    ]
+    for value in (word_recs, char_recs, word_recs[0], char_recs[0]["separators"]):
+        assert dumps(value) == json.dumps(value, indent=1)
+
+
 _SCHEMAS = None
 
 
@@ -484,4 +563,5 @@ CHECKS = [
     ("pipeline_differential", check_pipeline_differential),
     ("cli_determinism", check_cli_determinism),
     ("json_outputs_validate", check_json_outputs_validate),
+    ("dumps_matches_json_indent", check_dumps_matches_json_indent),
 ]

@@ -22,7 +22,7 @@ from rlseg import (
 )
 from rlseg.chars import DEFAULT_PARAMS, RepairOp, RoiParams, RoiRows, roi_from_bounds
 from rlseg.projection import Component, Occupancy, components
-from rlseg.rle import RleImage, RleRow
+from rlseg.rle import RleImage, RleRow, locate_run
 
 from support import (
     REFERENCE_WORD_COMPONENTS,
@@ -240,7 +240,9 @@ def test_segment_line_chars_line_coordinates():
     assert flat == [(5, 12), (15, 22), (42, 49), (52, 59)]
     for seg in result.per_word:
         for sep in seg.separators:
-            assert len(sep.per_row) == line.height
+            assert len(sep.runs) == line.height
+            for row, run_index in zip(line.rows, sep.runs):
+                assert locate_run(row, sep.x_mid) == run_index
     # cut columns are background in the full line
     pixels = decode(line).pixels
     for seg in result.per_word:

@@ -7,7 +7,15 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from rlseg import Bitmap, RleImage, encode, read_pbm, segment_words, write_rle
+from rlseg import (
+    Bitmap,
+    RleImage,
+    encode,
+    read_pbm,
+    segment_line_chars,
+    segment_words,
+    write_rle,
+)
 from rlseg.cli import main
 from rlseg.rle import RleRow
 
@@ -141,6 +149,15 @@ def test_huge_declared_width_ink_line_is_one_word(tmp_path, capsys):
     assert records[0]["separators"] == []
 
 
+def test_huge_declared_width_ink_line_is_one_char(tmp_path, capsys):
+    line = tmp_path / "huge.rle"
+    line.write_text("RLE1 300000000 1\n0 300000000\n")
+    assert main(["segment", str(line), "--mode", "chars"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert [r["chars"] for r in records] == [[[0, 299999999]]]
+    assert records[0]["separators"] == []
+
+
 def test_word_memory_does_not_grow_with_width():
     width = 10**7
     # three words of two glyphs each, spread over the line, on four rows
@@ -154,6 +171,19 @@ def test_word_memory_does_not_grow_with_width():
     finally:
         tracemalloc.stop()
     assert len(seg.words) == 3
+    assert peak < 1_000_000
+
+
+def test_char_memory_does_not_grow_with_width():
+    # one all-ink row: the ROI is a single row, so the middle band is empty
+    line = RleImage(10**7, (RleRow((0, 10**7)),))
+    tracemalloc.start()
+    try:
+        seg = segment_line_chars(line)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [(c.x_min, c.x_max) for c in seg.per_word[0].chars] == [(0, 10**7 - 1)]
     assert peak < 1_000_000
 
 
@@ -176,8 +206,22 @@ def test_malformed_rle_exits_4(tmp_path):
     [
         ("[{\"line_id\": ", ":1: not JSON: "),
         ('[{"words": [[0, 3]]}]', ":0: record has no 'line_id' field"),
+        ("[1,2]", ":0: bad predictions: record 0 is int, not an object"),
+        ("{}", ":0: bad predictions: expected a list of records, got dict"),
+        (
+            '[{"line_id": "a", "words": [0, 3]}]',
+            ":0: bad predictions: record 0: 'words' is not a list of [start, end] integer pairs",
+        ),
+        (
+            '[{"line_id": "a", "words": [[0, 3, 5]]}]',
+            ":0: bad predictions: record 0: 'words' is not a list of [start, end] integer pairs",
+        ),
+        (
+            '[{"line_id": "a", "words": [[5, 3]]}]',
+            ":0: bad predictions: line a predicted interval [5, 3] is inverted",
+        ),
     ],
-    ids=["not_json", "no_line_id"],
+    ids=["not_json", "no_line_id", "not_objects", "not_a_list", "not_pairs", "triple", "inverted"],
 )
 def test_evaluate_bad_predictions_exit_4(tmp_path, corpus, capsys, text, detail):
     pred = tmp_path / "pred.json"
@@ -206,6 +250,43 @@ def test_evaluate_bad_truth_exit_4(tmp_path, corpus, capsys, text, detail):
     err = capsys.readouterr().err
     assert err.startswith(f"rlseg: parse error: {truth}{detail}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "mode,truth_text,detail",
+    [
+        (
+            "word",
+            '[{"line_id": "line0000", "words": [[40, 50], [0, 3]]}]',
+            ":0: bad ground truth: ValueError('truth intervals overlap or are unsorted",
+        ),
+        (
+            "char",
+            '[{"line_id": "line0000", "words": [[0, 3]]}]',
+            ":0: bad ground truth: ValueError('ground truth line line0000 has no chars')",
+        ),
+    ],
+    ids=["unsorted", "no_chars"],
+)
+def test_evaluate_truth_value_errors_name_the_truth_file(
+    tmp_path, corpus, capsys, mode, truth_text, detail
+):
+    pred = tmp_path / "pred.json"
+    segment_mode = "words" if mode == "word" else "chars"
+    assert main(["segment", str(corpus / "manifest.txt"), "--mode", segment_mode,
+                 "--out", str(pred)]) == 0
+    truth = tmp_path / "truth.json"
+    truth.write_text(truth_text)
+    assert main(["evaluate", str(pred), str(truth), "--mode", mode]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"rlseg: parse error: {truth}{detail}")
+    assert err.count("\n") == 1
+
+
+def test_evaluate_overlap_out_of_range_exits_1(tmp_path, corpus, capsys):
+    truth = corpus / "ground_truth.json"
+    assert main(["evaluate", str(truth), str(truth), "--overlap", "1.5"]) == 1
+    assert capsys.readouterr().err == "rlseg: error: overlap must be in (0, 1], got 1.5\n"
 
 
 def test_render_bad_segmentation_exits_4(tmp_path, corpus, capsys):

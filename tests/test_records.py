@@ -1,0 +1,80 @@
+"""records.dumps: byte-identical to json.dumps(indent=1), fast path included."""
+
+import json
+import math
+from enum import IntEnum
+
+import pytest
+
+from rlseg import segment_line_chars, segment_words
+from rlseg.records import dumps, line_char_records, separator_record, word_record
+from rlseg.words import SeparatorPoint
+
+from support import bars_line
+
+
+class Level(IntEnum):
+    LOW = 1
+    DEEP = -7
+
+
+EXAMPLES = {
+    "empty_list": [],
+    "empty_dict": {},
+    "nested_empty": [[], {}, [[]], {"a": []}, {"a": {}}, [[], []]],
+    "tuples": ((1, 2), (), ((3,),), [(4, 5)]),
+    "int_pairs": [[0, 3], [5, 9], [-1, 10**20]],
+    "int_lists_ragged": [[1], [2, 3, 4], [5]],
+    "int_pairs_nested": {"a": [{"runs": [[0, 1], [1, 3]]}]},
+    "int_lists_with_empty": [[1, 2], []],
+    "int_lists_with_tuple": [[1, 2], (3, 4)],
+    "bools_in_int_lists": [[0, True], [False, 2]],
+    "intenum_in_int_lists": [[Level.LOW, 2], [3, Level.DEEP]],
+    "intenum_scalar": {"level": Level.DEEP},
+    "floats": [0.0, -0.0, 1.5, 0.1 + 0.2, 1e300, -2.5e-308],
+    "non_finite": [math.nan, math.inf, -math.inf, [[math.nan]]],
+    "float_in_int_lists": [[1, 2.0]],
+    "none": [None, {"v": None}, [[None]]],
+    "scalars_at_top": 7,
+    "string_at_top": "top",
+    "non_ascii": ["été", "☃", "\U0001F600"],
+    "control_chars": ["\x00\x01\x1f\x7f", "tab\tnl\nret\r", 'q"b\\'],
+    "text_like_the_fast_path": ["], [", ", ", "|", [["], [", "|"]]],
+    "non_str_keys": {1: "a", -2.5: "b", True: "c", False: "d", None: "e", Level.DEEP: "f"},
+    "non_finite_keys": {math.nan: 1, math.inf: 2, -math.inf: 3, -0.0: 4},
+    "key_and_its_text": {1: "int", "1": "str"},
+}
+
+
+@pytest.mark.parametrize("value", EXAMPLES.values(), ids=EXAMPLES.keys())
+def test_dumps_matches_json_indent(value):
+    assert dumps(value) == json.dumps(value, indent=1)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [object(), b"bytes", {1, 2}, [[1, 2], [3, object()]], {"k": 1j}, {(1, 2): "tuple key"}],
+    ids=["object", "bytes", "set", "in_list", "in_dict", "tuple_key"],
+)
+def test_dumps_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=1)
+    with pytest.raises(TypeError):
+        dumps(value)
+
+
+def test_separator_record_pairs_rows_with_run_indices():
+    assert separator_record(SeparatorPoint(7, (0, 2, 1))) == {
+        "x": 7,
+        "runs": [[0, 0], [1, 2], [2, 1]],
+    }
+
+
+def test_real_records_match_json_indent():
+    line = bars_line([(2, 6), (8, 12), (30, 36), (39, 44)], width=50, height=6)
+    recs = [
+        word_record("w", segment_words(line)),
+        *line_char_records("c", segment_line_chars(line)),
+    ]
+    assert recs[0]["separators"] and recs[1]["separators"]
+    assert dumps(recs) == json.dumps(recs, indent=1)

@@ -1,5 +1,6 @@
 """Synthetic corpus generator: determinism and ground-truth exactness."""
 
+import json
 import random
 
 import pytest
@@ -19,6 +20,13 @@ def test_same_seed_same_corpus(tmp_path):
     for pa, pb in zip(a_files, b_files):
         if pa.is_file():
             assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_ground_truth_file_is_json_indent_1(tmp_path):
+    cfg = SynthConfig(lines=3, words_per_line=3, touch_rate=0.5, seed=9)
+    write_corpus(cfg, tmp_path)
+    expected = json.dumps(ground_truth_records(generate_corpus(cfg)), indent=1) + "\n"
+    assert (tmp_path / "ground_truth.json").read_bytes() == expected.encode("utf-8")
 
 
 def test_different_seed_differs():

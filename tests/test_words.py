@@ -137,10 +137,9 @@ def test_separator_run_coordinates_consistent():
     line = bars_line([(2, 6), (10, 14), (30, 36), (40, 44)], width=50, height=6)
     seg = segment_words(line)
     for sep in seg.separators:
-        assert len(sep.per_row) == line.height
-        for rc in sep.per_row:
-            assert rc.x == sep.x_mid
-            assert locate_run(line.rows[rc.row], sep.x_mid) == rc.run_index
+        assert len(sep.runs) == line.height
+        for row, run_index in zip(line.rows, sep.runs):
+            assert locate_run(row, sep.x_mid) == run_index
 
 
 def test_threshold_monotonicity():
