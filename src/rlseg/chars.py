@@ -9,7 +9,7 @@ segments at the weakest middle-band column.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import EmptyWordError, WidthMismatchError
@@ -187,13 +187,19 @@ def candidate_separators(or_occ: Occupancy) -> list[int]:
 def _weakest_column(comp: Component, freq, min_piece: int) -> int | None:
     """Leftmost minimum-frequency column that leaves both pieces viable.
 
-    None when no column can keep both pieces at min_piece columns; splitting
-    there would just re-create an over-segmented fragment.
+    freq is a step function (xs, counts), as column_frequency returns it. The
+    count is constant between breakpoints, so the candidates are lo and the
+    breakpoints in (lo, hi]. None when no column can keep both pieces at
+    min_piece columns; splitting there would just re-create an over-segmented
+    fragment.
     """
     lo, hi = comp.x_min + min_piece, comp.x_max - min_piece
     if lo > hi:
         return None
-    return min(range(lo, hi + 1), key=lambda x: (freq[x], x))
+    xs, counts = freq
+    first = bisect_right(xs, lo) - 1  # the step holding lo
+    best = min(range(first, bisect_right(xs, hi)), key=counts.__getitem__)
+    return max(xs[best], lo)
 
 
 def repair(
@@ -205,6 +211,7 @@ def repair(
     alpha*mean merge into the neighbor across the smaller gap (cascading until
     none remain below the bar); components longer than beta*mean are split once
     at the lowest middle-band frequency column, which the cut consumes.
+    middle_freq is in column_frequency's step form (xs, counts).
     """
     comps = list(chars)
     if not comps:
@@ -270,9 +277,10 @@ def plan_chars(
     """Projection-agnostic character plan, shared with the pixel baseline.
 
     occupancy_of/frequency_of take a half-open row span and must cover the
-    full image width. Falls back to the full-ROI and then full-ink-box
-    occupancy when the top/bottom OR is completely dark (all ink in the
-    middle band), so every non-empty word yields at least one character.
+    full image width; frequency_of returns column_frequency's step form.
+    Falls back to the full-ROI and then full-ink-box occupancy when the
+    top/bottom OR is completely dark (all ink in the middle band), so every
+    non-empty word yields at least one character.
     """
     rows = roi_from_bounds(ink_top, ink_bot, params.t)
     bands = split_bands(rows)
@@ -287,7 +295,7 @@ def plan_chars(
     if len(bands.middle):
         freq = frequency_of(bands.middle.start, bands.middle.stop)
     else:
-        freq = Counter()  # an empty middle band: 0 in every column, stored in O(1)
+        freq = ([0], [0])  # an empty middle band: 0 in every column
     return rows, bands, repair(comps, params, freq)
 
 

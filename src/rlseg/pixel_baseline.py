@@ -10,6 +10,9 @@ run-domain modules; only the projection layer differs.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import ne
+
 from .chars import (
     CharSegmentation,
     DEFAULT_PARAMS,
@@ -50,8 +53,12 @@ def pdp_occupancy(
 
 def pdp_column_frequency(
     bitmap: Bitmap, row_range, counter: WorkCounter | None = None
-) -> list[int]:
-    """Per-column ink counts over rows [start, stop), scanning every pixel."""
+) -> tuple[list[int], list[int]]:
+    """Per-column ink counts over rows [start, stop), scanning every pixel.
+
+    Returned in column_frequency's step form (xs, counts): a breakpoint at
+    column 0 and at every column whose count differs from its left neighbor's.
+    """
     start, stop = _check_row_range(bitmap.height, row_range)
     width = bitmap.width
     freq = [0] * width
@@ -62,7 +69,8 @@ def pdp_column_frequency(
         for x in range(width):
             if row[x]:
                 freq[x] += 1
-    return freq
+    xs = [0, *compress(range(1, width), map(ne, freq[1:], freq))]
+    return xs, list(map(freq.__getitem__, xs))
 
 
 def pdp_ink_row_bounds(bitmap: Bitmap) -> tuple[int, int]:

@@ -1,15 +1,19 @@
 """Foreground spreads, x-axis occupancy and connected components, all from runs.
 
-Cost model: every operation here visits each run of the selected rows once.
-An occupancy is the sorted union of the ink runs' spreads, so it and its
-components take O(runs log runs) time and O(runs) memory, whatever the width;
-only ``column_frequency`` keeps a per-column buffer. The optional WorkCounter
-records exactly those run visits so the claim is assertable.
+Cost model: every operation here visits each run of the selected rows once,
+inside C-level builtins (prefix sums, slices, sorts, bisection). An occupancy
+is the sorted union of the ink runs' spreads, and a column frequency is a step
+function over the run boundaries, so both take O(runs log runs) time and
+O(runs) memory, whatever the width. The optional WorkCounter records exactly
+those run visits so the claim is assertable.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, compress, repeat
+from operator import lt, sub
 
 from .errors import EmptyRangeError, OutOfBoundsError
 from .rle import RleImage
@@ -92,55 +96,52 @@ def union(width: int, starts, stops) -> Occupancy:
     exactly when that stop is below the (i+1)-th smallest start: in between,
     i+1 spans have started and i+1 have stopped. Touching spans merge.
     """
+    if not starts:
+        return Occupancy(width, ())
     starts = sorted(starts)
     stops = sorted(stops)
-    spans = []
-    first = 0
-    for i, stop in enumerate(stops):
-        if i + 1 == len(starts) or stop < starts[i + 1]:
-            spans.append(Component(starts[first], stop - 1))
-            first = i + 1
-    return Occupancy(width, tuple(spans))
+    breaks = list(map(lt, stops, starts[1:]))
+    firsts = [starts[0], *compress(starts[1:], breaks)]
+    lasts = [*compress(stops, breaks), stops[-1]]
+    return Occupancy(width, tuple(map(Component, firsts, map(sub, lasts, repeat(1)))))
+
+
+def _ink_spans(rle: RleImage, start: int, stop: int, counter) -> tuple[list, list]:
+    """Starts and stops of every ink run of rows [start, stop), row by row."""
+    starts = []
+    stops = []
+    for row in rle.rows[start:stop]:
+        if counter is not None:
+            counter.add(len(row.runs))
+        ends = tuple(accumulate(row.runs))  # ink run j: [ends[j - 1], ends[j]), odd j
+        starts += ends[0:-1:2]
+        stops += ends[1::2]
+    return starts, stops
 
 
 def occupancy(rle: RleImage, row_range, counter: WorkCounter | None = None) -> Occupancy:
     """Columnwise OR over rows [start, stop): the union of every ink run's spread."""
     start, stop = _check_row_range(rle.height, row_range)
-    starts = []
-    stops = []
-    for r in range(start, stop):
-        runs = rle.rows[r].runs
-        if counter is not None:
-            counter.add(len(runs))
-        pos = 0
-        for j, run in enumerate(runs):
-            if j & 1:
-                starts.append(pos)
-                stops.append(pos + run)
-            pos += run
-    return union(rle.width, starts, stops)
+    return union(rle.width, *_ink_spans(rle, start, stop, counter))
 
 
-def column_frequency(rle: RleImage, row_range, counter: WorkCounter | None = None) -> list[int]:
-    """Per-column count of inked rows within [start, stop), via a difference array."""
+def column_frequency(
+    rle: RleImage, row_range, counter: WorkCounter | None = None
+) -> tuple[list[int], list[int]]:
+    """Per-column count of inked rows within [start, stop), as a step function.
+
+    Returns (xs, counts): sorted breakpoints from xs[0] == 0 on, one per run
+    boundary, and counts[i], the count in every column from xs[i] up to the
+    next breakpoint. O(runs) memory, whatever the width.
+    """
     start, stop = _check_row_range(rle.height, row_range)
-    diff = [0] * (rle.width + 1)
-    for r in range(start, stop):
-        runs = rle.rows[r].runs
-        if counter is not None:
-            counter.add(len(runs))
-        pos = 0
-        for j, run in enumerate(runs):
-            if j & 1 and run:
-                diff[pos] += 1
-                diff[pos + run] -= 1
-            pos += run
-    freq = []
-    acc = 0
-    for d in diff[:-1]:
-        acc += d
-        freq.append(acc)
-    return freq
+    starts, stops = _ink_spans(rle, start, stop, counter)
+    starts.sort()
+    stops.sort()
+    xs = sorted({0, *starts, *stops})
+    begun = map(bisect_right, repeat(starts), xs)  # ink runs started at or before x
+    ended = map(bisect_right, repeat(stops), xs)
+    return xs, list(map(sub, begun, ended))
 
 
 def components(occ: Occupancy) -> list[Component]:

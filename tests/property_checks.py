@@ -40,12 +40,14 @@ from rlseg import (
 )
 from rlseg.chars import DEFAULT_PARAMS, RoiParams, roi_from_bounds, split_bands
 from rlseg.cli import main
+from rlseg.errors import MalformedRleError, ParseError
 from rlseg.evaluate import GroundTruthLine
 from rlseg.projection import Component, union
 from rlseg.records import dumps, line_char_records, word_record
-from rlseg.rle import crop_columns, cumulative_runs
+from rlseg.rle import RleRow, crop_columns, cumulative_runs, read_rle
 
 from support import (
+    as_steps,
     brute_components,
     brute_locate,
     brute_occupancy,
@@ -98,12 +100,26 @@ def check_locate_every_row(seed, tmp_path):
             assert locate_run(row, x) == brute_locate(bitmap.pixels[r], x)
 
 
-def _crop_windows(rng, px):
-    """Full width, one column, a random window, and windows with an edge inside ink."""
+def _crop_windows(rng, px, rle):
+    """Full width, one column, a random window, and windows with an edge inside ink.
+
+    Also one column on ink and one on background, exactly one whole run, a
+    window from column 0 and one ending on the last column.
+    """
     width = px.shape[1]
     x = rng.randrange(width)
     a = rng.randrange(width)
     windows = [(0, width - 1), (x, x), (a, rng.randint(a, width - 1))]
+    for color in (1, 0):
+        cells = np.argwhere(px == color)
+        if cells.size:
+            c = int(cells[rng.randrange(len(cells))][1])
+            windows.append((c, c))
+    row = rle.rows[rng.randrange(rle.height)]
+    j = rng.choice([j for j, n in enumerate(row.runs) if n])
+    windows.append((row.ends[j] - row.runs[j], row.ends[j] - 1))  # one whole run
+    windows.append((0, rng.randrange(width)))  # from column 0 of the leading-0 row
+    windows.append((rng.randrange(width), width - 1))  # to the last column
     inside = np.argwhere(px[:, 1:] & px[:, :-1])  # (r, c): columns c and c+1 both ink
     if inside.size:
         _, c = inside[rng.randrange(len(inside))]
@@ -119,8 +135,103 @@ def check_crop_matches_pixel_slice(seed, tmp_path):
     px[0, 0] = 1  # row 0 starts with ink, so it carries a leading 0 run
     rle = encode(Bitmap(px))
     assert rle.rows[0].runs[0] == 0
-    for a, b in _crop_windows(rng, px):
+    for a, b in _crop_windows(rng, px, rle):
         assert crop_columns(rle, a, b) == encode(Bitmap(px[:, a : b + 1])), (a, b)
+
+
+_ROW_ALPHABET = "0123456789 \t\r+-_x\u00b2"
+
+
+def _random_row_line(rng, width):
+    """A row line of `width`, sometimes damaged, or random alphabet soup."""
+    if rng.random() < 0.1:
+        return ""
+    if rng.random() < 0.2:
+        return "".join(rng.choice(_ROW_ALPHABET) for _ in range(rng.randint(1, 6)))
+    cuts = sorted(rng.sample(range(1, width), rng.randint(0, min(3, width - 1))))
+    runs = [b - a for a, b in zip([0, *cuts], [*cuts, width])]
+    if rng.random() < 0.3:
+        runs.insert(0, 0)
+    line = " ".join(map(str, runs))
+    damage = rng.randrange(9)  # 0, 7 and 8: left intact
+    if damage == 1:
+        line = " " + line
+    elif damage == 2:
+        line += " "
+    elif damage == 3:
+        line = line.replace(" ", "  ", 1)
+    elif damage == 4:
+        line += "\r"  # a CRLF line ending
+    elif damage in (5, 6):  # one more character, a non-digit for damage 6
+        i = rng.randint(0, len(line))
+        extra = rng.choice(_ROW_ALPHABET[10:] if damage == 6 else _ROW_ALPHABET)
+        line = line[:i] + extra + line[i:]
+    return line
+
+
+def _reference_row_error(lines, width):
+    """Line number of the first bad row by the per-token predicate, or None."""
+    for lineno, line in enumerate(lines, start=2):
+        tokens = line.split(" ")
+        if any(not tok or not tok.isascii() or not tok.isdigit() for tok in tokens):
+            return lineno
+        runs = [int(tok) for tok in tokens]
+        if 0 in runs[1:] or sum(runs) != width:
+            return lineno
+    return None
+
+
+def check_read_rle_row_syntax(seed, tmp_path):
+    rng = random.Random(seed)
+    width = rng.randint(1, 12)
+    lines = [_random_row_line(rng, width) for _ in range(rng.randint(1, 3))]
+    text = f"RLE1 {width} {len(lines)}\n" + "".join(line + "\n" for line in lines)
+    path = tmp_path / f"rows{seed}.rle"
+    path.write_bytes(text.encode("utf-8"))
+    expected = 0 if not text.isascii() else _reference_row_error(lines, width)
+    try:
+        rle = read_rle(path)
+    except ParseError as exc:
+        assert exc.line == expected, (lines, exc.line, expected)
+    else:
+        assert expected is None, lines
+        assert [" ".join(map(str, row.runs)) for row in rle.rows] == [
+            " ".join(str(int(tok)) for tok in line.split(" ")) for line in lines
+        ]
+
+
+def _reference_row(values):
+    """Stored runs, or the error message, of the generator-based validation."""
+    runs = tuple(int(n) for n in values)
+    if not runs:
+        return "a row needs at least one run"
+    if any(n < 0 for n in runs):
+        return "run lengths cannot be negative"
+    if any(n == 0 for n in runs[1:]):
+        return "only the leading background run may be 0"
+    return runs
+
+
+def check_row_validation_reference(seed, tmp_path):
+    rng = random.Random(seed)
+    makers = [
+        lambda: rng.randint(1, 9),
+        lambda: rng.randint(-3, 0),
+        lambda: rng.choice([True, False]),
+        lambda: np.int64(rng.randint(-2, 9)),
+        lambda: rng.uniform(-1.5, 9.5),
+    ]
+    values = tuple(rng.choice(makers)() for _ in range(rng.randint(0, 6)))
+    if values and rng.random() < 0.3:
+        values = (0,) + values
+    expected = _reference_row(values)
+    try:
+        row = RleRow(values)
+    except MalformedRleError as exc:
+        assert str(exc) == expected, (values, str(exc))
+    else:
+        assert row.runs == expected, values
+        assert all(type(n) is int for n in row.runs)
 
 
 def _pairs(comps):
@@ -283,7 +394,7 @@ def check_inserted_cuts_at_frequency_minima(seed, tmp_path):
     mean = sum(c.length for c in comps) / len(comps)
     if any(c.length < params.alpha * mean for c in comps):
         return
-    result = repair(comps, params, freq)
+    result = repair(comps, params, as_steps(freq))
     min_piece = max(1, math.ceil(params.alpha * mean))
     expected = []
     for comp in comps:
@@ -301,7 +412,7 @@ def check_merge_completeness(seed, tmp_path):
     beta = rng.uniform(1.05, 3.0)
     freq = [rng.randint(0, 9) for _ in range(width + 4)]
     mean = sum(c.length for c in comps) / len(comps)
-    result = repair(comps, RoiParams(t=0.2, alpha=alpha, beta=beta), freq)
+    result = repair(comps, RoiParams(t=0.2, alpha=alpha, beta=beta), as_steps(freq))
     assert all(c.length >= alpha * mean for c in result.chars)
     assert len(result.cuts) == len(result.chars) - 1
 
@@ -542,6 +653,8 @@ CHECKS = [
     ("cached_ends", check_cached_ends),
     ("locate_every_row", check_locate_every_row),
     ("crop_matches_pixel_slice", check_crop_matches_pixel_slice),
+    ("read_rle_row_syntax", check_read_rle_row_syntax),
+    ("row_validation_reference", check_row_validation_reference),
     ("union_matches_column_or", check_union_matches_column_or),
     ("projection_oracle_equivalence", check_projection_oracle_equivalence),
     ("component_list_invariants", check_component_list_invariants),

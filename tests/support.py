@@ -113,6 +113,23 @@ def brute_frequency(bitmap: Bitmap, row_range) -> list[int]:
     return [int(v) for v in bitmap.pixels[start:stop].sum(axis=0)]
 
 
+def expand_steps(freq, width: int) -> list[int]:
+    """Per-column values of a (breakpoints, counts) step function."""
+    xs, counts = freq
+    assert xs[0] == 0 and list(xs) == sorted(set(xs)) and len(xs) == len(counts)
+    values = []
+    for i, x in enumerate(xs):
+        end = xs[i + 1] if i + 1 < len(xs) else width
+        values.extend([counts[i]] * (min(end, width) - min(x, width)))
+    return values
+
+
+def as_steps(values) -> tuple[list[int], list[int]]:
+    """Step form of per-column values: breakpoints at 0 and at every change."""
+    xs = [x for x in range(len(values)) if x == 0 or values[x] != values[x - 1]]
+    return xs, [values[x] for x in xs]
+
+
 def brute_components(bits) -> list[tuple[int, int]]:
     comps = []
     start = None

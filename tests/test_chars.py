@@ -27,6 +27,7 @@ from rlseg.rle import RleImage, RleRow, locate_run
 from support import (
     REFERENCE_WORD_COMPONENTS,
     REFERENCE_WORD_LENGTHS,
+    as_steps,
     brute_components,
     brute_occupancy,
     glyph_word,
@@ -166,10 +167,26 @@ def test_repair_splits_oversized_at_frequency_minimum():
     comps = [Component(0, 4), Component(8, 12), Component(16, 20), Component(24, 47)]
     freq = [5] * 48
     freq[35] = 0
-    result = repair(comps, RoiParams(alpha=0.2, beta=1.8), middle_freq=freq)
+    result = repair(comps, RoiParams(alpha=0.2, beta=1.8), middle_freq=as_steps(freq))
     inserted = [r for r in result.repairs if r.op == "inserted"]
     assert inserted == [RepairOp("inserted", 35)]
     assert Component(24, 34) in result.chars and Component(36, 47) in result.chars
+
+
+@pytest.mark.parametrize(
+    "steps,x",
+    [
+        (([0, 20, 30], [5, 0, 5]), 26),  # the valley starts left of the viable range
+        (([0, 45, 46], [5, 0, 5]), 45),  # the valley is the last viable column
+        (([0, 46], [5, 0]), 26),  # the valley is past it: the leftmost viable column
+        (([0, 30, 40], [5, 1, 1]), 30),  # equal steps: the leftmost one
+    ],
+)
+def test_repair_split_reads_step_frequencies(steps, x):
+    # the 24-column component splits only at columns 26..45 (min_piece 2)
+    comps = [Component(0, 4), Component(8, 12), Component(16, 20), Component(24, 47)]
+    result = repair(comps, RoiParams(alpha=0.2, beta=1.8), middle_freq=steps)
+    assert [r for r in result.repairs if r.op == "inserted"] == [RepairOp("inserted", x)]
 
 
 def test_repair_split_needs_frequencies():

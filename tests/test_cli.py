@@ -158,6 +158,16 @@ def test_huge_declared_width_ink_line_is_one_char(tmp_path, capsys):
     assert records[0]["separators"] == []
 
 
+def test_huge_declared_width_tall_ink_line_is_one_char(tmp_path, capsys):
+    # three all-ink rows: the ROI keeps all three, so the middle band has a row
+    line = tmp_path / "huge.rle"
+    line.write_text("RLE1 300000000 3\n" + "0 300000000\n" * 3)
+    assert main(["segment", str(line), "--mode", "chars"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert [r["chars"] for r in records] == [[[0, 299999999]]]
+    assert records[0]["separators"] == []
+
+
 def test_word_memory_does_not_grow_with_width():
     width = 10**7
     # three words of two glyphs each, spread over the line, on four rows
@@ -177,6 +187,19 @@ def test_word_memory_does_not_grow_with_width():
 def test_char_memory_does_not_grow_with_width():
     # one all-ink row: the ROI is a single row, so the middle band is empty
     line = RleImage(10**7, (RleRow((0, 10**7)),))
+    tracemalloc.start()
+    try:
+        seg = segment_line_chars(line)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [(c.x_min, c.x_max) for c in seg.per_word[0].chars] == [(0, 10**7 - 1)]
+    assert peak < 1_000_000
+
+
+def test_tall_char_memory_does_not_grow_with_width():
+    # three all-ink rows: the middle band's frequencies come from column_frequency
+    line = RleImage(10**7, (RleRow((0, 10**7)),) * 3)
     tracemalloc.start()
     try:
         seg = segment_line_chars(line)

@@ -14,6 +14,7 @@ from rlseg import (
     gaps,
     occupancy,
 )
+from rlseg.pixel_baseline import pdp_column_frequency
 from rlseg.projection import Component, Gap, Occupancy, union
 from rlseg.rle import RleImage, RleRow
 
@@ -22,10 +23,12 @@ from support import (
     REFERENCE_LINE_GAP_WIDTHS,
     REFERENCE_WORD_COMPONENTS,
     REFERENCE_WORD_LENGTHS,
+    as_steps,
     bars_line,
     brute_components,
     brute_frequency,
     brute_occupancy,
+    expand_steps,
     random_bitmap,
 )
 
@@ -137,7 +140,22 @@ def test_occupancy_and_frequency_match_pixel_oracle():
         b = rng.randint(a + 1, rle.height)
         spans = [(c.x_min, c.x_max) for c in components(occupancy(rle, (a, b)))]
         assert spans == brute_components(brute_occupancy(bitmap, (a, b)))
-        assert column_frequency(rle, (a, b)) == brute_frequency(bitmap, (a, b))
+        freq = expand_steps(column_frequency(rle, (a, b)), rle.width)
+        assert freq == brute_frequency(bitmap, (a, b))
+        assert pdp_column_frequency(bitmap, (a, b)) == as_steps(freq)
+
+
+def test_column_frequency_steps_at_run_boundaries():
+    # rows: ink [2, 5) and [7, 8); ink [4, 7); all background
+    rle = RleImage(9, (RleRow((2, 3, 2, 1, 1)), RleRow((4, 3, 2)), RleRow((9,))))
+    assert column_frequency(rle, (0, 3)) == ([0, 2, 4, 5, 7, 8], [0, 1, 2, 1, 1, 0])
+    assert column_frequency(rle, (2, 3)) == ([0], [0])
+    assert expand_steps(column_frequency(rle, (0, 2)), 9) == [0, 0, 1, 1, 2, 1, 1, 1, 0]
+
+
+def test_column_frequency_is_bounded_by_runs_not_width():
+    wide = RleImage(10**9, (RleRow((0, 10**9)), RleRow((5, 10**9 - 10, 5))))
+    assert column_frequency(wide, (0, 2)) == ([0, 5, 10**9 - 5, 10**9], [1, 2, 1, 0])
 
 
 def test_components_sorted_disjoint_separated():
