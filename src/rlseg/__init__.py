@@ -7,13 +7,8 @@ from .chars import (
     LineCharSegmentation,
     RepairOp,
     RoiParams,
-    band_or,
-    candidate_separators,
-    repair,
-    roi,
     segment_chars,
     segment_line_chars,
-    split_bands,
 )
 from .errors import (
     EmptyGroundTruthError,
@@ -27,55 +22,12 @@ from .errors import (
     RlsegError,
     WidthMismatchError,
 )
-from .evaluate import (
-    AccuracyReport,
-    GroundTruthLine,
-    MatchResult,
-    accuracy_rate,
-    evaluate_records,
-    load_ground_truth,
-    match,
-)
+from .evaluate import GroundTruthLine, evaluate_records, load_ground_truth
 from .pbm import read_pbm, write_pbm
-from .pixel_baseline import (
-    pdp_occupancy,
-    pdp_segment_chars,
-    pdp_segment_line_chars,
-    pdp_segment_words,
-)
-from .projection import (
-    Component,
-    Gap,
-    Occupancy,
-    WorkCounter,
-    column_frequency,
-    components,
-    gaps,
-    occupancy,
-)
-from .rle import (
-    Bitmap,
-    RleImage,
-    RleRow,
-    crop_columns,
-    cumulative_runs,
-    decode,
-    encode,
-    locate_run,
-    read_rle,
-    write_rle,
-)
+from .pixel_baseline import pdp_segment_chars, pdp_segment_line_chars, pdp_segment_words
+from .projection import Component, WorkCounter
+from .rle import Bitmap, RleImage, RleRow, decode, encode, read_rle, write_rle
 from .synth import SynthConfig, SynthLine, generate_corpus, write_corpus
-from .words import (
-    AUTO,
-    GapKind,
-    SeparatorPoint,
-    ThresholdMode,
-    WordSegmentation,
-    classify_gaps,
-    gap_midpoint,
-    segment_words,
-    select_threshold,
-)
+from .words import AUTO, SeparatorPoint, ThresholdMode, WordSegmentation, segment_words
 
 __version__ = "0.1.0"

@@ -18,24 +18,27 @@ from .projection import WorkCounter
 from .rle import decode, read_rle
 from .words import AUTO, ThresholdMode, segment_words
 
-CSV_COLUMNS = [
-    "file",
-    "width",
-    "height",
-    "runs",
-    "compression_ratio",
-    "decode_ms",
-    "cdp_word_ms",
-    "cdp_char_ms",
-    "cdp_total_ms",
-    "cdp_var_ms2",
-    "pdp_word_ms",
-    "pdp_char_ms",
-    "pdp_total_ms",
-    "pdp_var_ms2",
-    "cdp_work",
-    "pdp_work",
-]
+# CSV column -> (format of a BenchRow attribute, or None to write it as is;
+# whether the TOTAL row sums it)
+_COLUMNS = {
+    "file": (None, False),
+    "width": (None, False),
+    "height": (None, False),
+    "runs": (None, True),
+    "compression_ratio": ("{:.3f}", False),
+    "decode_ms": ("{:.3f}", True),
+    "cdp_word_ms": ("{:.3f}", True),
+    "cdp_char_ms": ("{:.3f}", True),
+    "cdp_total_ms": ("{:.3f}", True),
+    "cdp_var_ms2": ("{:.6f}", False),
+    "pdp_word_ms": ("{:.3f}", True),
+    "pdp_char_ms": ("{:.3f}", True),
+    "pdp_total_ms": ("{:.3f}", True),
+    "pdp_var_ms2": ("{:.6f}", False),
+    "cdp_work": (None, True),
+    "pdp_work": (None, True),
+}
+CSV_COLUMNS = list(_COLUMNS)
 
 
 @dataclass
@@ -135,53 +138,27 @@ def bench_paths(paths, params=DEFAULT_PARAMS, mode=AUTO, repeat=1) -> list[Bench
     return [bench_file(p, params, mode, repeat) for p in paths]
 
 
+def _cell(fmt: str | None, value):
+    return value if fmt is None else fmt.format(value)
+
+
 def totals(rows: list[BenchRow]) -> dict:
     """Aggregate row for the CSV; ratio is corpus pixels per corpus run."""
+    out = {
+        col: _cell(fmt, sum(getattr(r, col) for r in rows)) if summed else ""
+        for col, (fmt, summed) in _COLUMNS.items()
+    }
     pixels = sum(r.width * r.height for r in rows)
     runs = sum(r.runs for r in rows)
-    return {
-        "file": "TOTAL",
-        "width": "",
-        "height": "",
-        "runs": runs,
-        "compression_ratio": f"{pixels / runs:.3f}" if runs else "",
-        "decode_ms": f"{sum(r.decode_ms for r in rows):.3f}",
-        "cdp_word_ms": f"{sum(r.cdp_word_ms for r in rows):.3f}",
-        "cdp_char_ms": f"{sum(r.cdp_char_ms for r in rows):.3f}",
-        "cdp_total_ms": f"{sum(r.cdp_total_ms for r in rows):.3f}",
-        "cdp_var_ms2": "",
-        "pdp_word_ms": f"{sum(r.pdp_word_ms for r in rows):.3f}",
-        "pdp_char_ms": f"{sum(r.pdp_char_ms for r in rows):.3f}",
-        "pdp_total_ms": f"{sum(r.pdp_total_ms for r in rows):.3f}",
-        "pdp_var_ms2": "",
-        "cdp_work": sum(r.cdp_work for r in rows),
-        "pdp_work": sum(r.pdp_work for r in rows),
-    }
+    out["file"] = "TOTAL"
+    out["compression_ratio"] = f"{pixels / runs:.3f}" if runs else ""
+    return out
 
 
 def write_csv(rows: list[BenchRow], stream) -> None:
-    writer = csv.DictWriter(stream, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow(
-            {
-                "file": row.file,
-                "width": row.width,
-                "height": row.height,
-                "runs": row.runs,
-                "compression_ratio": f"{row.compression_ratio:.3f}",
-                "decode_ms": f"{row.decode_ms:.3f}",
-                "cdp_word_ms": f"{row.cdp_word_ms:.3f}",
-                "cdp_char_ms": f"{row.cdp_char_ms:.3f}",
-                "cdp_total_ms": f"{row.cdp_total_ms:.3f}",
-                "cdp_var_ms2": f"{row.cdp_var_ms2:.6f}",
-                "pdp_word_ms": f"{row.pdp_word_ms:.3f}",
-                "pdp_char_ms": f"{row.pdp_char_ms:.3f}",
-                "pdp_total_ms": f"{row.pdp_total_ms:.3f}",
-                "pdp_var_ms2": f"{row.pdp_var_ms2:.6f}",
-                "cdp_work": row.cdp_work,
-                "pdp_work": row.pdp_work,
-            }
-        )
+        writer.writerow(_cell(fmt, getattr(row, col)) for col, (fmt, _) in _COLUMNS.items())
     if rows:
-        writer.writerow(totals(rows))
+        writer.writerow(totals(rows).values())

@@ -4,6 +4,9 @@ Touching characters mostly connect in the middle of the x-height, so cuts are
 taken where the OR of the top-band and bottom-band occupancies goes dark.
 Length statistics then remove negligible fragments (merge) and split oversized
 segments at the weakest middle-band column.
+
+The driver (plan_chars, word_chars, line_chars) is the same for runs and
+pixels: each domain hands it its primitives as a Backend.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .errors import EmptyWordError, WidthMismatchError
 from .projection import (
@@ -57,6 +61,16 @@ class RoiParams:
 DEFAULT_PARAMS = RoiParams()
 
 
+class Backend(NamedTuple):
+    """The primitives one image domain (runs or pixels) gives the char stage."""
+
+    crop: Callable  # (image, x_min, x_max) -> the inclusive column window
+    ink_row_bounds: Callable  # image -> (first, last) inked row
+    occupancy: Callable  # (image, (start, stop), counter) -> Occupancy
+    column_frequency: Callable  # (image, (start, stop), counter) -> step form (xs, counts)
+    separator_at: Callable  # (image, x) -> SeparatorPoint
+
+
 @dataclass(frozen=True)
 class RoiRows:
     """Half-open row span of the region of interest."""
@@ -64,9 +78,6 @@ class RoiRows:
     start: int
     stop: int
     full_box_fallback: bool = False
-
-    def __len__(self) -> int:
-        return self.stop - self.start
 
 
 @dataclass(frozen=True)
@@ -146,12 +157,6 @@ def roi_from_bounds(ink_top: int, ink_bot: int, t: float) -> RoiRows:
     return RoiRows(ink_top + trim, ink_bot + 1 - trim)
 
 
-def roi(word: RleImage, t: float) -> RoiRows:
-    """ROI rows of a word: its ink box minus ascender/descender margins."""
-    top, bot = ink_row_bounds(word)
-    return roi_from_bounds(top, bot, t)
-
-
 def split_bands(rows) -> BandSet:
     """Divide a row span (anything with .start/.stop) into three bands.
 
@@ -177,11 +182,6 @@ def band_or(top: Occupancy, bottom: Occupancy) -> Occupancy:
         raise WidthMismatchError(f"widths differ: {top.width} vs {bottom.width}")
     spans = top.spans + bottom.spans
     return union(top.width, [c.x_min for c in spans], [c.x_max + 1 for c in spans])
-
-
-def candidate_separators(or_occ: Occupancy) -> list[int]:
-    """Floor midpoint of every gap strictly between two occupied stretches."""
-    return [gap_midpoint(g) for g in gaps(components(or_occ))]
 
 
 def _weakest_column(comp: Component, freq, min_piece: int) -> int | None:
@@ -260,59 +260,58 @@ def repair(
     return RepairResult(tuple(comps), tuple(cuts), tuple(repairs))
 
 
-def _band_occupancy(width: int, band: range, occupancy_of) -> Occupancy:
-    if len(band) == 0:
-        return Occupancy(width, ())
-    return occupancy_of(band.start, band.stop)
-
-
 def plan_chars(
-    width: int,
-    ink_top: int,
-    ink_bot: int,
-    params: RoiParams,
-    occupancy_of,
-    frequency_of,
-) -> tuple[RoiRows, BandSet, RepairResult]:
-    """Projection-agnostic character plan, shared with the pixel baseline.
+    word, params: RoiParams, backend: Backend, counter: WorkCounter | None = None
+) -> RepairResult:
+    """Character plan of one word image, in its own columns, on either domain.
 
-    occupancy_of/frequency_of take a half-open row span and must cover the
-    full image width; frequency_of returns column_frequency's step form.
     Falls back to the full-ROI and then full-ink-box occupancy when the
     top/bottom OR is completely dark (all ink in the middle band), so every
     non-empty word yields at least one character.
     """
+    ink_top, ink_bot = backend.ink_row_bounds(word)
     rows = roi_from_bounds(ink_top, ink_bot, params.t)
     bands = split_bands(rows)
-    top = _band_occupancy(width, bands.top, occupancy_of)
-    bottom = _band_occupancy(width, bands.bottom, occupancy_of)
-    merged = band_or(top, bottom)
-    comps = components(merged)
+
+    def band_occupancy(band: range) -> Occupancy:
+        if len(band) == 0:
+            return Occupancy(word.width, ())
+        return backend.occupancy(word, (band.start, band.stop), counter)
+
+    comps = components(band_or(band_occupancy(bands.top), band_occupancy(bands.bottom)))
     if not comps:
-        comps = components(occupancy_of(rows.start, rows.stop))
+        comps = components(backend.occupancy(word, (rows.start, rows.stop), counter))
     if not comps:
-        comps = components(occupancy_of(ink_top, ink_bot + 1))
+        comps = components(backend.occupancy(word, (ink_top, ink_bot + 1), counter))
     if len(bands.middle):
-        freq = frequency_of(bands.middle.start, bands.middle.stop)
+        freq = backend.column_frequency(word, (bands.middle.start, bands.middle.stop), counter)
     else:
         freq = ([0], [0])  # an empty middle band: 0 in every column
-    return rows, bands, repair(comps, params, freq)
+    return repair(comps, params, freq)
 
 
-def _plan_word(
-    word: RleImage, params: RoiParams, counter: WorkCounter | None
-) -> RepairResult:
-    """Char plan of one word image, in the word's own columns."""
-    top, bot = ink_row_bounds(word)
-    _, _, result = plan_chars(
-        word.width,
-        top,
-        bot,
+def word_chars(
+    backend: Backend, word, dx: int, line, params: RoiParams, counter: WorkCounter | None
+) -> CharSegmentation:
+    """Characters of a word image whose column 0 is column dx of line.
+
+    The word is planned in its own columns; chars, cuts and repair records are
+    shifted by dx, and each cut is located once, against line, so the output
+    is self-contained.
+    """
+    result = plan_chars(word, params, backend, counter)
+    return CharSegmentation(
+        tuple(Component(c.x_min + dx, c.x_max + dx) for c in result.chars),
+        tuple(backend.separator_at(line, x + dx) for x in result.cuts),
+        tuple(RepairOp(r.op, r.x + dx) for r in result.repairs),
         params,
-        lambda a, b: occupancy(word, (a, b), counter),
-        lambda a, b: column_frequency(word, (a, b), counter),
     )
-    return result
+
+
+def _run_backend() -> Backend:
+    # Built per call from the module globals, so a name replaced at run time
+    # (a tracer or a test's counting wrapper) is the one that runs.
+    return Backend(crop_columns, ink_row_bounds, occupancy, column_frequency, separator_at)
 
 
 def segment_chars(
@@ -321,9 +320,7 @@ def segment_chars(
     counter: WorkCounter | None = None,
 ) -> CharSegmentation:
     """Segment one word image into characters, working on runs only."""
-    result = _plan_word(word, params, counter)
-    separators = tuple(separator_at(word, x) for x in result.cuts)
-    return CharSegmentation(result.chars, separators, result.repairs, params)
+    return word_chars(_run_backend(), word, 0, word, params, counter)
 
 
 @dataclass(frozen=True)
@@ -334,6 +331,17 @@ class LineCharSegmentation:
     per_word: tuple[CharSegmentation, ...]
 
 
+def line_chars(
+    backend: Backend, line, words: WordSegmentation, params: RoiParams, counter: WorkCounter | None
+) -> LineCharSegmentation:
+    """Character segmentation of every word of a line, each planned on its crop."""
+    per_word = tuple(
+        word_chars(backend, backend.crop(line, w.x_min, w.x_max), w.x_min, line, params, counter)
+        for w in words.words
+    )
+    return LineCharSegmentation(words, per_word)
+
+
 def segment_line_chars(
     line: RleImage,
     params: RoiParams = DEFAULT_PARAMS,
@@ -341,24 +349,7 @@ def segment_line_chars(
     counter: WorkCounter | None = None,
     words: WordSegmentation | None = None,
 ) -> LineCharSegmentation:
-    """Run word segmentation, then character segmentation inside each word.
-
-    Each word is planned on its crop; character intervals, cuts and repair
-    records are shifted into line coordinates, and each cut is located once,
-    against the full line image, so the output is self-contained.
-    """
+    """Run word segmentation, then character segmentation inside each word."""
     if words is None:
         words = segment_words(line, mode, counter)
-    per_word = []
-    for comp in words.words:
-        dx = comp.x_min
-        result = _plan_word(crop_columns(line, comp.x_min, comp.x_max), params, counter)
-        per_word.append(
-            CharSegmentation(
-                tuple(Component(c.x_min + dx, c.x_max + dx) for c in result.chars),
-                tuple(separator_at(line, x + dx) for x in result.cuts),
-                tuple(RepairOp(r.op, r.x + dx) for r in result.repairs),
-                params,
-            )
-        )
-    return LineCharSegmentation(words, tuple(per_word))
+    return line_chars(_run_backend(), line, words, params, counter)

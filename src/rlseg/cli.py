@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import bench as benchmod
-from .chars import RoiParams, segment_line_chars
+from .chars import DEFAULT_PARAMS, RoiParams, segment_line_chars
 from .errors import (
     EmptyGroundTruthError,
     EmptyLineError,
@@ -64,9 +64,9 @@ def _setting(args, cfg: dict, key: str, cast, default):
 
 def _resolve_params(args, cfg) -> RoiParams:
     return RoiParams(
-        t=_setting(args, cfg, "roi_t", float, 0.2),
-        alpha=_setting(args, cfg, "alpha", float, 0.33),
-        beta=_setting(args, cfg, "beta", float, 1.75),
+        t=_setting(args, cfg, "roi_t", float, DEFAULT_PARAMS.t),
+        alpha=_setting(args, cfg, "alpha", float, DEFAULT_PARAMS.alpha),
+        beta=_setting(args, cfg, "beta", float, DEFAULT_PARAMS.beta),
     )
 
 

@@ -104,11 +104,6 @@ def match(pred, truth, overlap_min: float = 0.9) -> MatchResult:
     return MatchResult(tuple(pairs), len(pred) - len(pairs), len(truth) - len(pairs))
 
 
-def accuracy_rate(result: MatchResult, total_truth: int) -> AccuracyReport:
-    """Apply the one-to-one accuracy formula; raises on empty ground truth."""
-    return AccuracyReport(total_truth, len(result.pairs))
-
-
 def _is_pair(iv) -> bool:
     return (
         isinstance(iv, (list, tuple))

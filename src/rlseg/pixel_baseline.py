@@ -1,11 +1,11 @@
-"""Pixel-domain twin of the run-domain pipeline.
+"""Pixel-domain primitives under the run-domain segmentation driver.
 
 Serves two purposes: a correctness oracle (both paths must produce identical
 segmentations on decode-equal inputs) and the timing baseline. Projection and
 coordinate location here deliberately touch every pixel in plain Python, so
 wall-clock comparisons measure the algorithms rather than vectorization.
-All policy code (thresholds, merging, bands, repair) is shared with the
-run-domain modules; only the projection layer differs.
+Everything else (thresholds, merging, bands, repair, the per-word driver) is
+the run-domain code, handed these primitives as a chars.Backend.
 """
 
 from __future__ import annotations
@@ -14,23 +14,19 @@ from itertools import compress
 from operator import ne
 
 from .chars import (
-    CharSegmentation,
     DEFAULT_PARAMS,
+    Backend,
+    CharSegmentation,
     LineCharSegmentation,
-    RepairOp,
     RoiParams,
-    plan_chars,
+    line_chars,
+    plan_chars,  # unused here; perfbench's tracer patches it under this module's name
+    word_chars,
 )
-from .errors import EmptyLineError, EmptyWordError, OutOfBoundsError
-from .projection import Component, Occupancy, WorkCounter, _check_row_range, components, union
+from .errors import EmptyWordError, OutOfBoundsError
+from .projection import Occupancy, WorkCounter, _check_row_range, components, union
 from .rle import Bitmap
-from .words import (
-    AUTO,
-    SeparatorPoint,
-    ThresholdMode,
-    WordSegmentation,
-    plan_words,
-)
+from .words import AUTO, SeparatorPoint, ThresholdMode, WordSegmentation, plan_words
 
 
 def pdp_occupancy(
@@ -110,14 +106,25 @@ def pdp_separator_at(bitmap: Bitmap, x: int) -> SeparatorPoint:
     return SeparatorPoint(x, tuple(pdp_locate_run(row, x) for row in bitmap.pixels))
 
 
+def pdp_crop_columns(bitmap: Bitmap, x_min: int, x_max: int) -> Bitmap:
+    """The inclusive column window [x_min, x_max] as a standalone bitmap."""
+    return Bitmap(bitmap.pixels[:, x_min : x_max + 1])
+
+
+def _backend() -> Backend:
+    # Built per call from the module globals, so a name replaced at run time
+    # (a tracer or a test's counting wrapper) is the one that runs.
+    return Backend(
+        pdp_crop_columns, pdp_ink_row_bounds, pdp_occupancy, pdp_column_frequency, pdp_separator_at
+    )
+
+
 def pdp_segment_words(
     bitmap: Bitmap, mode: ThresholdMode = AUTO, counter: WorkCounter | None = None
 ) -> WordSegmentation:
     """Word segmentation over pixels; same policy, pixel projection."""
     occ = pdp_occupancy(bitmap, (0, bitmap.height), counter)
     comps = components(occ)
-    if not comps:
-        raise EmptyLineError("line has no foreground pixels")
     word_list, cuts, threshold = plan_words(comps, mode)
     separators = tuple(pdp_separator_at(bitmap, x) for x in cuts)
     return WordSegmentation(tuple(word_list), separators, threshold)
@@ -128,18 +135,8 @@ def pdp_segment_chars(
     params: RoiParams = DEFAULT_PARAMS,
     counter: WorkCounter | None = None,
 ) -> CharSegmentation:
-    """Character segmentation over pixels; same plan, pixel projection."""
-    top, bot = pdp_ink_row_bounds(word)
-    _, _, result = plan_chars(
-        word.width,
-        top,
-        bot,
-        params,
-        lambda a, b: pdp_occupancy(word, (a, b), counter),
-        lambda a, b: pdp_column_frequency(word, (a, b), counter),
-    )
-    separators = tuple(pdp_separator_at(word, x) for x in result.cuts)
-    return CharSegmentation(result.chars, separators, result.repairs, params)
+    """Character segmentation over pixels; same driver, pixel primitives."""
+    return word_chars(_backend(), word, 0, word, params, counter)
 
 
 def pdp_segment_line_chars(
@@ -149,19 +146,7 @@ def pdp_segment_line_chars(
     counter: WorkCounter | None = None,
     words: WordSegmentation | None = None,
 ) -> LineCharSegmentation:
-    """Pixel-domain word -> character chain, mirroring segment_line_chars."""
+    """Pixel-domain word -> character chain, on the same driver as segment_line_chars."""
     if words is None:
         words = pdp_segment_words(bitmap, mode, counter)
-    per_word = []
-    for comp in words.words:
-        sub = Bitmap(bitmap.pixels[:, comp.x_min : comp.x_max + 1])
-        local = pdp_segment_chars(sub, params, counter)
-        chars = tuple(
-            Component(c.x_min + comp.x_min, c.x_max + comp.x_min) for c in local.chars
-        )
-        separators = tuple(
-            pdp_separator_at(bitmap, s.x_mid + comp.x_min) for s in local.separators
-        )
-        repairs = tuple(RepairOp(r.op, r.x + comp.x_min) for r in local.repairs)
-        per_word.append(CharSegmentation(chars, separators, repairs, local.params))
-    return LineCharSegmentation(words, tuple(per_word))
+    return line_chars(_backend(), bitmap, words, params, counter)

@@ -157,11 +157,6 @@ def decode(rle: RleImage) -> Bitmap:
     return Bitmap(out)
 
 
-def cumulative_runs(row: RleRow) -> tuple[int, ...]:
-    """Prefix sums of the run lengths; the last entry equals the row width."""
-    return row.ends
-
-
 def locate_run(row: RleRow, x: int) -> int:
     """Index of the run containing column x.
 

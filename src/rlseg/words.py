@@ -123,7 +123,7 @@ def plan_words(
     reports threshold 0.0 unless a fixed threshold was requested.
     """
     if not comps:
-        raise EmptyLineError("no components to segment")
+        raise EmptyLineError("line has no foreground runs")
     gap_list = gaps(comps)
     if not gap_list:
         return [comps[0]], [], mode.value if mode.kind == "fixed" else 0.0
@@ -154,8 +154,6 @@ def segment_words(
     """Segment one text line into words, working on runs only."""
     occ = occupancy(line, (0, line.height), counter)
     comps = components(occ)
-    if not comps:
-        raise EmptyLineError("line has no foreground runs")
     word_list, cuts, threshold = plan_words(comps, mode)
     separators = tuple(separator_at(line, x) for x in cuts)
     return WordSegmentation(tuple(word_list), separators, threshold)

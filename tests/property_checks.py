@@ -23,28 +23,23 @@ from rlseg import (
     EmptyLineError,
     ThresholdMode,
     WorkCounter,
-    components,
     decode,
     encode,
     evaluate_records,
-    locate_run,
-    match,
-    occupancy,
-    pdp_occupancy,
     pdp_segment_line_chars,
     pdp_segment_words,
-    repair,
     segment_chars,
     segment_line_chars,
     segment_words,
 )
-from rlseg.chars import DEFAULT_PARAMS, RoiParams, roi_from_bounds, split_bands
+from rlseg.chars import DEFAULT_PARAMS, RoiParams, repair, roi_from_bounds, split_bands
 from rlseg.cli import main
 from rlseg.errors import MalformedRleError, ParseError
-from rlseg.evaluate import GroundTruthLine
-from rlseg.projection import Component, union
+from rlseg.evaluate import GroundTruthLine, match
+from rlseg.pixel_baseline import pdp_occupancy
+from rlseg.projection import Component, components, occupancy, union
 from rlseg.records import dumps, line_char_records, word_record
-from rlseg.rle import RleRow, crop_columns, cumulative_runs, read_rle
+from rlseg.rle import RleRow, crop_columns, locate_run, read_rle
 
 from support import (
     as_steps,
@@ -69,7 +64,7 @@ def check_cumulative_consistency(seed, tmp_path):
     rng = random.Random(seed)
     rle = encode(random_bitmap(rng, max_h=2))
     for row in rle.rows:
-        cr = cumulative_runs(row)
+        cr = row.ends
         rebuilt = (cr[0],) + tuple(cr[j] - cr[j - 1] for j in range(1, len(cr)))
         assert rebuilt == row.runs
         assert cr[-1] == rle.width
@@ -88,7 +83,6 @@ def check_cached_ends(seed, tmp_path):
     rle = encode(random_bitmap(rng))
     for row in rle.rows:
         assert row.ends == tuple(accumulate(row.runs))
-        assert cumulative_runs(row) is row.ends
 
 
 def check_locate_every_row(seed, tmp_path):

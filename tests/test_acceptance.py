@@ -11,37 +11,31 @@ import numpy as np
 import pytest
 
 from rlseg import (
-    AccuracyReport,
     Bitmap,
     EmptyLineError,
     WorkCounter,
-    components,
     decode,
     encode,
     evaluate_records,
-    gaps,
-    occupancy,
-    pdp_occupancy,
     pdp_segment_line_chars,
     pdp_segment_words,
     read_pbm,
     read_rle,
-    repair,
     segment_chars,
     segment_line_chars,
     segment_words,
-    select_threshold,
     write_pbm,
 )
 from rlseg.bench import bench_paths, totals
-from rlseg.chars import DEFAULT_PARAMS, RepairOp
+from rlseg.chars import DEFAULT_PARAMS, RepairOp, repair
 from rlseg.cli import main
-from rlseg.evaluate import GroundTruthLine
-from rlseg.projection import Component
+from rlseg.evaluate import AccuracyReport, GroundTruthLine
+from rlseg.pixel_baseline import pdp_occupancy
+from rlseg.projection import Component, components, gaps, occupancy
 from rlseg.records import dumps, line_char_records, word_record
 from rlseg.rle import write_rle
 from rlseg.synth import SynthConfig, generate_corpus, ground_truth_records
-from rlseg.words import GapKind, classify_gaps
+from rlseg.words import GapKind, classify_gaps, select_threshold
 
 from property_checks import CHECKS
 from support import (

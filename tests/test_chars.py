@@ -10,19 +10,28 @@ from rlseg import (
     Bitmap,
     EmptyWordError,
     WidthMismatchError,
-    band_or,
-    candidate_separators,
     decode,
     encode,
-    repair,
-    roi,
     segment_chars,
     segment_line_chars,
+)
+from rlseg.chars import (
+    DEFAULT_PARAMS,
+    Backend,
+    RepairOp,
+    RepairResult,
+    RoiParams,
+    RoiRows,
+    band_or,
+    ink_row_bounds,
+    plan_chars,
+    repair,
+    roi_from_bounds,
     split_bands,
 )
-from rlseg.chars import DEFAULT_PARAMS, RepairOp, RoiParams, RoiRows, roi_from_bounds
-from rlseg.projection import Component, Occupancy, components
-from rlseg.rle import RleImage, RleRow, locate_run
+from rlseg.projection import Component, Occupancy, column_frequency, components, occupancy
+from rlseg.rle import RleImage, RleRow, crop_columns, locate_run
+from rlseg.words import separator_at
 
 from support import (
     REFERENCE_WORD_COMPONENTS,
@@ -49,18 +58,18 @@ def test_roi_uses_ink_bounds():
     padded = RleImage(
         word.width, (RleRow((word.width,)),) + word.rows + (RleRow((word.width,)),)
     )
-    assert roi(padded, 0.2) == RoiRows(7, 25)
+    assert roi_from_bounds(*ink_row_bounds(padded), 0.2) == RoiRows(7, 25)
 
 
 def test_roi_fallback_flags_full_box():
     word = glyph_word([(0, 3)], height=4)
-    r = roi(word, 0.6)
+    r = roi_from_bounds(*ink_row_bounds(word), 0.6)
     assert r == RoiRows(0, 4, full_box_fallback=True)
 
 
 def test_roi_empty_word():
     with pytest.raises(EmptyWordError):
-        roi(RleImage(5, (RleRow((5,)),)), 0.2)
+        ink_row_bounds(RleImage(5, (RleRow((5,)),)))
 
 
 @pytest.mark.parametrize(
@@ -100,11 +109,21 @@ def test_band_or_matches_pixel_oracle():
         assert spans == brute_components(brute_occupancy(stacked, (0, 6)))
 
 
+RUN_BACKEND = Backend(crop_columns, ink_row_bounds, occupancy, column_frequency, separator_at)
+
+
+def _cuts_of_columns(bits):
+    # every row inks the same columns, so the band OR equals bits
+    result = plan_chars(encode(Bitmap([bits] * 12)), DEFAULT_PARAMS, RUN_BACKEND)
+    assert isinstance(result, RepairResult) and result.repairs == ()
+    return list(result.cuts)
+
+
 def test_candidate_separators_examples():
-    assert candidate_separators(_occupancy_of_bits([True, True, False, True, True])) == [2]
-    assert candidate_separators(_occupancy_of_bits([True, True, True])) == []
+    assert _cuts_of_columns([1, 1, 0, 1, 1]) == [2]
+    assert _cuts_of_columns([1, 1, 1]) == []
     # leading/trailing background is a margin, not a cut
-    assert candidate_separators(_occupancy_of_bits([False, True, False, True, False])) == [2]
+    assert _cuts_of_columns([0, 1, 0, 1, 0]) == [2]
 
 
 def test_candidate_separators_match_brute_midpoints():

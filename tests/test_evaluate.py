@@ -4,14 +4,8 @@ import random
 
 import pytest
 
-from rlseg import (
-    AccuracyReport,
-    EmptyGroundTruthError,
-    GroundTruthLine,
-    accuracy_rate,
-    evaluate_records,
-    match,
-)
+from rlseg import EmptyGroundTruthError, GroundTruthLine, evaluate_records
+from rlseg.evaluate import AccuracyReport, match
 
 
 def _intervals(rng, n, max_len=12, max_gap=10):
@@ -29,7 +23,7 @@ def test_identical_lists_all_match():
     result = match(ivs, ivs, 0.9)
     assert len(result.pairs) == 3
     assert result.unmatched_pred == result.unmatched_truth == 0
-    assert accuracy_rate(result, 3).ar_percent == 100.0
+    assert AccuracyReport(3, len(result.pairs)).ar_percent == 100.0
 
 
 def test_over_merge_matches_at_most_once():

@@ -1,18 +1,19 @@
 """Differential equivalence between the run-domain and pixel-domain paths."""
 
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
+import rlseg.chars
+import rlseg.pixel_baseline
 from rlseg import (
     Bitmap,
     EmptyLineError,
     WorkCounter,
-    components,
     decode,
     encode,
-    occupancy,
-    pdp_occupancy,
     pdp_segment_chars,
     pdp_segment_line_chars,
     pdp_segment_words,
@@ -21,10 +22,10 @@ from rlseg import (
     segment_words,
 )
 from rlseg.errors import EmptyWordError
-from rlseg.pixel_baseline import pdp_locate_run
-from rlseg.projection import Component, Occupancy
-from rlseg.records import dumps, line_char_records, word_record
-from rlseg.rle import locate_run
+from rlseg.pixel_baseline import pdp_locate_run, pdp_occupancy
+from rlseg.projection import Component, Occupancy, components, occupancy
+from rlseg.records import char_record, dumps, line_char_records, word_record
+from rlseg.rle import crop_columns, locate_run
 
 from support import glyph_word, random_bitmap, random_blob_line
 
@@ -90,6 +91,74 @@ def test_char_records_byte_identical():
         cdp = dumps(line_char_records(f"l{i}", segment_line_chars(line)))
         pdp = dumps(line_char_records(f"l{i}", pdp_segment_line_chars(bitmap)))
         assert cdp == pdp
+
+
+def test_word_level_char_records_byte_identical():
+    rng = random.Random(151)
+    words = []
+    for _ in range(40):
+        x, intervals = rng.randint(0, 3), []
+        for _ in range(rng.randint(1, 7)):
+            w = rng.randint(1, 14)
+            intervals.append((x, x + w - 1))
+            x += w + rng.randint(1, 5)
+        words.append(glyph_word(intervals, height=rng.randint(3, 30)))
+    for _ in range(40):
+        line = random_blob_line(rng)
+        words += [crop_columns(line, w.x_min, w.x_max) for w in segment_words(line).words]
+    for i, word in enumerate(words):
+        cdp = dumps(char_record("w", f"w{i}", segment_chars(word)))
+        assert cdp == dumps(char_record("w", f"w{i}", pdp_segment_chars(decode(word))))
+
+
+def test_char_stage_runs_the_seams_named_at_call_time(monkeypatch):
+    # Replacing a primitive by its module name must reach the shared driver in
+    # both domains; a backend bound at import time would bypass the wrappers.
+    px = np.zeros((24, 90), np.uint8)
+    for a, b in [(3, 10), (13, 20), (22, 40), (60, 67), (70, 77), (80, 86)]:
+        px[:, a : b + 1] = 1
+    px[10:14, 20:23] = 1  # a middle-band bridge
+    line = encode(Bitmap(px))
+    bitmap = decode(line)
+    run_words, pdp_words = segment_words(line), pdp_segment_words(bitmap)
+    calls, visits = Counter(), Counter()
+
+    def counting(module, name, cost=None):
+        fn = getattr(module, name)
+
+        def wrapper(image, *args):
+            calls[name] += 1
+            if cost is not None:
+                start, stop = args[0]
+                visits[module.__name__] += cost(image, start, stop)
+            return fn(image, *args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def runs_in(image, start, stop):
+        return sum(len(row.runs) for row in image.rows[start:stop])
+
+    def pixels_in(image, start, stop):
+        return image.width * (stop - start)
+
+    for name in ("occupancy", "column_frequency"):
+        counting(rlseg.chars, name, runs_in)
+        counting(rlseg.pixel_baseline, f"pdp_{name}", pixels_in)
+    for name in ("crop_columns", "separator_at"):
+        counting(rlseg.chars, name)
+    counting(rlseg.pixel_baseline, "pdp_separator_at")
+
+    run_counter, pdp_counter = WorkCounter(), WorkCounter()
+    run = segment_line_chars(line, counter=run_counter, words=run_words)
+    pdp = pdp_segment_line_chars(bitmap, counter=pdp_counter, words=pdp_words)
+    assert dumps(line_char_records("l", run)) == dumps(line_char_records("l", pdp))
+    assert sum(len(seg.separators) for seg in run.per_word) > 0
+    assert set(calls) == {
+        "occupancy", "column_frequency", "crop_columns", "separator_at",
+        "pdp_occupancy", "pdp_column_frequency", "pdp_separator_at",
+    }
+    assert visits["rlseg.chars"] == run_counter.count > 0
+    assert visits["rlseg.pixel_baseline"] == pdp_counter.count > 0
 
 
 def test_word_chars_on_random_noise_bitmaps():

@@ -4,18 +4,18 @@ import random
 
 import pytest
 
-from rlseg import (
-    EmptyRangeError,
-    OutOfBoundsError,
-    WorkCounter,
+from rlseg import EmptyRangeError, OutOfBoundsError, WorkCounter, encode
+from rlseg.pixel_baseline import pdp_column_frequency
+from rlseg.projection import (
+    Component,
+    Gap,
+    Occupancy,
     column_frequency,
     components,
-    encode,
     gaps,
     occupancy,
+    union,
 )
-from rlseg.pixel_baseline import pdp_column_frequency
-from rlseg.projection import Component, Gap, Occupancy, union
 from rlseg.rle import RleImage, RleRow
 
 from support import (

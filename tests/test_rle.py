@@ -10,15 +10,12 @@ from rlseg import (
     OutOfBoundsError,
     ParseError,
     RleImage,
-    crop_columns,
-    cumulative_runs,
     decode,
     encode,
-    locate_run,
     read_rle,
     write_rle,
 )
-from rlseg.rle import RleRow
+from rlseg.rle import RleRow, crop_columns, locate_run
 
 from support import brute_locate, brute_runs, random_bitmap
 
@@ -60,15 +57,15 @@ def test_roundtrip_random():
 
 
 def test_cumulative_runs_examples():
-    assert cumulative_runs(RleRow((0, 2, 1, 1))) == (0, 2, 3, 4)
-    assert cumulative_runs(RleRow((4,))) == (4,)
+    assert RleRow((0, 2, 1, 1)).ends == (0, 2, 3, 4)
+    assert RleRow((4,)).ends == (4,)
 
 
 def test_cumulative_runs_differencing():
     rng = random.Random(7)
     for _ in range(100):
         row = encode(random_bitmap(rng, max_h=1)).rows[0]
-        cr = cumulative_runs(row)
+        cr = row.ends
         rebuilt = [cr[0]] + [cr[j] - cr[j - 1] for j in range(1, len(cr))]
         assert tuple(rebuilt) == row.runs
         assert cr[-1] == row.width

@@ -4,22 +4,10 @@ import random
 
 import pytest
 
-from rlseg import (
-    EmptyLineError,
-    GapKind,
-    NoGapsError,
-    ThresholdMode,
-    classify_gaps,
-    decode,
-    gap_midpoint,
-    gaps,
-    locate_run,
-    segment_words,
-    select_threshold,
-)
-from rlseg.projection import Component, Gap
-from rlseg.rle import RleImage, RleRow, crop_columns
-from rlseg.words import AUTO, plan_words
+from rlseg import EmptyLineError, NoGapsError, ThresholdMode, decode, segment_words
+from rlseg.projection import Component, Gap, gaps
+from rlseg.rle import RleImage, RleRow, crop_columns, locate_run
+from rlseg.words import AUTO, GapKind, classify_gaps, gap_midpoint, plan_words, select_threshold
 
 from support import (
     REFERENCE_LINE_COMPONENTS,
