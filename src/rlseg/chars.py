@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, NamedTuple
 
 from .errors import EmptyWordError, WidthMismatchError
@@ -35,7 +36,8 @@ from .words import (
     WordSegmentation,
     gap_midpoint,
     segment_words,
-    separator_at,
+    separator_at,  # unused here; perfbench's tracer patches it under this module's name
+    separators_at,
 )
 
 _EPS = 1e-9  # guards floor() against binary float artifacts like 0.3*10 -> 2.999...96
@@ -68,7 +70,7 @@ class Backend(NamedTuple):
     ink_row_bounds: Callable  # image -> (first, last) inked row
     occupancy: Callable  # (image, (start, stop), counter) -> Occupancy
     column_frequency: Callable  # (image, (start, stop), counter) -> step form (xs, counts)
-    separator_at: Callable  # (image, x) -> SeparatorPoint
+    separators_at: Callable  # (image, xs) -> one SeparatorPoint per x
 
 
 @dataclass(frozen=True)
@@ -290,28 +292,42 @@ def plan_chars(
     return repair(comps, params, freq)
 
 
-def word_chars(
-    backend: Backend, word, dx: int, line, params: RoiParams, counter: WorkCounter | None
-) -> CharSegmentation:
-    """Characters of a word image whose column 0 is column dx of line.
-
-    The word is planned in its own columns; chars, cuts and repair records are
-    shifted by dx, and each cut is located once, against line, so the output
-    is self-contained.
-    """
-    result = plan_chars(word, params, backend, counter)
-    return CharSegmentation(
+def _shifted(result: RepairResult, dx: int) -> RepairResult:
+    """A word's plan moved dx columns right, into the coordinates of its line."""
+    return RepairResult(
         tuple(Component(c.x_min + dx, c.x_max + dx) for c in result.chars),
-        tuple(backend.separator_at(line, x + dx) for x in result.cuts),
+        tuple(x + dx for x in result.cuts),
         tuple(RepairOp(r.op, r.x + dx) for r in result.repairs),
-        params,
     )
+
+
+def _located_chars(
+    backend: Backend, line, plans: list[RepairResult], params: RoiParams
+) -> tuple[CharSegmentation, ...]:
+    """One CharSegmentation per plan, in line coordinates.
+
+    Every cut of every plan is located against line by one separators_at
+    call, and the separators are handed back to their plans in order, so the
+    output is self-contained.
+    """
+    located = iter(backend.separators_at(line, [x for p in plans for x in p.cuts]))
+    return tuple(
+        CharSegmentation(p.chars, tuple(islice(located, len(p.cuts))), p.repairs, params)
+        for p in plans
+    )
+
+
+def word_chars(
+    backend: Backend, word, params: RoiParams, counter: WorkCounter | None
+) -> CharSegmentation:
+    """Characters of one word image, in its own columns."""
+    return _located_chars(backend, word, [plan_chars(word, params, backend, counter)], params)[0]
 
 
 def _run_backend() -> Backend:
     # Built per call from the module globals, so a name replaced at run time
     # (a tracer or a test's counting wrapper) is the one that runs.
-    return Backend(crop_columns, ink_row_bounds, occupancy, column_frequency, separator_at)
+    return Backend(crop_columns, ink_row_bounds, occupancy, column_frequency, separators_at)
 
 
 def segment_chars(
@@ -320,7 +336,7 @@ def segment_chars(
     counter: WorkCounter | None = None,
 ) -> CharSegmentation:
     """Segment one word image into characters, working on runs only."""
-    return word_chars(_run_backend(), word, 0, word, params, counter)
+    return word_chars(_run_backend(), word, params, counter)
 
 
 @dataclass(frozen=True)
@@ -334,12 +350,16 @@ class LineCharSegmentation:
 def line_chars(
     backend: Backend, line, words: WordSegmentation, params: RoiParams, counter: WorkCounter | None
 ) -> LineCharSegmentation:
-    """Character segmentation of every word of a line, each planned on its crop."""
-    per_word = tuple(
-        word_chars(backend, backend.crop(line, w.x_min, w.x_max), w.x_min, line, params, counter)
-        for w in words.words
-    )
-    return LineCharSegmentation(words, per_word)
+    """Character segmentation of every word of a line, each planned on its crop.
+
+    Every word is planned first; then all of the line's char cuts are located
+    with one separators_at call.
+    """
+    plans = []
+    for w in words.words:
+        word = backend.crop(line, w.x_min, w.x_max)
+        plans.append(_shifted(plan_chars(word, params, backend, counter), w.x_min))
+    return LineCharSegmentation(words, _located_chars(backend, line, plans, params))
 
 
 def segment_line_chars(

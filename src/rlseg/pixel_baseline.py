@@ -106,6 +106,11 @@ def pdp_separator_at(bitmap: Bitmap, x: int) -> SeparatorPoint:
     return SeparatorPoint(x, tuple(pdp_locate_run(row, x) for row in bitmap.pixels))
 
 
+def pdp_separators_at(bitmap: Bitmap, xs) -> tuple[SeparatorPoint, ...]:
+    """One pdp_separator_at per cut, so each cut keeps its per-pixel scan."""
+    return tuple(pdp_separator_at(bitmap, x) for x in xs)
+
+
 def pdp_crop_columns(bitmap: Bitmap, x_min: int, x_max: int) -> Bitmap:
     """The inclusive column window [x_min, x_max] as a standalone bitmap."""
     return Bitmap(bitmap.pixels[:, x_min : x_max + 1])
@@ -115,7 +120,7 @@ def _backend() -> Backend:
     # Built per call from the module globals, so a name replaced at run time
     # (a tracer or a test's counting wrapper) is the one that runs.
     return Backend(
-        pdp_crop_columns, pdp_ink_row_bounds, pdp_occupancy, pdp_column_frequency, pdp_separator_at
+        pdp_crop_columns, pdp_ink_row_bounds, pdp_occupancy, pdp_column_frequency, pdp_separators_at
     )
 
 
@@ -126,8 +131,7 @@ def pdp_segment_words(
     occ = pdp_occupancy(bitmap, (0, bitmap.height), counter)
     comps = components(occ)
     word_list, cuts, threshold = plan_words(comps, mode)
-    separators = tuple(pdp_separator_at(bitmap, x) for x in cuts)
-    return WordSegmentation(tuple(word_list), separators, threshold)
+    return WordSegmentation(tuple(word_list), pdp_separators_at(bitmap, cuts), threshold)
 
 
 def pdp_segment_chars(
@@ -136,7 +140,7 @@ def pdp_segment_chars(
     counter: WorkCounter | None = None,
 ) -> CharSegmentation:
     """Character segmentation over pixels; same driver, pixel primitives."""
-    return word_chars(_backend(), word, 0, word, params, counter)
+    return word_chars(_backend(), word, params, counter)
 
 
 def pdp_segment_line_chars(

@@ -1,18 +1,20 @@
 """Foreground spreads, x-axis occupancy and connected components, all from runs.
 
 Cost model: every operation here visits each run of the selected rows once,
-inside C-level builtins (prefix sums, slices, sorts, bisection). An occupancy
-is the sorted union of the ink runs' spreads, and a column frequency is a step
-function over the run boundaries, so both take O(runs log runs) time and
-O(runs) memory, whatever the width. The optional WorkCounter records exactly
-those run visits so the claim is assertable.
+inside C-level builtins (slices, sorts, bisection). Ink spans are sliced out
+of each row's prefix sums (``RleRow.ends``), which a row builds once, on
+first use, and shares with cut location, so projection does not accumulate
+a row again. An occupancy is the sorted union of the ink runs' spreads, and
+a column frequency is a step function over the run boundaries, so both take
+O(runs log runs) time and O(runs) memory, whatever the width. The optional
+WorkCounter records exactly those run visits so the claim is assertable.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, compress, repeat
+from itertools import compress, repeat
 from operator import lt, sub
 
 from .errors import EmptyRangeError, OutOfBoundsError
@@ -113,7 +115,7 @@ def _ink_spans(rle: RleImage, start: int, stop: int, counter) -> tuple[list, lis
     for row in rle.rows[start:stop]:
         if counter is not None:
             counter.add(len(row.runs))
-        ends = tuple(accumulate(row.runs))  # ink run j: [ends[j - 1], ends[j]), odd j
+        ends = row.ends  # ink run j: [ends[j - 1], ends[j]), odd j
         starts += ends[0:-1:2]
         stops += ends[1::2]
     return starts, stops

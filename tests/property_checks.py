@@ -34,12 +34,13 @@ from rlseg import (
 )
 from rlseg.chars import DEFAULT_PARAMS, RoiParams, repair, roi_from_bounds, split_bands
 from rlseg.cli import main
-from rlseg.errors import MalformedRleError, ParseError
+from rlseg.errors import MalformedRleError, OutOfBoundsError, ParseError
 from rlseg.evaluate import GroundTruthLine, match
 from rlseg.pixel_baseline import pdp_occupancy
 from rlseg.projection import Component, components, occupancy, union
 from rlseg.records import dumps, line_char_records, word_record
 from rlseg.rle import RleRow, crop_columns, locate_run, read_rle
+from rlseg.words import separator_at, separators_at
 
 from support import (
     as_steps,
@@ -92,6 +93,31 @@ def check_locate_every_row(seed, tmp_path):
     for r, row in enumerate(rle.rows):
         for x in range(bitmap.width):
             assert locate_run(row, x) == brute_locate(bitmap.pixels[r], x)
+
+
+def check_separators_at_matches_locate_run(seed, tmp_path):
+    rng = random.Random(seed)
+    rle = encode(random_bitmap(rng, max_w=40, max_h=8))
+    width = rle.width
+    # column 0, the last column, the first and last column of every run, a
+    # duplicate, in random order
+    xs = [0, width - 1, *(e for row in rle.rows for e in row.ends if e < width)]
+    xs += [e - 1 for row in rle.rows for e in row.ends if e > 0]
+    xs.append(rng.choice(xs))
+    rng.shuffle(xs)
+    seps = separators_at(rle, xs)
+    assert seps == tuple(separator_at(rle, x) for x in xs)
+    for sep in seps:
+        assert sep.runs == tuple(locate_run(row, sep.x_mid) for row in rle.rows)
+    assert separators_at(rle, ()) == ()
+    bad = rng.choice([-1, width, width + rng.randint(1, 5)])
+    xs.insert(rng.randint(0, len(xs)), bad)
+    try:
+        separators_at(rle, xs)
+    except OutOfBoundsError as exc:
+        assert str(exc) == f"column {bad} outside row of width {width}"
+    else:
+        raise AssertionError(f"column {bad} of a width-{width} image was located")
 
 
 def _crop_windows(rng, px, rle):
@@ -646,6 +672,7 @@ CHECKS = [
     ("locate_agrees_with_scan", check_locate_agrees_with_scan),
     ("cached_ends", check_cached_ends),
     ("locate_every_row", check_locate_every_row),
+    ("separators_at_matches_locate_run", check_separators_at_matches_locate_run),
     ("crop_matches_pixel_slice", check_crop_matches_pixel_slice),
     ("read_rle_row_syntax", check_read_rle_row_syntax),
     ("row_validation_reference", check_row_validation_reference),

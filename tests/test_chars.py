@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import rlseg.chars
 import rlseg.words
 from rlseg import (
     Bitmap,
@@ -31,7 +32,7 @@ from rlseg.chars import (
 )
 from rlseg.projection import Component, Occupancy, column_frequency, components, occupancy
 from rlseg.rle import RleImage, RleRow, crop_columns, locate_run
-from rlseg.words import separator_at
+from rlseg.words import separators_at
 
 from support import (
     REFERENCE_WORD_COMPONENTS,
@@ -109,7 +110,7 @@ def test_band_or_matches_pixel_oracle():
         assert spans == brute_components(brute_occupancy(stacked, (0, 6)))
 
 
-RUN_BACKEND = Backend(crop_columns, ink_row_bounds, occupancy, column_frequency, separator_at)
+RUN_BACKEND = Backend(crop_columns, ink_row_bounds, occupancy, column_frequency, separators_at)
 
 
 def _cuts_of_columns(bits):
@@ -286,24 +287,38 @@ def test_segment_line_chars_line_coordinates():
             assert not pixels[:, sep.x_mid].any()
 
 
-def test_segment_line_chars_locates_each_cut_once(monkeypatch):
+def test_segment_line_chars_locates_cuts_in_one_call_per_stage(monkeypatch):
+    # One batched locate for the word cuts and one for all of the line's char
+    # cuts; no per-cut, per-row locate_run call.
     px = np.zeros((24, 120), np.uint8)
     for a, b in [(5, 12), (15, 22), (25, 31), (52, 59), (62, 70), (95, 101), (104, 111)]:
         px[:, a : b + 1] = 1
     line = encode(Bitmap(px))
-    calls = []
-    locate = rlseg.words.locate_run
+    batches = {"words": [], "chars": []}
+    located = []
+
+    def counting(stage, fn):
+        def wrapper(image, xs):
+            batches[stage].append(list(xs))
+            return fn(image, xs)
+
+        return wrapper
 
     def counting_locate(row, x):
-        calls.append(x)
-        return locate(row, x)
+        located.append(x)
+        return locate_run(row, x)
 
+    monkeypatch.setattr(rlseg.words, "separators_at", counting("words", separators_at))
+    monkeypatch.setattr(rlseg.chars, "separators_at", counting("chars", separators_at))
     monkeypatch.setattr(rlseg.words, "locate_run", counting_locate)
     result = segment_line_chars(line)
-    word_cuts = len(result.words.separators)
-    char_cuts = sum(len(seg.separators) for seg in result.per_word)
-    assert (word_cuts, char_cuts) == (2, 4)
-    assert len(calls) == (word_cuts + char_cuts) * line.height
+    word_cuts = [sep.x_mid for sep in result.words.separators]
+    char_seps = [sep for seg in result.per_word for sep in seg.separators]
+    assert (len(word_cuts), len(char_seps)) == (2, 4)
+    assert batches == {"words": [word_cuts], "chars": [[sep.x_mid for sep in char_seps]]}
+    assert located == []
+    for sep in [*result.words.separators, *char_seps]:
+        assert sep.runs == tuple(locate_run(row, sep.x_mid) for row in line.rows)
 
 
 def test_char_cuts_avoid_top_bottom_ink():

@@ -144,7 +144,7 @@ def test_char_stage_runs_the_seams_named_at_call_time(monkeypatch):
     for name in ("occupancy", "column_frequency"):
         counting(rlseg.chars, name, runs_in)
         counting(rlseg.pixel_baseline, f"pdp_{name}", pixels_in)
-    for name in ("crop_columns", "separator_at"):
+    for name in ("crop_columns", "separators_at"):
         counting(rlseg.chars, name)
     counting(rlseg.pixel_baseline, "pdp_separator_at")
 
@@ -154,7 +154,7 @@ def test_char_stage_runs_the_seams_named_at_call_time(monkeypatch):
     assert dumps(line_char_records("l", run)) == dumps(line_char_records("l", pdp))
     assert sum(len(seg.separators) for seg in run.per_word) > 0
     assert set(calls) == {
-        "occupancy", "column_frequency", "crop_columns", "separator_at",
+        "occupancy", "column_frequency", "crop_columns", "separators_at",
         "pdp_occupancy", "pdp_column_frequency", "pdp_separator_at",
     }
     assert visits["rlseg.chars"] == run_counter.count > 0

@@ -129,6 +129,13 @@ def test_file_format_shape(tmp_path):
         ("RLE2 4 1\n4\n", 1),  # bad magic
         ("RLE1  4 1\n4\n", 1),  # extra header space
         ("RLE1 4 1\r\n4\r\n", 1),  # CRLF endings
+        ("RLE1 4 1\n2 2 \n", 2),  # trailing space
+        ("RLE1 4 1\n 2 2\n", 2),  # leading space
+        ("RLE1 4 1\n2 2\t\n", 2),  # tab, which int() would strip
+        ("RLE1 4 1\n4\r\n", 2),  # CR after a row only
+        ("RLE1 4 2\n4\n\n", 3),  # empty row line
+        ("RLE1 4 2\n2 0 2\n2 x\n", 2),  # a bad value before a bad token
+        ("RLE1 4 2\n4\n3\n", 3),  # a width error after a good row
     ],
 )
 def test_parse_errors(tmp_path, content, line):
