@@ -1,11 +1,18 @@
 """JSON record construction and the one serializer of the package.
 
 Both pipelines feed the same builders with the same value types, so equal
-segmentations serialize to byte-identical JSON. ``dumps`` writes exactly the
-text of ``json.dumps(value, indent=1)``, but most of its bytes, the
-``[start, end]`` intervals and ``[row, run]`` pairs, are rendered a whole list
-at a time by C-level string operations instead of json's pure-Python indenting
-encoder.
+segmentations serialize to byte-identical JSON. Every record carries
+``"version": SCHEMA_VERSION`` as its first key: version 2 writes a cut's run
+coordinate as one flat list of run indices, one per row, where version 1 wrote
+``[row, run]`` pairs.
+
+``dumps`` writes exactly the text of ``json.dumps(value, indent=1)``, but most
+of its bytes, the ``[start, end]`` intervals and each cut's flat list of run
+indices, are rendered a whole list at a time by C-level string operations
+instead of json's pure-Python indenting encoder. The flat lists are also why
+records are cheap to build: a cut adds one list of ints, not one small list per
+row, so building a pass's records no longer feeds the garbage collector with
+hundreds of thousands of container objects.
 """
 
 from __future__ import annotations
@@ -17,12 +24,17 @@ from .chars import CharSegmentation, LineCharSegmentation
 from .words import SeparatorPoint, WordSegmentation
 
 
+SCHEMA_VERSION = 2
+
+
 def separator_record(sep: SeparatorPoint) -> dict:
-    return {"x": sep.x_mid, "runs": [[r, j] for r, j in enumerate(sep.runs)]}
+    """A cut: its column and, at list position r, the index of row r's run there."""
+    return {"x": sep.x_mid, "runs": list(sep.runs)}
 
 
 def word_record(line_id: str, seg: WordSegmentation) -> dict:
     return {
+        "version": SCHEMA_VERSION,
         "line_id": line_id,
         "words": [[c.x_min, c.x_max] for c in seg.words],
         "separators": [separator_record(s) for s in seg.separators],
@@ -32,6 +44,7 @@ def word_record(line_id: str, seg: WordSegmentation) -> dict:
 
 def char_record(line_id: str, word_id: str, seg: CharSegmentation) -> dict:
     return {
+        "version": SCHEMA_VERSION,
         "line_id": line_id,
         "word_id": word_id,
         "chars": [[c.x_min, c.x_max] for c in seg.chars],
@@ -100,6 +113,18 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
+def _ints(o: list, level: int) -> str | None:
+    """Indented text of a list of plain ints, else None.
+
+    Exact type test as in ``_int_lists``: bool, IntEnum and float items fall
+    back to the general path.
+    """
+    if not _INT.issuperset(map(type, o)):
+        return None
+    item = "\n" + " " * (level + 1)
+    return "[" + item + ("," + item).join(map(int.__repr__, o)) + item[:-1] + "]"
+
+
 def _int_lists(o: list, level: int) -> str | None:
     """Indented text of a list of non-empty lists of plain ints, else None.
 
@@ -144,7 +169,13 @@ def _emit(o, level: int, out: list[str]) -> None:
         if not o:
             out.append("[]")
             return
-        text = _int_lists(o, level) if type(o) is list else None
+        text = None
+        if type(o) is list:
+            first = type(o[0])
+            if first is int:
+                text = _ints(o, level)
+            elif first is list:
+                text = _int_lists(o, level)
         if text is not None:
             out.append(text)
             return

@@ -204,12 +204,23 @@ def crop_columns(rle: RleImage, x_min: int, x_max: int) -> RleImage:
 
 
 _HEADER_RE = re.compile(r"^RLE1 ([0-9]+) ([0-9]+)$")
-_ROW_RE = re.compile(r"[0-9]+(?: [0-9]+)*")
 _ROW_CHARS_RE = re.compile(r"[0-9 \n]*")
 # When the row lines hold only digits, spaces and newlines, each is a run list
 # exactly when the text has none of these: a double space, a space at either
 # end of a line, an empty line. (The header, checked first, has none either.)
 _ROW_FAULTS = ("  ", " \n", "\n ", "\n\n")
+
+
+def _is_run_list(line: str) -> bool:
+    """Whether one line is space-separated digit tokens: the whole-text test
+    applied to a single line, so no regex keeps per-character state."""
+    return (
+        line != ""
+        and _ROW_CHARS_RE.fullmatch(line) is not None
+        and line[0] != " "
+        and line[-1] != " "
+        and "  " not in line
+    )
 
 
 def write_rle(rle: RleImage, path) -> None:
@@ -245,13 +256,14 @@ def read_rle(path) -> RleImage:
     # A few scans of the whole text check the syntax of every row line. Only
     # when one fails is each line matched on its own, in step with the row
     # checks below, so the first bad line is reported whichever check it fails.
-    # (One regex over all lines would keep backtracking state for every token.)
+    # (A regex with a repeated group, over one line or all of them, would keep
+    # backtracking state for every token.)
     each_line = _ROW_CHARS_RE.fullmatch(text, len(lines[0]) + 1) is None or any(
         fault in text for fault in _ROW_FAULTS
     )
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
-        if each_line and _ROW_RE.fullmatch(line) is None:
+        if each_line and not _is_run_list(line):
             raise ParseError(path, lineno, f"malformed run list {line!r}")
         try:
             row = RleRow(line.split(" "))

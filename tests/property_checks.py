@@ -373,6 +373,15 @@ def check_run_coordinate_contract(seed, tmp_path):
         assert len(sep.runs) == line.height
         for row, run_index in zip(line.rows, sep.runs):
             assert locate_run(row, sep.x_mid) == run_index
+    # the records carry the same contract: runs[r] is row r's run at x
+    records = [word_record("p", result.words), *line_char_records("p", result)]
+    sep_records = [s for rec in records for s in rec["separators"]]
+    assert len(sep_records) == len(seps)
+    for rec in sep_records:
+        assert len(rec["runs"]) == line.height
+        for row, run_index in zip(line.rows, rec["runs"]):
+            assert type(run_index) is int
+            assert locate_run(row, rec["x"]) == run_index
 
 
 def check_char_gap_cuts_on_or_false(seed, tmp_path):
@@ -591,10 +600,27 @@ def _random_int_lists(rng):
     return out
 
 
+def _random_ints(rng):
+    """Mostly [int, ...], like a cut's run indices; sometimes with one item that
+    must leave the fast path: a bool, an IntEnum, a float, a list or a tuple."""
+    out = [
+        rng.choice([rng.randint(-50, 5000), -(10**30), 10**30])
+        for _ in range(rng.randint(1, 6))
+    ]
+    roll = rng.random()
+    if roll < 0.5:
+        out[rng.randrange(len(out))] = rng.choice(
+            [True, False, _Level.DEEP, 2.0, rng.choice(_FLOATS), [out[0]], (out[0], 1)]
+        )
+    return out
+
+
 def _random_json_value(rng, depth):
     roll = rng.random()
-    if depth == 0 or roll < 0.25:
+    if depth == 0 or roll < 0.2:
         return _random_scalar(rng)
+    if roll < 0.35:
+        return _random_ints(rng)
     if roll < 0.5:
         return _random_int_lists(rng)
     items = [_random_json_value(rng, depth - 1) for _ in range(rng.randint(0, 4))]

@@ -10,8 +10,10 @@ import pytest
 from rlseg import (
     Bitmap,
     RleImage,
+    decode,
     encode,
     read_pbm,
+    read_rle,
     segment_line_chars,
     segment_words,
     write_rle,
@@ -79,6 +81,160 @@ def test_segment_directory_input(tmp_path, corpus):
     out = tmp_path / "w.json"
     assert main(["segment", str(corpus / "lines"), "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())) == 4
+
+
+# A hand-built 18x3 line of two words of two glyphs each. Rows 1 and 2 start
+# with ink, so a cut's run index differs from row to row.
+GOLDEN_RLE = "RLE1 18 3\n1 2 1 2 7 1 1 1 2\n0 2 3 1 6 3 3\n0 1 1 1 1 2 7 1 1 1 2\n"
+GOLDEN_TRUTH = [
+    {
+        "line_id": "g",
+        "words": [[0, 5], [12, 15]],
+        "chars": [[[0, 2], [4, 5]], [[13, 13], [15, 15]]],
+    }
+]
+GOLDEN_WORDS = """[
+ {
+  "version": 2,
+  "line_id": "g",
+  "words": [
+   [
+    0,
+    5
+   ],
+   [
+    12,
+    15
+   ]
+  ],
+  "separators": [
+   {
+    "x": 8,
+    "runs": [
+     4,
+     4,
+     6
+    ]
+   }
+  ],
+  "threshold": 3.5
+ }
+]
+"""
+GOLDEN_CHARS = """[
+ {
+  "version": 2,
+  "line_id": "g",
+  "word_id": "g:w0",
+  "chars": [
+   [
+    0,
+    2
+   ],
+   [
+    4,
+    5
+   ]
+  ],
+  "separators": [
+   {
+    "x": 3,
+    "runs": [
+     2,
+     2,
+     4
+    ]
+   }
+  ],
+  "repairs": [],
+  "params": {
+   "t": 0.2,
+   "alpha": 0.33,
+   "beta": 1.75
+  }
+ },
+ {
+  "version": 2,
+  "line_id": "g",
+  "word_id": "g:w1",
+  "chars": [
+   [
+    13,
+    13
+   ],
+   [
+    15,
+    15
+   ]
+  ],
+  "separators": [
+   {
+    "x": 14,
+    "runs": [
+     6,
+     5,
+     8
+    ]
+   }
+  ],
+  "repairs": [],
+  "params": {
+   "t": 0.2,
+   "alpha": 0.33,
+   "beta": 1.75
+  }
+ }
+]
+"""
+
+
+def _segment_golden(tmp_path):
+    line = tmp_path / "g.rle"
+    line.write_text(GOLDEN_RLE)
+    outs = {}
+    for mode in ("words", "chars"):
+        outs[mode] = tmp_path / f"{mode}.json"
+        assert main(["segment", str(line), "--mode", mode, "--out", str(outs[mode])]) == 0
+    return line, outs
+
+
+def test_segment_v2_golden_bytes(tmp_path):
+    _, outs = _segment_golden(tmp_path)
+    assert outs["words"].read_text() == GOLDEN_WORDS
+    assert outs["chars"].read_text() == GOLDEN_CHARS
+
+
+@pytest.mark.parametrize("mode,schema", [("words", "word_record"), ("chars", "char_record")])
+def test_v2_schema_rejects_v1_records(tmp_path, mode, schema):
+    _, outs = _segment_golden(tmp_path)
+    schema = _schema(schema)
+    rec = json.loads(outs[mode].read_text())[0]
+    jsonschema.validate(rec, schema)
+    pairs = json.loads(json.dumps(rec))
+    for sep in pairs["separators"]:
+        sep["runs"] = [[r, j] for r, j in enumerate(sep["runs"])]
+    unversioned = {k: v for k, v in rec.items() if k != "version"}
+    for bad in (pairs, unversioned, {**rec, "version": 1}):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, schema)
+
+
+def test_evaluate_and_render_read_v2_segment_files(tmp_path):
+    line, outs = _segment_golden(tmp_path)
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps(GOLDEN_TRUTH))
+    for mode, seg in (("word", outs["words"]), ("char", outs["chars"])):
+        assert all(rec["version"] == 2 for rec in json.loads(seg.read_text()))
+        report = tmp_path / f"{mode}_report.json"
+        args = ["evaluate", str(seg), str(truth), "--mode", mode, "--out", str(report)]
+        assert main(args) == 0
+        assert json.loads(report.read_text())["ar"] == 100.0
+        overlay_path = tmp_path / f"{mode}.pbm"
+        assert main(["render", str(line), str(seg), str(overlay_path)]) == 0
+        xs = [sep["x"] for rec in json.loads(seg.read_text()) for sep in rec["separators"]]
+        expected = decode(read_rle(line)).pixels.copy()
+        expected[:, xs] = 1
+        assert (read_pbm(overlay_path).pixels[1:-1, 1:-1] == expected).all()
 
 
 def test_evaluate_report_schema(tmp_path, corpus):

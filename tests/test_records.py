@@ -26,6 +26,14 @@ EXAMPLES = {
     "int_pairs": [[0, 3], [5, 9], [-1, 10**20]],
     "int_lists_ragged": [[1], [2, 3, 4], [5]],
     "int_pairs_nested": {"a": [{"runs": [[0, 1], [1, 3]]}]},
+    "flat_ints": [0, -1, 7, 10**30, -(10**30)],
+    "flat_ints_nested": {"a": [{"x": 3, "runs": [0, 2, 1]}]},
+    "flat_ints_one": [5],
+    "bool_in_flat_ints": [1, True, 2],
+    "intenum_in_flat_ints": [1, Level.DEEP],
+    "float_in_flat_ints": [1, 2.0],
+    "list_in_flat_ints": [1, [2]],
+    "tuple_in_flat_ints": [1, (2, 3)],
     "int_lists_with_empty": [[1, 2], []],
     "int_lists_with_tuple": [[1, 2], (3, 4)],
     "bools_in_int_lists": [[0, True], [False, 2]],
@@ -63,11 +71,8 @@ def test_dumps_rejects_what_json_rejects(value):
         dumps(value)
 
 
-def test_separator_record_pairs_rows_with_run_indices():
-    assert separator_record(SeparatorPoint(7, (0, 2, 1))) == {
-        "x": 7,
-        "runs": [[0, 0], [1, 2], [2, 1]],
-    }
+def test_separator_record_lists_run_indices_by_row():
+    assert separator_record(SeparatorPoint(7, (0, 2, 1))) == {"x": 7, "runs": [0, 2, 1]}
 
 
 def test_real_records_match_json_indent():

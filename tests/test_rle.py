@@ -1,6 +1,7 @@
 """Codec, run arithmetic and .rle file format."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -151,3 +152,33 @@ def test_parse_error_on_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(ParseError):
         read_rle(path)
+
+
+def _read_peak(path):
+    """Peak traced memory of read_rle(path), and the ParseError it raised, if any."""
+    tracemalloc.start()
+    try:
+        read_rle(path)
+        error = None
+    except ParseError as exc:
+        error = exc
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    return peak, error
+
+
+def test_per_line_syntax_check_keeps_no_per_token_state(tmp_path):
+    # " x" at the end fails the whole-text check, so every line is then checked
+    # on its own; that check must cost no more than parsing the good file does
+    n = 500_000
+    row = " ".join(["1"] * n)
+    good, bad = tmp_path / "good.rle", tmp_path / "bad.rle"
+    good.write_text(f"RLE1 {n} 3\n{row}\n{row}\n{row}\n")
+    bad.write_text(f"RLE1 {n} 3\n{row}\n{row}\n{row} x\n")
+    good_peak, good_error = _read_peak(good)
+    bad_peak, bad_error = _read_peak(bad)
+    assert good_error is None
+    assert bad_error is not None and bad_error.line == 4
+    assert bad_error.message.startswith("malformed run list")
+    assert bad_peak <= good_peak
