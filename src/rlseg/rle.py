@@ -7,17 +7,24 @@ and run membership is half-open: column x belongs to run j when
 cumulative(j) - runs[j] <= x < cumulative(j).
 
 Cost model: read_rle checks the syntax of every row line with a few C-level
-scans of the whole text and converts each token to int once. A row's width
-is summed once, when the row is built, and its prefix sums (``RleRow.ends``)
-once, on first use, each in O(runs of the row). Both are kept on the row and
-shared by every later step: the width checks, projection, cut location and
-cropping. Locating a column then costs O(log runs) per row, and a line's
-cuts are located together, in one bisect pass per row
-(``words.separators_at``). Cropping a column window costs O(log runs + runs
-overlapping the window) per row, so cutting one line into many words or
-characters does not re-walk the line's runs per word or per cut. Each per-run
-step (validating a row, parsing a row line, slicing a window) runs inside a
-C-level builtin rather than a Python loop.
+scans of the whole text, then parses all the row lines in one C-level pass
+(``np.fromstring``) and checks every row at once with array operations: token
+count, no token above the width, no zero past a row's first run, each row
+summing to the width. Only when one of those checks fails does it go line by
+line, to report the first bad line; files whose ``width * height`` could
+overflow an int64 sum always go that way. A row read from a file arrives with
+its width and its prefix sums (``RleRow.ends``), both cut from one cumulative
+sum of the file. Every other row (generated, cropped, built by hand) sums its
+width when it is built and its prefix sums lazily, once, on first use, each
+in O(runs of the row). Both are kept on the row and shared by every later
+step: the width checks, projection, cut location and cropping. Locating a
+column then costs O(log runs) per row, and a line's cuts are located
+together, in one bisect pass per row (``words.separators_at``). Cropping a
+column window costs O(log runs + runs overlapping the window) per row, so
+cutting one line into many words or characters does not re-walk the line's
+runs per word or per cut. Each per-run step (validating a row, parsing a row
+line, slicing a window) runs inside a C-level builtin rather than a Python
+loop.
 """
 
 from __future__ import annotations
@@ -93,14 +100,28 @@ class RleRow:
 
     @cached_property
     def ends(self) -> tuple[int, ...]:
-        """Prefix sums of the run lengths, built on first use and then kept.
+        """Prefix sums of the run lengths, built once and then kept.
 
         Run j covers columns [ends[j] - runs[j], ends[j]). Projection, cut
-        location and cropping all read this one tuple. Lazy because a row
+        location and cropping all read this one tuple. read_rle's bulk path
+        stores it when it builds a row; otherwise it is lazy, because a row
         that is never projected or located in, such as a row of a generated
         corpus before it is written, never needs it.
         """
         return tuple(accumulate(self.runs))
+
+    @classmethod
+    def _checked(cls, runs: tuple[int, ...], ends: tuple[int, ...]) -> "RleRow":
+        """A row from runs that are already checked, with their prefix sums.
+
+        Skips the checks of ``RleRow(...)``: only read_rle's bulk path calls
+        it, after checking every row of the file at once. ``runs`` and
+        ``ends`` must be tuples of plain ints, ``ends == accumulate(runs)``.
+        """
+        row = object.__new__(cls)
+        fields = row.__dict__
+        fields["runs"], fields["width"], fields["ends"] = runs, ends[-1], ends
+        return row
 
     @property
     def has_ink(self) -> bool:
@@ -209,6 +230,10 @@ _ROW_CHARS_RE = re.compile(r"[0-9 \n]*")
 # exactly when the text has none of these: a double space, a space at either
 # end of a line, an empty line. (The header, checked first, has none either.)
 _ROW_FAULTS = ("  ", " \n", "\n ", "\n\n")
+# Below this, every prefix sum of a valid file fits an int64, and a token that
+# passes the width check is small enough that a wrapped sum shows (_bulk_rows).
+_BULK_LIMIT = 2**62
+_QUOTE_CHARS = 40
 
 
 def _is_run_list(line: str) -> bool:
@@ -221,6 +246,49 @@ def _is_run_list(line: str) -> bool:
         and line[-1] != " "
         and "  " not in line
     )
+
+
+def _quote(line: str) -> str:
+    """repr of a line for an error message, cut to its first 40 characters
+    when longer, so a bad megabyte-long line still gives a short message."""
+    if len(line) <= _QUOTE_CHARS:
+        return repr(line)
+    return f"{line[:_QUOTE_CHARS]!r}... ({len(line)} characters)"
+
+
+def _bulk_rows(body: str, row_lines: list[str], width: int) -> list[RleRow] | None:
+    """Every row of a syntax-checked body, parsed and checked at once.
+
+    ``body`` is the text of ``row_lines``, each a run list of digit tokens, and
+    ``width * len(row_lines) < 2**62``. Returns None when any row breaks a
+    row check; the caller then goes line by line to report the first bad one.
+    """
+    counts = np.array([line.count(" ") + 1 for line in row_lines], dtype=np.int64)
+    stops = np.cumsum(counts)
+    starts = stops - counts
+    values = np.fromstring(body, dtype=np.int64, sep=" ")
+    # A token too long for int64 reads as 2**63 - 1, which is above the width.
+    if (
+        values.size != stops[-1]
+        or values.max() > width
+        or np.count_nonzero(values == 0) != np.count_nonzero(values[starts] == 0)
+    ):
+        return None
+    ends = np.cumsum(values)
+    # Each token is at most width < 2**62, so a sum that wraps past 2**63 is
+    # negative for at least one prefix; otherwise every prefix is exact.
+    row_totals = width * np.arange(1, len(row_lines) + 1, dtype=np.int64)
+    if ends.min() < 0 or not np.array_equal(ends[stops - 1], row_totals):
+        return None
+    ends -= np.repeat(row_totals - width, counts)  # prefix sums within each row
+    # Tuples, so that each row's slices are tuples with no list in between.
+    runs = tuple(values.tolist())
+    del values
+    ends = tuple(ends.tolist())
+    return [
+        RleRow._checked(runs[a:b], ends[a:b])
+        for a, b in zip(starts.tolist(), stops.tolist())
+    ]
 
 
 def write_rle(rle: RleImage, path) -> None:
@@ -245,7 +313,9 @@ def read_rle(path) -> RleImage:
     lines = text.split("\n")[:-1]
     header = _HEADER_RE.match(lines[0])
     if header is None:
-        raise ParseError(path, 1, f"bad header {lines[0]!r}, expected 'RLE1 <width> <height>'")
+        raise ParseError(
+            path, 1, f"bad header {_quote(lines[0])}, expected 'RLE1 <width> <height>'"
+        )
     width, height = int(header.group(1)), int(header.group(2))
     if width < 1 or height < 1:
         raise ParseError(path, 1, f"width and height must be >= 1, got {width}x{height}")
@@ -261,10 +331,14 @@ def read_rle(path) -> RleImage:
     each_line = _ROW_CHARS_RE.fullmatch(text, len(lines[0]) + 1) is None or any(
         fault in text for fault in _ROW_FAULTS
     )
+    if not each_line and width * height < _BULK_LIMIT:
+        rows = _bulk_rows(text[len(lines[0]) + 1 :], lines[1:], width)
+        if rows is not None:
+            return RleImage(width, tuple(rows))
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if each_line and not _is_run_list(line):
-            raise ParseError(path, lineno, f"malformed run list {line!r}")
+            raise ParseError(path, lineno, f"malformed run list {_quote(line)}")
         try:
             row = RleRow(line.split(" "))
         except MalformedRleError as exc:

@@ -39,7 +39,7 @@ from rlseg.evaluate import GroundTruthLine, match
 from rlseg.pixel_baseline import pdp_occupancy
 from rlseg.projection import Component, components, occupancy, union
 from rlseg.records import dumps, line_char_records, word_record
-from rlseg.rle import RleRow, crop_columns, locate_run, read_rle
+from rlseg.rle import RleImage, RleRow, crop_columns, locate_run, read_rle
 from rlseg.words import separator_at, separators_at
 
 from support import (
@@ -49,6 +49,7 @@ from support import (
     brute_occupancy,
     random_bitmap,
     random_blob_line,
+    read_rle_reference,
     shift_right,
 )
 
@@ -218,6 +219,77 @@ def check_read_rle_row_syntax(seed, tmp_path):
         assert [" ".join(map(str, row.runs)) for row in rle.rows] == [
             " ".join(str(int(tok)) for tok in line.split(" ")) for line in lines
         ]
+
+
+def _bulk_width(rng, height):
+    """A header width: small, above int32, with width * height next to 2**62
+    on either side, or large enough for a row to wrap an int64 sum."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(1, 12)
+    if kind == 1:
+        return rng.randint(2**31, 2**40)
+    if kind == 2:
+        return 2**62 // height + rng.randint(-1, 1)
+    return rng.randint(2**62 // height // 2, 2**62 // height - 1)
+
+
+def _bulk_row(rng, width):
+    """One row line of `width`, intact, with zero-padded tokens or one token,
+    or broken in a way one of read_rle's row checks must catch."""
+    cuts = sorted({rng.randrange(1, width) for _ in range(rng.randint(0, 3))} if width > 1 else ())
+    runs = [b - a for a, b in zip([0, *cuts], [*cuts, width])]
+    if rng.random() < 0.3:
+        runs.insert(0, 0)
+    tokens = [str(n) for n in runs]
+    i = rng.randrange(len(tokens))
+    fault = rng.randrange(16)  # 8 and up: left intact
+    if fault == 0:  # zero past the first run
+        tokens.insert(rng.randint(1, len(tokens)), "0")
+    elif fault == 1:  # one token
+        tokens = [str(width)]
+    elif fault == 2:  # "007"-style tokens
+        tokens[i] = "00" + tokens[i]
+    elif fault == 3 or (fault == 6 and width < 2**58):  # sums above the width
+        tokens[i] = str(int(tokens[i]) + rng.randint(1, 3))
+    elif fault == 4:  # sums below the width
+        tokens[-1] = str(int(tokens[-1]) - 1)
+    elif fault == 5:  # a 25-digit token, which saturates an int64
+        tokens[i] = str(rng.randrange(10**24, 10**25))
+    elif fault == 6:  # tokens at most the width that sum to width + 2**64
+        total = width + 2**64
+        k = -(-total // width)
+        base, extra = divmod(total, k)
+        tokens = [str(base + 1)] * extra + [str(base)] * (k - extra)
+    elif fault == 7:  # a syntax error, so every line is checked on its own
+        tokens.append(rng.choice(["x", "", "-1"]))
+    return " ".join(tokens)
+
+
+def check_read_rle_bulk_matches_reference(seed, tmp_path):
+    rng = random.Random(seed)
+    for case in range(6):
+        height = rng.randint(1, 4)
+        width = _bulk_width(rng, height)
+        lines = [_bulk_row(rng, width) for _ in range(height)]
+        path = tmp_path / f"bulk{seed}_{case}.rle"
+        path.write_text(f"RLE1 {width} {height}\n" + "".join(line + "\n" for line in lines))
+        outcome = []
+        for reader in (read_rle_reference, read_rle):
+            try:
+                outcome.append(reader(path))
+            except ParseError as exc:
+                outcome.append((exc.line, exc.message))
+        expected, got = outcome
+        assert got == expected, (width, lines, got, expected)
+        if not isinstance(got, RleImage):
+            continue
+        for row in got.rows:
+            # a file row has its prefix sums from the read when int64 sums are safe
+            assert width * height >= 2**62 or "ends" in vars(row), (width, lines)
+            assert all(type(n) is int for n in row.runs + row.ends)
+            assert row.ends == tuple(accumulate(row.runs))
+            assert row.width == width
 
 
 def _reference_row(values):
@@ -702,6 +774,7 @@ CHECKS = [
     ("crop_matches_pixel_slice", check_crop_matches_pixel_slice),
     ("read_rle_row_syntax", check_read_rle_row_syntax),
     ("row_validation_reference", check_row_validation_reference),
+    ("read_rle_bulk_matches_reference", check_read_rle_bulk_matches_reference),
     ("union_matches_column_or", check_union_matches_column_or),
     ("projection_oracle_equivalence", check_projection_oracle_equivalence),
     ("component_list_invariants", check_component_list_invariants),

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 
-from rlseg import Bitmap, RleImage, encode
+from rlseg import Bitmap, MalformedRleError, ParseError, RleImage, encode
 from rlseg.rle import RleRow
 
 # Worked reference line: 13 component intervals of a sample sentence.
@@ -167,3 +170,70 @@ def brute_locate(row_pixels, x: int) -> int:
             return j
         pos += run
     raise AssertionError(f"column {x} not located")
+
+
+_REF_HEADER_RE = re.compile(r"^RLE1 ([0-9]+) ([0-9]+)$")
+_REF_ROW_CHARS_RE = re.compile(r"[0-9 \n]*")
+_REF_ROW_FAULTS = ("  ", " \n", "\n ", "\n\n")
+
+
+def _ref_quote(line: str) -> str:
+    return repr(line) if len(line) <= 40 else f"{line[:40]!r}... ({len(line)} characters)"
+
+
+def _ref_is_run_list(line: str) -> bool:
+    return (
+        line != ""
+        and _REF_ROW_CHARS_RE.fullmatch(line) is not None
+        and line[0] != " "
+        and line[-1] != " "
+        and "  " not in line
+    )
+
+
+def read_rle_reference(path) -> RleImage:
+    """The per-line .rle reader that read_rle's bulk path must agree with.
+
+    Every row goes through ``RleRow(...)`` and its checks, one line at a
+    time, so the first bad line raises; long lines are quoted in messages as
+    their first 40 characters and their length.
+    """
+    path = Path(path)
+    try:
+        text = path.read_bytes().decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, 0, f"not ASCII: {exc}") from exc
+    if not text:
+        raise ParseError(path, 0, "empty file")
+    if not text.endswith("\n"):
+        raise ParseError(path, text.count("\n") + 1, "missing trailing newline")
+    lines = text.split("\n")[:-1]
+    header = _REF_HEADER_RE.match(lines[0])
+    if header is None:
+        raise ParseError(
+            path, 1, f"bad header {_ref_quote(lines[0])}, expected 'RLE1 <width> <height>'"
+        )
+    width, height = int(header.group(1)), int(header.group(2))
+    if width < 1 or height < 1:
+        raise ParseError(path, 1, f"width and height must be >= 1, got {width}x{height}")
+    if len(lines) - 1 != height:
+        raise ParseError(
+            path, len(lines), f"expected {height} row lines, found {len(lines) - 1}"
+        )
+    each_line = _REF_ROW_CHARS_RE.fullmatch(text, len(lines[0]) + 1) is None or any(
+        fault in text for fault in _REF_ROW_FAULTS
+    )
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if each_line and not _ref_is_run_list(line):
+            raise ParseError(path, lineno, f"malformed run list {_ref_quote(line)}")
+        try:
+            row = RleRow(line.split(" "))
+        except MalformedRleError as exc:
+            raise ParseError(path, lineno, str(exc)) from exc
+        if row.width != width:
+            raise ParseError(
+                path, lineno, f"runs sum to {row.width}, header width is {width}"
+            )
+        rows.append(row)
+    return RleImage(width, tuple(rows))

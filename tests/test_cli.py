@@ -380,6 +380,18 @@ def test_malformed_rle_exits_4(tmp_path):
     assert main(["segment", str(bad)]) == 4
 
 
+def test_long_malformed_row_gives_a_short_error(tmp_path, monkeypatch, capsys):
+    n = 500_000
+    monkeypatch.chdir(tmp_path)
+    Path("bad.rle").write_text(f"RLE1 {n} 1\n{' '.join(['1'] * n)} x\n")
+    assert main(["segment", "bad.rle"]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode()) < 200
+    assert err.startswith("rlseg: parse error: bad.rle:2: malformed run list '1 1 1")
+    assert err.endswith(f"... ({2 * n + 1} characters)\n")
+
+
 @pytest.mark.parametrize(
     "text,detail",
     [

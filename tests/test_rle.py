@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 
@@ -182,3 +183,75 @@ def test_per_line_syntax_check_keeps_no_per_token_state(tmp_path):
     assert bad_error is not None and bad_error.line == 4
     assert bad_error.message.startswith("malformed run list")
     assert bad_peak <= good_peak
+
+
+def test_file_rows_arrive_with_prefix_sums(tmp_path):
+    path = tmp_path / "img.rle"
+    path.write_text("RLE1 4 3\n0 2 1 1\n4\n001 03\n")
+    rle = read_rle(path)
+    assert [row.runs for row in rle.rows] == [(0, 2, 1, 1), (4,), (1, 3)]
+    for row in rle.rows:
+        assert vars(row)["ends"] == tuple(accumulate(row.runs))
+        assert row.width == 4
+    # rows built any other way keep building them on first use
+    assert "ends" not in vars(RleRow((1, 3)))
+
+
+BIG = 2**60  # width * height < 2**62: the bulk path runs and must report these
+
+
+@pytest.mark.parametrize(
+    "rows,line,message",
+    [
+        # 17 tokens of 2**60 wrap an int64 sum back round to 2**60
+        ([" ".join([str(BIG)] * 17)], 2, f"runs sum to {17 * BIG}, header width is {BIG}"),
+        # a 25-digit token reads as 2**63 - 1 in an int64
+        ([str(BIG), f"1 {10**24}"], 3, f"runs sum to {10**24 + 1}, header width is {BIG}"),
+        ([f"0 {BIG}", f"1 0 {BIG - 1}"], 3, "only the leading background run may be 0"),
+        ([f"{BIG - 1}"], 2, f"runs sum to {BIG - 1}, header width is {BIG}"),
+        ([f"{BIG} 1"], 2, f"runs sum to {BIG + 1}, header width is {BIG}"),
+    ],
+)
+def test_bulk_checks_report_the_first_bad_line(tmp_path, rows, line, message):
+    path = tmp_path / "bad.rle"
+    path.write_text(f"RLE1 {BIG} {len(rows)}\n" + "".join(r + "\n" for r in rows))
+    with pytest.raises(ParseError) as err:
+        read_rle(path)
+    assert (err.value.line, err.value.message) == (line, message)
+
+
+def test_malformed_run_list_quotes_at_most_40_characters(tmp_path):
+    path = tmp_path / "bad.rle"
+    short = "1 " * 19 + "x"  # 39 characters: quoted whole, as before
+    path.write_text(f"RLE1 4 1\n{short}\n")
+    with pytest.raises(ParseError) as err:
+        read_rle(path)
+    assert err.value.message == f"malformed run list {short!r}"
+    long = "1 " * 30 + "x"
+    path.write_text(f"RLE1 4 1\n{long}\n")
+    with pytest.raises(ParseError) as err:
+        read_rle(path)
+    assert err.value.message == f"malformed run list {long[:40]!r}... (61 characters)"
+    path.write_text(f"RLE2 {'4' * 50} 1\n4\n")  # so is a bad header line
+    with pytest.raises(ParseError) as err:
+        read_rle(path)
+    assert err.value.message.startswith(f"bad header 'RLE2 {'4' * 35}'... (57 characters)")
+
+
+def test_read_peak_within_twice_the_image(tmp_path):
+    # reading may peak at twice what the image holds once every row has its
+    # prefix sums: the bulk path's whole-file arrays must not stack up
+    n = 500_000
+    row = " ".join(["1"] * n)
+    path = tmp_path / "wide.rle"
+    path.write_text(f"RLE1 {n} 3\n{row}\n{row}\n{row}\n")
+    tracemalloc.start()
+    try:
+        rle = read_rle(path)
+        _, peak = tracemalloc.get_traced_memory()
+        for r in rle.rows:
+            assert r.ends[-1] == n
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * held, (peak, held)
