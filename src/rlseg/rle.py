@@ -14,7 +14,9 @@ summing to the width. Only when one of those checks fails does it go line by
 line, to report the first bad line; files whose ``width * height`` could
 overflow an int64 sum always go that way. A row read from a file arrives with
 its width and its prefix sums (``RleRow.ends``), both cut from one cumulative
-sum of the file. Every other row (generated, cropped, built by hand) sums its
+sum of the file. A cropped row arrives with them too, sliced from its source
+row's runs and prefix sums together, with only its two clipped edge runs
+computed and checked. Every other row (generated, built by hand) sums its
 width when it is built and its prefix sums lazily, once, on first use, each
 in O(runs of the row). Both are kept on the row and shared by every later
 step: the width checks, projection, cut location and cropping. Locating a
@@ -23,8 +25,8 @@ together, in one bisect pass per row (``words.separators_at``). Cropping a
 column window costs O(log runs + runs overlapping the window) per row, so
 cutting one line into many words or characters does not re-walk the line's
 runs per word or per cut. Each per-run step (validating a row, parsing a row
-line, slicing a window) runs inside a C-level builtin rather than a Python
-loop.
+line, slicing a window, checking an image's row widths) runs inside a C-level
+builtin rather than a Python loop.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import attrgetter, ne
 from pathlib import Path
 
 import numpy as np
@@ -104,9 +107,9 @@ class RleRow:
 
         Run j covers columns [ends[j] - runs[j], ends[j]). Projection, cut
         location and cropping all read this one tuple. read_rle's bulk path
-        stores it when it builds a row; otherwise it is lazy, because a row
-        that is never projected or located in, such as a row of a generated
-        corpus before it is written, never needs it.
+        and crop_columns store it when they build a row; otherwise it is
+        lazy, because a row that is never projected or located in, such as a
+        row of a generated corpus before it is written, never needs it.
         """
         return tuple(accumulate(self.runs))
 
@@ -114,9 +117,11 @@ class RleRow:
     def _checked(cls, runs: tuple[int, ...], ends: tuple[int, ...]) -> "RleRow":
         """A row from runs that are already checked, with their prefix sums.
 
-        Skips the checks of ``RleRow(...)``: only read_rle's bulk path calls
-        it, after checking every row of the file at once. ``runs`` and
-        ``ends`` must be tuples of plain ints, ``ends == accumulate(runs)``.
+        Skips the checks of ``RleRow(...)``. It has two callers: read_rle's
+        bulk path, after checking every row of the file at once, and
+        crop_columns, whose rows keep runs of a checked row and check the
+        two runs they clip. ``runs`` and ``ends`` must be tuples of plain
+        ints, ``ends == accumulate(runs)``.
         """
         row = object.__new__(cls)
         fields = row.__dict__
@@ -128,6 +133,9 @@ class RleRow:
         return len(self.runs) >= 2
 
 
+_WIDTH = attrgetter("width")
+
+
 @dataclass(frozen=True)
 class RleImage:
     """Run-length compressed binary image: one RleRow per pixel row."""
@@ -136,16 +144,16 @@ class RleImage:
     rows: tuple[RleRow, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if self.width < 1:
+        rows, width = tuple(self.rows), self.width
+        object.__setattr__(self, "rows", rows)
+        if width < 1:
             raise MalformedRleError("width must be >= 1")
-        if not self.rows:
+        if not rows:
             raise MalformedRleError("image needs at least one row")
-        for i, row in enumerate(self.rows):
-            if row.width != self.width:
-                raise MalformedRleError(
-                    f"row {i}: runs sum to {row.width}, expected width {self.width}"
-                )
+        # One C-level pass over the row widths; the loop only finds the culprit.
+        if any(map(ne, map(_WIDTH, rows), repeat(width))):
+            i, w = next((i, w) for i, w in enumerate(map(_WIDTH, rows)) if w != width)
+            raise MalformedRleError(f"row {i}: runs sum to {w}, expected width {width}")
 
     @property
     def height(self) -> int:
@@ -200,28 +208,44 @@ def crop_columns(rle: RleImage, x_min: int, x_max: int) -> RleImage:
     """Extract an inclusive column range as a standalone image.
 
     Per row, bisects the prefix sums to the runs j and k holding x_min and
-    x_max, and keeps runs[j:k+1] with its ends clipped to the window. When run
-    j is ink the slice starts one run earlier, at run j - 1 set to 0, which is
-    the leading 0 an ink-first row needs: O(log runs) bisection and one
-    C-level slice of the runs overlapping the window per row.
+    x_max, and builds the cropped row's runs and prefix sums together: the
+    runs strictly between j and k and their ends shifted by -x_min, with run
+    j clipped at x_min and run k at x_max. A window starting in ink (j odd)
+    gets the leading 0 run, with end 0, that an ink-first row needs; the last
+    end is the window's width. So each cropped row arrives with its runs,
+    width and prefix sums, through ``RleRow._checked``, in O(log runs)
+    bisection and two C-level slices of the runs overlapping the window.
+    The runs between j and k are runs of the source row, which passed
+    ``RleRow``'s checks; only the two clipped edge runs are computed, and each
+    is checked to be at least 1, in O(1) per row.
     """
     if not 0 <= x_min <= x_max < rle.width:
         raise OutOfBoundsError(
             f"columns [{x_min}, {x_max}] outside image of width {rle.width}"
         )
+    width = x_max - x_min + 1
+    shift = (-x_min).__add__
     rows = []
     for row in rle.rows:
         runs, ends = row.runs, row.ends
         j = bisect_right(ends, x_min)
         k = bisect_right(ends, x_max, j)
-        odd = j & 1
-        piece = list(runs[j - odd : k + 1])
-        if odd:  # run j is ink: its background neighbour becomes the leading 0
-            piece[0] = 0
-        piece[-1] -= ends[k] - 1 - x_max  # drop the columns right of x_max
-        piece[odd] -= x_min - (ends[j] - runs[j])  # and those left of x_min
-        rows.append(RleRow(piece))
-    return RleImage(x_max - x_min + 1, tuple(rows))
+        pad = (0,) if j & 1 else ()  # run j is ink: the row starts with a 0 run
+        if j == k:  # one run covers the window
+            cut = (*pad, width)
+            rows.append(RleRow._checked(cut, cut))
+            continue
+        first = ends[j] - x_min  # run j right of x_min
+        last = runs[k] - (ends[k] - 1 - x_max)  # run k left of x_max
+        if first < 1 or last < 1:
+            raise MalformedRleError(
+                f"cropping columns [{x_min}, {x_max}] leaves a run of "
+                f"{min(first, last)}: the row's runs and prefix sums disagree"
+            )
+        piece = (*pad, first, *runs[j + 1 : k], last)
+        cut = (*pad, first, *map(shift, ends[j + 1 : k]), width)
+        rows.append(RleRow._checked(piece, cut))
+    return RleImage(width, tuple(rows))
 
 
 _HEADER_RE = re.compile(r"^RLE1 ([0-9]+) ([0-9]+)$")

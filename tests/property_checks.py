@@ -157,7 +157,15 @@ def check_crop_matches_pixel_slice(seed, tmp_path):
     rle = encode(Bitmap(px))
     assert rle.rows[0].runs[0] == 0
     for a, b in _crop_windows(rng, px, rle):
-        assert crop_columns(rle, a, b) == encode(Bitmap(px[:, a : b + 1])), (a, b)
+        crop = crop_columns(rle, a, b)
+        assert crop == encode(Bitmap(px[:, a : b + 1])), (a, b)
+        # Row equality compares runs only: check what the crop stores beside them.
+        for row in crop.rows:
+            assert vars(row)["ends"] == tuple(accumulate(row.runs)), (a, b, row.runs)
+            assert row.width == b - a + 1, (a, b, row.runs)
+            assert type(row.runs) is tuple and type(row.ends) is tuple
+            assert all(type(n) is int for n in row.runs + row.ends)
+            assert RleRow(row.runs) == row  # the validated constructor accepts it
 
 
 _ROW_ALPHABET = "0123456789 \t\r+-_x\u00b2"

@@ -42,6 +42,12 @@ def test_row_sum_mismatch_rejected():
         RleImage(4, (RleRow((2, 1)),))
 
 
+def test_row_width_mismatch_names_the_first_bad_row():
+    rows = (RleRow((4,)), RleRow((2, 1)), RleRow((5,)))
+    with pytest.raises(MalformedRleError, match=r"^row 1: runs sum to 3, expected width 4$"):
+        RleImage(4, rows)
+
+
 def test_interior_zero_run_rejected():
     with pytest.raises(MalformedRleError):
         RleRow((2, 0, 2))
@@ -195,6 +201,25 @@ def test_file_rows_arrive_with_prefix_sums(tmp_path):
         assert row.width == 4
     # rows built any other way keep building them on first use
     assert "ends" not in vars(RleRow((1, 3)))
+
+
+def test_crop_rows_arrive_with_prefix_sums():
+    line = RleImage(8, (RleRow((0, 3, 2, 3)), RleRow((2, 4, 2)), RleRow((8,))))
+    # columns 1..6: starts inside ink on row 0, inside background on row 1
+    crop = crop_columns(line, 1, 6)
+    assert [row.runs for row in crop.rows] == [(0, 2, 2, 2), (1, 4, 1), (6,)]
+    for row in crop.rows:
+        assert vars(row)["ends"] == tuple(accumulate(row.runs))
+        assert row.width == 6
+
+
+def test_crop_rejects_a_row_whose_prefix_sums_disagree_with_its_runs():
+    # runs say run 2 ends at column 6, ends say 8: clipping it at column 6
+    # would leave a run of 0
+    bad = RleRow._checked((2, 3, 1, 2), (2, 5, 8, 8))
+    line = RleImage(8, (bad,))
+    with pytest.raises(MalformedRleError, match="leaves a run of 0"):
+        crop_columns(line, 0, 6)
 
 
 BIG = 2**60  # width * height < 2**62: the bulk path runs and must report these
