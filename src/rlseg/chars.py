@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .errors import EmptyWordError, WidthMismatchError
 from .projection import (
     Component,
@@ -137,11 +139,10 @@ class CharSegmentation:
 
 def ink_row_bounds(word: RleImage) -> tuple[int, int]:
     """First and last row indices containing ink (inclusive)."""
-    top = next((r for r, row in enumerate(word.rows) if row.has_ink), None)
-    if top is None:
+    inked = np.flatnonzero(np.diff(word.spans.iptr))
+    if not inked.size:
         raise EmptyWordError("word image has no ink")
-    bot = next(r for r in range(word.height - 1, -1, -1) if word.rows[r].has_ink)
-    return top, bot
+    return int(inked[0]), int(inked[-1])
 
 
 def roi_from_bounds(ink_top: int, ink_bot: int, t: float) -> RoiRows:

@@ -1,13 +1,14 @@
 """Foreground spreads, x-axis occupancy and connected components, all from runs.
 
 Cost model: every operation here visits each run of the selected rows once,
-inside C-level builtins (slices, sorts, bisection). Ink spans are sliced out
-of each row's prefix sums (``RleRow.ends``), which a row builds once, on
-first use, and shares with cut location, so projection does not accumulate
-a row again. An occupancy is the sorted union of the ink runs' spreads, and
-a column frequency is a step function over the run boundaries, so both take
-O(runs log runs) time and O(runs) memory, whatever the width. The optional
-WorkCounter records exactly those run visits so the claim is assertable.
+inside C-level builtins (slices, sorts, bisection), with no per-row loop. The
+ink runs of rows [a, b) are one slice of the image's flat spans
+(``RleImage.spans``), which a read file or a crop arrives with, so projection
+never builds a row. An occupancy is the sorted union of the ink runs'
+spreads, and a column frequency is a step function over the run boundaries,
+so both take O(runs log runs) time and O(runs) memory, whatever the width.
+The optional WorkCounter records exactly those run visits, counted from the
+spans (``RleImage.runs_in``), so the claim is assertable.
 """
 
 from __future__ import annotations
@@ -109,16 +110,12 @@ def union(width: int, starts, stops) -> Occupancy:
 
 
 def _ink_spans(rle: RleImage, start: int, stop: int, counter) -> tuple[list, list]:
-    """Starts and stops of every ink run of rows [start, stop), row by row."""
-    starts = []
-    stops = []
-    for row in rle.rows[start:stop]:
-        if counter is not None:
-            counter.add(len(row.runs))
-        ends = row.ends  # ink run j: [ends[j - 1], ends[j]), odd j
-        starts += ends[0:-1:2]
-        stops += ends[1::2]
-    return starts, stops
+    """Starts and stops of every ink run of rows [start, stop), as lists of ints."""
+    starts, stops, iptr = rle.spans
+    a, b = iptr[start], iptr[stop]
+    if counter is not None:
+        counter.add(rle.runs_in(start, stop))
+    return starts[a:b].tolist(), stops[a:b].tolist()
 
 
 def occupancy(rle: RleImage, row_range, counter: WorkCounter | None = None) -> Occupancy:

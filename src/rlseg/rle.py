@@ -6,27 +6,26 @@ even indices are background, odd indices are foreground. Columns are 0-based
 and run membership is half-open: column x belongs to run j when
 cumulative(j) - runs[j] <= x < cumulative(j).
 
-Cost model: read_rle checks the syntax of every row line with a few C-level
-scans of the whole text, then parses all the row lines in one C-level pass
-(``np.fromstring``) and checks every row at once with array operations: token
-count, no token above the width, no zero past a row's first run, each row
-summing to the width. Only when one of those checks fails does it go line by
-line, to report the first bad line; files whose ``width * height`` could
-overflow an int64 sum always go that way. A row read from a file arrives with
-its width and its prefix sums (``RleRow.ends``), both cut from one cumulative
-sum of the file. A cropped row arrives with them too, sliced from its source
-row's runs and prefix sums together, with only its two clipped edge runs
-computed and checked. Every other row (generated, built by hand) sums its
-width when it is built and its prefix sums lazily, once, on first use, each
-in O(runs of the row). Both are kept on the row and shared by every later
-step: the width checks, projection, cut location and cropping. Locating a
-column then costs O(log runs) per row, and a line's cuts are located
-together, in one bisect pass per row (``words.separators_at``). Cropping a
-column window costs O(log runs + runs overlapping the window) per row, so
-cutting one line into many words or characters does not re-walk the line's
-runs per word or per cut. Each per-run step (validating a row, parsing a row
-line, slicing a window, checking an image's row widths) runs inside a C-level
-builtin rather than a Python loop.
+Cost model: an image holds its ink runs as flat arrays (``Spans``): the start
+and stop column of every ink run of every row, row after row, and a row
+pointer into them. read_rle checks the syntax of every row line with a few
+C-level scans of the whole text, then parses all the row lines in one C-level
+pass (``np.fromstring``) and checks every row at once with array operations:
+token count, no token above the width, no zero past a row's first run, each
+row summing to the width. The spans are cut from the file's cumulative sum in
+the same pass. Only when a check fails does it go line by line, to report the
+first bad line; files whose ``width * height`` could overflow an int64 sum
+always go that way. Cropping, projection, cut location and the run count of a
+row range then run as NumPy passes over the spans, with no per-row Python
+loop: a crop is two sorted searches and one gather, O(rows log runs + runs
+in the window); projecting rows [a, b) is one slice; locating all of a
+line's cuts is one sorted search per array. Those searches run over copies
+of the spans shifted by ``row * width``, which keep every row of the image in
+one sorted array; they are int64 while ``width * height < 2**62`` and exact
+Python ints (``dtype=object``) beyond. The ``RleRow``s of an image built from
+spans (a read file, a crop) are built only on first use, each with its width
+and prefix sums; an image built from rows (generated, built by hand) builds
+its spans on first use, in one pass that checks them.
 """
 
 from __future__ import annotations
@@ -35,9 +34,10 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, repeat
-from operator import attrgetter, ne
+from itertools import accumulate, chain, repeat
+from operator import attrgetter, ne, sub
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,11 +105,11 @@ class RleRow:
     def ends(self) -> tuple[int, ...]:
         """Prefix sums of the run lengths, built once and then kept.
 
-        Run j covers columns [ends[j] - runs[j], ends[j]). Projection, cut
-        location and cropping all read this one tuple. read_rle's bulk path
-        and crop_columns store it when they build a row; otherwise it is
-        lazy, because a row that is never projected or located in, such as a
-        row of a generated corpus before it is written, never needs it.
+        Run j covers columns [ends[j] - runs[j], ends[j]). ``locate_run``
+        and an image's spans read it. A row built from an image's spans
+        stores it; otherwise it is lazy, because a row that is never located
+        in, such as a row of a generated corpus before it is written, never
+        needs it.
         """
         return tuple(accumulate(self.runs))
 
@@ -117,35 +117,48 @@ class RleRow:
     def _checked(cls, runs: tuple[int, ...], ends: tuple[int, ...]) -> "RleRow":
         """A row from runs that are already checked, with their prefix sums.
 
-        Skips the checks of ``RleRow(...)``. It has two callers: read_rle's
-        bulk path, after checking every row of the file at once, and
-        crop_columns, whose rows keep runs of a checked row and check the
-        two runs they clip. ``runs`` and ``ends`` must be tuples of plain
-        ints, ``ends == accumulate(runs)``.
+        Skips the checks of ``RleRow(...)``. Its caller is ``RleImage.rows``,
+        which builds rows from spans that are checked already. ``runs`` and
+        ``ends`` must be tuples of plain ints, ``ends == accumulate(runs)``.
         """
         row = object.__new__(cls)
         fields = row.__dict__
         fields["runs"], fields["width"], fields["ends"] = runs, ends[-1], ends
         return row
 
-    @property
-    def has_ink(self) -> bool:
-        return len(self.runs) >= 2
-
 
 _WIDTH = attrgetter("width")
 
 
-@dataclass(frozen=True)
+class Spans(NamedTuple):
+    """The ink runs of an image, row after row, in flat arrays.
+
+    Row r's ink runs are [starts[i], stops[i]) for iptr[r] <= i < iptr[r + 1],
+    in columns of the row: non-empty, increasing and separated by background.
+    """
+
+    starts: np.ndarray
+    stops: np.ndarray
+    iptr: np.ndarray
+
+
+def _spans_from_ends(ends: np.ndarray, counts: np.ndarray) -> Spans:
+    """The spans of rows whose prefix sums are laid end to end in one array,
+    counts[r] of them for row r. The odd runs of a row are its ink runs."""
+    row_first = np.repeat(np.cumsum(counts) - counts, counts)  # per run: its row's run 0
+    ink = np.flatnonzero((np.arange(ends.size) - row_first) & 1)
+    return Spans(ends[ink - 1], ends[ink], np.concatenate(([0], np.cumsum(counts // 2))))
+
+
 class RleImage:
-    """Run-length compressed binary image: one RleRow per pixel row."""
+    """Run-length compressed binary image: one RleRow per pixel row.
 
-    width: int
-    rows: tuple[RleRow, ...]
+    Built either from rows, which it checks, or from checked spans
+    (``_from_spans``); the other form is built on first use and kept.
+    """
 
-    def __post_init__(self):
-        rows, width = tuple(self.rows), self.width
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, width: int, rows) -> None:
+        rows = tuple(rows)
         if width < 1:
             raise MalformedRleError("width must be >= 1")
         if not rows:
@@ -154,14 +167,83 @@ class RleImage:
         if any(map(ne, map(_WIDTH, rows), repeat(width))):
             i, w = next((i, w) for i, w in enumerate(map(_WIDTH, rows)) if w != width)
             raise MalformedRleError(f"row {i}: runs sum to {w}, expected width {width}")
+        self.width, self.height, self.rows = width, len(rows), rows
 
-    @property
-    def height(self) -> int:
-        return len(self.rows)
+    @classmethod
+    def _from_spans(cls, width: int, spans: Spans) -> "RleImage":
+        """An image of spans that are checked already (read_rle, crop_columns)."""
+        image = object.__new__(cls)
+        image.width, image.height, image.spans = width, len(spans.iptr) - 1, spans
+        return image
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RleImage):
+            return NotImplemented
+        return self.width == other.width and self.rows == other.rows
+
+    def __repr__(self) -> str:
+        return f"RleImage(width={self.width!r}, rows={self.rows!r})"
+
+    @cached_property
+    def rows(self) -> tuple[RleRow, ...]:
+        """The rows of an image built from spans, each with its prefix sums."""
+        width = self.width
+        starts, stops, iptr = (a.tolist() for a in self.spans)
+        rows = []
+        for a, b in zip(iptr, iptr[1:]):
+            ends = [*chain.from_iterable(zip(starts[a:b], stops[a:b]))]
+            if a == b or ends[-1] != width:
+                ends.append(width)  # the trailing background run
+            ends = tuple(ends)
+            rows.append(RleRow._checked(tuple(map(sub, ends, (0, *ends))), ends))
+        return tuple(rows)
+
+    @cached_property
+    def spans(self) -> Spans:
+        """The spans of an image built from rows, checked in one pass.
+
+        Rows that passed ``RleRow``'s checks give non-empty, increasing spans;
+        a row built unchecked whose prefix sums disagree with that is rejected.
+        """
+        rows = self.rows
+        # int64 while every row offset r * width + x fits; exact ints beyond
+        dtype = np.int64 if self.width * self.height < _BULK_LIMIT else object
+        ends = np.array([*chain.from_iterable(row.ends for row in rows)], dtype)
+        spans = _spans_from_ends(ends, np.array([len(row.runs) for row in rows]))
+        starts, stops, iptr = spans
+        first = np.zeros(len(starts) + 1, dtype=bool)
+        first[iptr[:-1]] = True  # each row's first span
+        bad = (stops <= starts) | (~first[:-1] & (starts <= np.roll(stops, 1)))
+        if bad.any():
+            row = int(np.searchsorted(iptr, np.argmax(bad), "right")) - 1
+            raise MalformedRleError(
+                f"row {row}: its prefix sums give an empty or out-of-order ink run"
+            )
+        return spans
+
+    @cached_property
+    def offset_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row offsets ``r * width``, and the starts and stops shifted by them.
+
+        The shifted spans of every row lie in [r * width, (r + 1) * width], so
+        they form one sorted array each, and a single sorted search of the
+        queries ``r * width + x`` answers a question about every row at once.
+        """
+        starts, stops, iptr = self.spans
+        base = np.arange(self.height, dtype=starts.dtype) * self.width
+        shift = np.repeat(base, np.diff(iptr))
+        return base, starts + shift, stops + shift
+
+    def runs_in(self, start: int, stop: int) -> int:
+        """Runs of rows [start, stop), from the spans: a row of m ink runs has
+        2m + 1 runs, or 2m when its last ink run reaches the right edge."""
+        _, stops, iptr = self.spans
+        a, b = iptr[start], iptr[stop]
+        return int(2 * (b - a) + stop - start - np.count_nonzero(stops[a:b] == self.width))
 
     @property
     def total_runs(self) -> int:
-        return sum(len(row.runs) for row in self.rows)
+        return self.runs_in(0, self.height)
 
 
 def encode(bitmap: Bitmap) -> RleImage:
@@ -207,45 +289,29 @@ def locate_run(row: RleRow, x: int) -> int:
 def crop_columns(rle: RleImage, x_min: int, x_max: int) -> RleImage:
     """Extract an inclusive column range as a standalone image.
 
-    Per row, bisects the prefix sums to the runs j and k holding x_min and
-    x_max, and builds the cropped row's runs and prefix sums together: the
-    runs strictly between j and k and their ends shifted by -x_min, with run
-    j clipped at x_min and run k at x_max. A window starting in ink (j odd)
-    gets the leading 0 run, with end 0, that an ink-first row needs; the last
-    end is the window's width. So each cropped row arrives with its runs,
-    width and prefix sums, through ``RleRow._checked``, in O(log runs)
-    bisection and two C-level slices of the runs overlapping the window.
-    The runs between j and k are runs of the source row, which passed
-    ``RleRow``'s checks; only the two clipped edge runs are computed, and each
-    is checked to be at least 1, in O(1) per row.
+    For all rows at once: one sorted search of the offset stops finds each
+    row's first ink run stopping after x_min, one of the offset starts its
+    last starting at or before x_max, one gather collects the runs between,
+    and ``maximum``/``minimum`` clip them to the window. O(rows log runs +
+    runs in the window), in NumPy passes; the cropped image's rows are built
+    only if something asks for them.
     """
     if not 0 <= x_min <= x_max < rle.width:
         raise OutOfBoundsError(
             f"columns [{x_min}, {x_max}] outside image of width {rle.width}"
         )
-    width = x_max - x_min + 1
-    shift = (-x_min).__add__
-    rows = []
-    for row in rle.rows:
-        runs, ends = row.runs, row.ends
-        j = bisect_right(ends, x_min)
-        k = bisect_right(ends, x_max, j)
-        pad = (0,) if j & 1 else ()  # run j is ink: the row starts with a 0 run
-        if j == k:  # one run covers the window
-            cut = (*pad, width)
-            rows.append(RleRow._checked(cut, cut))
-            continue
-        first = ends[j] - x_min  # run j right of x_min
-        last = runs[k] - (ends[k] - 1 - x_max)  # run k left of x_max
-        if first < 1 or last < 1:
-            raise MalformedRleError(
-                f"cropping columns [{x_min}, {x_max}] leaves a run of "
-                f"{min(first, last)}: the row's runs and prefix sums disagree"
-            )
-        piece = (*pad, first, *runs[j + 1 : k], last)
-        cut = (*pad, first, *map(shift, ends[j + 1 : k]), width)
-        rows.append(RleRow._checked(piece, cut))
-    return RleImage(width, tuple(rows))
+    starts, stops, _ = rle.spans
+    base, off_starts, off_stops = rle.offset_spans
+    first = np.searchsorted(off_stops, base + x_min, "right")
+    counts = np.searchsorted(off_starts, base + x_max, "right") - first
+    iptr = np.concatenate(([0], np.cumsum(counts)))
+    take = np.arange(iptr[-1]) + np.repeat(first - iptr[:-1], counts)
+    cut = Spans(
+        np.maximum(starts[take], x_min) - x_min,
+        np.minimum(stops[take], x_max + 1) - x_min,
+        iptr,
+    )
+    return RleImage._from_spans(x_max - x_min + 1, cut)
 
 
 _HEADER_RE = re.compile(r"^RLE1 ([0-9]+) ([0-9]+)$")
@@ -255,7 +321,7 @@ _ROW_CHARS_RE = re.compile(r"[0-9 \n]*")
 # end of a line, an empty line. (The header, checked first, has none either.)
 _ROW_FAULTS = ("  ", " \n", "\n ", "\n\n")
 # Below this, every prefix sum of a valid file fits an int64, and a token that
-# passes the width check is small enough that a wrapped sum shows (_bulk_rows).
+# passes the width check is small enough that a wrapped sum shows (_bulk_spans).
 _BULK_LIMIT = 2**62
 _QUOTE_CHARS = 40
 
@@ -280,39 +346,33 @@ def _quote(line: str) -> str:
     return f"{line[:_QUOTE_CHARS]!r}... ({len(line)} characters)"
 
 
-def _bulk_rows(body: str, row_lines: list[str], width: int) -> list[RleRow] | None:
-    """Every row of a syntax-checked body, parsed and checked at once.
+def _bulk_spans(body: str, row_lines: list[str], width: int) -> Spans | None:
+    """The spans of every row of a syntax-checked body, parsed and checked at once.
 
     ``body`` is the text of ``row_lines``, each a run list of digit tokens, and
     ``width * len(row_lines) < 2**62``. Returns None when any row breaks a
     row check; the caller then goes line by line to report the first bad one.
     """
     counts = np.array([line.count(" ") + 1 for line in row_lines], dtype=np.int64)
-    stops = np.cumsum(counts)
-    starts = stops - counts
+    row_stops = np.cumsum(counts)
+    row_starts = row_stops - counts
     values = np.fromstring(body, dtype=np.int64, sep=" ")
     # A token too long for int64 reads as 2**63 - 1, which is above the width.
     if (
-        values.size != stops[-1]
+        values.size != row_stops[-1]
         or values.max() > width
-        or np.count_nonzero(values == 0) != np.count_nonzero(values[starts] == 0)
+        or np.count_nonzero(values == 0) != np.count_nonzero(values[row_starts] == 0)
     ):
         return None
     ends = np.cumsum(values)
+    del values
     # Each token is at most width < 2**62, so a sum that wraps past 2**63 is
     # negative for at least one prefix; otherwise every prefix is exact.
     row_totals = width * np.arange(1, len(row_lines) + 1, dtype=np.int64)
-    if ends.min() < 0 or not np.array_equal(ends[stops - 1], row_totals):
+    if ends.min() < 0 or not np.array_equal(ends[row_stops - 1], row_totals):
         return None
     ends -= np.repeat(row_totals - width, counts)  # prefix sums within each row
-    # Tuples, so that each row's slices are tuples with no list in between.
-    runs = tuple(values.tolist())
-    del values
-    ends = tuple(ends.tolist())
-    return [
-        RleRow._checked(runs[a:b], ends[a:b])
-        for a, b in zip(starts.tolist(), stops.tolist())
-    ]
+    return _spans_from_ends(ends, counts)
 
 
 def write_rle(rle: RleImage, path) -> None:
@@ -356,9 +416,9 @@ def read_rle(path) -> RleImage:
         fault in text for fault in _ROW_FAULTS
     )
     if not each_line and width * height < _BULK_LIMIT:
-        rows = _bulk_rows(text[len(lines[0]) + 1 :], lines[1:], width)
-        if rows is not None:
-            return RleImage(width, tuple(rows))
+        spans = _bulk_spans(text[len(lines[0]) + 1 :], lines[1:], width)
+        if spans is not None:
+            return RleImage._from_spans(width, spans)
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if each_line and not _is_run_list(line):

@@ -7,10 +7,11 @@ only the projection/locate layers differ between the two paths.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
+
+import numpy as np
 
 from .errors import EmptyLineError, NoGapsError, OutOfBoundsError
 from .projection import Component, Gap, WorkCounter, components, gaps, occupancy
@@ -153,10 +154,12 @@ def separator_at(image: RleImage, x: int) -> SeparatorPoint:
 
 
 def separators_at(image: RleImage, xs) -> tuple[SeparatorPoint, ...]:
-    """separator_at for every column of the sequence xs, in one bisect pass per row.
+    """separator_at for every column of the sequence xs, in one pass over the line.
 
-    Each row's prefix sums are bisected for all of xs by one C-level map, and
-    the per-row results are transposed into one SeparatorPoint per x.
+    The run holding x in a row is the number of the row's ink starts at or
+    before x plus the number of its ink stops at or before x. One sorted
+    search per array of the image's offset spans, with the queries
+    ``r * width + x``, counts both for every row and every x at once.
     """
     if not xs:
         return ()
@@ -164,8 +167,14 @@ def separators_at(image: RleImage, xs) -> tuple[SeparatorPoint, ...]:
     if min(xs) < 0 or max(xs) >= width:
         x = next(x for x in xs if not 0 <= x < width)
         raise OutOfBoundsError(f"column {x} outside row of width {width}")
-    per_row = [list(map(bisect_right, repeat(row.ends), xs)) for row in image.rows]
-    return tuple(map(SeparatorPoint, xs, zip(*per_row)))
+    base, off_starts, off_stops = image.offset_spans
+    queries = np.add.outer(base, np.array(xs, dtype=base.dtype))
+    runs = (
+        np.searchsorted(off_starts, queries, "right")
+        + np.searchsorted(off_stops, queries, "right")
+        - 2 * image.spans.iptr[:-1, None]
+    )
+    return tuple(map(SeparatorPoint, xs, map(tuple, runs.T.tolist())))
 
 
 def segment_words(

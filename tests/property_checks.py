@@ -54,12 +54,43 @@ from support import (
 )
 
 
+def _check_spans(image, rng):
+    """The image's flat spans, run counts and crops agree with its rows.
+
+    An image read from a file or cropped builds its rows from its spans; one
+    built from rows builds its spans from them. Either way the spans must be
+    the ink runs the rows list, and both forms must crop to the same image.
+    """
+    starts, stops, iptr = [], [], [0]
+    for row in image.rows:
+        x = 0
+        for j, n in enumerate(row.runs):
+            if j % 2:
+                starts.append(x)
+                stops.append(x + n)
+            x += n
+        iptr.append(len(starts))
+    spans = image.spans
+    assert [a.tolist() for a in spans] == [starts, stops, iptr]
+    assert spans.starts.dtype == (object if image.width * image.height >= 2**62 else np.int64)
+    lengths = [len(row.runs) for row in image.rows]
+    for a in range(image.height):
+        for b in range(a + 1, image.height + 1):
+            assert image.runs_in(a, b) == sum(lengths[a:b]), (a, b)
+    from_spans = RleImage._from_spans(image.width, spans)
+    from_rows = RleImage(image.width, image.rows)
+    x = rng.randrange(image.width)
+    for a, b in ((0, image.width - 1), (x, rng.randint(x, image.width - 1))):
+        assert crop_columns(from_spans, a, b) == crop_columns(from_rows, a, b), (a, b)
+
+
 def check_codec_roundtrip(seed, tmp_path):
     rng = random.Random(seed)
     bitmap = random_bitmap(rng)
     rle = encode(bitmap)
     assert decode(rle) == bitmap
     assert all(row.width == rle.width for row in rle.rows)
+    _check_spans(rle, random.Random(seed))
 
 
 def check_cumulative_consistency(seed, tmp_path):
@@ -156,9 +187,11 @@ def check_crop_matches_pixel_slice(seed, tmp_path):
     px[0, 0] = 1  # row 0 starts with ink, so it carries a leading 0 run
     rle = encode(Bitmap(px))
     assert rle.rows[0].runs[0] == 0
+    _check_spans(rle, random.Random(seed))
     for a, b in _crop_windows(rng, px, rle):
         crop = crop_columns(rle, a, b)
         assert crop == encode(Bitmap(px[:, a : b + 1])), (a, b)
+        _check_spans(crop, random.Random(seed))
         # Row equality compares runs only: check what the crop stores beside them.
         for row in crop.rows:
             assert vars(row)["ends"] == tuple(accumulate(row.runs)), (a, b, row.runs)
@@ -292,6 +325,7 @@ def check_read_rle_bulk_matches_reference(seed, tmp_path):
         assert got == expected, (width, lines, got, expected)
         if not isinstance(got, RleImage):
             continue
+        _check_spans(got, random.Random(seed))
         for row in got.rows:
             # a file row has its prefix sums from the read when int64 sums are safe
             assert width * height >= 2**62 or "ends" in vars(row), (width, lines)
@@ -468,11 +502,11 @@ def check_char_gap_cuts_on_or_false(seed, tmp_path):
     rng = random.Random(seed)
     bitmap = random_bitmap(rng, max_w=60, max_h=20, density=0.3)
     word = encode(bitmap)
-    if not any(row.has_ink for row in word.rows):
+    if not any(len(row.runs) > 1 for row in word.rows):
         return
     seg = segment_chars(word)
-    top = min(r for r in range(word.height) if word.rows[r].has_ink)
-    bot = max(r for r in range(word.height) if word.rows[r].has_ink)
+    top = min(r for r in range(word.height) if len(word.rows[r].runs) > 1)
+    bot = max(r for r in range(word.height) if len(word.rows[r].runs) > 1)
     bands = split_bands(roi_from_bounds(top, bot, DEFAULT_PARAMS.t))
     px = decode(word).pixels
     inserted = {r.x for r in seg.repairs if r.op == "inserted"}

@@ -330,8 +330,8 @@ def test_char_cuts_avoid_top_bottom_ink():
             seg = segment_chars(word)
         except EmptyWordError:
             continue
-        bounds_top = min(r for r in range(word.height) if word.rows[r].has_ink)
-        bounds_bot = max(r for r in range(word.height) if word.rows[r].has_ink)
+        bounds_top = min(r for r in range(word.height) if len(word.rows[r].runs) > 1)
+        bounds_bot = max(r for r in range(word.height) if len(word.rows[r].runs) > 1)
         rows = roi_from_bounds(bounds_top, bounds_bot, DEFAULT_PARAMS.t)
         bands = split_bands(rows)
         px = decode(word).pixels

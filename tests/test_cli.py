@@ -324,6 +324,46 @@ def test_huge_declared_width_tall_ink_line_is_one_char(tmp_path, capsys):
     assert records[0]["separators"] == []
 
 
+@pytest.mark.parametrize(
+    "lead,width",
+    [
+        (2**60, 3 * 2**61),  # width * height >= 2**62: row offsets overflow int64
+        (2**63, 2**64 + 5),  # the columns themselves are past int64
+    ],
+)
+@pytest.mark.parametrize("mode", ["words", "chars"])
+def test_huge_width_line_of_words_is_cut_exactly(tmp_path, capsys, lead, width, mode):
+    # three identical rows: three words of two glyphs, L wide with a gap of g,
+    # G between words; after a leading run of `lead` background columns
+    L, g, G = 2**57, 2**55, 2**59
+    runs = (lead, L, g, L, G, L, g, L, G, L, g, L)
+    line = tmp_path / "huge.rle"
+    write_rle(RleImage(width, (RleRow(runs + (width - sum(runs),)),) * 3), line)
+    assert read_rle(line).spans.starts.dtype == object
+    assert main(["segment", str(line), "--mode", mode]) == 0
+    records = json.loads(capsys.readouterr().out)
+    firsts = [lead + k * (2 * L + g + G) for k in range(3)]
+    words = [[x, x + 2 * L + g - 1] for x in firsts]
+    if mode == "words":
+        assert records[0]["words"] == words
+        # run 4k + 4 is the background after word k
+        assert records[0]["separators"] == [
+            {"x": (a[1] + b[0]) // 2, "runs": [4 * k + 4] * 3}
+            for k, (a, b) in enumerate(zip(words, words[1:]))
+        ]
+        return
+    assert [r["word_id"] for r in records] == ["huge:w0", "huge:w1", "huge:w2"]
+    assert all(r["repairs"] == [] for r in records)
+    assert [r["chars"] for r in records] == [
+        [[x, x + L - 1], [x + L + g, x + 2 * L + g - 1]] for x in firsts
+    ]
+    # run 4k + 2 is the gap between the glyphs of word k
+    assert [r["separators"] for r in records] == [
+        [{"x": (2 * x + 2 * L + g - 1) // 2, "runs": [4 * k + 2] * 3}]
+        for k, x in enumerate(firsts)
+    ]
+
+
 def test_word_memory_does_not_grow_with_width():
     width = 10**7
     # three words of two glyphs each, spread over the line, on four rows

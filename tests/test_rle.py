@@ -214,11 +214,11 @@ def test_crop_rows_arrive_with_prefix_sums():
 
 
 def test_crop_rejects_a_row_whose_prefix_sums_disagree_with_its_runs():
-    # runs say run 2 ends at column 6, ends say 8: clipping it at column 6
-    # would leave a run of 0
+    # runs say run 2 ends at column 6, ends say 8: the prefix sums give an
+    # empty ink run [8, 8), which building the image's spans rejects
     bad = RleRow._checked((2, 3, 1, 2), (2, 5, 8, 8))
     line = RleImage(8, (bad,))
-    with pytest.raises(MalformedRleError, match="leaves a run of 0"):
+    with pytest.raises(MalformedRleError, match="empty or out-of-order ink run"):
         crop_columns(line, 0, 6)
 
 
