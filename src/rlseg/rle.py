@@ -6,26 +6,27 @@ even indices are background, odd indices are foreground. Columns are 0-based
 and run membership is half-open: column x belongs to run j when
 cumulative(j) - runs[j] <= x < cumulative(j).
 
-Cost model: an image holds its ink runs as flat arrays (``Spans``): the start
-and stop column of every ink run of every row, row after row, and a row
-pointer into them. read_rle checks the syntax of every row line with a few
-C-level scans of the whole text, then parses all the row lines in one C-level
-pass (``np.fromstring``) and checks every row at once with array operations:
-token count, no token above the width, no zero past a row's first run, each
-row summing to the width. The spans are cut from the file's cumulative sum in
-the same pass. Only when a check fails does it go line by line, to report the
-first bad line; files whose ``width * height`` could overflow an int64 sum
-always go that way. Cropping, projection, cut location and the run count of a
-row range then run as NumPy passes over the spans, with no per-row Python
-loop: a crop is two sorted searches and one gather, O(rows log runs + runs
-in the window); projecting rows [a, b) is one slice; locating all of a
-line's cuts is one sorted search per array. Those searches run over copies
-of the spans shifted by ``row * width``, which keep every row of the image in
-one sorted array; they are int64 while ``width * height < 2**62`` and exact
-Python ints (``dtype=object``) beyond. The ``RleRow``s of an image built from
-spans (a read file, a crop) are built only on first use, each with its width
-and prefix sums; an image built from rows (generated, built by hand) builds
-its spans on first use, in one pass that checks them.
+Cost model: an image stores only its ink runs, as flat arrays (``Spans``): the
+start and stop column of every ink run of every row, row after row, and a row
+pointer into them; its ``RleRow``s are a view built from them on first use.
+Rows given to ``RleImage`` become spans once, in one pass that checks them.
+encode and decode are one NumPy pass each: the spans are cut from the edges of
+the zero-padded bitmap, and the pixels are the running sum of +1 at every span
+start and -1 at every stop. read_rle checks the syntax of every row line with
+a few C-level scans of the whole text, then parses all the row lines in one
+C-level pass (``np.fromstring``) and checks every row at once with array
+operations: token count, no token above the width, no zero past a row's first
+run, each row summing to the width. The spans are cut from the file's
+cumulative sum in the same pass. Only when a check fails does it go line by
+line, to report the first bad line; files whose ``width * height`` could
+overflow an int64 sum always go that way. Cropping, projection, cut location
+and the run count of a row range then run as NumPy passes over the spans, with
+no per-row Python loop: a crop is two sorted searches and one gather, O(rows
+log runs + runs in the window); projecting rows [a, b) is one slice; locating
+all of a line's cuts is one sorted search per array. Those searches run over
+copies of the spans shifted by ``row * width``, which keep every row of the
+image in one sorted array; they are int64 while ``width * height < 2**62`` and
+exact Python ints (``dtype=object``) beyond.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, repeat, starmap
 from operator import attrgetter, ne, sub
 from pathlib import Path
 from typing import NamedTuple
@@ -106,10 +107,9 @@ class RleRow:
         """Prefix sums of the run lengths, built once and then kept.
 
         Run j covers columns [ends[j] - runs[j], ends[j]). ``locate_run``
-        and an image's spans read it. A row built from an image's spans
-        stores it; otherwise it is lazy, because a row that is never located
-        in, such as a row of a generated corpus before it is written, never
-        needs it.
+        reads it, and so does an image built from rows, to convert them to
+        spans. A row of ``RleImage.rows`` arrives with it; a row built any
+        other way builds it on first use.
         """
         return tuple(accumulate(self.runs))
 
@@ -118,7 +118,7 @@ class RleRow:
         """A row from runs that are already checked, with their prefix sums.
 
         Skips the checks of ``RleRow(...)``. Its caller is ``RleImage.rows``,
-        which builds rows from spans that are checked already. ``runs`` and
+        which builds rows from the image's spans, checked already. ``runs`` and
         ``ends`` must be tuples of plain ints, ``ends == accumulate(runs)``.
         """
         row = object.__new__(cls)
@@ -151,10 +151,11 @@ def _spans_from_ends(ends: np.ndarray, counts: np.ndarray) -> Spans:
 
 
 class RleImage:
-    """Run-length compressed binary image: one RleRow per pixel row.
+    """Run-length compressed binary image, stored as the spans of its ink runs.
 
-    Built either from rows, which it checks, or from checked spans
-    (``_from_spans``); the other form is built on first use and kept.
+    Built either from rows, which it checks and converts to spans once, or
+    from checked spans (``_from_spans``). ``rows`` is a view of the spans,
+    one RleRow per pixel row, built on first use and kept.
     """
 
     def __init__(self, width: int, rows) -> None:
@@ -167,49 +168,13 @@ class RleImage:
         if any(map(ne, map(_WIDTH, rows), repeat(width))):
             i, w = next((i, w) for i, w in enumerate(map(_WIDTH, rows)) if w != width)
             raise MalformedRleError(f"row {i}: runs sum to {w}, expected width {width}")
-        self.width, self.height, self.rows = width, len(rows), rows
-
-    @classmethod
-    def _from_spans(cls, width: int, spans: Spans) -> "RleImage":
-        """An image of spans that are checked already (read_rle, crop_columns)."""
-        image = object.__new__(cls)
-        image.width, image.height, image.spans = width, len(spans.iptr) - 1, spans
-        return image
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RleImage):
-            return NotImplemented
-        return self.width == other.width and self.rows == other.rows
-
-    def __repr__(self) -> str:
-        return f"RleImage(width={self.width!r}, rows={self.rows!r})"
-
-    @cached_property
-    def rows(self) -> tuple[RleRow, ...]:
-        """The rows of an image built from spans, each with its prefix sums."""
-        width = self.width
-        starts, stops, iptr = (a.tolist() for a in self.spans)
-        rows = []
-        for a, b in zip(iptr, iptr[1:]):
-            ends = [*chain.from_iterable(zip(starts[a:b], stops[a:b]))]
-            if a == b or ends[-1] != width:
-                ends.append(width)  # the trailing background run
-            ends = tuple(ends)
-            rows.append(RleRow._checked(tuple(map(sub, ends, (0, *ends))), ends))
-        return tuple(rows)
-
-    @cached_property
-    def spans(self) -> Spans:
-        """The spans of an image built from rows, checked in one pass.
-
-        Rows that passed ``RleRow``'s checks give non-empty, increasing spans;
-        a row built unchecked whose prefix sums disagree with that is rejected.
-        """
-        rows = self.rows
+        self.width, self.height = width, len(rows)
         # int64 while every row offset r * width + x fits; exact ints beyond
-        dtype = np.int64 if self.width * self.height < _BULK_LIMIT else object
+        dtype = np.int64 if width * len(rows) < _BULK_LIMIT else object
         ends = np.array([*chain.from_iterable(row.ends for row in rows)], dtype)
         spans = _spans_from_ends(ends, np.array([len(row.runs) for row in rows]))
+        # Rows that passed RleRow's checks give non-empty, increasing spans; a
+        # row built unchecked whose prefix sums disagree with that is rejected.
         starts, stops, iptr = spans
         first = np.zeros(len(starts) + 1, dtype=bool)
         first[iptr[:-1]] = True  # each row's first span
@@ -219,7 +184,40 @@ class RleImage:
             raise MalformedRleError(
                 f"row {row}: its prefix sums give an empty or out-of-order ink run"
             )
-        return spans
+        self.spans = spans
+
+    @classmethod
+    def _from_spans(cls, width: int, spans: Spans) -> "RleImage":
+        """An image of spans checked already (encode, read_rle, crop_columns)."""
+        image = object.__new__(cls)
+        image.width, image.height, image.spans = width, len(spans.iptr) - 1, spans
+        return image
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RleImage):
+            return NotImplemented
+        return self.width == other.width and all(
+            map(np.array_equal, self.spans, other.spans)
+        )
+
+    def __repr__(self) -> str:
+        return f"RleImage(width={self.width!r}, rows={self.rows!r})"
+
+    def _row_runs(self):
+        """Each row's runs and their prefix sums, as tuples of plain ints."""
+        width = self.width
+        starts, stops, iptr = (a.tolist() for a in self.spans)
+        for a, b in zip(iptr, iptr[1:]):
+            ends = [*chain.from_iterable(zip(starts[a:b], stops[a:b]))]
+            if a == b or ends[-1] != width:
+                ends.append(width)  # the trailing background run
+            ends = tuple(ends)
+            yield tuple(map(sub, ends, (0, *ends))), ends
+
+    @cached_property
+    def rows(self) -> tuple[RleRow, ...]:
+        """The rows, each with its prefix sums, built from the spans."""
+        return tuple(starmap(RleRow._checked, self._row_runs()))
 
     @cached_property
     def offset_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -247,30 +245,28 @@ class RleImage:
 
 
 def encode(bitmap: Bitmap) -> RleImage:
-    """Compress a bitmap row by row into background-first run lengths."""
-    rows = []
-    width = bitmap.width
-    for r in range(bitmap.height):
-        px = bitmap.pixels[r]
-        change = np.flatnonzero(px[1:] != px[:-1]) + 1
-        bounds = np.concatenate(([0], change, [width]))
-        lengths = np.diff(bounds).tolist()
-        if px[0]:
-            lengths.insert(0, 0)
-        rows.append(RleRow(tuple(lengths)))
-    return RleImage(width, tuple(rows))
+    """Compress a bitmap into the spans of its ink runs, in one NumPy pass."""
+    height, width = bitmap.pixels.shape
+    padded = np.zeros((height, width + 2), dtype=bool)
+    padded[:, 1:-1] = bitmap.pixels
+    # r * (width + 1) + x at every ink start and stop x of row r, in order
+    edges = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
+    span_rows, starts = np.divmod(edges[0::2], width + 1)
+    stops = edges[1::2] - span_rows * (width + 1)
+    iptr = np.searchsorted(span_rows, np.arange(height + 1))
+    return RleImage._from_spans(width, Spans(starts, stops, iptr))
 
 
 def decode(rle: RleImage) -> Bitmap:
-    """Expand runs back to pixels; exact inverse of encode."""
-    out = np.zeros((rle.height, rle.width), dtype=np.uint8)
-    for r, row in enumerate(rle.rows):
-        x = 0
-        for j, run in enumerate(row.runs):
-            if j & 1:
-                out[r, x : x + run] = 1
-            x += run
-    return Bitmap(out)
+    """Expand runs back to pixels; exact inverse of encode. The running sum of
+    +1 at each span's flat start offset and -1 at its stop; a row's last stop
+    and the next row's first start may share an offset, which gets both."""
+    _, starts, stops = rle.offset_spans
+    flat = np.zeros(rle.height * rle.width + 1, dtype=np.int8)
+    flat[starts] += 1
+    flat[stops] -= 1
+    np.cumsum(flat, dtype=np.int8, out=flat)
+    return Bitmap(flat[:-1].reshape(rle.height, rle.width))
 
 
 def locate_run(row: RleRow, x: int) -> int:
@@ -378,7 +374,7 @@ def _bulk_spans(body: str, row_lines: list[str], width: int) -> Spans | None:
 def write_rle(rle: RleImage, path) -> None:
     """Write the text .rle format: header line, then one run list per row."""
     lines = [f"RLE1 {rle.width} {rle.height}"]
-    lines.extend(" ".join(str(n) for n in row.runs) for row in rle.rows)
+    lines.extend(" ".join(map(str, runs)) for runs, _ in rle._row_runs())
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

@@ -39,7 +39,8 @@ from rlseg.evaluate import GroundTruthLine, match
 from rlseg.pixel_baseline import pdp_occupancy
 from rlseg.projection import Component, components, occupancy, union
 from rlseg.records import dumps, line_char_records, word_record
-from rlseg.rle import RleImage, RleRow, crop_columns, locate_run, read_rle
+from rlseg.pbm import write_pbm
+from rlseg.rle import RleImage, RleRow, crop_columns, locate_run, read_rle, write_rle
 from rlseg.words import separator_at, separators_at
 
 from support import (
@@ -47,6 +48,8 @@ from support import (
     brute_components,
     brute_locate,
     brute_occupancy,
+    decode_reference,
+    encode_reference,
     random_bitmap,
     random_blob_line,
     read_rle_reference,
@@ -57,9 +60,9 @@ from support import (
 def _check_spans(image, rng):
     """The image's flat spans, run counts and crops agree with its rows.
 
-    An image read from a file or cropped builds its rows from its spans; one
-    built from rows builds its spans from them. Either way the spans must be
-    the ink runs the rows list, and both forms must crop to the same image.
+    An image stores only its spans, and its rows are built from them; the
+    spans must be the ink runs the rows list, and an image built again from
+    those rows must equal it and crop to the same images.
     """
     starts, stops, iptr = [], [], [0]
     for row in image.rows:
@@ -79,6 +82,7 @@ def _check_spans(image, rng):
             assert image.runs_in(a, b) == sum(lengths[a:b]), (a, b)
     from_spans = RleImage._from_spans(image.width, spans)
     from_rows = RleImage(image.width, image.rows)
+    assert from_rows == image
     x = rng.randrange(image.width)
     for a, b in ((0, image.width - 1), (x, rng.randint(x, image.width - 1))):
         assert crop_columns(from_spans, a, b) == crop_columns(from_rows, a, b), (a, b)
@@ -88,7 +92,9 @@ def check_codec_roundtrip(seed, tmp_path):
     rng = random.Random(seed)
     bitmap = random_bitmap(rng)
     rle = encode(bitmap)
-    assert decode(rle) == bitmap
+    reference = encode_reference(bitmap)
+    assert rle.rows == reference.rows and rle == reference
+    assert decode(rle) == bitmap == decode_reference(rle)
     assert all(row.width == rle.width for row in rle.rows)
     _check_spans(rle, random.Random(seed))
 
@@ -668,6 +674,54 @@ def check_cli_determinism(seed, tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
 
 
+def _cli(argv):
+    """Exit code and stderr of one rlseg command, run in-process."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def check_truncated_inputs_exit_4(seed, tmp_path):
+    """A P1 or P4 raster or an .rle file cut short at a random offset fails its
+    command with exit 4 and one stderr line that names the file."""
+    rng = random.Random(seed)
+    bitmap = random_bitmap(rng, max_w=40, max_h=6)
+    pbm, rle = tmp_path / f"cut{seed}.pbm", tmp_path / f"cut{seed}.rle"
+    header = len(f"P1\n{bitmap.width} {bitmap.height}\n")
+    for binary in (False, True):
+        write_pbm(bitmap, pbm, binary=binary)
+        data = pbm.read_bytes()
+        # P1 ends in its last pixel digit and "\n", P4 in its last raster byte
+        pbm.write_bytes(data[: rng.randint(header, len(data) - 2 + binary)])
+        code, err = _cli(["encode", str(pbm), str(rle)])
+        assert code == 4 and err.count("\n") == 1 and str(pbm) in err, err
+        assert not rle.exists()
+    write_rle(encode(bitmap), rle)
+    data = rle.read_bytes()
+    rle.write_bytes(data[: rng.randrange(len(data))])
+    code, err = _cli(["decode", str(rle), str(pbm)])
+    assert code == 4 and err.count("\n") == 1 and str(rle) in err, err
+
+
+def check_wide_pbm_roundtrip(seed, tmp_path):
+    """PBM rows of 10**6 columns and more go through encode and decode byte for
+    byte: P4 on every seed, and P1, whose reader and writer go pixel by pixel
+    in Python, on one seed in 100. Ink runs may cross from row to row."""
+    rng = np.random.default_rng(seed)
+    width, height = 10**6 + int(rng.integers(0, 8)), int(rng.integers(1, 3))
+    size = width * height
+    flips = np.zeros(size, dtype=np.uint8)  # 1 where the color changes
+    flips[rng.choice(size, int(rng.integers(0, 4000)))] = 1
+    px = np.bitwise_xor.accumulate(flips).reshape(height, width)
+    binary = seed % 100 != 0
+    pbm, rle, back = (tmp_path / name for name in ("wide.pbm", "wide.rle", "back.pbm"))
+    write_pbm(Bitmap(px), pbm, binary=binary)
+    assert _cli(["encode", str(pbm), str(rle)]) == (0, "")
+    assert _cli(["decode", str(rle), str(back)] + ["--binary"] * binary) == (0, "")
+    assert back.read_bytes() == pbm.read_bytes()
+
+
 class _Level(IntEnum):
     LOW = 1
     DEEP = -7
@@ -837,6 +891,8 @@ CHECKS = [
     ("overlap_one_exact", check_overlap_one_exact),
     ("pipeline_differential", check_pipeline_differential),
     ("cli_determinism", check_cli_determinism),
+    ("truncated_inputs_exit_4", check_truncated_inputs_exit_4),
+    ("wide_pbm_roundtrip", check_wide_pbm_roundtrip),
     ("json_outputs_validate", check_json_outputs_validate),
     ("dumps_matches_json_indent", check_dumps_matches_json_indent),
 ]

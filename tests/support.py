@@ -162,6 +162,33 @@ def brute_runs(row_pixels) -> list[int]:
     return runs
 
 
+def encode_reference(bitmap: Bitmap) -> RleImage:
+    """Row-by-row encoder that encode's single pass must agree with."""
+    rows = []
+    width = bitmap.width
+    for r in range(bitmap.height):
+        px = bitmap.pixels[r]
+        change = np.flatnonzero(px[1:] != px[:-1]) + 1
+        bounds = np.concatenate(([0], change, [width]))
+        lengths = np.diff(bounds).tolist()
+        if px[0]:
+            lengths.insert(0, 0)
+        rows.append(RleRow(tuple(lengths)))
+    return RleImage(width, tuple(rows))
+
+
+def decode_reference(rle: RleImage) -> Bitmap:
+    """Run-by-run decoder that decode's single pass must agree with."""
+    out = np.zeros((rle.height, rle.width), dtype=np.uint8)
+    for r, row in enumerate(rle.rows):
+        x = 0
+        for j, run in enumerate(row.runs):
+            if j & 1:
+                out[r, x : x + run] = 1
+            x += run
+    return Bitmap(out)
+
+
 def brute_locate(row_pixels, x: int) -> int:
     runs = brute_runs(row_pixels)
     pos = 0

@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from itertools import accumulate
 
+import numpy as np
 import pytest
 
 from rlseg import (
@@ -19,7 +20,13 @@ from rlseg import (
 )
 from rlseg.rle import RleRow, crop_columns, locate_run
 
-from support import brute_locate, brute_runs, random_bitmap
+from support import (
+    brute_locate,
+    brute_runs,
+    decode_reference,
+    encode_reference,
+    random_bitmap,
+)
 
 
 def test_encode_all_background_row():
@@ -35,6 +42,46 @@ def test_encode_leading_foreground_row():
 def test_decode_examples():
     assert decode(RleImage(4, (RleRow((4,)),))) == Bitmap([[0, 0, 0, 0]])
     assert decode(RleImage(4, (RleRow((0, 2, 1, 1)),))) == Bitmap([[1, 1, 0, 1]])
+
+
+@pytest.mark.parametrize(
+    "pixels",
+    [
+        # row 0's ink reaches the right edge and row 1's starts at column 0:
+        # one flat offset is both a stop and a start
+        [[0, 1, 1], [1, 1, 0]],
+        [[1, 1], [1, 1], [1, 1]],  # all ink
+        [[1, 1, 1], [0, 0, 0], [1, 1, 1], [0, 0, 0]],  # all-ink and all-blank rows
+        [[0, 0], [0, 0]],  # all blank
+        [[0]],
+        [[1]],
+        [[1], [0], [1], [1]],  # one column
+    ],
+)
+def test_codec_edge_cases_match_the_references(pixels):
+    bitmap = Bitmap(pixels)
+    rle = encode(bitmap)
+    reference = encode_reference(bitmap)
+    assert rle.rows == reference.rows and rle == reference
+    assert decode(rle) == bitmap == decode_reference(reference)
+
+
+def test_encode_holds_only_its_spans_and_write_rle_keeps_no_rows(tmp_path):
+    # a 2-D np.nonzero returns both axes as views of one buffer, and slices of
+    # one flat array keep all of it alive: either holds more than the spans
+    rng = np.random.default_rng(5)
+    bitmap = Bitmap(rng.random((400, 2000)) < 0.1)
+    tracemalloc.start()
+    try:
+        rle = encode(bitmap)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    spans = sum(a.nbytes for a in rle.spans)
+    assert held <= spans + 4096, (held, spans)
+    # writing a generated image must not leave its rows cached on it
+    write_rle(rle, tmp_path / "big.rle")
+    assert "rows" not in vars(rle)
 
 
 def test_row_sum_mismatch_rejected():
@@ -213,13 +260,12 @@ def test_crop_rows_arrive_with_prefix_sums():
         assert row.width == 6
 
 
-def test_crop_rejects_a_row_whose_prefix_sums_disagree_with_its_runs():
+def test_image_rejects_a_row_whose_prefix_sums_disagree_with_its_runs():
     # runs say run 2 ends at column 6, ends say 8: the prefix sums give an
-    # empty ink run [8, 8), which building the image's spans rejects
+    # empty ink run [8, 8), which converting the rows to spans rejects
     bad = RleRow._checked((2, 3, 1, 2), (2, 5, 8, 8))
-    line = RleImage(8, (bad,))
     with pytest.raises(MalformedRleError, match="empty or out-of-order ink run"):
-        crop_columns(line, 0, 6)
+        RleImage(8, (bad,))
 
 
 BIG = 2**60  # width * height < 2**62: the bulk path runs and must report these
