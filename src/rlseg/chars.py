@@ -15,6 +15,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,7 +29,6 @@ from .projection import (
     components,
     gaps,
     occupancy,
-    union,
 )
 from .rle import RleImage, crop_columns
 from .words import (
@@ -42,6 +42,7 @@ from .words import (
     separators_at,
 )
 
+_x_min = attrgetter("x_min")
 _EPS = 1e-9  # guards floor() against binary float artifacts like 0.3*10 -> 2.999...96
 
 
@@ -180,11 +181,23 @@ def split_bands(rows) -> BandSet:
 
 
 def band_or(top: Occupancy, bottom: Occupancy) -> Occupancy:
-    """Columnwise OR of two band occupancies."""
+    """Columnwise OR of two band occupancies, as one linear merge.
+
+    Each band's spans are already sorted and separated, so sorting their
+    concatenation by x_min is a merge of two runs (Timsort finds them), and
+    one pass then coalesces each span into the previous one when they touch
+    or overlap (x_min <= previous x_max + 1).
+    """
     if top.width != bottom.width:
         raise WidthMismatchError(f"widths differ: {top.width} vs {bottom.width}")
-    spans = top.spans + bottom.spans
-    return union(top.width, [c.x_min for c in spans], [c.x_max + 1 for c in spans])
+    merged: list[Component] = []
+    for c in sorted(top.spans + bottom.spans, key=_x_min):
+        if merged and c.x_min <= merged[-1].x_max + 1:
+            if c.x_max > merged[-1].x_max:
+                merged[-1] = Component(merged[-1].x_min, c.x_max)
+        else:
+            merged.append(c)
+    return Occupancy(top.width, tuple(merged))
 
 
 def _weakest_column(comp: Component, freq, min_piece: int) -> int | None:

@@ -52,11 +52,32 @@ def read_pbm(path) -> Bitmap:
     return _read_p4_raster(data, pos, width, height, path)
 
 
+# The bytes of a P1 raster other than comments: the two pixel digits and whitespace.
+_P1_PLAIN = np.zeros(256, dtype=bool)
+_P1_PLAIN[list(b"01" + _WHITESPACE)] = True
+
+
 def _read_p1_raster(data: bytes, pos: int, width: int, height: int, path) -> Bitmap:
+    """The first width*height digits after pos, in one NumPy pass when they come
+    before any comment or bad byte; otherwise the byte-by-byte scan decides, so
+    every error keeps its message and line. Bytes after the last pixel stay
+    unread."""
     target = width * height
-    vals = bytearray(target)
-    n = 0
+    raster = np.frombuffer(data, dtype=np.uint8)[pos:]
+    plain = _P1_PLAIN[raster]
+    if not plain.all():
+        raster = raster[: plain.argmin()]  # up to the first '#' or bad byte
+    digits = raster[raster >= 0x30]  # '0' and '1' sort above the whitespace bytes
+    if digits.size >= target:
+        return Bitmap((digits[:target] - 0x30).reshape(height, width))
+    return _scan_p1_raster(data, pos, width, height, path)
+
+
+def _scan_p1_raster(data: bytes, pos: int, width: int, height: int, path) -> Bitmap:
+    target = width * height
     size = len(data)
+    vals = bytearray(min(target, size - pos))  # each pixel takes a byte of the file
+    n = 0
     while pos < size and n < target:
         c = data[pos]
         if c in (0x30, 0x31):  # '0' / '1'
@@ -105,9 +126,13 @@ def write_pbm(bitmap: Bitmap, path, binary: bool = False) -> None:
         packed = np.packbits(bitmap.pixels, axis=1)
         path.write_bytes(f"P4\n{bitmap.width} {bitmap.height}\n".encode() + packed.tobytes())
         return
-    out = [f"P1\n{bitmap.width} {bitmap.height}"]
-    for r in range(bitmap.height):
-        digits = "".join("1" if v else "0" for v in bitmap.pixels[r])
-        # keep lines below the classic 70-character PBM limit
-        out.extend(digits[i : i + 64] for i in range(0, len(digits), 64))
-    path.write_text("\n".join(out) + "\n", encoding="ascii")
+    # Each row's digits, cut into lines of 64 (below the classic 70-character
+    # PBM limit) by copying them into a newline-filled buffer: full lines as
+    # (n, 64) blocks of (n, 65) ones, then the short last line.
+    digits = bitmap.pixels + 0x30  # 0/1 -> b"0"/b"1"
+    h, w = digits.shape
+    n = w // 64
+    out = np.full((h, w + -(-w // 64)), 0x0A, dtype=np.uint8)
+    out[:, : n * 65].reshape(h, n, 65)[:, :, :64] = digits[:, : n * 64].reshape(h, n, 64)
+    out[:, n * 65 : n * 65 + w % 64] = digits[:, n * 64 :]
+    path.write_bytes(f"P1\n{w} {h}\n".encode() + out.tobytes())

@@ -1,22 +1,30 @@
 """Foreground spreads, x-axis occupancy and connected components, all from runs.
 
 Cost model: every operation here visits each run of the selected rows once,
-inside C-level builtins (slices, sorts, bisection), with no per-row loop. The
-ink runs of rows [a, b) are one slice of the image's flat spans
-(``RleImage.spans``), which a read file or a crop arrives with, so projection
-never builds a row. An occupancy is the sorted union of the ink runs'
-spreads, and a column frequency is a step function over the run boundaries,
-so both take O(runs log runs) time and O(runs) memory, whatever the width.
-The optional WorkCounter records exactly those run visits, counted from the
-spans (``RleImage.runs_in``), so the claim is assertable.
+with no per-row loop. The ink runs of rows [a, b) are one slice of the
+image's flat spans (``RleImage.spans``), which a read file or a crop arrives
+with, so projection never builds a row. An occupancy is the sorted union of
+the ink runs' spreads: ``union`` sorts NumPy copies of the two span slices
+and finds every break with one comparison of the sorted stops against the
+next sorted starts, so no per-run Python object is built; only the
+resulting intervals become Components. A column frequency is a step
+function over the run boundaries. Both take O(runs log runs) time and
+O(runs) memory, whatever the width. ``column_frequency`` stays on lists
+(``tolist``, ``sorted``, bisection): it runs on one word's middle band, a
+few dozen runs, where the fixed cost of each NumPy call outweighs the
+per-run work it saves. The optional WorkCounter records exactly those run
+visits, counted from the spans (``RleImage.runs_in``), so the claim is
+assertable.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import lt, sub
+from itertools import repeat
+from operator import sub
+
+import numpy as np
 
 from .errors import EmptyRangeError, OutOfBoundsError
 from .rle import RleImage
@@ -98,24 +106,34 @@ def union(width: int, starts, stops) -> Occupancy:
     With both ends sorted, the union breaks after the i-th smallest stop
     exactly when that stop is below the (i+1)-th smallest start: in between,
     i+1 spans have started and i+1 have stopped. Touching spans merge.
+
+    starts and stops are 1-D sequences of ints: lists, int64 arrays or
+    dtype=object arrays (exact ints past int64). Two sorts of copies, one
+    comparison into a break mask padded with True at both ends, and two
+    boolean gathers, all in NumPy; .tolist() hands the bounds back as plain
+    ints.
     """
-    if not starts:
+    if not len(starts):
         return Occupancy(width, ())
-    starts = sorted(starts)
-    stops = sorted(stops)
-    breaks = list(map(lt, stops, starts[1:]))
-    firsts = [starts[0], *compress(starts[1:], breaks)]
-    lasts = [*compress(stops, breaks), stops[-1]]
+    starts = np.array(starts)
+    starts.sort()
+    stops = np.array(stops)
+    stops.sort()
+    breaks = np.empty(len(starts) + 1, dtype=bool)
+    breaks[0] = breaks[-1] = True
+    np.less(stops[:-1], starts[1:], out=breaks[1:-1])
+    firsts = starts[breaks[:-1]].tolist()
+    lasts = stops[breaks[1:]].tolist()
     return Occupancy(width, tuple(map(Component, firsts, map(sub, lasts, repeat(1)))))
 
 
-def _ink_spans(rle: RleImage, start: int, stop: int, counter) -> tuple[list, list]:
-    """Starts and stops of every ink run of rows [start, stop), as lists of ints."""
+def _ink_spans(rle: RleImage, start: int, stop: int, counter):
+    """Starts and stops of every ink run of rows [start, stop): views of the spans."""
     starts, stops, iptr = rle.spans
     a, b = iptr[start], iptr[stop]
     if counter is not None:
         counter.add(rle.runs_in(start, stop))
-    return starts[a:b].tolist(), stops[a:b].tolist()
+    return starts[a:b], stops[a:b]
 
 
 def occupancy(rle: RleImage, row_range, counter: WorkCounter | None = None) -> Occupancy:
@@ -134,7 +152,7 @@ def column_frequency(
     next breakpoint. O(runs) memory, whatever the width.
     """
     start, stop = _check_row_range(rle.height, row_range)
-    starts, stops = _ink_spans(rle, start, stop, counter)
+    starts, stops = (a.tolist() for a in _ink_spans(rle, start, stop, counter))
     starts.sort()
     stops.sort()
     xs = sorted({0, *starts, *stops})

@@ -17,6 +17,7 @@ from itertools import accumulate
 
 import jsonschema
 import numpy as np
+import pytest
 
 from rlseg import (
     Bitmap,
@@ -32,14 +33,21 @@ from rlseg import (
     segment_line_chars,
     segment_words,
 )
-from rlseg.chars import DEFAULT_PARAMS, RoiParams, repair, roi_from_bounds, split_bands
+from rlseg.chars import (
+    DEFAULT_PARAMS,
+    RoiParams,
+    band_or,
+    repair,
+    roi_from_bounds,
+    split_bands,
+)
 from rlseg.cli import main
 from rlseg.errors import MalformedRleError, OutOfBoundsError, ParseError
 from rlseg.evaluate import GroundTruthLine, match
 from rlseg.pixel_baseline import pdp_occupancy
-from rlseg.projection import Component, components, occupancy, union
+from rlseg.projection import Component, Occupancy, components, occupancy, union
 from rlseg.records import dumps, line_char_records, word_record
-from rlseg.pbm import write_pbm
+from rlseg.pbm import _scan_p1_raster, read_pbm, write_pbm
 from rlseg.rle import RleImage, RleRow, crop_columns, locate_run, read_rle, write_rle
 from rlseg.words import separator_at, separators_at
 
@@ -378,6 +386,26 @@ def _pairs(comps):
     return [(c.x_min, c.x_max) for c in comps]
 
 
+# Past 2**62 a file's spans are exact-int object arrays, not int64.
+_PAST_INT64 = 2**62 + 5
+
+
+def _union_inputs(starts, stops):
+    """(shift, starts, stops): the same spans as lists, as int64 arrays, and as
+    dtype=object arrays shifted by _PAST_INT64."""
+    yield 0, starts, stops
+    yield 0, np.array(starts, dtype=np.int64), np.array(stops, dtype=np.int64)
+    big = [[v + _PAST_INT64 for v in vs] for vs in (starts, stops)]
+    yield _PAST_INT64, np.array(big[0], dtype=object), np.array(big[1], dtype=object)
+
+
+def _exact_int_pairs(comps, shift=0):
+    """The (x_min, x_max) pairs moved back by shift; every bound must be an int,
+    since a NumPy scalar would knock records.dumps off its int fast paths."""
+    assert all(type(c.x_min) is int and type(c.x_max) is int for c in comps), comps
+    return [(c.x_min - shift, c.x_max - shift) for c in comps]
+
+
 def check_union_matches_column_or(seed, tmp_path):
     rng = random.Random(seed)
     width = rng.randint(1, 40)
@@ -397,9 +425,48 @@ def check_union_matches_column_or(seed, tmp_path):
     for a, b in zip(starts, stops):
         for x in range(a, b):
             bits[x] = True
-    occ = union(width, starts, stops)
-    assert occ.width == width
-    assert _pairs(occ.spans) == brute_components(bits)
+    for shift, first, last in _union_inputs(starts, stops):
+        occ = union(width + shift, first, last)
+        assert occ.width == width + shift
+        assert _exact_int_pairs(occ.spans, shift) == brute_components(bits)
+
+
+def _separated_spans(rng, width):
+    """Random sorted Components in [0, width) with at least one blank column between."""
+    comps, x = [], rng.randrange(4)
+    while x < width and rng.random() < 0.85:
+        end = rng.randint(x, min(width - 1, x + 6))
+        comps.append(Component(x, end))
+        x = end + 2 + rng.randrange(4)
+    return comps
+
+
+def check_band_or_matches_column_or(seed, tmp_path):
+    rng = random.Random(seed)
+    width = rng.randint(1, 60)
+    top, bottom = _separated_spans(rng, width), _separated_spans(rng, width)
+    if top and top[-1].x_max + 1 < width:
+        # a bottom span starting right after a top span ends: the two must merge
+        t = rng.choice([c for c in top if c.x_max + 1 < width])
+        touching = Component(t.x_max + 1, rng.randint(t.x_max + 1, min(width - 1, t.x_max + 4)))
+        bottom = sorted(
+            [c for c in bottom if c.x_max + 1 < touching.x_min or c.x_min > touching.x_max + 1]
+            + [touching],
+            key=lambda c: c.x_min,
+        )
+    bits = [False] * width
+    for c in top + bottom:
+        for x in range(c.x_min, c.x_max + 1):
+            bits[x] = True
+    merged = band_or(Occupancy(width, top), Occupancy(width, bottom))
+    assert merged.width == width
+    assert _exact_int_pairs(merged.spans) == brute_components(bits), (top, bottom)
+    assert merged == band_or(Occupancy(width, bottom), Occupancy(width, top))
+    if width > 1:  # the smallest touching pair, checked on every seed
+        x = rng.randrange(width - 1)
+        left = Occupancy(width, [Component(0, x)])
+        right = Occupancy(width, [Component(x + 1, width - 1)])
+        assert _exact_int_pairs(band_or(left, right).spans) == [(0, width - 1)]
 
 
 def check_projection_oracle_equivalence(seed, tmp_path):
@@ -706,20 +773,52 @@ def check_truncated_inputs_exit_4(seed, tmp_path):
 
 def check_wide_pbm_roundtrip(seed, tmp_path):
     """PBM rows of 10**6 columns and more go through encode and decode byte for
-    byte: P4 on every seed, and P1, whose reader and writer go pixel by pixel
-    in Python, on one seed in 100. Ink runs may cross from row to row."""
+    byte, as P1 on even seeds and as P4 on odd ones. Ink runs may cross from
+    row to row."""
     rng = np.random.default_rng(seed)
     width, height = 10**6 + int(rng.integers(0, 8)), int(rng.integers(1, 3))
     size = width * height
     flips = np.zeros(size, dtype=np.uint8)  # 1 where the color changes
     flips[rng.choice(size, int(rng.integers(0, 4000)))] = 1
     px = np.bitwise_xor.accumulate(flips).reshape(height, width)
-    binary = seed % 100 != 0
+    binary = seed % 2 == 1
     pbm, rle, back = (tmp_path / name for name in ("wide.pbm", "wide.rle", "back.pbm"))
     write_pbm(Bitmap(px), pbm, binary=binary)
     assert _cli(["encode", str(pbm), str(rle)]) == (0, "")
     assert _cli(["decode", str(rle), str(back)] + ["--binary"] * binary) == (0, "")
     assert back.read_bytes() == pbm.read_bytes()
+
+
+def _random_p1_text(rng, width, height):
+    """A P1 file that is mostly well formed: digits split by random whitespace,
+    with at times a comment, a bad byte, trailing bytes or too few pixels."""
+    parts = [f"P1\n{width} {height}\n"]
+    for _ in range(width * height - (rng.random() < 0.1)):
+        parts.append(rng.choice("01") + rng.choice(["", "", " ", "\n", "\t", "\r\n", "  "]))
+        if rng.random() < 0.02:
+            parts.append(rng.choice(["# a comment\n", "#", "2", "x", "\x00", "-"]))
+    if rng.random() < 0.3:
+        parts.append(rng.choice(["1", "# trailing", "x", "\n\n"]))
+    return "".join(parts).encode("latin-1")
+
+
+def check_p1_reader_matches_scan(seed, tmp_path):
+    """read_pbm's one-pass P1 reader gives the byte-by-byte scan's bitmap, or
+    its error message and line."""
+    rng = random.Random(seed)
+    width, height = rng.randint(1, 12), rng.randint(1, 4)
+    data = _random_p1_text(rng, width, height)
+    path = tmp_path / "p1.pbm"
+    path.write_bytes(data)
+    pos = len(f"P1\n{width} {height}")
+    try:
+        expected = _scan_p1_raster(data, pos, width, height, path)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            read_pbm(path)
+        assert str(got.value) == str(exc)
+    else:
+        assert read_pbm(path) == expected
 
 
 class _Level(IntEnum):
@@ -872,6 +971,7 @@ CHECKS = [
     ("row_validation_reference", check_row_validation_reference),
     ("read_rle_bulk_matches_reference", check_read_rle_bulk_matches_reference),
     ("union_matches_column_or", check_union_matches_column_or),
+    ("band_or_matches_column_or", check_band_or_matches_column_or),
     ("projection_oracle_equivalence", check_projection_oracle_equivalence),
     ("component_list_invariants", check_component_list_invariants),
     ("occupancy_work_counters", check_occupancy_work_counters),
@@ -893,6 +993,7 @@ CHECKS = [
     ("cli_determinism", check_cli_determinism),
     ("truncated_inputs_exit_4", check_truncated_inputs_exit_4),
     ("wide_pbm_roundtrip", check_wide_pbm_roundtrip),
+    ("p1_reader_matches_scan", check_p1_reader_matches_scan),
     ("json_outputs_validate", check_json_outputs_validate),
     ("dumps_matches_json_indent", check_dumps_matches_json_indent),
 ]

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, config handling, schemas."""
 
+import hashlib
 import json
 import tracemalloc
 from pathlib import Path
@@ -20,6 +21,7 @@ from rlseg import (
 )
 from rlseg.cli import main
 from rlseg.rle import RleRow
+from rlseg.synth import SynthConfig, write_corpus
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
@@ -202,6 +204,28 @@ def test_segment_v2_golden_bytes(tmp_path):
     _, outs = _segment_golden(tmp_path)
     assert outs["words"].read_text() == GOLDEN_WORDS
     assert outs["chars"].read_text() == GOLDEN_CHARS
+
+
+# The seed-1 corpora shaped like perfbench's three workloads (built here with
+# synth alone), and the SHA-1 of each `rlseg segment` output: a change to the
+# run-domain path that keeps these bytes keeps the benchmark's outputs.
+BENCHMARK_SHAPED = [
+    ("words_narrow", 300, 8, "words", "71ed0fe624d756f2c0a1aa7fc1de9a54942ff955"),
+    ("chars_narrow", 100, 8, "chars", "85f02a5aafb6f42f2ce373c85e8068bedd425d6f"),
+    ("chars_wide", 24, 32, "chars", "a4fd0864fb3b49d2684fee12263f4f5a386d63e8"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,lines,words,mode,sha1", BENCHMARK_SHAPED, ids=[w[0] for w in BENCHMARK_SHAPED]
+)
+def test_benchmark_shaped_segment_output_is_pinned(tmp_path, name, lines, words, mode, sha1):
+    cfg = SynthConfig(lines=lines, words_per_line=words, touch_rate=0.3, seed=1)
+    write_corpus(cfg, tmp_path / name)
+    out = tmp_path / f"{name}.json"
+    manifest = tmp_path / name / "manifest.txt"
+    assert main(["segment", str(manifest), "--mode", mode, "--out", str(out)]) == 0
+    assert hashlib.sha1(out.read_bytes()).hexdigest() == sha1
 
 
 @pytest.mark.parametrize("mode,schema", [("words", "word_record"), ("chars", "char_record")])
@@ -418,6 +442,15 @@ def test_malformed_rle_exits_4(tmp_path):
     bad = tmp_path / "bad.rle"
     bad.write_text("RLE1 4 1\n9 9\n")
     assert main(["segment", str(bad)]) == 4
+
+
+def test_huge_declared_p1_raster_exits_4(tmp_path, capsys):
+    # the P1 reader sizes its pixel buffer by the file, not by the header
+    pbm = tmp_path / "huge.pbm"
+    pbm.write_text("P1\n1000000 1000000\n0 1\n")
+    assert main(["encode", str(pbm), str(tmp_path / "huge.rle")]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "truncated P1 raster: 2 of 1000000000000 pixels" in err
 
 
 def test_long_malformed_row_gives_a_short_error(tmp_path, monkeypatch, capsys):
