@@ -1,17 +1,21 @@
 """Pixel-domain primitives under the run-domain segmentation driver.
 
 Serves two purposes: a correctness oracle (both paths must produce identical
-segmentations on decode-equal inputs) and the timing baseline. Projection and
-coordinate location here deliberately touch every pixel in plain Python, so
-wall-clock comparisons measure the algorithms rather than vectorization.
+segmentations on decode-equal inputs) and the timing baseline. Projection,
+ink-row search and coordinate location here read every pixel their scans
+cover, one row at a time: each row becomes a Python list (NumPy's
+``tolist``) and is folded in by the C-level builtins the run-domain path
+uses (``map``, ``sum``, ``any``, ``compress``), with no NumPy arithmetic
+across pixels or rows. So a pixel visit costs a builtin's step, not a NumPy
+scalar, and the per-pixel visit counts are those of the algorithms.
 Everything else (thresholds, merging, bands, repair, the per-word driver) is
 the run-domain code, handed these primitives as a chars.Backend.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import ne
+from itertools import compress, islice
+from operator import add, ne, or_, xor
 
 from .chars import (
     DEFAULT_PARAMS,
@@ -32,25 +36,22 @@ from .words import AUTO, SeparatorPoint, ThresholdMode, WordSegmentation, plan_w
 def pdp_occupancy(
     bitmap: Bitmap, row_range, counter: WorkCounter | None = None
 ) -> Occupancy:
-    """Columnwise OR over rows [start, stop), scanning every pixel."""
+    """Columnwise OR over rows [start, stop), reading every pixel of each row."""
     start, stop = _check_row_range(bitmap.height, row_range)
     width = bitmap.width
-    bits = [False] * width
-    for r in range(start, stop):
+    bits = [0] * width
+    for row in bitmap.pixels[start:stop]:
         if counter is not None:
             counter.add(width)
-        row = bitmap.pixels[r]
-        for x in range(width):
-            if row[x]:
-                bits[x] = True
-    inked = [x for x in range(width) if bits[x]]
+        bits = list(map(or_, bits, row.tolist()))
+    inked = list(compress(range(width), bits))
     return union(width, inked, [x + 1 for x in inked])
 
 
 def pdp_column_frequency(
     bitmap: Bitmap, row_range, counter: WorkCounter | None = None
 ) -> tuple[list[int], list[int]]:
-    """Per-column ink counts over rows [start, stop), scanning every pixel.
+    """Per-column ink counts over rows [start, stop), reading every pixel of each row.
 
     Returned in column_frequency's step form (xs, counts): a breakpoint at
     column 0 and at every column whose count differs from its left neighbor's.
@@ -58,52 +59,53 @@ def pdp_column_frequency(
     start, stop = _check_row_range(bitmap.height, row_range)
     width = bitmap.width
     freq = [0] * width
-    for r in range(start, stop):
+    for row in bitmap.pixels[start:stop]:
         if counter is not None:
             counter.add(width)
-        row = bitmap.pixels[r]
-        for x in range(width):
-            if row[x]:
-                freq[x] += 1
+        freq = list(map(add, freq, row.tolist()))
     xs = [0, *compress(range(1, width), map(ne, freq[1:], freq))]
     return xs, list(map(freq.__getitem__, xs))
 
 
 def pdp_ink_row_bounds(bitmap: Bitmap) -> tuple[int, int]:
-    """First and last inked rows, found by scanning pixels."""
+    """First and last inked rows, found by reading rows from the top, then the bottom."""
+    pixels = bitmap.pixels
     top = bot = None
     for r in range(bitmap.height):
-        row = bitmap.pixels[r]
-        if any(row[x] for x in range(bitmap.width)):
+        if any(pixels[r].tolist()):
             top = r
             break
     if top is None:
         raise EmptyWordError("word image has no ink")
     for r in range(bitmap.height - 1, -1, -1):
-        row = bitmap.pixels[r]
-        if any(row[x] for x in range(bitmap.width)):
+        if any(pixels[r].tolist()):
             bot = r
             break
     return top, bot
 
 
-def pdp_locate_run(row_pixels, x: int) -> int:
-    """Run index of column x, recovered by counting color transitions."""
+def pdp_locate_run(row_pixels: list[int], x: int) -> int:
+    """Run index of column x in a row of 0/1 pixels: its color changes up to x.
+
+    Reads pixels 0..x only. On 0/1 pixels, xor is 1 exactly at a color change.
+    """
     width = len(row_pixels)
     if x < 0 or x >= width:
         raise OutOfBoundsError(f"column {x} outside row of width {width}")
-    index = 1 if row_pixels[0] else 0
-    prev = row_pixels[0]
-    for i in range(1, x + 1):
-        cur = row_pixels[i]
-        if cur != prev:
-            index += 1
-        prev = cur
-    return index
+    return sum(map(xor, islice(row_pixels, 1, x + 1), row_pixels), 1 if row_pixels[0] else 0)
 
 
 def pdp_separator_at(bitmap: Bitmap, x: int) -> SeparatorPoint:
-    return SeparatorPoint(x, tuple(pdp_locate_run(row, x) for row in bitmap.pixels))
+    """Cut at column x, located in each row from that row's pixels 0..x.
+
+    Converts one row's pixels at a time, so it holds one row's list, not the bitmap's.
+    """
+    width = bitmap.width
+    if x < 0 or x >= width:
+        raise OutOfBoundsError(f"column {x} outside row of width {width}")
+    return SeparatorPoint(
+        x, tuple(pdp_locate_run(row.tolist(), x) for row in bitmap.pixels[:, : x + 1])
+    )
 
 
 def pdp_separators_at(bitmap: Bitmap, xs) -> tuple[SeparatorPoint, ...]:

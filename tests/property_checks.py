@@ -42,9 +42,15 @@ from rlseg.chars import (
     split_bands,
 )
 from rlseg.cli import main
-from rlseg.errors import MalformedRleError, OutOfBoundsError, ParseError
+from rlseg.errors import EmptyWordError, MalformedRleError, OutOfBoundsError, ParseError
 from rlseg.evaluate import GroundTruthLine, match
-from rlseg.pixel_baseline import pdp_occupancy
+from rlseg.pixel_baseline import (
+    pdp_column_frequency,
+    pdp_ink_row_bounds,
+    pdp_locate_run,
+    pdp_occupancy,
+    pdp_separator_at,
+)
 from rlseg.projection import Component, Occupancy, components, occupancy, union
 from rlseg.records import dumps, line_char_records, word_record
 from rlseg.pbm import _scan_p1_raster, read_pbm, write_pbm
@@ -54,6 +60,7 @@ from rlseg.words import separator_at, separators_at
 from support import (
     as_steps,
     brute_components,
+    brute_frequency,
     brute_locate,
     brute_occupancy,
     decode_reference,
@@ -504,6 +511,61 @@ def check_occupancy_work_counters(seed, tmp_path):
     pdp_occupancy(bitmap, (a, b), pdp_counter)
     assert cdp_counter.count == sum(len(rle.rows[r].runs) for r in range(a, b))
     assert pdp_counter.count == (b - a) * bitmap.width
+
+
+def _pdp_cases(rng):
+    """A random bitmap; one with an all-ink row and a row starting with ink; one
+    with a single inked row; and a 1-column image."""
+    px = random_bitmap(rng).pixels.copy()
+    height, width = px.shape
+    single = np.zeros_like(px)
+    single[rng.randrange(height), rng.sample(range(width), rng.randint(1, width))] = 1
+    cases = [Bitmap(px), Bitmap(single), random_bitmap(rng, max_w=1)]
+    px[rng.randrange(height)] = 1
+    px[rng.randrange(height), 0] = 1
+    return [*cases, Bitmap(px)]
+
+
+def check_pdp_primitives_match_brute(seed, tmp_path):
+    """The pixel oracle's scans equal brute-force ones, and return plain ints.
+
+    A NumPy integer among the run indices would knock records' int fast paths
+    off, so every index is checked to be exactly an int.
+    """
+    rng = random.Random(seed)
+    for bitmap in _pdp_cases(rng):
+        height, width = bitmap.height, bitmap.width
+        rows = bitmap.pixels.tolist()
+        a = rng.randint(0, height - 1)
+        for span in {(0, height), (a, rng.randint(a + 1, height))}:
+            occ = pdp_occupancy(bitmap, span)
+            assert occ.width == width
+            assert _exact_int_pairs(occ.spans) == brute_components(brute_occupancy(bitmap, span))
+            xs, counts = pdp_column_frequency(bitmap, span)
+            assert all(type(v) is int for v in xs + counts)
+            assert (xs, counts) == as_steps(brute_frequency(bitmap, span))
+        inked = [r for r, row in enumerate(rows) if any(row)]
+        try:
+            bounds = pdp_ink_row_bounds(bitmap)
+        except EmptyWordError:
+            assert not inked
+        else:
+            assert bounds == (inked[0], inked[-1]) and all(type(r) is int for r in bounds)
+        for row in rows:
+            for x in range(width):
+                index = pdp_locate_run(row, x)
+                assert type(index) is int and index == brute_locate(row, x), (row, x)
+        x = rng.randrange(width)
+        sep = pdp_separator_at(bitmap, x)
+        assert sep.runs == tuple(brute_locate(row, x) for row in rows)
+        assert all(type(j) is int for j in sep.runs)
+        for bad in (-1, width, width + rng.randint(1, 5)):
+            try:
+                pdp_separator_at(bitmap, bad)
+            except OutOfBoundsError as exc:
+                assert str(exc) == f"column {bad} outside row of width {width}"
+            else:
+                raise AssertionError(f"column {bad} of a width-{width} bitmap was located")
 
 
 def check_separators_on_background(seed, tmp_path):
@@ -975,6 +1037,7 @@ CHECKS = [
     ("projection_oracle_equivalence", check_projection_oracle_equivalence),
     ("component_list_invariants", check_component_list_invariants),
     ("occupancy_work_counters", check_occupancy_work_counters),
+    ("pdp_primitives_match_brute", check_pdp_primitives_match_brute),
     ("separators_on_background", check_separators_on_background),
     ("threshold_monotonicity", check_threshold_monotonicity),
     ("word_idempotence", check_word_idempotence),

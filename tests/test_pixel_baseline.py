@@ -1,6 +1,8 @@
 """Differential equivalence between the run-domain and pixel-domain paths."""
 
 import random
+import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -22,7 +24,7 @@ from rlseg import (
     segment_words,
 )
 from rlseg.errors import EmptyWordError
-from rlseg.pixel_baseline import pdp_locate_run, pdp_occupancy
+from rlseg.pixel_baseline import pdp_locate_run, pdp_occupancy, pdp_separator_at
 from rlseg.projection import Component, Occupancy, components, occupancy
 from rlseg.records import char_record, dumps, line_char_records, word_record
 from rlseg.rle import crop_columns, locate_run
@@ -62,7 +64,7 @@ def test_pdp_locate_run_matches_run_domain():
         bitmap = random_bitmap(rng, max_w=24, max_h=1)
         row = encode(bitmap).rows[0]
         for x in range(bitmap.width):
-            assert pdp_locate_run(bitmap.pixels[0], x) == locate_run(row, x)
+            assert pdp_locate_run(bitmap.pixels[0].tolist(), x) == locate_run(row, x)
 
 
 def test_word_pipelines_identical():
@@ -146,19 +148,45 @@ def test_char_stage_runs_the_seams_named_at_call_time(monkeypatch):
         counting(rlseg.pixel_baseline, f"pdp_{name}", pixels_in)
     for name in ("crop_columns", "separators_at"):
         counting(rlseg.chars, name)
-    counting(rlseg.pixel_baseline, "pdp_separator_at")
+    # perfbench charges the oracle's per-row cut scan to pdp_locate_run, so it
+    # must stay one call per row and cut
+    for name in ("pdp_separator_at", "pdp_locate_run", "pdp_ink_row_bounds"):
+        counting(rlseg.pixel_baseline, name)
 
     run_counter, pdp_counter = WorkCounter(), WorkCounter()
     run = segment_line_chars(line, counter=run_counter, words=run_words)
     pdp = pdp_segment_line_chars(bitmap, counter=pdp_counter, words=pdp_words)
     assert dumps(line_char_records("l", run)) == dumps(line_char_records("l", pdp))
-    assert sum(len(seg.separators) for seg in run.per_word) > 0
+    cuts = sum(len(seg.separators) for seg in pdp.per_word)
+    assert cuts > 0
     assert set(calls) == {
         "occupancy", "column_frequency", "crop_columns", "separators_at",
         "pdp_occupancy", "pdp_column_frequency", "pdp_separator_at",
+        "pdp_locate_run", "pdp_ink_row_bounds",
     }
+    assert calls["pdp_separator_at"] == cuts
+    assert calls["pdp_locate_run"] == bitmap.height * cuts
+    assert calls["pdp_ink_row_bounds"] == len(pdp_words.words)
     assert visits["rlseg.chars"] == run_counter.count > 0
     assert visits["rlseg.pixel_baseline"] == pdp_counter.count > 0
+
+
+def test_pdp_separator_at_holds_one_row_of_pixels():
+    # each row is converted to a list up to the cut, one row at a time; a list
+    # of the whole bitmap would hold 300 such rows
+    rng = np.random.default_rng(7)
+    bitmap = Bitmap(rng.random((300, 2000)) < 0.5)
+    x = bitmap.width - 1
+    tracemalloc.start()
+    try:
+        sep = pdp_separator_at(bitmap, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row = sys.getsizeof(bitmap.pixels[0].tolist())
+    held = sys.getsizeof(sep.runs) + sum(map(sys.getsizeof, sep.runs))
+    # the result may be built through a growing list before it is a tuple
+    assert peak <= row + 2 * held + 4096, (peak, row, held)
 
 
 def test_word_chars_on_random_noise_bitmaps():
