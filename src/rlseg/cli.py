@@ -229,15 +229,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--binary", action="store_true", help="write packed P4 instead of P1")
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("segment", help="segment lines into words or characters")
+    # the segmentation settings that segment and bench share
+    settings = argparse.ArgumentParser(add_help=False)
+    settings.add_argument("--threshold", type=ThresholdMode.parse, default=None,
+                          help="auto | fixed:<value> | scale:<factor> (default auto)")
+    settings.add_argument("--roi-t", dest="roi_t", type=float, default=None)
+    settings.add_argument("--alpha", type=float, default=None)
+    settings.add_argument("--beta", type=float, default=None)
+    settings.add_argument("--config", default=None, help="key=value config file; flags win")
+
+    p = sub.add_parser("segment", parents=[settings],
+                       help="segment lines into words or characters")
     p.add_argument("input", help=".rle file, directory of .rle files, or manifest")
     p.add_argument("--mode", choices=("words", "chars"), default="words")
-    p.add_argument("--threshold", type=ThresholdMode.parse, default=None,
-                   help="auto | fixed:<value> | scale:<factor> (default auto)")
-    p.add_argument("--roi-t", dest="roi_t", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--config", default=None, help="key=value config file; flags win")
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_segment)
 
@@ -250,14 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("bench", help="time run-domain vs pixel-domain segmentation")
+    p = sub.add_parser("bench", parents=[settings],
+                       help="time run-domain vs pixel-domain segmentation")
     p.add_argument("input", help=".rle file, directory, or manifest")
     p.add_argument("--repeat", type=int, default=1)
-    p.add_argument("--threshold", type=ThresholdMode.parse, default=None)
-    p.add_argument("--roi-t", dest="roi_t", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--config", default=None)
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_bench)
 

@@ -1,7 +1,14 @@
-"""PBM reading and writing (P1 ASCII and P4 packed); PBM 1 = black = ink."""
+"""PBM reading and writing (P1 ASCII and P4 packed); PBM 1 = black = ink.
+
+Both encodings are read and written in NumPy passes. A P1 raster takes one
+pass however many ``#`` comments it holds: a regex substitution removes them
+(they hold no line break, so line numbers survive), then one table lookup
+finds the pixels, or the first bad byte and its line.
+"""
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -52,53 +59,33 @@ def read_pbm(path) -> Bitmap:
     return _read_p4_raster(data, pos, width, height, path)
 
 
-# The bytes of a P1 raster other than comments: the two pixel digits and whitespace.
+# A comment runs from "#" to the end of its line; it holds no line break.
+_P1_COMMENT = re.compile(rb"#[^\r\n]*")
+# The bytes of a P1 raster without its comments: the two pixel digits and whitespace.
 _P1_PLAIN = np.zeros(256, dtype=bool)
 _P1_PLAIN[list(b"01" + _WHITESPACE)] = True
 
 
 def _read_p1_raster(data: bytes, pos: int, width: int, height: int, path) -> Bitmap:
-    """The first width*height digits after pos, in one NumPy pass when they come
-    before any comment or bad byte; otherwise the byte-by-byte scan decides, so
-    every error keeps its message and line. Bytes after the last pixel stay
-    unread."""
+    """The first width*height digits after pos, in one pass over the raster
+    with its comments removed; the pixels must come before any other byte.
+    Bytes after the last pixel stay unread."""
     target = width * height
-    raster = np.frombuffer(data, dtype=np.uint8)[pos:]
-    plain = _P1_PLAIN[raster]
-    if not plain.all():
-        raster = raster[: plain.argmin()]  # up to the first '#' or bad byte
-    digits = raster[raster >= 0x30]  # '0' and '1' sort above the whitespace bytes
+    stripped = _P1_COMMENT.sub(b"", data[pos:])
+    raster = np.frombuffer(stripped, dtype=np.uint8)
+    plain = _P1_PLAIN.take(raster)
+    bad = len(raster) if plain.all() else int(plain.argmin())
+    head = raster[:bad]
+    digits = head[head >= 0x30]  # '0' and '1' sort above the whitespace bytes
     if digits.size >= target:
         return Bitmap((digits[:target] - 0x30).reshape(height, width))
-    return _scan_p1_raster(data, pos, width, height, path)
-
-
-def _scan_p1_raster(data: bytes, pos: int, width: int, height: int, path) -> Bitmap:
-    target = width * height
-    size = len(data)
-    vals = bytearray(min(target, size - pos))  # each pixel takes a byte of the file
-    n = 0
-    while pos < size and n < target:
-        c = data[pos]
-        if c in (0x30, 0x31):  # '0' / '1'
-            vals[n] = c - 0x30
-            n += 1
-            pos += 1
-        elif data[pos : pos + 1] in _WHITESPACE:
-            pos += 1
-        elif c == 0x23:  # '#'
-            while pos < size and data[pos : pos + 1] not in b"\r\n":
-                pos += 1
-        else:
-            raise ParseError(
-                path, _line_of(data, pos), f"unexpected byte {chr(c)!r} in P1 raster"
-            )
-    if n < target:
-        raise ParseError(
-            path, _line_of(data, pos), f"truncated P1 raster: {n} of {target} pixels"
-        )
-    arr = np.frombuffer(bytes(vals), dtype=np.uint8).reshape(height, width)
-    return Bitmap(arr)
+    if bad < len(raster):
+        # removing the comments kept every line break, so lines count the same
+        line = _line_of(data, pos) + stripped.count(b"\n", 0, bad)
+        raise ParseError(path, line, f"unexpected byte {chr(raster[bad])!r} in P1 raster")
+    raise ParseError(
+        path, _line_of(data, len(data)), f"truncated P1 raster: {digits.size} of {target} pixels"
+    )
 
 
 def _read_p4_raster(data: bytes, pos: int, width: int, height: int, path) -> Bitmap:

@@ -9,7 +9,9 @@ cumulative(j) - runs[j] <= x < cumulative(j).
 Cost model: an image stores only its ink runs, as flat arrays (``Spans``): the
 start and stop column of every ink run of every row, row after row, and a row
 pointer into them; its ``RleRow``s are a view built from them on first use.
-Rows given to ``RleImage`` become spans once, in one pass that checks them.
+Rows given to ``RleImage`` have their widths checked in one Python loop and
+become spans in one NumPy pass that checks them; read_rle's bulk path, encode
+and crops build their images from checked spans and skip both.
 encode and decode are one NumPy pass each: the spans are cut from the edges of
 the zero-padded bitmap, and the pixels are the running sum of +1 at every span
 start and -1 at every stop. read_rle checks the syntax of every row line with
@@ -18,15 +20,16 @@ C-level pass (``np.fromstring``) and checks every row at once with array
 operations: token count, no token above the width, no zero past a row's first
 run, each row summing to the width. The spans are cut from the file's
 cumulative sum in the same pass. Only when a check fails does it go line by
-line, to report the first bad line; files whose ``width * height`` could
-overflow an int64 sum always go that way. Cropping, projection, cut location
-and the run count of a row range then run as NumPy passes over the spans, with
-no per-row Python loop: a crop is two sorted searches and one gather, O(rows
-log runs + runs in the window); projecting rows [a, b) is one slice; locating
-all of a line's cuts is one sorted search per array. Those searches run over
-copies of the spans shifted by ``row * width``, which keep every row of the
-image in one sorted array; they are int64 while ``width * height < 2**62`` and
-exact Python ints (``dtype=object``) beyond.
+line, to report the first bad line, with the same syntax scans applied to one
+line at a time; files whose ``width * height`` could overflow an int64 sum
+always go that way. Cropping, projection, cut location and the run count of a
+row range then run as NumPy passes over the spans, with no per-row Python
+loop: a crop is two sorted searches and one gather, O(rows log runs + runs in
+the window); projecting rows [a, b) is one slice; locating all of a line's
+cuts is one sorted search per array. Those searches run over copies of the
+spans shifted by ``row * width``, which keep every row of the image in one
+sorted array; they are int64 while ``width * height < 2**62`` and exact
+Python ints (``dtype=object``) beyond.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, repeat, starmap
-from operator import attrgetter, ne, sub
+from itertools import accumulate, chain, starmap
+from operator import sub
 from pathlib import Path
 from typing import NamedTuple
 
@@ -127,9 +130,6 @@ class RleRow:
         return row
 
 
-_WIDTH = attrgetter("width")
-
-
 class Spans(NamedTuple):
     """The ink runs of an image, row after row, in flat arrays.
 
@@ -164,10 +164,11 @@ class RleImage:
             raise MalformedRleError("width must be >= 1")
         if not rows:
             raise MalformedRleError("image needs at least one row")
-        # One C-level pass over the row widths; the loop only finds the culprit.
-        if any(map(ne, map(_WIDTH, rows), repeat(width))):
-            i, w = next((i, w) for i, w in enumerate(map(_WIDTH, rows)) if w != width)
-            raise MalformedRleError(f"row {i}: runs sum to {w}, expected width {width}")
+        for i, row in enumerate(rows):
+            if row.width != width:
+                raise MalformedRleError(
+                    f"row {i}: runs sum to {row.width}, expected width {width}"
+                )
         self.width, self.height = width, len(rows)
         # int64 while every row offset r * width + x fits; exact ints beyond
         dtype = np.int64 if width * len(rows) < _BULK_LIMIT else object
@@ -322,15 +323,13 @@ _BULK_LIMIT = 2**62
 _QUOTE_CHARS = 40
 
 
-def _is_run_list(line: str) -> bool:
-    """Whether one line is space-separated digit tokens: the whole-text test
-    applied to a single line, so no regex keeps per-character state."""
-    return (
-        line != ""
-        and _ROW_CHARS_RE.fullmatch(line) is not None
-        and line[0] != " "
-        and line[-1] != " "
-        and "  " not in line
+def _run_lists(text: str, start: int) -> bool:
+    """Whether the lines of text from start on are run lists: digit tokens
+    split by single spaces. The fault scan reads the whole text, which must
+    have no fault before start (read_rle's header has none); one line is
+    checked as ``f"\\n{line}\\n"`` from 1. No regex keeps per-token state."""
+    return _ROW_CHARS_RE.fullmatch(text, start) is not None and not any(
+        fault in text for fault in _ROW_FAULTS
     )
 
 
@@ -408,16 +407,14 @@ def read_rle(path) -> RleImage:
     # checks below, so the first bad line is reported whichever check it fails.
     # (A regex with a repeated group, over one line or all of them, would keep
     # backtracking state for every token.)
-    each_line = _ROW_CHARS_RE.fullmatch(text, len(lines[0]) + 1) is None or any(
-        fault in text for fault in _ROW_FAULTS
-    )
+    each_line = not _run_lists(text, len(lines[0]) + 1)
     if not each_line and width * height < _BULK_LIMIT:
         spans = _bulk_spans(text[len(lines[0]) + 1 :], lines[1:], width)
         if spans is not None:
             return RleImage._from_spans(width, spans)
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
-        if each_line and not _is_run_list(line):
+        if each_line and not _run_lists(f"\n{line}\n", 1):
             raise ParseError(path, lineno, f"malformed run list {_quote(line)}")
         try:
             row = RleRow(line.split(" "))

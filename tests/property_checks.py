@@ -53,7 +53,7 @@ from rlseg.pixel_baseline import (
 )
 from rlseg.projection import Component, Occupancy, components, occupancy, union
 from rlseg.records import dumps, line_char_records, word_record
-from rlseg.pbm import _scan_p1_raster, read_pbm, write_pbm
+from rlseg.pbm import read_pbm, write_pbm
 from rlseg.rle import RleImage, RleRow, crop_columns, locate_run, read_rle, write_rle
 from rlseg.words import separator_at, separators_at
 
@@ -68,6 +68,7 @@ from support import (
     random_bitmap,
     random_blob_line,
     read_rle_reference,
+    scan_p1_raster,
     shift_right,
 )
 
@@ -853,12 +854,16 @@ def check_wide_pbm_roundtrip(seed, tmp_path):
 
 def _random_p1_text(rng, width, height):
     """A P1 file that is mostly well formed: digits split by random whitespace,
-    with at times a comment, a bad byte, trailing bytes or too few pixels."""
+    with at times a comment, a bad byte, trailing bytes or too few pixels.
+    Comments may end in a lone CR, or start right after a digit and hold more
+    digits, which must not count as pixels."""
     parts = [f"P1\n{width} {height}\n"]
     for _ in range(width * height - (rng.random() < 0.1)):
         parts.append(rng.choice("01") + rng.choice(["", "", " ", "\n", "\t", "\r\n", "  "]))
         if rng.random() < 0.02:
-            parts.append(rng.choice(["# a comment\n", "#", "2", "x", "\x00", "-"]))
+            parts.append(
+                rng.choice(["# a comment\n", "# c\r", "1#01", "#", "2", "x", "\x00", "-"])
+            )
     if rng.random() < 0.3:
         parts.append(rng.choice(["1", "# trailing", "x", "\n\n"]))
     return "".join(parts).encode("latin-1")
@@ -874,7 +879,7 @@ def check_p1_reader_matches_scan(seed, tmp_path):
     path.write_bytes(data)
     pos = len(f"P1\n{width} {height}")
     try:
-        expected = _scan_p1_raster(data, pos, width, height, path)
+        expected = scan_p1_raster(data, pos, width, height, path)
     except ParseError as exc:
         with pytest.raises(ParseError) as got:
             read_pbm(path)
@@ -983,15 +988,22 @@ _SCHEMAS = None
 
 
 def _schemas():
+    """One validator per schema under docs/schemas, each schema checked once.
+
+    jsonschema.validate checks its schema and builds a validator on every
+    call; the sweep validates thousands of records against four schemas.
+    """
     global _SCHEMAS
     if _SCHEMAS is None:
         from pathlib import Path
 
         schema_dir = Path(__file__).resolve().parents[1] / "docs" / "schemas"
-        _SCHEMAS = {
-            name: json.loads((schema_dir / f"{name}.schema.json").read_text())
-            for name in ("word_record", "char_record", "evaluation_report", "ground_truth")
-        }
+        _SCHEMAS = {}
+        for name in ("word_record", "char_record", "evaluation_report", "ground_truth"):
+            schema = json.loads((schema_dir / f"{name}.schema.json").read_text())
+            cls = jsonschema.validators.validator_for(schema)
+            cls.check_schema(schema)
+            _SCHEMAS[name] = cls(schema)
     return _SCHEMAS
 
 
@@ -1001,11 +1013,11 @@ def check_json_outputs_validate(seed, tmp_path):
     schemas = _schemas()
     words = segment_words(line)
     rec = word_record("v", words)
-    jsonschema.validate(rec, schemas["word_record"])
+    schemas["word_record"].validate(rec)
     chain = segment_line_chars(line)
     char_recs = line_char_records("v", chain)
     for cr in char_recs:
-        jsonschema.validate(cr, schemas["char_record"])
+        schemas["char_record"].validate(cr)
     truth = [
         GroundTruthLine(
             "v",
@@ -1014,10 +1026,9 @@ def check_json_outputs_validate(seed, tmp_path):
         )
     ]
     report = evaluate_records([rec], truth, "word")
-    jsonschema.validate(report, schemas["evaluation_report"])
-    jsonschema.validate(
-        [{"line_id": "v", "words": [[0, 1]], "chars": [[[0, 1]]]}],
-        schemas["ground_truth"],
+    schemas["evaluation_report"].validate(report)
+    schemas["ground_truth"].validate(
+        [{"line_id": "v", "words": [[0, 1]], "chars": [[[0, 1]]]}]
     )
 
 

@@ -199,6 +199,38 @@ def brute_locate(row_pixels, x: int) -> int:
     raise AssertionError(f"column {x} not located")
 
 
+def scan_p1_raster(data: bytes, pos: int, width: int, height: int, path) -> Bitmap:
+    """The byte-by-byte P1 raster scan that read_pbm's one pass must agree with.
+
+    Reads the first width*height pixel digits after pos, skipping whitespace
+    and ``#`` comments as it meets them; any other byte before the last pixel
+    raises at its line, and running out of bytes raises at the file's last
+    line. Bytes after the last pixel stay unread.
+    """
+    target = width * height
+    size = len(data)
+    vals = bytearray(min(target, size - pos))  # each pixel takes a byte of the file
+    n = 0
+    while pos < size and n < target:
+        c = data[pos]
+        if c in (0x30, 0x31):  # '0' / '1'
+            vals[n] = c - 0x30
+            n += 1
+            pos += 1
+        elif data[pos : pos + 1] in b" \t\r\n":
+            pos += 1
+        elif c == 0x23:  # '#'
+            while pos < size and data[pos : pos + 1] not in b"\r\n":
+                pos += 1
+        else:
+            line = data.count(b"\n", 0, pos) + 1
+            raise ParseError(path, line, f"unexpected byte {chr(c)!r} in P1 raster")
+    if n < target:
+        line = data.count(b"\n", 0, pos) + 1
+        raise ParseError(path, line, f"truncated P1 raster: {n} of {target} pixels")
+    return Bitmap(np.frombuffer(bytes(vals), dtype=np.uint8).reshape(height, width))
+
+
 _REF_HEADER_RE = re.compile(r"^RLE1 ([0-9]+) ([0-9]+)$")
 _REF_ROW_CHARS_RE = re.compile(r"[0-9 \n]*")
 _REF_ROW_FAULTS = ("  ", " \n", "\n ", "\n\n")

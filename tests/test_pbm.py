@@ -71,3 +71,27 @@ def test_p1_line_length_limit(tmp_path):
     path = tmp_path / "wide.pbm"
     write_pbm(Bitmap([[1] * 300]), path)
     assert all(len(line) <= 70 for line in path.read_text().splitlines())
+
+
+def _p1_error(tmp_path, text: bytes) -> str:
+    path = tmp_path / "e.pbm"
+    path.write_bytes(text)
+    with pytest.raises(ParseError) as exc:
+        read_pbm(path)
+    return str(exc.value).removeprefix(f"{path}:")
+
+
+def test_p1_bad_byte_after_a_two_line_comment_names_its_line(tmp_path):
+    text = b"P1\n2 2\n1 0 # one\n# two\n1 x 1\n"
+    assert _p1_error(tmp_path, text) == "5: unexpected byte 'x' in P1 raster"
+
+
+def test_p1_bytes_after_the_last_pixel_are_not_read(tmp_path):
+    path = tmp_path / "j.pbm"
+    path.write_bytes(b"P1\n3 1\n1 0 1x# junk\x00\n-\n")
+    assert read_pbm(path) == Bitmap([[1, 0, 1]])
+
+
+def test_p1_raster_ending_in_a_comment_is_truncated_at_the_last_line(tmp_path):
+    text = b"P1\n2 2\n1 0\n1 # 1 0"
+    assert _p1_error(tmp_path, text) == "4: truncated P1 raster: 3 of 4 pixels"
