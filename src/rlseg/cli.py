@@ -101,11 +101,21 @@ def _read_text(path) -> str:
         raise ParseError(path, 0, f"not UTF-8: {exc}") from exc
 
 
-def _read_json(path):
-    try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno, f"not JSON: {exc.msg}") from exc
+def _read_records(path) -> list:
+    """The records of a JSON Lines file, skipping empty lines.
+
+    Only "\n" ends a line: the writer escapes every other line break.
+    """
+    records = []
+    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+        if line:
+            try:
+                records.append(json.loads(line))
+            except (ValueError, RecursionError) as exc:
+                # bad syntax, an int past Python's digit limit, or nesting too deep
+                msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                raise ParseError(path, lineno, f"not JSON: {msg}") from exc
+    return records
 
 
 def _emit(text: str, out_path) -> None:
@@ -129,19 +139,18 @@ def cmd_segment(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     mode = _resolve_mode(args, cfg)
     params = _resolve_params(args, cfg)
-    records = []
+    chunks = []  # each line's JSON Lines text; written once all lines succeed
     for line_id, path in _input_lines(Path(args.input)):
         line = read_rle(path)
         try:
             if args.mode == "words":
-                records.append(word_record(line_id, segment_words(line, mode)))
+                records = [word_record(line_id, segment_words(line, mode))]
             else:
-                records.extend(
-                    line_char_records(line_id, segment_line_chars(line, params, mode))
-                )
+                records = line_char_records(line_id, segment_line_chars(line, params, mode))
         except EmptyLineError as exc:
             raise EmptyLineError(f"{path}: {exc}") from exc
-    _emit(dumps(records), args.out)
+        chunks.append(dumps(records))
+    _emit("\n".join(chunks), args.out)
     return EXIT_OK
 
 
@@ -152,7 +161,7 @@ def cmd_evaluate(args) -> int:
         print(f"rlseg: error: overlap must be in (0, 1], got {overlap}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        per_line = predicted_intervals(_read_json(args.pred), args.mode)
+        per_line = predicted_intervals(_read_records(args.pred), args.mode)
     except KeyError as exc:
         raise ParseError(args.pred, 0, f"record has no {exc} field") from exc
     except ValueError as exc:
@@ -160,9 +169,10 @@ def cmd_evaluate(args) -> int:
     try:
         truth = load_ground_truth(args.truth)
         report = score_intervals(per_line, truth, args.mode, overlap)
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSON and UTF-8
+    # ValueError covers JSON and UTF-8, RecursionError JSON nested too deeply
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ParseError(args.truth, 0, f"bad ground truth: {exc!r}") from exc
-    _emit(dumps(report), args.out)
+    _emit(json.dumps(report, indent=1), args.out)
     return EXIT_OK
 
 
@@ -197,7 +207,7 @@ def cmd_synth(args) -> int:
 
 def cmd_render(args) -> int:
     line = read_rle(args.rle)
-    seg = _read_json(args.seg)
+    seg = _read_records(args.seg)
     stem = Path(args.rle).stem
     try:
         xs = sorted(
@@ -242,11 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="segment lines into words or characters")
     p.add_argument("input", help=".rle file, directory of .rle files, or manifest")
     p.add_argument("--mode", choices=("words", "chars"), default="words")
-    p.add_argument("--out", default=None, help="write JSON here instead of stdout")
+    p.add_argument("--out", default=None, help="write JSON Lines here instead of stdout")
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")
-    p.add_argument("pred", help="segmentation JSON from the segment command")
+    p.add_argument("pred", help="segmentation JSON Lines from the segment command")
     p.add_argument("truth", help="ground-truth JSON")
     p.add_argument("--mode", choices=("word", "char"), default="word")
     p.add_argument("--overlap", type=float, default=None, help="minimum overlap fraction (default 0.9)")
@@ -274,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="overlay separators on the decoded line")
     p.add_argument("rle")
-    p.add_argument("seg", help="segmentation JSON from the segment command")
+    p.add_argument("seg", help="segmentation JSON Lines from the segment command")
     p.add_argument("out", help="output PBM path")
     p.add_argument("--binary", action="store_true")
     p.set_defaults(func=cmd_render)

@@ -1,8 +1,9 @@
 """PBM reading and writing (P1 ASCII and P4 packed); PBM 1 = black = ink.
 
-Both encodings are read and written in NumPy passes. A P1 raster takes one
-pass however many ``#`` comments it holds: a regex substitution removes them
-(they hold no line break, so line numbers survive), then one table lookup
+Both encodings are read and written in NumPy passes. Each header token is one
+regex match over the whitespace and ``#`` comments before it. A P1 raster
+takes one pass however many comments it holds: a regex substitution removes
+them (they hold no line break, so line numbers survive), then one table lookup
 finds the pixels, or the first bad byte and its line.
 """
 
@@ -23,24 +24,22 @@ def _line_of(data: bytes, pos: int) -> int:
     return data.count(b"\n", 0, pos) + 1
 
 
+# A comment runs from "#" to the end of its line; it holds no line break.
+_COMMENT = re.compile(rb"#[^\r\n]*")
+# Whitespace and comments, then a decimal token's digits (maybe none). The
+# possessive *+ keeps no backtracking state per comment or whitespace run.
+_HEADER_TOKEN = re.compile(rb"(?:[ \t\r\n]+|" + _COMMENT.pattern + rb")*+([0-9]*)")
+
+
 def _next_token(data: bytes, pos: int, path) -> tuple[int, int]:
     """Read one decimal header token, skipping whitespace and # comments."""
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == b"#":
-            while pos < n and data[pos : pos + 1] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and data[pos : pos + 1].isdigit():
-        pos += 1
-    if start == pos:
-        raise ParseError(path, _line_of(data, start), "expected a decimal header token")
-    return int(data[start:pos]), pos
+    m = _HEADER_TOKEN.match(data, pos)
+    if m.start(1) == m.end(1):
+        raise ParseError(path, _line_of(data, m.start(1)), "expected a decimal header token")
+    try:
+        return int(m[1]), m.end(1)
+    except ValueError as exc:  # more digits than Python converts to an int
+        raise ParseError(path, _line_of(data, m.start(1)), str(exc)) from exc
 
 
 def read_pbm(path) -> Bitmap:
@@ -59,8 +58,6 @@ def read_pbm(path) -> Bitmap:
     return _read_p4_raster(data, pos, width, height, path)
 
 
-# A comment runs from "#" to the end of its line; it holds no line break.
-_P1_COMMENT = re.compile(rb"#[^\r\n]*")
 # The bytes of a P1 raster without its comments: the two pixel digits and whitespace.
 _P1_PLAIN = np.zeros(256, dtype=bool)
 _P1_PLAIN[list(b"01" + _WHITESPACE)] = True
@@ -71,7 +68,7 @@ def _read_p1_raster(data: bytes, pos: int, width: int, height: int, path) -> Bit
     with its comments removed; the pixels must come before any other byte.
     Bytes after the last pixel stay unread."""
     target = width * height
-    stripped = _P1_COMMENT.sub(b"", data[pos:])
+    stripped = _COMMENT.sub(b"", data[pos:])
     raster = np.frombuffer(stripped, dtype=np.uint8)
     plain = _P1_PLAIN.take(raster)
     bad = len(raster) if plain.all() else int(plain.argmin())

@@ -1,30 +1,27 @@
-"""JSON record construction and the one serializer of the package.
+"""JSON record construction and the segment output writer.
 
 Both pipelines feed the same builders with the same value types, so equal
 segmentations serialize to byte-identical JSON. Every record carries
-``"version": SCHEMA_VERSION`` as its first key: version 2 writes a cut's run
-coordinate as one flat list of run indices, one per row, where version 1 wrote
-``[row, run]`` pairs.
+``"version": SCHEMA_VERSION`` as its first key. Version 3 writes one compact
+record per line (JSON Lines); version 2 wrote the same records as one indented
+JSON list. Since version 2 a cut's run coordinate is one flat list of run
+indices, one per row; version 1 wrote ``[row, run]`` pairs.
 
-``dumps`` writes exactly the text of ``json.dumps(value, indent=1)``, but most
-of its bytes, the ``[start, end]`` intervals and each cut's flat list of run
-indices, are rendered a whole list at a time by C-level string operations
-instead of json's pure-Python indenting encoder. The flat lists are also why
-records are cheap to build: a cut adds one list of ints, not one small list per
-row, so building a pass's records no longer feeds the garbage collector with
-hundreds of thousands of container objects.
+A cut adds one list of ints, not one small list per row, so building a pass's
+records does not feed the garbage collector with hundreds of thousands of
+container objects.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from json.encoder import encode_basestring_ascii as _encode_str
+import json
 
 from .chars import CharSegmentation, LineCharSegmentation
 from .words import SeparatorPoint, WordSegmentation
 
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def separator_record(sep: SeparatorPoint) -> dict:
@@ -65,129 +62,11 @@ def line_char_records(line_id: str, seg: LineCharSegmentation) -> list[dict]:
     ]
 
 
-def dumps(value) -> str:
-    """Canonical serialization used by the CLI and the differential tests.
+def dumps(records) -> str:
+    """The records as JSON Lines: one compact record per line, no final newline.
 
-    Byte-identical to ``json.dumps(value, indent=1)`` for any acyclic value
-    that json accepts, and raises TypeError where json does.
+    Each record is written by json's C encoder; escaping every non-ASCII
+    character keeps line breaks such as U+2028 out of the text, so a record
+    never spans two lines. Raises TypeError and ValueError where json does.
     """
-    out: list[str] = []
-    _emit(value, 0, out)
-    return "".join(out)
-
-
-_LIST = frozenset((list,))
-_INT = frozenset((int,))
-_INF = float("inf")
-
-
-def _scalar(o) -> str | None:
-    """JSON text of a str, None, bool, int or float; None for anything else."""
-    if isinstance(o, str):
-        return _encode_str(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == _INF:
-            return "Infinity"
-        if o == -_INF:
-            return "-Infinity"
-        return float.__repr__(o)
-    return None
-
-
-def _key(k) -> str:
-    """A dict key as json writes it: str, float, bool, None and int only."""
-    if isinstance(k, str):
-        return _encode_str(k)
-    if isinstance(k, (int, float)) or k is None:
-        return '"' + _scalar(k) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-def _ints(o: list, level: int) -> str | None:
-    """Indented text of a list of plain ints, else None.
-
-    Exact type test as in ``_int_lists``: bool, IntEnum and float items fall
-    back to the general path.
-    """
-    if not _INT.issuperset(map(type, o)):
-        return None
-    item = "\n" + " " * (level + 1)
-    return "[" + item + ("," + item).join(map(int.__repr__, o)) + item[:-1] + "]"
-
-
-def _int_lists(o: list, level: int) -> str | None:
-    """Indented text of a list of non-empty lists of plain ints, else None.
-
-    ``repr`` of such a list has no characters but digits, '-', ', ' and
-    brackets, so three replaces turn it into json's indent-1 layout. bool and
-    IntEnum items would repr differently, hence the exact type tests.
-    """
-    if not (_LIST.issuperset(map(type, o)) and all(o)):
-        return None
-    if not _INT.issuperset(map(type, chain.from_iterable(o))):
-        return None
-    outer = "\n" + " " * level
-    item = outer + " "
-    num = item + " "
-    body = (
-        repr(o)[2:-2]
-        .replace("], [", "|")
-        .replace(", ", "," + num)
-        .replace("|", item + "]," + item + "[" + num)
-    )
-    return "[" + item + "[" + num + body + item + "]" + outer + "]"
-
-
-def _emit(o, level: int, out: list[str]) -> None:
-    if isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        item = "\n" + " " * (level + 1)
-        sep = "{" + item
-        for k, v in o.items():
-            key = _encode_str(k) if type(k) is str else _key(k)
-            text = _scalar(v)
-            if text is None:
-                out.append(sep + key + ": ")
-                _emit(v, level + 1, out)
-            else:
-                out.append(sep + key + ": " + text)
-            sep = "," + item
-        out.append(item[:-1] + "}")
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        text = None
-        if type(o) is list:
-            first = type(o[0])
-            if first is int:
-                text = _ints(o, level)
-            elif first is list:
-                text = _int_lists(o, level)
-        if text is not None:
-            out.append(text)
-            return
-        item = "\n" + " " * (level + 1)
-        sep = "[" + item
-        for v in o:
-            out.append(sep)
-            _emit(v, level + 1, out)
-            sep = "," + item
-        out.append(item[:-1] + "]")
-    else:
-        text = _scalar(o)
-        if text is None:
-            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-        out.append(text)
+    return "\n".join(map(_ENCODE, records))

@@ -9,6 +9,7 @@ middle band; they never enter the top or bottom band.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .chars import roi_from_bounds, split_bands
-from .records import dumps
 from .rle import Bitmap, RleImage, encode, write_rle
 
 # Row zones of a generated line: one blank guard row, ascender zone,
@@ -135,7 +135,8 @@ def write_corpus(cfg: SynthConfig, out_dir) -> list[Path]:
         write_rle(line.image, path)
         paths.append(path)
     (out_dir / "ground_truth.json").write_text(
-        dumps(ground_truth_records(corpus)) + "\n", encoding="utf-8"
+        json.dumps(ground_truth_records(corpus), separators=(",", ":")) + "\n",
+        encoding="utf-8",
     )
     (out_dir / "manifest.txt").write_text(
         "".join(f"lines/{p.name}\n" for p in paths), encoding="ascii"

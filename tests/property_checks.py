@@ -12,7 +12,6 @@ import io
 import json
 import math
 import random
-from enum import IntEnum
 from itertools import accumulate
 
 import jsonschema
@@ -53,7 +52,7 @@ from rlseg.pixel_baseline import (
 )
 from rlseg.projection import Component, Occupancy, components, occupancy, union
 from rlseg.records import dumps, line_char_records, word_record
-from rlseg.pbm import read_pbm, write_pbm
+from rlseg.pbm import _next_token, read_pbm, write_pbm
 from rlseg.rle import RleImage, RleRow, crop_columns, locate_run, read_rle, write_rle
 from rlseg.words import separator_at, separators_at
 
@@ -68,6 +67,7 @@ from support import (
     random_bitmap,
     random_blob_line,
     read_rle_reference,
+    scan_header_token,
     scan_p1_raster,
     shift_right,
 )
@@ -409,7 +409,7 @@ def _union_inputs(starts, stops):
 
 def _exact_int_pairs(comps, shift=0):
     """The (x_min, x_max) pairs moved back by shift; every bound must be an int,
-    since a NumPy scalar would knock records.dumps off its int fast paths."""
+    since json cannot write a NumPy scalar."""
     assert all(type(c.x_min) is int and type(c.x_max) is int for c in comps), comps
     return [(c.x_min - shift, c.x_max - shift) for c in comps]
 
@@ -772,8 +772,8 @@ def check_pipeline_differential(seed, tmp_path):
             raise AssertionError("pixel path did not raise EmptyLineError")
         except EmptyLineError:
             return
-    assert dumps(word_record("p", cdp_words)) == dumps(
-        word_record("p", pdp_segment_words(bitmap))
+    assert dumps([word_record("p", cdp_words)]) == dumps(
+        [word_record("p", pdp_segment_words(bitmap))]
     )
     cdp = dumps(line_char_records("p", segment_line_chars(line)))
     pdp = dumps(line_char_records("p", pdp_segment_line_chars(bitmap)))
@@ -888,100 +888,60 @@ def check_p1_reader_matches_scan(seed, tmp_path):
         assert read_pbm(path) == expected
 
 
-class _Level(IntEnum):
-    LOW = 1
-    DEEP = -7
+# Before a header token: PBM whitespace, comments ending at LF, CR or the end
+# of the file, comments holding digits, and VT and FF, which PBM does not count
+# as whitespace. Tokens include a sign, a non-ASCII digit (latin-1 b"\xb2") and
+# none at all.
+_HEADER_GAPS = [" ", "\t", "\r", "\n", "\r\n", "# c\n", "# c\r", "#12 34\r\n", "#", "\x0b", "\x0c"]
+_HEADER_TOKENS = ["0", "7", "007", "123456789012345678901234567890", "", "x", "-3", "+3", "\xb2"]
 
 
-# strings that would break a text-level rendering if one reached the int fast path
-_STRINGS = [
-    "", "line0000:w3", "\u00e9\u2603\U0001F600", "tab\tnl\n", 'q"b\\', "\x00\x1f\x7f",
-    "], [", ", ", "|",
-]
-_FLOATS = [0.0, -0.0, 1.5, 0.1 + 0.2, 1e300, -2.5e-308, math.nan, math.inf, -math.inf]
-_KEYS = ["x", "runs", "\u00e9", "", 0, -3, 2.5, -0.0, math.nan, True, False, None, _Level.DEEP]
-
-
-def _random_scalar(rng):
-    return rng.choice(
-        [
-            rng.randint(-10**6, 10**6),
-            rng.choice([True, False, None, _Level.LOW, 10**30]),
-            rng.choice(_FLOATS),
-            rng.choice(_STRINGS),
-        ]
-    )
-
-
-def _random_int_lists(rng):
-    """Mostly [[int, ...], ...]; sometimes with one item that must leave the fast path."""
-    out = [
-        [rng.randint(-50, 5000) for _ in range(rng.randint(1, 3))]
-        for _ in range(rng.randint(1, 6))
-    ]
-    roll = rng.random()
-    row = rng.choice(out)
-    if roll < 0.1:
-        row[rng.randrange(len(row))] = rng.choice([True, False])
-    elif roll < 0.2:
-        row[rng.randrange(len(row))] = _Level.DEEP
-    elif roll < 0.3:
-        out[rng.randrange(len(out))] = []
-    elif roll < 0.4:
-        out[rng.randrange(len(out))] = tuple(row)
-    elif roll < 0.5:
-        row[rng.randrange(len(row))] = _random_scalar(rng)
-    return out
-
-
-def _random_ints(rng):
-    """Mostly [int, ...], like a cut's run indices; sometimes with one item that
-    must leave the fast path: a bool, an IntEnum, a float, a list or a tuple."""
-    out = [
-        rng.choice([rng.randint(-50, 5000), -(10**30), 10**30])
-        for _ in range(rng.randint(1, 6))
-    ]
-    roll = rng.random()
-    if roll < 0.5:
-        out[rng.randrange(len(out))] = rng.choice(
-            [True, False, _Level.DEEP, 2.0, rng.choice(_FLOATS), [out[0]], (out[0], 1)]
-        )
-    return out
-
-
-def _random_json_value(rng, depth):
-    roll = rng.random()
-    if depth == 0 or roll < 0.2:
-        return _random_scalar(rng)
-    if roll < 0.35:
-        return _random_ints(rng)
-    if roll < 0.5:
-        return _random_int_lists(rng)
-    items = [_random_json_value(rng, depth - 1) for _ in range(rng.randint(0, 4))]
-    if roll < 0.65:
-        return items
-    if roll < 0.75:
-        return tuple(items)
-    return {rng.choice(_KEYS): v for v in items}
-
-
-def check_dumps_matches_json_indent(seed, tmp_path):
+def check_header_token_matches_scan(seed, tmp_path):
+    """read_pbm's one-match header token reader gives the byte-by-byte scan's
+    tokens and positions, or its error message and line."""
     rng = random.Random(seed)
-    for _ in range(20):
-        value = _random_json_value(rng, rng.randint(0, 4))
-        assert dumps(value) == json.dumps(value, indent=1)
+    parts = [rng.choice(["P1", "P4"])]
+    for _ in range(2):
+        parts += rng.choices(_HEADER_GAPS, k=rng.randint(0, 4))
+        parts.append(rng.choice(_HEADER_TOKENS))
+    data = "".join(parts).encode("latin-1")
+    path = tmp_path / "h.pbm"
+    pos = 2
+    for _ in range(2):
+        try:
+            expected = scan_header_token(data, pos, path)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                _next_token(data, pos, path)
+            assert str(got.value) == str(exc)
+            return
+        assert _next_token(data, pos, path) == expected
+        pos = expected[1]
+
+
+# line ids holding every line break str.splitlines knows, and JSON's escapes
+_LINE_IDS = [
+    "", "line0000", "\u00e9\u2603\U0001F600", "tab\tnl\nret\r", 'q"b\\', "\x00\x1f\x7f",
+    "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029",
+]
+
+
+def check_dumps_round_trips_as_json_lines(seed, tmp_path):
+    """dumps writes one line per record, and each line parses back to its
+    record exactly, for both pipelines' word and char records."""
+    rng = random.Random(seed)
     line = random_blob_line(rng)
     bitmap = decode(line)
-    word_recs = [
-        word_record("p", segment_words(line)),
-        word_record("p", pdp_segment_words(bitmap)),
+    records = [
+        word_record(rng.choice(_LINE_IDS), segment_words(line)),
+        word_record(rng.choice(_LINE_IDS), pdp_segment_words(bitmap)),
+        *line_char_records(rng.choice(_LINE_IDS), segment_line_chars(line)),
+        *line_char_records(rng.choice(_LINE_IDS), pdp_segment_line_chars(bitmap)),
     ]
-    char_recs = [
-        *line_char_records("p", segment_line_chars(line)),
-        *line_char_records("p", pdp_segment_line_chars(bitmap)),
-    ]
-    for value in (word_recs, char_recs, word_recs[0], char_recs[0]["separators"]):
-        assert dumps(value) == json.dumps(value, indent=1)
+    text = dumps(records)
+    lines = text.split("\n")
+    assert text.splitlines() == lines
+    assert [json.loads(x) for x in lines] == records
 
 
 _SCHEMAS = None
@@ -1068,6 +1028,7 @@ CHECKS = [
     ("truncated_inputs_exit_4", check_truncated_inputs_exit_4),
     ("wide_pbm_roundtrip", check_wide_pbm_roundtrip),
     ("p1_reader_matches_scan", check_p1_reader_matches_scan),
+    ("header_token_matches_scan", check_header_token_matches_scan),
     ("json_outputs_validate", check_json_outputs_validate),
-    ("dumps_matches_json_indent", check_dumps_matches_json_indent),
+    ("dumps_round_trips_as_json_lines", check_dumps_round_trips_as_json_lines),
 ]

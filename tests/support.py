@@ -199,6 +199,29 @@ def brute_locate(row_pixels, x: int) -> int:
     raise AssertionError(f"column {x} not located")
 
 
+def scan_header_token(data: bytes, pos: int, path) -> tuple[int, int]:
+    """The byte-by-byte PBM header token scan that read_pbm's one regex match
+    must agree with: skip whitespace and ``#`` comments (each ends before its
+    CR or LF), then read decimal digits; none raises at the line reached."""
+    n = len(data)
+    while pos < n:
+        c = data[pos : pos + 1]
+        if c in b" \t\r\n":
+            pos += 1
+        elif c == b"#":
+            while pos < n and data[pos : pos + 1] not in b"\r\n":
+                pos += 1
+        else:
+            break
+    start = pos
+    while pos < n and data[pos : pos + 1].isdigit():
+        pos += 1
+    if start == pos:
+        line = data.count(b"\n", 0, start) + 1
+        raise ParseError(path, line, "expected a decimal header token")
+    return int(data[start:pos]), pos
+
+
 def scan_p1_raster(data: bytes, pos: int, width: int, height: int, path) -> Bitmap:
     """The byte-by-byte P1 raster scan that read_pbm's one pass must agree with.
 

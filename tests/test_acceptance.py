@@ -144,14 +144,14 @@ def test_criterion_2_oracle_equivalence():
                 continue
             pdp = dumps(line_char_records(f"r{attempts}", pdp_segment_line_chars(bitmap)))
             assert cdp == pdp
-            cdp_w = dumps(word_record(f"r{attempts}", segment_words(line)))
-            pdp_w = dumps(word_record(f"r{attempts}", pdp_segment_words(bitmap)))
+            cdp_w = dumps([word_record(f"r{attempts}", segment_words(line))])
+            pdp_w = dumps([word_record(f"r{attempts}", pdp_segment_words(bitmap))])
             assert cdp_w == pdp_w
             checked += 1
         for i, line in enumerate(_structured_fixtures()):
             bitmap = decode(line)
-            assert dumps(word_record(f"s{i}", segment_words(line))) == dumps(
-                word_record(f"s{i}", pdp_segment_words(bitmap))
+            assert dumps([word_record(f"s{i}", segment_words(line))]) == dumps(
+                [word_record(f"s{i}", pdp_segment_words(bitmap))]
             )
             assert dumps(line_char_records(f"s{i}", segment_line_chars(line))) == dumps(
                 line_char_records(f"s{i}", pdp_segment_line_chars(bitmap))

@@ -30,6 +30,11 @@ def _schema(name):
     return json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text())
 
 
+def _records(text):
+    """The records of `rlseg segment` output, one JSON object per line."""
+    return [json.loads(line) for line in text.split("\n") if line]
+
+
 @pytest.fixture
 def corpus(tmp_path):
     out = tmp_path / "corpus"
@@ -60,7 +65,7 @@ def test_p1_p4_same_rle(tmp_path, corpus):
 def test_segment_words_schema(tmp_path, corpus):
     out = tmp_path / "w.json"
     assert main(["segment", str(corpus / "manifest.txt"), "--out", str(out)]) == 0
-    records = json.loads(out.read_text())
+    records = _records(out.read_text())
     assert len(records) == 4
     schema = _schema("word_record")
     for rec in records:
@@ -73,7 +78,7 @@ def test_segment_chars_schema(tmp_path, corpus):
         main(["segment", str(corpus / "manifest.txt"), "--mode", "chars", "--out", str(out)])
         == 0
     )
-    records = json.loads(out.read_text())
+    records = _records(out.read_text())
     schema = _schema("char_record")
     for rec in records:
         jsonschema.validate(rec, schema)
@@ -82,7 +87,7 @@ def test_segment_chars_schema(tmp_path, corpus):
 def test_segment_directory_input(tmp_path, corpus):
     out = tmp_path / "w.json"
     assert main(["segment", str(corpus / "lines"), "--out", str(out)]) == 0
-    assert len(json.loads(out.read_text())) == 4
+    assert len(_records(out.read_text())) == 4
 
 
 # A hand-built 18x3 line of two words of two glyphs each. Rows 1 and 2 start
@@ -95,99 +100,18 @@ GOLDEN_TRUTH = [
         "chars": [[[0, 2], [4, 5]], [[13, 13], [15, 15]]],
     }
 ]
-GOLDEN_WORDS = """[
- {
-  "version": 2,
-  "line_id": "g",
-  "words": [
-   [
-    0,
-    5
-   ],
-   [
-    12,
-    15
-   ]
-  ],
-  "separators": [
-   {
-    "x": 8,
-    "runs": [
-     4,
-     4,
-     6
-    ]
-   }
-  ],
-  "threshold": 3.5
- }
-]
-"""
-GOLDEN_CHARS = """[
- {
-  "version": 2,
-  "line_id": "g",
-  "word_id": "g:w0",
-  "chars": [
-   [
-    0,
-    2
-   ],
-   [
-    4,
-    5
-   ]
-  ],
-  "separators": [
-   {
-    "x": 3,
-    "runs": [
-     2,
-     2,
-     4
-    ]
-   }
-  ],
-  "repairs": [],
-  "params": {
-   "t": 0.2,
-   "alpha": 0.33,
-   "beta": 1.75
-  }
- },
- {
-  "version": 2,
-  "line_id": "g",
-  "word_id": "g:w1",
-  "chars": [
-   [
-    13,
-    13
-   ],
-   [
-    15,
-    15
-   ]
-  ],
-  "separators": [
-   {
-    "x": 14,
-    "runs": [
-     6,
-     5,
-     8
-    ]
-   }
-  ],
-  "repairs": [],
-  "params": {
-   "t": 0.2,
-   "alpha": 0.33,
-   "beta": 1.75
-  }
- }
-]
-"""
+GOLDEN_WORDS = (
+    '{"version":3,"line_id":"g","words":[[0,5],[12,15]],'
+    '"separators":[{"x":8,"runs":[4,4,6]}],"threshold":3.5}\n'
+)
+GOLDEN_CHARS = (
+    '{"version":3,"line_id":"g","word_id":"g:w0","chars":[[0,2],[4,5]],'
+    '"separators":[{"x":3,"runs":[2,2,4]}],"repairs":[],'
+    '"params":{"t":0.2,"alpha":0.33,"beta":1.75}}\n'
+    '{"version":3,"line_id":"g","word_id":"g:w1","chars":[[13,13],[15,15]],'
+    '"separators":[{"x":14,"runs":[6,5,8]}],"repairs":[],'
+    '"params":{"t":0.2,"alpha":0.33,"beta":1.75}}\n'
+)
 
 
 def _segment_golden(tmp_path):
@@ -200,7 +124,7 @@ def _segment_golden(tmp_path):
     return line, outs
 
 
-def test_segment_v2_golden_bytes(tmp_path):
+def test_segment_v3_golden_bytes(tmp_path):
     _, outs = _segment_golden(tmp_path)
     assert outs["words"].read_text() == GOLDEN_WORDS
     assert outs["chars"].read_text() == GOLDEN_CHARS
@@ -210,9 +134,9 @@ def test_segment_v2_golden_bytes(tmp_path):
 # synth alone), and the SHA-1 of each `rlseg segment` output: a change to the
 # run-domain path that keeps these bytes keeps the benchmark's outputs.
 BENCHMARK_SHAPED = [
-    ("words_narrow", 300, 8, "words", "71ed0fe624d756f2c0a1aa7fc1de9a54942ff955"),
-    ("chars_narrow", 100, 8, "chars", "85f02a5aafb6f42f2ce373c85e8068bedd425d6f"),
-    ("chars_wide", 24, 32, "chars", "a4fd0864fb3b49d2684fee12263f4f5a386d63e8"),
+    ("words_narrow", 300, 8, "words", "4403d42abc75db44d6bef7445d02b48ed4b63ff1"),
+    ("chars_narrow", 100, 8, "chars", "5e995f03bd526df96e137bf439afbbfad51798cd"),
+    ("chars_wide", 24, 32, "chars", "2c3b3cbde72d019d081996972b1ba11376ad0a7d"),
 ]
 
 
@@ -226,39 +150,84 @@ def test_benchmark_shaped_segment_output_is_pinned(tmp_path, name, lines, words,
     manifest = tmp_path / name / "manifest.txt"
     assert main(["segment", str(manifest), "--mode", mode, "--out", str(out)]) == 0
     assert hashlib.sha1(out.read_bytes()).hexdigest() == sha1
+    schema = _schema("word_record" if mode == "words" else "char_record")
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    for rec in _records(out.read_text()):
+        validator.validate(rec)
 
 
 @pytest.mark.parametrize("mode,schema", [("words", "word_record"), ("chars", "char_record")])
-def test_v2_schema_rejects_v1_records(tmp_path, mode, schema):
+def test_v3_schema_rejects_v2_and_v1_records(tmp_path, mode, schema):
     _, outs = _segment_golden(tmp_path)
     schema = _schema(schema)
-    rec = json.loads(outs[mode].read_text())[0]
+    rec = _records(outs[mode].read_text())[0]
     jsonschema.validate(rec, schema)
     pairs = json.loads(json.dumps(rec))
     for sep in pairs["separators"]:
         sep["runs"] = [[r, j] for r, j in enumerate(sep["runs"])]
     unversioned = {k: v for k, v in rec.items() if k != "version"}
-    for bad in (pairs, unversioned, {**rec, "version": 1}):
+    for bad in (pairs, unversioned, {**rec, "version": 1}, {**rec, "version": 2}):
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(bad, schema)
 
 
-def test_evaluate_and_render_read_v2_segment_files(tmp_path):
+def test_evaluate_and_render_read_v3_segment_files(tmp_path):
     line, outs = _segment_golden(tmp_path)
     truth = tmp_path / "truth.json"
     truth.write_text(json.dumps(GOLDEN_TRUTH))
     for mode, seg in (("word", outs["words"]), ("char", outs["chars"])):
-        assert all(rec["version"] == 2 for rec in json.loads(seg.read_text()))
+        assert all(rec["version"] == 3 for rec in _records(seg.read_text()))
         report = tmp_path / f"{mode}_report.json"
         args = ["evaluate", str(seg), str(truth), "--mode", mode, "--out", str(report)]
         assert main(args) == 0
         assert json.loads(report.read_text())["ar"] == 100.0
         overlay_path = tmp_path / f"{mode}.pbm"
         assert main(["render", str(line), str(seg), str(overlay_path)]) == 0
-        xs = [sep["x"] for rec in json.loads(seg.read_text()) for sep in rec["separators"]]
+        xs = [sep["x"] for rec in _records(seg.read_text()) for sep in rec["separators"]]
         expected = decode(read_rle(line)).pixels.copy()
         expected[:, xs] = 1
         assert (read_pbm(overlay_path).pixels[1:-1, 1:-1] == expected).all()
+
+
+def test_indented_v2_segment_file_is_rejected_at_line_1(tmp_path, capsys):
+    line, outs = _segment_golden(tmp_path)
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps(GOLDEN_TRUTH))
+    v2 = tmp_path / "v2.json"
+    records = [{**rec, "version": 2} for rec in _records(outs["words"].read_text())]
+    v2.write_text(json.dumps(records, indent=1) + "\n")
+    overlay_path = tmp_path / "o.pbm"
+    for argv in (
+        ["evaluate", str(v2), str(truth)],
+        ["render", str(line), str(v2), str(overlay_path)],
+    ):
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err == f"rlseg: parse error: {v2}:1: not JSON: Expecting value\n"
+
+
+def test_line_id_with_line_breaks_and_quotes_round_trips(tmp_path):
+    # "\u2028" and "\x85" end a line for str.splitlines, not for the reader
+    line_id = 'a\nb\u2028c\x85d"e'
+    line = tmp_path / f"{line_id}.rle"
+    line.write_text(GOLDEN_RLE)
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps([{**GOLDEN_TRUTH[0], "line_id": line_id}]))
+    for mode, eval_mode in (("words", "word"), ("chars", "char")):
+        seg = tmp_path / f"{mode}.jsonl"
+        assert main(["segment", str(line), "--mode", mode, "--out", str(seg)]) == 0
+        text = seg.read_text()
+        assert text.count("\n") == len(text.splitlines()) == len(_records(text))
+        assert {rec["line_id"] for rec in _records(text)} == {line_id}
+        report = tmp_path / f"{mode}_report.json"
+        args = ["evaluate", str(seg), str(truth), "--mode", eval_mode, "--out", str(report)]
+        assert main(args) == 0
+        rep = json.loads(report.read_text())
+        assert rep["ar"] == 100.0 and [ln["line_id"] for ln in rep["lines"]] == [line_id]
+        overlay_path = tmp_path / f"{mode}.pbm"
+        assert main(["render", str(line), str(seg), str(overlay_path)]) == 0
+        xs = [sep["x"] for rec in _records(text) for sep in rec["separators"]]
+        assert xs and read_pbm(overlay_path).pixels[1:-1, [x + 1 for x in xs]].all()
 
 
 def test_evaluate_report_schema(tmp_path, corpus):
@@ -274,7 +243,9 @@ def test_evaluate_report_schema(tmp_path, corpus):
         )
         == 0
     )
-    rep = json.loads(report.read_text())
+    text = report.read_text()
+    assert text == json.dumps(json.loads(text), indent=1) + "\n"
+    rep = json.loads(text)
     jsonschema.validate(rep, _schema("evaluation_report"))
     assert rep["ar"] == 100.0
     jsonschema.validate(
@@ -287,7 +258,7 @@ def test_chars_mode_single_glyph_line(tmp_path):
     write_rle(encode(Bitmap([[0, 1, 1, 0]] * 6)), line)
     out = tmp_path / "c.json"
     assert main(["segment", str(line), "--mode", "chars", "--out", str(out)]) == 0
-    records = json.loads(out.read_text())
+    records = _records(out.read_text())
     assert len(records) == 1  # one word
     assert records[0]["chars"] == [[1, 2]]  # one char
     assert records[0]["separators"] == []
@@ -324,7 +295,7 @@ def test_huge_declared_width_ink_line_is_one_word(tmp_path, capsys):
     line = tmp_path / "huge.rle"
     line.write_text("RLE1 300000000 1\n0 300000000\n")
     assert main(["segment", str(line), "--mode", "words"]) == 0
-    records = json.loads(capsys.readouterr().out)
+    records = _records(capsys.readouterr().out)
     assert records[0]["words"] == [[0, 299999999]]
     assert records[0]["separators"] == []
 
@@ -333,7 +304,7 @@ def test_huge_declared_width_ink_line_is_one_char(tmp_path, capsys):
     line = tmp_path / "huge.rle"
     line.write_text("RLE1 300000000 1\n0 300000000\n")
     assert main(["segment", str(line), "--mode", "chars"]) == 0
-    records = json.loads(capsys.readouterr().out)
+    records = _records(capsys.readouterr().out)
     assert [r["chars"] for r in records] == [[[0, 299999999]]]
     assert records[0]["separators"] == []
 
@@ -343,7 +314,7 @@ def test_huge_declared_width_tall_ink_line_is_one_char(tmp_path, capsys):
     line = tmp_path / "huge.rle"
     line.write_text("RLE1 300000000 3\n" + "0 300000000\n" * 3)
     assert main(["segment", str(line), "--mode", "chars"]) == 0
-    records = json.loads(capsys.readouterr().out)
+    records = _records(capsys.readouterr().out)
     assert [r["chars"] for r in records] == [[[0, 299999999]]]
     assert records[0]["separators"] == []
 
@@ -365,7 +336,7 @@ def test_huge_width_line_of_words_is_cut_exactly(tmp_path, capsys, lead, width, 
     write_rle(RleImage(width, (RleRow(runs + (width - sum(runs),)),) * 3), line)
     assert read_rle(line).spans.starts.dtype == object
     assert main(["segment", str(line), "--mode", mode]) == 0
-    records = json.loads(capsys.readouterr().out)
+    records = _records(capsys.readouterr().out)
     firsts = [lead + k * (2 * L + g + G) for k in range(3)]
     words = [[x, x + 2 * L + g - 1] for x in firsts]
     if mode == "words":
@@ -468,24 +439,35 @@ def test_long_malformed_row_gives_a_short_error(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "text,detail",
     [
-        ("[{\"line_id\": ", ":1: not JSON: "),
-        ('[{"words": [[0, 3]]}]', ":0: record has no 'line_id' field"),
-        ("[1,2]", ":0: bad predictions: record 0 is int, not an object"),
-        ("{}", ":0: bad predictions: expected a list of records, got dict"),
+        ('{"line_id": "a", "words": [[0, 3]]}\n\n{"line_id": ', ":3: not JSON: "),
+        ("{}\n" + "[" * 100_000, ":2: not JSON: maximum recursion depth exceeded"),
         (
-            '[{"line_id": "a", "words": [0, 3]}]',
+            '{"line_id": "a", "words": [[0, 1' + "0" * 5000 + "]]}",
+            ":1: not JSON: Exceeds the limit",
+        ),
+        ('{"words": [[0, 3]]}', ":0: record has no 'line_id' field"),
+        ("1\n2", ":0: bad predictions: record 0 is int, not an object"),
+        (
+            '[{"line_id": "a", "words": [[0, 3]]}]',
+            ":0: bad predictions: record 0 is list, not an object",
+        ),
+        (
+            '{"line_id": "a", "words": [0, 3]}',
             ":0: bad predictions: record 0: 'words' is not a list of [start, end] integer pairs",
         ),
         (
-            '[{"line_id": "a", "words": [[0, 3, 5]]}]',
+            '{"line_id": "a", "words": [[0, 3, 5]]}',
             ":0: bad predictions: record 0: 'words' is not a list of [start, end] integer pairs",
         ),
         (
-            '[{"line_id": "a", "words": [[5, 3]]}]',
+            '{"line_id": "a", "words": [[5, 3]]}',
             ":0: bad predictions: line a predicted interval [5, 3] is inverted",
         ),
     ],
-    ids=["not_json", "no_line_id", "not_objects", "not_a_list", "not_pairs", "triple", "inverted"],
+    ids=[
+        "not_json", "too_deep", "too_long_int", "no_line_id", "not_objects", "not_a_list",
+        "not_pairs", "triple", "inverted",
+    ],
 )
 def test_evaluate_bad_predictions_exit_4(tmp_path, corpus, capsys, text, detail):
     pred = tmp_path / "pred.json"
@@ -500,10 +482,11 @@ def test_evaluate_bad_predictions_exit_4(tmp_path, corpus, capsys, text, detail)
     "text,detail",
     [
         ("[{", ":0: bad ground truth: JSONDecodeError("),
+        ("[" * 100_000, ":0: bad ground truth: RecursionError("),
         ('[{"line_id": "a"}]', ":0: bad ground truth: KeyError('words')"),
         ("[1,2]", ":0: bad ground truth: TypeError("),
     ],
-    ids=["not_json", "no_words", "not_objects"],
+    ids=["not_json", "too_deep", "no_words", "not_objects"],
 )
 def test_evaluate_bad_truth_exit_4(tmp_path, corpus, capsys, text, detail):
     words = tmp_path / "w.json"
@@ -555,19 +538,19 @@ def test_evaluate_overlap_out_of_range_exits_1(tmp_path, corpus, capsys):
 
 def test_render_bad_segmentation_exits_4(tmp_path, corpus, capsys):
     seg = tmp_path / "seg.json"
-    seg.write_text("not json\n")
+    seg.write_text('{"line_id": "x"}\nnot json\n')
     first = sorted((corpus / "lines").glob("*.rle"))[0]
     assert main(["render", str(first), str(seg), str(tmp_path / "ov.pbm")]) == 4
     err = capsys.readouterr().err
-    assert err.startswith(f"rlseg: parse error: {seg}:1: not JSON: ")
+    assert err.startswith(f"rlseg: parse error: {seg}:2: not JSON: ")
     assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
     "text,detail",
     [
-        ("[1,2]", ":0: bad record: AttributeError("),
-        ('[{"line_id": "STEM", "separators": [{}]}]', ":0: bad record: KeyError('x')"),
+        ("1\n2", ":0: bad record: AttributeError("),
+        ('{"line_id": "STEM", "separators": [{}]}', ":0: bad record: KeyError('x')"),
     ],
     ids=["not_objects", "no_x"],
 )
@@ -623,7 +606,7 @@ def test_render_marks_separators(tmp_path, corpus):
     out = tmp_path / "ov.pbm"
     assert main(["render", str(first), str(words), str(out)]) == 0
     rec = next(
-        r for r in json.loads(words.read_text()) if r["line_id"] == first.stem
+        r for r in _records(words.read_text()) if r["line_id"] == first.stem
     )
     rendered = read_pbm(out)
     for sep in rec["separators"]:
@@ -657,14 +640,14 @@ def test_config_file_with_flag_override(tmp_path, corpus):
         )
         == 0
     )
-    n_cfg = sum(len(r["words"]) for r in json.loads(out_cfg.read_text()))
-    n_flag = sum(len(r["words"]) for r in json.loads(out_flag.read_text()))
-    assert json.loads(out_cfg.read_text())[0]["threshold"] == 1.0
+    n_cfg = sum(len(r["words"]) for r in _records(out_cfg.read_text()))
+    n_flag = sum(len(r["words"]) for r in _records(out_flag.read_text()))
+    assert _records(out_cfg.read_text())[0]["threshold"] == 1.0
     assert n_cfg > n_flag
 
 
 def test_segment_stdout(tmp_path, corpus, capsys):
     first = sorted((corpus / "lines").glob("*.rle"))[0]
     assert main(["segment", str(first)]) == 0
-    records = json.loads(capsys.readouterr().out)
+    records = _records(capsys.readouterr().out)
     assert records[0]["line_id"] == first.stem

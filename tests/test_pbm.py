@@ -95,3 +95,10 @@ def test_p1_bytes_after_the_last_pixel_are_not_read(tmp_path):
 def test_p1_raster_ending_in_a_comment_is_truncated_at_the_last_line(tmp_path):
     text = b"P1\n2 2\n1 0\n1 # 1 0"
     assert _p1_error(tmp_path, text) == "4: truncated P1 raster: 3 of 4 pixels"
+
+
+def test_header_token_past_the_int_digit_limit_is_a_parse_error(tmp_path):
+    path = tmp_path / "long.pbm"
+    path.write_bytes(b"P1\n# w\n" + b"1" * 5000 + b" 1\n0\n")
+    with pytest.raises(ParseError, match=r":3: Exceeds the limit \(4300 digits\)"):
+        read_pbm(path)

@@ -80,8 +80,8 @@ def test_word_records_byte_identical():
     for i in range(60):
         line = random_blob_line(rng)
         bitmap = decode(line)
-        cdp = dumps(word_record(f"l{i}", segment_words(line)))
-        pdp = dumps(word_record(f"l{i}", pdp_segment_words(bitmap)))
+        cdp = dumps([word_record(f"l{i}", segment_words(line))])
+        pdp = dumps([word_record(f"l{i}", pdp_segment_words(bitmap))])
         assert cdp == pdp
 
 
@@ -109,8 +109,8 @@ def test_word_level_char_records_byte_identical():
         line = random_blob_line(rng)
         words += [crop_columns(line, w.x_min, w.x_max) for w in segment_words(line).words]
     for i, word in enumerate(words):
-        cdp = dumps(char_record("w", f"w{i}", segment_chars(word)))
-        assert cdp == dumps(char_record("w", f"w{i}", pdp_segment_chars(decode(word))))
+        cdp = dumps([char_record("w", f"w{i}", segment_chars(word))])
+        assert cdp == dumps([char_record("w", f"w{i}", pdp_segment_chars(decode(word)))])
 
 
 def test_char_stage_runs_the_seams_named_at_call_time(monkeypatch):
