@@ -15,7 +15,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
-from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -26,7 +25,7 @@ from .projection import (
     Occupancy,
     WorkCounter,
     column_frequency,
-    components,
+    components,  # unused here; perfbench's tracer patches it under this module's name
     gaps,
     occupancy,
 )
@@ -42,7 +41,6 @@ from .words import (
     separators_at,
 )
 
-_x_min = attrgetter("x_min")
 _EPS = 1e-9  # guards floor() against binary float artifacts like 0.3*10 -> 2.999...96
 
 
@@ -139,11 +137,12 @@ class CharSegmentation:
 
 
 def ink_row_bounds(word: RleImage) -> tuple[int, int]:
-    """First and last row indices containing ink (inclusive)."""
-    inked = np.flatnonzero(np.diff(word.spans.iptr))
-    if not inked.size:
+    """First and last row indices containing ink (inclusive): the last row
+    whose span pointer is 0, and the row before the first one at the total."""
+    iptr = word.spans.iptr
+    if not iptr[-1]:
         raise EmptyWordError("word image has no ink")
-    return int(inked[0]), int(inked[-1])
+    return int(iptr.searchsorted(0, "right")) - 1, int(iptr.searchsorted(iptr[-1])) - 1
 
 
 def roi_from_bounds(ink_top: int, ink_bot: int, t: float) -> RoiRows:
@@ -183,20 +182,20 @@ def split_bands(rows) -> BandSet:
 def band_or(top: Occupancy, bottom: Occupancy) -> Occupancy:
     """Columnwise OR of two band occupancies, as one linear merge.
 
-    Each band's spans are already sorted and separated, so sorting their
-    concatenation by x_min is a merge of two runs (Timsort finds them), and
-    one pass then coalesces each span into the previous one when they touch
-    or overlap (x_min <= previous x_max + 1).
+    Each band's (x_min, x_max) pairs are already sorted and separated, so
+    sorting their concatenation is a merge of two runs (Timsort finds them),
+    and one pass then coalesces each pair into the previous one when they
+    touch or overlap (x_min <= previous x_max + 1).
     """
     if top.width != bottom.width:
         raise WidthMismatchError(f"widths differ: {top.width} vs {bottom.width}")
-    merged: list[Component] = []
-    for c in sorted(top.spans + bottom.spans, key=_x_min):
-        if merged and c.x_min <= merged[-1].x_max + 1:
-            if c.x_max > merged[-1].x_max:
-                merged[-1] = Component(merged[-1].x_min, c.x_max)
+    merged: list[tuple[int, int]] = []
+    for lo, hi in sorted(top.spans + bottom.spans):
+        if merged and lo <= merged[-1][1] + 1:
+            if hi > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi)
         else:
-            merged.append(c)
+            merged.append((lo, hi))
     return Occupancy(top.width, tuple(merged))
 
 
@@ -277,9 +276,10 @@ def repair(
 
 
 def plan_chars(
-    word, params: RoiParams, backend: Backend, counter: WorkCounter | None = None
+    word, params: RoiParams, backend: Backend, counter: WorkCounter | None = None, dx: int = 0
 ) -> RepairResult:
-    """Character plan of one word image, in its own columns, on either domain.
+    """Character plan of one word image, on either domain, in the columns of
+    its line: dx is the word's first column there.
 
     Falls back to the full-ROI and then full-ink-box occupancy when the
     top/bottom OR is completely dark (all ink in the middle band), so every
@@ -294,25 +294,19 @@ def plan_chars(
             return Occupancy(word.width, ())
         return backend.occupancy(word, (band.start, band.stop), counter)
 
-    comps = components(band_or(band_occupancy(bands.top), band_occupancy(bands.bottom)))
-    if not comps:
-        comps = components(backend.occupancy(word, (rows.start, rows.stop), counter))
-    if not comps:
-        comps = components(backend.occupancy(word, (ink_top, ink_bot + 1), counter))
-    if len(bands.middle):
-        freq = backend.column_frequency(word, (bands.middle.start, bands.middle.stop), counter)
+    spans = band_or(band_occupancy(bands.top), band_occupancy(bands.bottom)).spans
+    if not spans:
+        spans = backend.occupancy(word, (rows.start, rows.stop), counter).spans
+    if not spans:
+        spans = backend.occupancy(word, (ink_top, ink_bot + 1), counter).spans
+    comps = [Component(lo + dx, hi + dx) for lo, hi in spans]
+    middle = bands.middle
+    if len(middle):
+        xs, counts = backend.column_frequency(word, (middle.start, middle.stop), counter)
+        freq = ([x + dx for x in xs], counts)
     else:
         freq = ([0], [0])  # an empty middle band: 0 in every column
     return repair(comps, params, freq)
-
-
-def _shifted(result: RepairResult, dx: int) -> RepairResult:
-    """A word's plan moved dx columns right, into the coordinates of its line."""
-    return RepairResult(
-        tuple(Component(c.x_min + dx, c.x_max + dx) for c in result.chars),
-        tuple(x + dx for x in result.cuts),
-        tuple(RepairOp(r.op, r.x + dx) for r in result.repairs),
-    )
 
 
 def _located_chars(
@@ -372,7 +366,7 @@ def line_chars(
     plans = []
     for w in words.words:
         word = backend.crop(line, w.x_min, w.x_max)
-        plans.append(_shifted(plan_chars(word, params, backend, counter), w.x_min))
+        plans.append(plan_chars(word, params, backend, counter, w.x_min))
     return LineCharSegmentation(words, _located_chars(backend, line, plans, params))
 
 

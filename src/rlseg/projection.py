@@ -4,12 +4,12 @@ Cost model: every operation here visits each run of the selected rows once,
 with no per-row loop. The ink runs of rows [a, b) are one slice of the
 image's flat spans (``RleImage.spans``), which a read file or a crop arrives
 with, so projection never builds a row. An occupancy is the sorted union of
-the ink runs' spreads: ``union`` sorts NumPy copies of the two span slices
-and finds every break with one comparison of the sorted stops against the
-next sorted starts, so no per-run Python object is built; only the
-resulting intervals become Components. A column frequency is a step
-function over the run boundaries. Both take O(runs log runs) time and
-O(runs) memory, whatever the width. ``column_frequency`` stays on lists
+the ink runs' spreads, as plain int pairs: ``union`` sorts NumPy copies of
+the span slices and finds every break with one comparison of the sorted
+stops against the next sorted starts, so no per-run Python object is built;
+only ``components`` turns the pairs into Components. A column frequency is
+a step function over the run boundaries. Both take O(runs log runs) time
+and O(runs) memory, whatever the width. ``column_frequency`` stays on lists
 (``tolist``, ``sorted``, bisection): it runs on one word's middle band, a
 few dozen runs, where the fixed cost of each NumPy call outweighs the
 per-run work it saves. The optional WorkCounter records exactly those run
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import repeat, starmap
 from operator import sub
 
 import numpy as np
@@ -80,10 +80,11 @@ class Gap:
 
 @dataclass(frozen=True)
 class Occupancy:
-    """Inked columns of an image `width` wide: sorted, pairwise separated spans."""
+    """Inked columns of an image `width` wide: sorted, pairwise separated
+    spans, each an inclusive ``(x_min, x_max)`` pair of plain ints."""
 
     width: int
-    spans: tuple[Component, ...]
+    spans: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "spans", tuple(self.spans))
@@ -110,8 +111,8 @@ def union(width: int, starts, stops) -> Occupancy:
     starts and stops are 1-D sequences of ints: lists, int64 arrays or
     dtype=object arrays (exact ints past int64). Two sorts of copies, one
     comparison into a break mask padded with True at both ends, and two
-    boolean gathers, all in NumPy; .tolist() hands the bounds back as plain
-    ints.
+    boolean gathers, all in NumPy; two .tolist() calls hand the inclusive
+    bounds back as plain ints, paired by zip.
     """
     if not len(starts):
         return Occupancy(width, ())
@@ -123,8 +124,8 @@ def union(width: int, starts, stops) -> Occupancy:
     breaks[0] = breaks[-1] = True
     np.less(stops[:-1], starts[1:], out=breaks[1:-1])
     firsts = starts[breaks[:-1]].tolist()
-    lasts = stops[breaks[1:]].tolist()
-    return Occupancy(width, tuple(map(Component, firsts, map(sub, lasts, repeat(1)))))
+    lasts = (stops[breaks[1:]] - 1).tolist()
+    return Occupancy(width, tuple(zip(firsts, lasts)))
 
 
 def _ink_spans(rle: RleImage, start: int, stop: int, counter):
@@ -163,7 +164,7 @@ def column_frequency(
 
 def components(occ: Occupancy) -> list[Component]:
     """Maximal inked intervals of the occupancy, sorted and pairwise separated."""
-    return list(occ.spans)
+    return list(starmap(Component, occ.spans))
 
 
 def gaps(comps: list[Component]) -> list[Gap]:

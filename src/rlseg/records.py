@@ -67,6 +67,9 @@ def dumps(records) -> str:
 
     Each record is written by json's C encoder; escaping every non-ASCII
     character keeps line breaks such as U+2028 out of the text, so a record
-    never spans two lines. Raises TypeError and ValueError where json does.
+    never spans two lines. Raises TypeError and ValueError where json does,
+    and TypeError for one record dict, whose keys would be written as lines.
     """
+    if isinstance(records, dict):
+        raise TypeError("dumps takes a list of records, not one record")
     return "\n".join(map(_ENCODE, records))

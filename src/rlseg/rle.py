@@ -14,22 +14,22 @@ become spans in one NumPy pass that checks them; read_rle's bulk path, encode
 and crops build their images from checked spans and skip both.
 encode and decode are one NumPy pass each: the spans are cut from the edges of
 the zero-padded bitmap, and the pixels are the running sum of +1 at every span
-start and -1 at every stop. read_rle checks the syntax of every row line with
-a few C-level scans of the whole text, then parses all the row lines in one
-C-level pass (``np.fromstring``) and checks every row at once with array
-operations: token count, no token above the width, no zero past a row's first
-run, each row summing to the width. The spans are cut from the file's
-cumulative sum in the same pass. Only when a check fails does it go line by
-line, to report the first bad line, with the same syntax scans applied to one
-line at a time; files whose ``width * height`` could overflow an int64 sum
+start and -1 at every stop. read_rle checks the syntax of all row lines in one
+pass over their bytes (``bytes.translate``, then one mask of the separators,
+which also counts each row's tokens), parses them in one C-level pass
+(``np.fromstring``) and checks every row at once with array operations: token
+count, no token above the width, no zero past a row's first run, each row
+summing to the width. The spans are cut from the file's cumulative sum in the
+same pass. Only when a check fails does it go line by line, to report the
+first bad line; files whose ``width * height`` could overflow an int64 sum
 always go that way. Cropping, projection, cut location and the run count of a
 row range then run as NumPy passes over the spans, with no per-row Python
 loop: a crop is two sorted searches and one gather, O(rows log runs + runs in
 the window); projecting rows [a, b) is one slice; locating all of a line's
 cuts is one sorted search per array. Those searches run over copies of the
 spans shifted by ``row * width``, which keep every row of the image in one
-sorted array; they are int64 while ``width * height < 2**62`` and exact
-Python ints (``dtype=object``) beyond.
+sorted array; they are int64 while ``width * height < 2**62`` and exact Python
+ints (``dtype=object``) beyond.
 """
 
 from __future__ import annotations
@@ -312,25 +312,11 @@ def crop_columns(rle: RleImage, x_min: int, x_max: int) -> RleImage:
 
 
 _HEADER_RE = re.compile(r"^RLE1 ([0-9]+) ([0-9]+)$")
-_ROW_CHARS_RE = re.compile(r"[0-9 \n]*")
-# When the row lines hold only digits, spaces and newlines, each is a run list
-# exactly when the text has none of these: a double space, a space at either
-# end of a line, an empty line. (The header, checked first, has none either.)
-_ROW_FAULTS = ("  ", " \n", "\n ", "\n\n")
+_ROW_BYTES = b"0123456789 \n"
 # Below this, every prefix sum of a valid file fits an int64, and a token that
 # passes the width check is small enough that a wrapped sum shows (_bulk_spans).
 _BULK_LIMIT = 2**62
 _QUOTE_CHARS = 40
-
-
-def _run_lists(text: str, start: int) -> bool:
-    """Whether the lines of text from start on are run lists: digit tokens
-    split by single spaces. The fault scan reads the whole text, which must
-    have no fault before start (read_rle's header has none); one line is
-    checked as ``f"\\n{line}\\n"`` from 1. No regex keeps per-token state."""
-    return _ROW_CHARS_RE.fullmatch(text, start) is not None and not any(
-        fault in text for fault in _ROW_FAULTS
-    )
 
 
 def _quote(line: str) -> str:
@@ -341,16 +327,24 @@ def _quote(line: str) -> str:
     return f"{line[:_QUOTE_CHARS]!r}... ({len(line)} characters)"
 
 
-def _bulk_spans(body: str, row_lines: list[str], width: int) -> Spans | None:
-    """The spans of every row of a syntax-checked body, parsed and checked at once.
+def _bulk_spans(body: bytes, width: int, height: int) -> Spans | None:
+    """The spans of every row of a body, checked and parsed at once.
 
-    ``body`` is the text of ``row_lines``, each a run list of digit tokens, and
-    ``width * len(row_lines) < 2**62``. Returns None when any row breaks a
-    row check; the caller then goes line by line to report the first bad one.
+    ``body`` is the row lines' bytes, all digits, spaces and newlines, and
+    ``width * height < 2**62``. Every line is a run list when no separator
+    comes first or next to another: that rules out an extra space and an
+    empty line. Returns None when any row breaks a check; the caller then
+    goes line by line to report the first bad one.
     """
-    counts = np.array([line.count(" ") + 1 for line in row_lines], dtype=np.int64)
-    row_stops = np.cumsum(counts)
-    row_starts = row_stops - counts
+    raw = np.frombuffer(body, dtype=np.uint8)
+    seps = raw < 48  # a space or a newline; every other byte is a digit
+    if seps[0] or (seps[1:] & seps[:-1]).any():
+        return None
+    # Each token ends at one separator, so the tokens of rows 0..r are those
+    # up to row r's newline among the separators.
+    row_stops = np.flatnonzero(raw[seps] == 10) + 1
+    row_starts = np.concatenate(([0], row_stops[:-1]))
+    counts = row_stops - row_starts
     values = np.fromstring(body, dtype=np.int64, sep=" ")
     # A token too long for int64 reads as 2**63 - 1, which is above the width.
     if (
@@ -363,7 +357,7 @@ def _bulk_spans(body: str, row_lines: list[str], width: int) -> Spans | None:
     del values
     # Each token is at most width < 2**62, so a sum that wraps past 2**63 is
     # negative for at least one prefix; otherwise every prefix is exact.
-    row_totals = width * np.arange(1, len(row_lines) + 1, dtype=np.int64)
+    row_totals = width * np.arange(1, height + 1, dtype=np.int64)
     if ends.min() < 0 or not np.array_equal(ends[row_stops - 1], row_totals):
         return None
     ends -= np.repeat(row_totals - width, counts)  # prefix sums within each row
@@ -380,45 +374,49 @@ def write_rle(rle: RleImage, path) -> None:
 def read_rle(path) -> RleImage:
     """Parse the text .rle format; strict about whitespace and the header."""
     path = Path(path)
+    # bytes + explicit decode: universal-newline translation would hide CRLF
+    data = path.read_bytes()
     try:
-        # bytes + explicit decode: universal-newline translation would hide CRLF
-        text = path.read_bytes().decode("ascii")
+        text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise ParseError(path, 0, f"not ASCII: {exc}") from exc
     if not text:
         raise ParseError(path, 0, "empty file")
+    n_lines = text.count("\n")
     if not text.endswith("\n"):
-        raise ParseError(path, text.count("\n") + 1, "missing trailing newline")
-    lines = text.split("\n")[:-1]
-    header = _HEADER_RE.match(lines[0])
+        raise ParseError(path, n_lines + 1, "missing trailing newline")
+    head_end = text.index("\n")
+    header = _HEADER_RE.match(text, 0, head_end)
     if header is None:
         raise ParseError(
-            path, 1, f"bad header {_quote(lines[0])}, expected 'RLE1 <width> <height>'"
+            path, 1, f"bad header {_quote(text[:head_end])}, expected 'RLE1 <width> <height>'"
         )
-    width, height = int(header.group(1)), int(header.group(2))
+    try:
+        width, height = int(header[1]), int(header[2])
+    except ValueError as exc:  # more digits than Python converts to an int
+        raise ParseError(path, 1, str(exc)) from exc
     if width < 1 or height < 1:
         raise ParseError(path, 1, f"width and height must be >= 1, got {width}x{height}")
-    if len(lines) - 1 != height:
-        raise ParseError(
-            path, len(lines), f"expected {height} row lines, found {len(lines) - 1}"
-        )
-    # A few scans of the whole text check the syntax of every row line. Only
-    # when one fails is each line matched on its own, in step with the row
-    # checks below, so the first bad line is reported whichever check it fails.
-    # (A regex with a repeated group, over one line or all of them, would keep
-    # backtracking state for every token.)
-    each_line = not _run_lists(text, len(lines[0]) + 1)
-    if not each_line and width * height < _BULK_LIMIT:
-        spans = _bulk_spans(text[len(lines[0]) + 1 :], lines[1:], width)
+    if n_lines - 1 != height:
+        raise ParseError(path, n_lines, f"expected {height} row lines, found {n_lines - 1}")
+    body = data[head_end + 1 :]
+    if width * height < _BULK_LIMIT and not body.translate(None, _ROW_BYTES):
+        spans = _bulk_spans(body, width, height)
         if spans is not None:
             return RleImage._from_spans(width, spans)
+    # Line by line, each line's syntax is checked in step with its row checks,
+    # so the first bad line is reported whichever check it fails. The text is
+    # ASCII, so a token is a run length exactly when it is a non-empty
+    # isdigit() string: an extra space anywhere leaves an empty token.
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if each_line and not _run_lists(f"\n{line}\n", 1):
+    for lineno, line in enumerate(text[head_end + 1 : -1].split("\n"), start=2):
+        tokens = line.split(" ")
+        if not all(map(str.isdigit, tokens)):
             raise ParseError(path, lineno, f"malformed run list {_quote(line)}")
         try:
-            row = RleRow(line.split(" "))
-        except MalformedRleError as exc:
+            row = RleRow(tokens)
+        # ValueError: a token of more digits than Python converts to an int
+        except (MalformedRleError, ValueError) as exc:
             raise ParseError(path, lineno, str(exc)) from exc
         if row.width != width:
             raise ParseError(

@@ -35,7 +35,9 @@ from rlseg import (
 from rlseg.chars import (
     DEFAULT_PARAMS,
     RoiParams,
+    _run_backend,
     band_or,
+    plan_chars,
     repair,
     roi_from_bounds,
     split_bands,
@@ -44,6 +46,7 @@ from rlseg.cli import main
 from rlseg.errors import EmptyWordError, MalformedRleError, OutOfBoundsError, ParseError
 from rlseg.evaluate import GroundTruthLine, match
 from rlseg.pixel_baseline import (
+    _backend as _pixel_backend,
     pdp_column_frequency,
     pdp_ink_row_bounds,
     pdp_locate_run,
@@ -70,6 +73,7 @@ from support import (
     scan_header_token,
     scan_p1_raster,
     shift_right,
+    shifted_plan,
 )
 
 
@@ -407,11 +411,11 @@ def _union_inputs(starts, stops):
     yield _PAST_INT64, np.array(big[0], dtype=object), np.array(big[1], dtype=object)
 
 
-def _exact_int_pairs(comps, shift=0):
-    """The (x_min, x_max) pairs moved back by shift; every bound must be an int,
-    since json cannot write a NumPy scalar."""
-    assert all(type(c.x_min) is int and type(c.x_max) is int for c in comps), comps
-    return [(c.x_min - shift, c.x_max - shift) for c in comps]
+def _exact_int_pairs(spans, shift=0):
+    """An occupancy's (x_min, x_max) pairs moved back by shift; every bound
+    must be an int, since json cannot write a NumPy scalar."""
+    assert all(type(lo) is int and type(hi) is int for lo, hi in spans), spans
+    return [(lo - shift, hi - shift) for lo, hi in spans]
 
 
 def check_union_matches_column_or(seed, tmp_path):
@@ -440,31 +444,31 @@ def check_union_matches_column_or(seed, tmp_path):
 
 
 def _separated_spans(rng, width):
-    """Random sorted Components in [0, width) with at least one blank column between."""
-    comps, x = [], rng.randrange(4)
+    """Random sorted (x_min, x_max) pairs in [0, width) with at least one
+    blank column between."""
+    spans, x = [], rng.randrange(4)
     while x < width and rng.random() < 0.85:
         end = rng.randint(x, min(width - 1, x + 6))
-        comps.append(Component(x, end))
+        spans.append((x, end))
         x = end + 2 + rng.randrange(4)
-    return comps
+    return spans
 
 
 def check_band_or_matches_column_or(seed, tmp_path):
     rng = random.Random(seed)
     width = rng.randint(1, 60)
     top, bottom = _separated_spans(rng, width), _separated_spans(rng, width)
-    if top and top[-1].x_max + 1 < width:
+    if top and top[-1][1] + 1 < width:
         # a bottom span starting right after a top span ends: the two must merge
-        t = rng.choice([c for c in top if c.x_max + 1 < width])
-        touching = Component(t.x_max + 1, rng.randint(t.x_max + 1, min(width - 1, t.x_max + 4)))
+        t_max = rng.choice([hi for _, hi in top if hi + 1 < width])
+        touching = (t_max + 1, rng.randint(t_max + 1, min(width - 1, t_max + 4)))
         bottom = sorted(
-            [c for c in bottom if c.x_max + 1 < touching.x_min or c.x_min > touching.x_max + 1]
-            + [touching],
-            key=lambda c: c.x_min,
+            [(lo, hi) for lo, hi in bottom if hi + 1 < touching[0] or lo > touching[1] + 1]
+            + [touching]
         )
     bits = [False] * width
-    for c in top + bottom:
-        for x in range(c.x_min, c.x_max + 1):
+    for lo, hi in top + bottom:
+        for x in range(lo, hi + 1):
             bits[x] = True
     merged = band_or(Occupancy(width, top), Occupancy(width, bottom))
     assert merged.width == width
@@ -472,8 +476,8 @@ def check_band_or_matches_column_or(seed, tmp_path):
     assert merged == band_or(Occupancy(width, bottom), Occupancy(width, top))
     if width > 1:  # the smallest touching pair, checked on every seed
         x = rng.randrange(width - 1)
-        left = Occupancy(width, [Component(0, x)])
-        right = Occupancy(width, [Component(x + 1, width - 1)])
+        left = Occupancy(width, [(0, x)])
+        right = Occupancy(width, [(x + 1, width - 1)])
         assert _exact_int_pairs(band_or(left, right).spans) == [(0, width - 1)]
 
 
@@ -723,6 +727,28 @@ def check_char_determinism(seed, tmp_path):
     second = segment_line_chars(line)
     assert first == second
     assert dumps(line_char_records("d", first)) == dumps(line_char_records("d", second))
+
+
+def check_plan_chars_in_line_coordinates(seed, tmp_path):
+    """A word planned with dx equals its dx=0 plan shifted by dx, on both
+    domains, with the same work counted; dx is the word's place in its line
+    and one arbitrary offset."""
+    rng = random.Random(seed)
+    line = random_blob_line(rng)
+    bitmap = decode(line)
+    params = RoiParams(
+        rng.choice([0.0, 0.2, 0.4]), rng.choice([0.2, 0.33, 0.6]), rng.choice([1.1, 1.75])
+    )
+    for w in segment_words(line).words:
+        for backend, image in ((_run_backend(), line), (_pixel_backend(), bitmap)):
+            word = backend.crop(image, w.x_min, w.x_max)
+            base_counter = WorkCounter()
+            base = plan_chars(word, params, backend, base_counter)
+            for dx in (w.x_min, rng.randint(1, 10**6)):
+                counter = WorkCounter()
+                got = plan_chars(word, params, backend, counter, dx)
+                assert got == shifted_plan(base, dx), (w, dx)
+                assert counter.count == base_counter.count
 
 
 def check_match_symmetry(seed, tmp_path):
@@ -1020,6 +1046,7 @@ CHECKS = [
     ("band_partition", check_band_partition),
     ("roi_monotonic", check_roi_monotonic),
     ("char_determinism", check_char_determinism),
+    ("plan_chars_in_line_coordinates", check_plan_chars_in_line_coordinates),
     ("match_symmetry", check_match_symmetry),
     ("ar_monotone", check_ar_monotone),
     ("overlap_one_exact", check_overlap_one_exact),

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from rlseg import Bitmap, MalformedRleError, ParseError, RleImage, encode
+from rlseg.chars import RepairOp, RepairResult
+from rlseg.projection import Component
 from rlseg.rle import RleRow
 
 # Worked reference line: 13 component intervals of a sample sentence.
@@ -79,6 +81,16 @@ def shift_right(rle: RleImage, k: int) -> RleImage:
         runs[0] += k
         rows.append(RleRow(tuple(runs)))
     return RleImage(rle.width + k, tuple(rows))
+
+
+def shifted_plan(result: RepairResult, dx: int) -> RepairResult:
+    """A word's plan moved dx columns right, into the coordinates of its line:
+    the reference for planning a word with ``plan_chars(..., dx=dx)``."""
+    return RepairResult(
+        tuple(Component(c.x_min + dx, c.x_max + dx) for c in result.chars),
+        tuple(x + dx for x in result.cuts),
+        tuple(RepairOp(r.op, r.x + dx) for r in result.repairs),
+    )
 
 
 def big_line(rng, width=2000, height=300) -> RleImage:

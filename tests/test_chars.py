@@ -30,7 +30,7 @@ from rlseg.chars import (
     roi_from_bounds,
     split_bands,
 )
-from rlseg.projection import Component, Occupancy, column_frequency, components, occupancy
+from rlseg.projection import Component, Occupancy, column_frequency, occupancy
 from rlseg.rle import RleImage, RleRow, crop_columns, locate_run
 from rlseg.words import separators_at
 
@@ -85,16 +85,16 @@ def test_split_bands_sizes(n, sizes):
 
 
 def _occupancy_of_bits(bits):
-    return Occupancy(len(bits), tuple(Component(a, b) for a, b in brute_components(bits)))
+    return Occupancy(len(bits), tuple(brute_components(bits)))
 
 
 def test_band_or_examples():
-    a = Occupancy(4, (Component(0, 1),))
-    b = Occupancy(4, (Component(2, 3),))
-    assert band_or(a, b) == Occupancy(4, (Component(0, 3),))
+    a = Occupancy(4, ((0, 1),))
+    b = Occupancy(4, ((2, 3),))
+    assert band_or(a, b) == Occupancy(4, ((0, 3),))
     assert band_or(a, Occupancy(4, ())) == a
     with pytest.raises(WidthMismatchError):
-        band_or(a, Occupancy(1, (Component(0, 0),)))
+        band_or(a, Occupancy(1, ((0, 0),)))
 
 
 def test_band_or_matches_pixel_oracle():
@@ -106,7 +106,7 @@ def test_band_or_matches_pixel_oracle():
         occ_a = _occupancy_of_bits(brute_occupancy(top, (0, 3)))
         occ_b = _occupancy_of_bits(brute_occupancy(bottom, (0, 3)))
         stacked = Bitmap(np.vstack([top.pixels, bottom.pixels]))
-        spans = [(c.x_min, c.x_max) for c in components(band_or(occ_a, occ_b))]
+        spans = list(band_or(occ_a, occ_b).spans)
         assert spans == brute_components(brute_occupancy(stacked, (0, 6)))
 
 

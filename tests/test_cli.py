@@ -415,6 +415,25 @@ def test_malformed_rle_exits_4(tmp_path):
     assert main(["segment", str(bad)]) == 4
 
 
+def test_rle_header_token_past_the_int_digit_limit_exits_4(tmp_path, capsys):
+    # a width of 5000 digits is more than Python converts to an int
+    bad = tmp_path / "long.rle"
+    bad.write_text(f"RLE1 {'1' * 5000} 1\n0 5\n")
+    assert main(["segment", str(bad)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"rlseg: parse error: {bad}:1: Exceeds the limit (4300 digits)")
+
+
+def test_rle_row_token_past_the_int_digit_limit_exits_4(tmp_path, capsys):
+    bad = tmp_path / "long.rle"
+    bad.write_text(f"RLE1 5 2\n0 5\n{'1' * 5000}\n")
+    assert main(["segment", str(bad)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"rlseg: parse error: {bad}:3: Exceeds the limit (4300 digits)")
+
+
 def test_huge_declared_p1_raster_exits_4(tmp_path, capsys):
     # the P1 reader sizes its pixel buffer by the file, not by the header
     pbm = tmp_path / "huge.pbm"

@@ -25,7 +25,7 @@ from rlseg import (
 )
 from rlseg.errors import EmptyWordError
 from rlseg.pixel_baseline import pdp_locate_run, pdp_occupancy, pdp_separator_at
-from rlseg.projection import Component, Occupancy, components, occupancy
+from rlseg.projection import Occupancy, components, occupancy
 from rlseg.records import char_record, dumps, line_char_records, word_record
 from rlseg.rle import crop_columns, locate_run
 
@@ -36,7 +36,7 @@ def test_pdp_occupancy_trivial_cases():
     white = Bitmap.zeros(6, 3)
     assert pdp_occupancy(white, (0, 3)) == Occupancy(6, ())
     dotted = Bitmap([[0, 0, 0], [0, 1, 0]])
-    assert pdp_occupancy(dotted, (0, 2)) == Occupancy(3, (Component(1, 1),))
+    assert pdp_occupancy(dotted, (0, 2)) == Occupancy(3, ((1, 1),))
 
 
 def test_pdp_occupancy_equals_run_occupancy():

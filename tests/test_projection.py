@@ -56,12 +56,12 @@ def test_one_row_occupancy_matches_decoded_row():
 
 def test_occupancy_single_row():
     rle = RleImage(4, (RleRow((0, 2, 1, 1)),))
-    assert occupancy(rle, (0, 1)) == Occupancy(4, (Component(0, 1), Component(3, 3)))
+    assert occupancy(rle, (0, 1)) == Occupancy(4, ((0, 1), (3, 3)))
 
 
 def test_occupancy_two_rows_or():
     rle = RleImage(4, (RleRow((0, 2, 2)), RleRow((2, 2))))
-    assert occupancy(rle, (0, 2)) == Occupancy(4, (Component(0, 3),))
+    assert occupancy(rle, (0, 2)) == Occupancy(4, ((0, 3),))
 
 
 def test_occupancy_all_background():
@@ -76,8 +76,8 @@ def test_occupancy_needs_width():
 
 def test_union_examples():
     # touching spans merge, nested spans vanish, a one-column hole separates
-    assert union(9, [0, 3, 1], [3, 5, 2]) == Occupancy(9, (Component(0, 4),))
-    assert union(9, [6, 0], [9, 5]) == Occupancy(9, (Component(0, 4), Component(6, 8)))
+    assert union(9, [0, 3, 1], [3, 5, 2]) == Occupancy(9, ((0, 4),))
+    assert union(9, [6, 0], [9, 5]) == Occupancy(9, ((0, 4), (6, 8)))
     assert union(9, [], []) == Occupancy(9, ())
 
 
@@ -102,7 +102,7 @@ def test_occupancy_counter_equals_region_run_count():
 
 
 def test_components_examples():
-    occ = Occupancy(4, (Component(0, 1), Component(3, 3)))
+    occ = Occupancy(4, ((0, 1), (3, 3)))
     comps = components(occ)
     assert [(c.x_min, c.x_max, c.length) for c in comps] == [(0, 1, 2), (3, 3, 1)]
     assert components(Occupancy(2, ())) == []

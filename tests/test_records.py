@@ -75,6 +75,13 @@ def test_dumps_rejects_what_json_rejects(value):
         dumps([value])
 
 
+def test_dumps_rejects_one_record_dict():
+    record = word_record("w", segment_words(bars_line([(2, 6), (30, 36)], width=40)))
+    with pytest.raises(TypeError, match="not one record"):
+        dumps(record)
+    assert dumps([record]) == json.dumps(record, separators=(",", ":"))
+
+
 def test_separator_record_lists_run_indices_by_row():
     assert separator_record(SeparatorPoint(7, (0, 2, 1))) == {"x": 7, "runs": [0, 2, 1]}
 
