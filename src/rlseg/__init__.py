@@ -20,6 +20,7 @@ from .errors import (
     OutOfBoundsError,
     ParseError,
     RlsegError,
+    SettingError,
     WidthMismatchError,
 )
 from .evaluate import GroundTruthLine, evaluate_records, load_ground_truth

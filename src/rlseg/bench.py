@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .chars import DEFAULT_PARAMS, RoiParams, segment_line_chars
+from .errors import SettingError
 from .pixel_baseline import pdp_segment_line_chars, pdp_segment_words
 from .projection import WorkCounter
 from .rle import decode, read_rle
@@ -87,7 +88,7 @@ def bench_file(
 ) -> BenchRow:
     """Time both pipelines on one line file, repeat times each."""
     if repeat < 1:
-        raise ValueError("repeat must be >= 1")
+        raise SettingError("repeat", f"repeat must be >= 1, got {repeat}")
     path = Path(path)
     line = read_rle(path)
     t0 = time.perf_counter()

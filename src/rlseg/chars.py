@@ -17,16 +17,13 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from .errors import EmptyWordError, WidthMismatchError
+from .errors import EmptyWordError, SettingError, WidthMismatchError
 from .projection import (
     Component,
     Occupancy,
     WorkCounter,
     column_frequency,
     components,  # unused here; perfbench's tracer patches it under this module's name
-    gaps,
     occupancy,
 )
 from .rle import RleImage, crop_columns
@@ -36,6 +33,7 @@ from .words import (
     ThresholdMode,
     WordSegmentation,
     gap_midpoint,
+    gap_widths,
     segment_words,
     separator_at,  # unused here; perfbench's tracer patches it under this module's name
     separators_at,
@@ -54,11 +52,11 @@ class RoiParams:
 
     def __post_init__(self):
         if not 0 <= self.t < 0.5:
-            raise ValueError("t must be in [0, 0.5)")
+            raise SettingError("t", f"t must be in [0, 0.5), got {self.t}")
         if not 0 < self.alpha < 1:
-            raise ValueError("alpha must be in (0, 1)")
-        if not self.beta > 1:
-            raise ValueError("beta must be > 1")
+            raise SettingError("alpha", f"alpha must be in (0, 1), got {self.alpha}")
+        if not 1 < self.beta < math.inf:
+            raise SettingError("beta", f"beta must be finite and > 1, got {self.beta}")
 
 
 DEFAULT_PARAMS = RoiParams()
@@ -231,10 +229,9 @@ def repair(
     comps = list(chars)
     if not comps:
         raise ValueError("repair needs at least one component")
-    for a, b in zip(comps, comps[1:]):
-        if b.x_min - a.x_max - 1 < 1:
-            raise ValueError("components must be sorted and gap-separated")
-    cuts = [gap_midpoint(g) for g in gaps(comps)]
+    if min(gap_widths(comps), default=1) < 1:
+        raise ValueError("components must be sorted and gap-separated")
+    cuts = list(map(gap_midpoint, comps, comps[1:]))
     mean = sum(c.length for c in comps) / len(comps)
     low = params.alpha * mean
     high = params.beta * mean

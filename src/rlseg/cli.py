@@ -15,6 +15,7 @@ from .errors import (
     EmptyWordError,
     MalformedRleError,
     ParseError,
+    SettingError,
 )
 from .evaluate import load_ground_truth, predicted_intervals, score_intervals
 from .pbm import read_pbm, write_pbm
@@ -53,13 +54,25 @@ def load_config(path) -> dict[str, str]:
 
 
 def _setting(args, cfg: dict, key: str, cast, default):
-    """Flag value if given, else config-file value, else the default."""
+    """cast of the flag value if given, else of the config-file value, else
+    the default. A value cast rejects raises SettingError naming the key."""
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in cfg:
-        return cast(cfg[key])
-    return default
+    if value is None:
+        if key not in cfg:
+            return default
+        value = cfg[key]
+    try:
+        return cast(value)
+    except ValueError as exc:
+        raise SettingError(key, str(exc)) from exc
+
+
+def _setting_source(args, key: str) -> str:
+    """Where a setting's value came from: its flag, or the config file and key."""
+    key = {"t": "roi_t"}.get(key, key)  # RoiParams.t is set by --roi-t / roi_t
+    if getattr(args, key, None) is not None or not getattr(args, "config", None):
+        return "--" + key.replace("_", "-")
+    return f"{args.config}: {key}"
 
 
 def _resolve_params(args, cfg) -> RoiParams:
@@ -241,11 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the segmentation settings that segment and bench share
     settings = argparse.ArgumentParser(add_help=False)
-    settings.add_argument("--threshold", type=ThresholdMode.parse, default=None,
+    # values stay strings here: _setting converts flag and config values alike
+    settings.add_argument("--threshold", default=None,
                           help="auto | fixed:<value> | scale:<factor> (default auto)")
-    settings.add_argument("--roi-t", dest="roi_t", type=float, default=None)
-    settings.add_argument("--alpha", type=float, default=None)
-    settings.add_argument("--beta", type=float, default=None)
+    settings.add_argument("--roi-t", dest="roi_t", default=None)
+    settings.add_argument("--alpha", default=None)
+    settings.add_argument("--beta", default=None)
     settings.add_argument("--config", default=None, help="key=value config file; flags win")
 
     p = sub.add_parser("segment", parents=[settings],
@@ -300,6 +314,9 @@ def main(argv=None) -> int:
     except (EmptyLineError, EmptyWordError) as exc:
         print(f"rlseg: empty input: {exc}", file=sys.stderr)
         return EXIT_EMPTY
+    except SettingError as exc:
+        print(f"rlseg: error: {_setting_source(args, exc.key)}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except EmptyGroundTruthError as exc:
         print(f"rlseg: evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVAL

@@ -45,3 +45,11 @@ class NoGapsError(RlsegError):
 
 class EmptyGroundTruthError(RlsegError):
     """Accuracy rate is undefined over an empty ground truth."""
+
+
+class SettingError(RlsegError, ValueError):
+    """A setting has a value outside its range; key names the setting."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key

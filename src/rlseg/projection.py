@@ -6,8 +6,11 @@ image's flat spans (``RleImage.spans``), which a read file or a crop arrives
 with, so projection never builds a row. An occupancy is the sorted union of
 the ink runs' spreads, as plain int pairs: ``union`` sorts NumPy copies of
 the span slices and finds every break with one comparison of the sorted
-stops against the next sorted starts, so no per-run Python object is built;
-only ``components`` turns the pairs into Components. A column frequency is
+stops against the next sorted starts, so no per-run Python object is built.
+A ``Component`` is such a pair as a named tuple, equal to the pair, so
+``components`` only tags an occupancy's pairs, and the word and char plans
+read each gap's width and midpoint from the two Components around it; there
+is no separate gap type. A column frequency is
 a step function over the run boundaries. Both take O(runs log runs) time
 and O(runs) memory, whatever the width. ``column_frequency`` stays on lists
 (``tolist``, ``sorted``, bisection): it runs on one word's middle band, a
@@ -23,6 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat, starmap
 from operator import sub
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,40 +46,16 @@ class WorkCounter:
         self.count += n
 
 
-@dataclass(frozen=True)
-class Component:
-    """Maximal inclusive x-interval of connected foreground spread."""
+class Component(NamedTuple):
+    """Maximal inclusive x-interval of connected foreground spread; equal to
+    its ``(x_min, x_max)`` pair."""
 
     x_min: int
     x_max: int
 
-    def __post_init__(self):
-        if not 0 <= self.x_min <= self.x_max:
-            raise ValueError(f"bad component [{self.x_min}, {self.x_max}]")
-
     @property
     def length(self) -> int:
         return self.x_max - self.x_min + 1
-
-
-@dataclass(frozen=True)
-class Gap:
-    """Background interval strictly between two components.
-
-    left/right are the bounding ink columns, so the open interval
-    (left, right) is all background and width = right - left - 1 >= 1.
-    """
-
-    left: int
-    right: int
-
-    def __post_init__(self):
-        if self.right - self.left - 1 < 1:
-            raise ValueError(f"gap between {self.left} and {self.right} has no width")
-
-    @property
-    def width(self) -> int:
-        return self.right - self.left - 1
 
 
 @dataclass(frozen=True)
@@ -165,8 +145,3 @@ def column_frequency(
 def components(occ: Occupancy) -> list[Component]:
     """Maximal inked intervals of the occupancy, sorted and pairwise separated."""
     return list(starmap(Component, occ.spans))
-
-
-def gaps(comps: list[Component]) -> list[Gap]:
-    """Background gaps between consecutive components."""
-    return [Gap(a.x_max, b.x_min) for a, b in zip(comps, comps[1:])]

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .chars import roi_from_bounds, split_bands
+from .errors import SettingError
 from .rle import Bitmap, RleImage, encode, write_rle
 
 # Row zones of a generated line: one blank guard row, ascender zone,
@@ -41,14 +42,15 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lines < 1 or self.words_per_line < 1:
-            raise ValueError("need at least one line and one word per line")
+        for key in ("lines", "words_per_line", "intra_gap"):
+            if getattr(self, key) < 1:
+                raise SettingError(key, f"{key} must be >= 1, got {getattr(self, key)}")
         if self.glyphs_per_word[0] < 1 or self.glyph_width[0] < 1:
             raise ValueError("glyph counts and widths must be >= 1")
-        if self.intra_gap < 1 or self.inter_gap <= self.intra_gap:
-            raise ValueError("need inter_gap > intra_gap >= 1")
+        if self.inter_gap <= self.intra_gap:
+            raise SettingError("inter_gap", "need inter_gap > intra_gap")
         if not 0 <= self.touch_rate <= 1:
-            raise ValueError("touch_rate must be in [0, 1]")
+            raise SettingError("touch_rate", f"touch_rate must be in [0, 1], got {self.touch_rate}")
 
 
 @dataclass(frozen=True)

@@ -1,26 +1,22 @@
 """Word segmentation: gap statistics over components, cut placement in runs.
 
-The policy half (threshold selection, gap classification, component merging)
-is pure interval arithmetic and is shared with the pixel-domain baseline;
-only the projection/locate layers differ between the two paths.
+The policy half (gap widths, threshold selection, component merging) is pure
+interval arithmetic on neighbouring components and is shared with the
+pixel-domain baseline; only the projection/locate layers differ between the
+two paths.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import repeat
 
 import numpy as np
 
-from .errors import EmptyLineError, NoGapsError, OutOfBoundsError
-from .projection import Component, Gap, WorkCounter, components, gaps, occupancy
+from .errors import EmptyLineError, NoGapsError, OutOfBoundsError, SettingError
+from .projection import Component, WorkCounter, components, occupancy
 from .rle import RleImage, locate_run  # perfbench's tracer wraps words.locate_run
-
-
-class GapKind(Enum):
-    INTER_WORD = "inter"
-    INTRA_WORD = "intra"
 
 
 @dataclass(frozen=True)
@@ -32,12 +28,14 @@ class ThresholdMode:
 
     def __post_init__(self):
         if self.kind not in ("auto", "fixed", "scale"):
-            raise ValueError(f"unknown threshold mode {self.kind!r}")
+            raise SettingError("threshold", f"unknown threshold mode {self.kind!r}")
         object.__setattr__(self, "value", float(self.value))
+        if not math.isfinite(self.value):
+            raise SettingError("threshold", f"{self.kind} value must be finite, got {self.value}")
         if self.kind == "fixed" and self.value < 0:
-            raise ValueError("fixed threshold must be >= 0")
+            raise SettingError("threshold", "fixed threshold must be >= 0")
         if self.kind == "scale" and self.value <= 0:
-            raise ValueError("scale factor must be > 0")
+            raise SettingError("threshold", "scale factor must be > 0")
 
     @classmethod
     def parse(cls, spec: str) -> "ThresholdMode":
@@ -47,7 +45,7 @@ class ThresholdMode:
         kind, sep, value = spec.partition(":")
         if sep and kind in ("fixed", "scale"):
             return cls(kind, float(value))
-        raise ValueError(f"bad threshold spec {spec!r}")
+        raise SettingError("threshold", f"bad threshold spec {spec!r}")
 
 
 AUTO = ThresholdMode("auto")
@@ -89,30 +87,28 @@ class WordSegmentation:
                 )
 
 
-def select_threshold(gap_list: list[Gap], mode: ThresholdMode = AUTO) -> float:
-    """Pick the inter/intra gap threshold for one line."""
+def gap_widths(comps: list[Component]) -> list[int]:
+    """Background columns between each pair of consecutive components."""
+    return [right.x_min - left.x_max - 1 for left, right in zip(comps, comps[1:])]
+
+
+def select_threshold(widths: list[int], mode: ThresholdMode = AUTO) -> float:
+    """Pick the inter/intra gap threshold for one line from its gap widths."""
     if mode.kind == "fixed":
         return mode.value
-    widths = [g.width for g in gap_list]
     if not widths:
         raise NoGapsError("cannot average gaps of a single-component line")
     mean = sum(widths) / len(widths)
-    return mean * mode.value if mode.kind == "scale" else mean
+    threshold = mean * mode.value if mode.kind == "scale" else mean
+    if not math.isfinite(threshold):
+        raise SettingError("threshold", f"{mode.value} x mean gap {mean} is not finite")
+    return threshold
 
 
-def classify_gaps(gap_list: list[Gap], threshold: float) -> list[GapKind]:
-    """Strictly-greater-than-threshold gaps separate words."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    return [
-        GapKind.INTER_WORD if g.width > threshold else GapKind.INTRA_WORD
-        for g in gap_list
-    ]
-
-
-def gap_midpoint(gap: Gap) -> int:
-    """Floor midpoint of the gap; always strictly between the bounding ink."""
-    return (gap.left + gap.right) // 2
+def gap_midpoint(left: Component, right: Component) -> int:
+    """Floor midpoint of the gap between two components; always strictly
+    between the bounding ink."""
+    return (left.x_max + right.x_min) // 2
 
 
 def plan_words(
@@ -120,28 +116,26 @@ def plan_words(
 ) -> tuple[list[Component], list[int], float]:
     """Merge components across intra-word gaps.
 
-    Returns the word intervals, the cut column per inter-word gap, and the
-    threshold that was applied. A line without gaps is a single word and
-    reports threshold 0.0 unless a fixed threshold was requested.
+    Gaps strictly wider than the threshold separate words. Returns the word
+    intervals, the cut column per inter-word gap, and the threshold that was
+    applied. A line without gaps is a single word and reports threshold 0.0
+    unless a fixed threshold was requested.
     """
     if not comps:
         raise EmptyLineError("line has no foreground runs")
-    gap_list = gaps(comps)
-    if not gap_list:
+    widths = gap_widths(comps)
+    if not widths:
         return [comps[0]], [], mode.value if mode.kind == "fixed" else 0.0
-    threshold = select_threshold(gap_list, mode)
-    labels = classify_gaps(gap_list, threshold)
+    threshold = select_threshold(widths, mode)
     words: list[Component] = []
     cuts: list[int] = []
     start = comps[0].x_min
-    end = comps[0].x_max
-    for comp, gap, label in zip(comps[1:], gap_list, labels):
-        if label is GapKind.INTER_WORD:
-            words.append(Component(start, end))
-            cuts.append(gap_midpoint(gap))
-            start = comp.x_min
-        end = comp.x_max
-    words.append(Component(start, end))
+    for left, right, width in zip(comps, comps[1:], widths):
+        if width > threshold:
+            words.append(Component(start, left.x_max))
+            cuts.append(gap_midpoint(left, right))
+            start = right.x_min
+    words.append(Component(start, comps[-1].x_max))
     return words, cuts, threshold
 
 

@@ -57,7 +57,7 @@ from rlseg.projection import Component, Occupancy, components, occupancy, union
 from rlseg.records import dumps, line_char_records, word_record
 from rlseg.pbm import _next_token, read_pbm, write_pbm
 from rlseg.rle import RleImage, RleRow, crop_columns, locate_run, read_rle, write_rle
-from rlseg.words import separator_at, separators_at
+from rlseg.words import plan_words, separator_at, separators_at
 
 from support import (
     as_steps,
@@ -67,6 +67,7 @@ from support import (
     brute_occupancy,
     decode_reference,
     encode_reference,
+    gap_walk_reference,
     random_bitmap,
     random_blob_line,
     read_rle_reference,
@@ -688,6 +689,55 @@ def check_inserted_cuts_at_frequency_minima(seed, tmp_path):
     assert [r.x for r in result.repairs if r.op == "inserted"] == expected
 
 
+def check_plan_words_matches_gap_walk(seed, tmp_path):
+    """plan_words equals the gap-walk reference under auto, scale and fixed,
+    including a fixed threshold equal to one of the gap widths and fixed:0."""
+    rng = random.Random(seed)
+    comps, _ = _random_components(rng)
+    widths = [b.x_min - a.x_max - 1 for a, b in zip(comps, comps[1:])]
+    modes = [
+        ThresholdMode("auto"),
+        ThresholdMode("scale", rng.choice([0.5, 1.0, 1.5, rng.uniform(0.1, 3.0)])),
+        ThresholdMode("fixed", 0),
+        ThresholdMode("fixed", rng.choice(widths or [3])),
+        ThresholdMode("fixed", rng.uniform(0, 10)),
+    ]
+    for mode in modes:
+        assert plan_words(comps, mode) == gap_walk_reference(comps, mode), (comps, mode)
+
+
+def check_repair_cuts_are_gap_midpoints(seed, tmp_path):
+    """repair starts from the gap midpoints: apart from the cuts it inserts,
+    the cuts it keeps and those it removes are exactly the floor midpoints of
+    the input's gaps; every char it returns is a valid interval."""
+    rng = random.Random(seed)
+    comps, width = _random_components(rng)
+    params = RoiParams(t=0.2, alpha=rng.uniform(0.1, 0.9), beta=rng.uniform(1.05, 3.0))
+    freq = [rng.randint(0, 9) for _ in range(width + 4)]
+    result = repair(comps, params, as_steps(freq))
+    inserted = {op.x for op in result.repairs if op.op == "inserted"}
+    removed = [op.x for op in result.repairs if op.op == "removed"]
+    kept = [x for x in result.cuts if x not in inserted]
+    midpoints = [(a.x_max + b.x_min) // 2 for a, b in zip(comps, comps[1:])]
+    assert sorted(kept + removed) == midpoints
+    assert all(0 <= c.x_min <= c.x_max for c in result.chars)
+
+
+def check_segment_intervals_in_bounds(seed, tmp_path):
+    """Every word and char of both pipelines satisfies 0 <= x_min <= x_max < width."""
+    rng = random.Random(seed)
+    line = random_blob_line(rng)
+    try:
+        cdp = segment_line_chars(line)
+    except EmptyLineError:
+        return
+    for seg in (cdp, pdp_segment_line_chars(decode(line))):
+        intervals = list(seg.words.words)
+        for word_seg in seg.per_word:
+            intervals.extend(word_seg.chars)
+        assert all(0 <= c.x_min <= c.x_max < line.width for c in intervals), intervals
+
+
 def check_merge_completeness(seed, tmp_path):
     rng = random.Random(seed)
     comps, width = _random_components(rng)
@@ -1042,6 +1092,9 @@ CHECKS = [
     ("run_coordinate_contract", check_run_coordinate_contract),
     ("char_gap_cuts_on_or_false", check_char_gap_cuts_on_or_false),
     ("inserted_cuts_at_frequency_minima", check_inserted_cuts_at_frequency_minima),
+    ("plan_words_matches_gap_walk", check_plan_words_matches_gap_walk),
+    ("repair_cuts_are_gap_midpoints", check_repair_cuts_are_gap_midpoints),
+    ("segment_intervals_in_bounds", check_segment_intervals_in_bounds),
     ("merge_completeness", check_merge_completeness),
     ("band_partition", check_band_partition),
     ("roi_monotonic", check_roi_monotonic),

@@ -93,6 +93,38 @@ def shifted_plan(result: RepairResult, dx: int) -> RepairResult:
     )
 
 
+def gap_walk_reference(comps, mode):
+    """The word plan as an explicit walk over labelled gaps: the reference
+    for plan_words.
+
+    One (left, right) gap per pair of consecutive components, bounded by
+    their ink columns and at least one column wide; each gap is labelled
+    inter-word when strictly wider than the threshold, and cut at its floor
+    midpoint. Returns (word pairs, cuts, threshold).
+    """
+    gaps = [(a.x_max, b.x_min) for a, b in zip(comps, comps[1:])]
+    widths = [right - left - 1 for left, right in gaps]
+    assert all(w >= 1 for w in widths), widths
+    if mode.kind == "fixed":
+        threshold = mode.value
+    elif not gaps:
+        threshold = 0.0
+    else:
+        mean = sum(widths) / len(widths)
+        threshold = mean * mode.value if mode.kind == "scale" else mean
+    inter = [w > threshold for w in widths]
+    words, cuts = [], []
+    start, end = comps[0].x_min, comps[0].x_max
+    for comp, (left, right), is_inter in zip(comps[1:], gaps, inter):
+        if is_inter:
+            words.append((start, end))
+            cuts.append((left + right) // 2)
+            start = comp.x_min
+        end = comp.x_max
+    words.append((start, end))
+    return words, cuts, threshold
+
+
 def big_line(rng, width=2000, height=300) -> RleImage:
     """A 2000x300-style line with long runs (compression ratio well above 10)."""
     asc, core, desc = range(10, 70), range(70, 230), range(230, 290)

@@ -31,11 +31,11 @@ from rlseg.chars import DEFAULT_PARAMS, RepairOp, repair
 from rlseg.cli import main
 from rlseg.evaluate import AccuracyReport, GroundTruthLine
 from rlseg.pixel_baseline import pdp_occupancy
-from rlseg.projection import Component, components, gaps, occupancy
+from rlseg.projection import Component, components, occupancy
 from rlseg.records import dumps, line_char_records, word_record
 from rlseg.rle import write_rle
 from rlseg.synth import SynthConfig, generate_corpus, ground_truth_records
-from rlseg.words import GapKind, classify_gaps, select_threshold
+from rlseg.words import gap_midpoint, gap_widths, plan_words, select_threshold
 
 from property_checks import CHECKS
 from support import (
@@ -182,13 +182,14 @@ def test_criterion_3_reference_word_repair():
 def test_criterion_4_reference_line_threshold():
     with criterion(4, "worked line example: gaps and threshold"):
         comps = [Component(a, b) for a, b in REFERENCE_LINE_COMPONENTS]
-        gap_list = gaps(comps)
-        assert [g.width for g in gap_list] == REFERENCE_LINE_GAP_WIDTHS
-        threshold = select_threshold(gap_list)
+        widths = gap_widths(comps)
+        assert widths == REFERENCE_LINE_GAP_WIDTHS
+        assert select_threshold(widths) == 12.0
+        _, cuts, threshold = plan_words(comps)
         assert threshold == 12.0
-        labels = classify_gaps(gap_list, threshold)
-        # classification as computed: strictly-greater gaps split words
-        assert [l is GapKind.INTER_WORD for l in labels] == [
+        # the plan cuts at the midpoint of exactly the gaps strictly wider than 12
+        midpoints = [gap_midpoint(a, b) for a, b in zip(comps, comps[1:])]
+        assert [x in cuts for x in midpoints] == [
             False, True, False, False, True, False,
             False, True, False, True, True, True,
         ]

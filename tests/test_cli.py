@@ -610,6 +610,67 @@ def test_usage_error_exits_1():
     assert err.value.code == 1
 
 
+def _run_setting_case(tmp_path, corpus, capsys, argv, config):
+    """Run argv with MANIFEST and OUT filled in and, if given, a config file
+    holding config; return the exit code and stderr."""
+    argv = [
+        {"MANIFEST": str(corpus / "manifest.txt"), "OUT": str(tmp_path / "out")}.get(a, a)
+        for a in argv
+    ]
+    if config is not None:
+        (tmp_path / "bad.conf").write_text(config + "\n")
+        argv += ["--config", str(tmp_path / "bad.conf")]
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,config,source",
+    [
+        (["segment", "MANIFEST", "--roi-t", "0.7"], None, "--roi-t"),
+        (["segment", "MANIFEST", "--alpha", "1.5"], None, "--alpha"),
+        (["segment", "MANIFEST"], "alpha=abc", "CONFIG: alpha"),
+        (["segment", "MANIFEST"], "threshold=bogus", "CONFIG: threshold"),
+        (["synth", "--out", "OUT"], "seed=x", "CONFIG: seed"),
+        (["bench", "MANIFEST", "--repeat", "0"], None, "--repeat"),
+        (["synth", "--out", "OUT", "--lines", "0"], None, "--lines"),
+    ],
+    ids=["roi_t", "alpha", "config_alpha", "config_threshold", "config_seed", "repeat", "lines"],
+)
+def test_bad_setting_exits_1_with_one_line(tmp_path, corpus, capsys, argv, config, source):
+    code, err = _run_setting_case(tmp_path, corpus, capsys, argv, config)
+    assert code == 1
+    assert err.startswith(f"rlseg: error: {source.replace('CONFIG', str(tmp_path / 'bad.conf'))}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,config,source",
+    [
+        (["--threshold", "fixed:nan"], None, "--threshold"),
+        (["--threshold", "fixed:inf"], None, "--threshold"),
+        (["--threshold", "scale:inf"], None, "--threshold"),
+        (["--threshold", "scale:1e308"], None, "--threshold"),  # mean gap x 1e308 overflows
+        (["--beta", "inf"], None, "--beta"),
+        ([], "threshold=scale:1e308", "CONFIG: threshold"),
+    ],
+    ids=["fixed_nan", "fixed_inf", "scale_inf", "scale_overflow", "beta_inf", "config_overflow"],
+)
+@pytest.mark.parametrize("mode", ["words", "chars"])
+def test_non_finite_setting_exits_1_and_writes_nothing(
+    tmp_path, corpus, capsys, argv, config, source, mode
+):
+    argv = ["segment", "MANIFEST", "--mode", mode, "--out", "OUT"] + argv
+    code, err = _run_setting_case(tmp_path, corpus, capsys, argv, config)
+    assert code == 1
+    assert err.startswith(f"rlseg: error: {source.replace('CONFIG', str(tmp_path / 'bad.conf'))}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_csv(tmp_path, corpus, capsys):
     assert main(["bench", str(corpus / "manifest.txt"), "--repeat", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

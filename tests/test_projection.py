@@ -5,18 +5,18 @@ import random
 import pytest
 
 from rlseg import EmptyRangeError, OutOfBoundsError, WorkCounter, encode
+from rlseg.chars import repair
 from rlseg.pixel_baseline import pdp_column_frequency
 from rlseg.projection import (
     Component,
-    Gap,
     Occupancy,
     column_frequency,
     components,
-    gaps,
     occupancy,
     union,
 )
 from rlseg.rle import RleImage, RleRow
+from rlseg.words import gap_widths
 
 from support import (
     REFERENCE_LINE_COMPONENTS,
@@ -116,19 +116,21 @@ def test_components_reference_word_fixture():
 
 
 def test_gaps_examples():
-    gs = gaps([Component(0, 1), Component(3, 3)])
-    assert [(g.left, g.right, g.width) for g in gs] == [(1, 3, 1)]
-    assert gaps([Component(0, 5)]) == []
+    assert gap_widths([Component(0, 1), Component(3, 3)]) == [1]
+    assert gap_widths([Component(0, 5)]) == []
 
 
 def test_gaps_reference_line_fixture():
     comps = [Component(a, b) for a, b in REFERENCE_LINE_COMPONENTS]
-    assert [g.width for g in gaps(comps)] == REFERENCE_LINE_GAP_WIDTHS
+    assert gap_widths(comps) == REFERENCE_LINE_GAP_WIDTHS
 
 
 def test_gap_needs_width():
-    with pytest.raises(ValueError):
-        Gap(3, 4)
+    # repair takes its cuts from the gaps between its components: touching
+    # (a gap 0 wide) or unsorted components are refused
+    for comps in ([Component(0, 3), Component(4, 6)], [Component(5, 6), Component(0, 2)]):
+        with pytest.raises(ValueError, match="sorted and gap-separated"):
+            repair(comps)
 
 
 def test_occupancy_and_frequency_match_pixel_oracle():

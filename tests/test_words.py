@@ -5,9 +5,9 @@ import random
 import pytest
 
 from rlseg import EmptyLineError, NoGapsError, ThresholdMode, decode, segment_words
-from rlseg.projection import Component, Gap, gaps
+from rlseg.projection import Component
 from rlseg.rle import RleImage, RleRow, crop_columns, locate_run
-from rlseg.words import AUTO, GapKind, classify_gaps, gap_midpoint, plan_words, select_threshold
+from rlseg.words import AUTO, gap_midpoint, gap_widths, plan_words, select_threshold
 
 from support import (
     REFERENCE_LINE_COMPONENTS,
@@ -16,17 +16,21 @@ from support import (
 )
 
 
-def _gaps_of_widths(widths):
-    out = []
-    x = 0
+def _comps_with_gaps(widths):
+    """Components 3 columns wide, with gaps of the given widths between them."""
+    comps = [Component(0, 2)]
     for w in widths:
-        out.append(Gap(x, x + w + 1))
-        x += w + 10
-    return out
+        x = comps[-1].x_max + w + 1
+        comps.append(Component(x, x + 2))
+    return comps
+
+
+def _gaps_of_widths(widths):
+    return gap_widths(_comps_with_gaps(widths))
 
 
 def test_select_threshold_reference_mean():
-    gs = gaps([Component(a, b) for a, b in REFERENCE_LINE_COMPONENTS])
+    gs = gap_widths([Component(a, b) for a, b in REFERENCE_LINE_COMPONENTS])
     assert select_threshold(gs) == 12.0
 
 
@@ -56,16 +60,23 @@ def test_threshold_mode_parse():
         ThresholdMode.parse("bogus")
 
 
-def test_classify_gaps_strict():
-    gs = _gaps_of_widths([13, 12])
-    labels = classify_gaps(gs, 12.0)
-    assert labels == [GapKind.INTER_WORD, GapKind.INTRA_WORD]
-    assert classify_gaps(gs, 0.0) == [GapKind.INTER_WORD, GapKind.INTER_WORD]
+def test_plan_words_splits_strictly_above_threshold():
+    # gaps above, equal to and below 12.0: only the one above splits
+    comps = _comps_with_gaps([13, 12, 11])
+    words, cuts, threshold = plan_words(comps, ThresholdMode("fixed", 12))
+    assert threshold == 12.0
+    assert words == [comps[0], Component(comps[1].x_min, comps[3].x_max)]
+    assert cuts == [gap_midpoint(comps[0], comps[1])]
+    # fixed:0 splits at every gap
+    words, cuts, threshold = plan_words(comps, ThresholdMode("fixed", 0))
+    assert threshold == 0.0
+    assert words == comps
+    assert cuts == [gap_midpoint(a, b) for a, b in zip(comps, comps[1:])]
 
 
 def test_gap_midpoint_examples():
-    assert gap_midpoint(Gap(94, 105)) == 99
-    assert gap_midpoint(Gap(3, 5)) == 4
+    assert gap_midpoint(Component(90, 94), Component(105, 110)) == 99
+    assert gap_midpoint(Component(0, 3), Component(5, 5)) == 4
 
 
 def test_reference_line_plan():
