@@ -27,7 +27,7 @@ from .evaluate import GroundTruthLine, evaluate_records, load_ground_truth
 from .pbm import read_pbm, write_pbm
 from .pixel_baseline import pdp_segment_chars, pdp_segment_line_chars, pdp_segment_words
 from .projection import Component, WorkCounter
-from .rle import Bitmap, RleImage, RleRow, decode, encode, read_rle, write_rle
+from .rle import Bitmap, RleImage, decode, encode, read_rle, write_rle
 from .synth import SynthConfig, SynthLine, generate_corpus, write_corpus
 from .words import AUTO, SeparatorPoint, ThresholdMode, WordSegmentation, segment_words
 

@@ -75,6 +75,14 @@ def _setting_source(args, key: str) -> str:
     return f"{args.config}: {key}"
 
 
+def _overlap(value) -> float:
+    """The minimum overlap fraction of a match, in (0, 1]."""
+    overlap = float(value)
+    if not 0 < overlap <= 1:
+        raise SettingError("overlap", f"overlap must be in (0, 1], got {overlap}")
+    return overlap
+
+
 def _resolve_params(args, cfg) -> RoiParams:
     return RoiParams(
         t=_setting(args, cfg, "roi_t", float, DEFAULT_PARAMS.t),
@@ -169,10 +177,7 @@ def cmd_segment(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config) if args.config else {}
-    overlap = _setting(args, cfg, "overlap", float, 0.9)
-    if not 0 < overlap <= 1:
-        print(f"rlseg: error: overlap must be in (0, 1], got {overlap}", file=sys.stderr)
-        return EXIT_USAGE
+    overlap = _setting(args, cfg, "overlap", _overlap, 0.9)
     try:
         per_line = predicted_intervals(_read_records(args.pred), args.mode)
     except KeyError as exc:
@@ -194,7 +199,8 @@ def cmd_bench(args) -> int:
     params = _resolve_params(args, cfg)
     mode = _resolve_mode(args, cfg)
     paths = [p for _, p in _input_lines(Path(args.input))]
-    rows = benchmod.bench_paths(paths, params, mode, repeat=args.repeat)
+    repeat = _setting(args, {}, "repeat", int, 1)  # a flag only, not a config key
+    rows = benchmod.bench_paths(paths, params, mode, repeat=repeat)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             benchmod.write_csv(rows, fh)
@@ -205,12 +211,13 @@ def cmd_bench(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = load_config(args.config) if args.config else {}
+    # only the seed is also a config key; the others are flags only
     config = SynthConfig(
-        lines=args.lines,
-        words_per_line=args.words_per_line,
-        inter_gap=args.inter_gap,
-        intra_gap=args.intra_gap,
-        touch_rate=args.touch_rate,
+        lines=_setting(args, {}, "lines", int, 20),
+        words_per_line=_setting(args, {}, "words_per_line", int, 4),
+        inter_gap=_setting(args, {}, "inter_gap", int, 12),
+        intra_gap=_setting(args, {}, "intra_gap", int, 3),
+        touch_rate=_setting(args, {}, "touch_rate", float, 0.0),
         seed=_setting(args, cfg, "seed", int, 0),
     )
     paths = write_corpus(config, args.out)
@@ -273,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pred", help="segmentation JSON Lines from the segment command")
     p.add_argument("truth", help="ground-truth JSON")
     p.add_argument("--mode", choices=("word", "char"), default="word")
-    p.add_argument("--overlap", type=float, default=None, help="minimum overlap fraction (default 0.9)")
+    p.add_argument("--overlap", default=None, help="minimum overlap fraction (default 0.9)")
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_evaluate)
@@ -281,18 +288,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", parents=[settings],
                        help="time run-domain vs pixel-domain segmentation")
     p.add_argument("input", help=".rle file, directory, or manifest")
-    p.add_argument("--repeat", type=int, default=1)
+    p.add_argument("--repeat", default=None, help="timed passes per file (default 1)")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with exact ground truth")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--lines", type=int, default=20)
-    p.add_argument("--words-per-line", dest="words_per_line", type=int, default=4)
-    p.add_argument("--inter-gap", dest="inter_gap", type=int, default=12)
-    p.add_argument("--intra-gap", dest="intra_gap", type=int, default=3)
-    p.add_argument("--touch-rate", dest="touch_rate", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=None)
+    # values stay strings here too: _setting converts them
+    p.add_argument("--lines", default=None, help="(default 20)")
+    p.add_argument("--words-per-line", dest="words_per_line", default=None, help="(default 4)")
+    p.add_argument("--inter-gap", dest="inter_gap", default=None, help="(default 12)")
+    p.add_argument("--intra-gap", dest="intra_gap", default=None, help="(default 3)")
+    p.add_argument("--touch-rate", dest="touch_rate", default=None, help="(default 0.0)")
+    p.add_argument("--seed", default=None, help="(default 0)")
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_synth)
 

@@ -38,6 +38,19 @@ class AccuracyReport:
         return 100.0 * self.one_to_one / self.total_truth
 
 
+def _is_pair(iv) -> bool:
+    """[start, end], two ints; a bool is not an int here."""
+    return isinstance(iv, (list, tuple)) and len(iv) == 2 and all(type(v) is int for v in iv)
+
+
+def _pairs(ivs, what: str) -> tuple[tuple[int, int], ...]:
+    """ivs as a tuple of (start, end) pairs; ValueError unless it is a list of
+    [start, end] integer pairs."""
+    if not isinstance(ivs, list) or not all(map(_is_pair, ivs)):
+        raise ValueError(f"{what} is not a list of [start, end] integer pairs")
+    return tuple(map(tuple, ivs))
+
+
 @dataclass(frozen=True)
 class GroundTruthLine:
     """Reference word intervals (and optionally per-word character intervals)."""
@@ -48,13 +61,18 @@ class GroundTruthLine:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroundTruthLine":
-        words = tuple((int(a), int(b)) for a, b in obj["words"])
-        chars = None
-        if obj.get("chars") is not None:
+        """One ground-truth record; ValueError unless its line_id is a string
+        and its intervals are integer pairs, as predictions must be."""
+        line_id = obj["line_id"]
+        if not isinstance(line_id, str):
+            raise ValueError(f"line_id {line_id!r} is not a string")
+        words = _pairs(obj["words"], f"line {line_id}: 'words'")
+        chars = obj.get("chars")
+        if chars is not None:
             chars = tuple(
-                tuple((int(a), int(b)) for a, b in word) for word in obj["chars"]
+                _pairs(word, f"line {line_id}: 'chars' word {k}") for k, word in enumerate(chars)
             )
-        return cls(str(obj["line_id"]), words, chars)
+        return cls(line_id, words, chars)
 
 
 def load_ground_truth(path) -> list[GroundTruthLine]:
@@ -104,14 +122,6 @@ def match(pred, truth, overlap_min: float = 0.9) -> MatchResult:
     return MatchResult(tuple(pairs), len(pred) - len(pairs), len(truth) - len(pairs))
 
 
-def _is_pair(iv) -> bool:
-    return (
-        isinstance(iv, (list, tuple))
-        and len(iv) == 2
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in iv)
-    )
-
-
 def predicted_intervals(pred_records, mode: str = "word") -> dict[str, list[tuple[int, int]]]:
     """Each line's predicted intervals, checked before any scoring.
 
@@ -133,10 +143,7 @@ def predicted_intervals(pred_records, mode: str = "word") -> dict[str, list[tupl
         line_id = str(rec["line_id"])
         if key not in rec:
             continue
-        ivs = rec[key]
-        if not isinstance(ivs, list) or not all(map(_is_pair, ivs)):
-            raise ValueError(f"record {i}: {key!r} is not a list of [start, end] integer pairs")
-        per_line.setdefault(line_id, []).extend((a, b) for a, b in ivs)
+        per_line.setdefault(line_id, []).extend(_pairs(rec[key], f"record {i}: {key!r}"))
     for line_id, ivs in per_line.items():
         _check_sorted_disjoint(f"line {line_id} predicted", ivs)
     return per_line

@@ -8,10 +8,10 @@ cumulative(j) - runs[j] <= x < cumulative(j).
 
 Cost model: an image stores only its ink runs, as flat arrays (``Spans``): the
 start and stop column of every ink run of every row, row after row, and a row
-pointer into them; its ``RleRow``s are a view built from them on first use.
-Rows given to ``RleImage`` have their widths checked in one Python loop and
-become spans in one NumPy pass that checks them; read_rle's bulk path, encode
-and crops build their images from checked spans and skip both.
+pointer into them; its ``RleRow``s (runs and prefix sums) are a read-only view
+built from them on first use. ``RleImage(width, rows)`` and read_rle's per-line
+path check each run list with one rule (``_run_fault``) and the width, then
+build the spans in one NumPy pass; the bulk path, encode and crops skip both.
 encode and decode are one NumPy pass each: the spans are cut from the edges of
 the zero-padded bitmap, and the pixels are the running sum of +1 at every span
 start and -1 at every stop. read_rle checks the syntax of all row lines in one
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, starmap
 from operator import sub
@@ -87,47 +86,28 @@ class Bitmap:
         return f"Bitmap({self.width}x{self.height})"
 
 
-@dataclass(frozen=True)
-class RleRow:
-    """One row of alternating run lengths, background first."""
+class RleRow(NamedTuple):
+    """One row of an image, as a read-only view of its spans: the alternating
+    run lengths, background first, and their prefix sums, as tuples of plain
+    ints. Run j covers columns [ends[j] - runs[j], ends[j])."""
 
     runs: tuple[int, ...]
-    width: int = field(init=False, repr=False, compare=False)  # sum of the runs
+    ends: tuple[int, ...]
 
-    def __post_init__(self):
-        runs = tuple(map(int, self.runs))
-        object.__setattr__(self, "runs", runs)
-        if not runs:
-            raise MalformedRleError("a row needs at least one run")
-        if min(runs) < 0:
-            raise MalformedRleError("run lengths cannot be negative")
-        if 0 in runs[1:]:
-            raise MalformedRleError("only the leading background run may be 0")
-        object.__setattr__(self, "width", sum(runs))
+    @property
+    def width(self) -> int:
+        return self.ends[-1]
 
-    @cached_property
-    def ends(self) -> tuple[int, ...]:
-        """Prefix sums of the run lengths, built once and then kept.
 
-        Run j covers columns [ends[j] - runs[j], ends[j]). ``locate_run``
-        reads it, and so does an image built from rows, to convert them to
-        spans. A row of ``RleImage.rows`` arrives with it; a row built any
-        other way builds it on first use.
-        """
-        return tuple(accumulate(self.runs))
-
-    @classmethod
-    def _checked(cls, runs: tuple[int, ...], ends: tuple[int, ...]) -> "RleRow":
-        """A row from runs that are already checked, with their prefix sums.
-
-        Skips the checks of ``RleRow(...)``. Its caller is ``RleImage.rows``,
-        which builds rows from the image's spans, checked already. ``runs`` and
-        ``ends`` must be tuples of plain ints, ``ends == accumulate(runs)``.
-        """
-        row = object.__new__(cls)
-        fields = row.__dict__
-        fields["runs"], fields["width"], fields["ends"] = runs, ends[-1], ends
-        return row
+def _run_fault(runs) -> str | None:
+    """Why a sequence of ints is not a row's run list, or None when it is one."""
+    if not runs:
+        return "a row needs at least one run"
+    if min(runs) < 0:
+        return "run lengths cannot be negative"
+    if 0 in runs[1:]:
+        return "only the leading background run may be 0"
+    return None
 
 
 class Spans(NamedTuple):
@@ -150,42 +130,39 @@ def _spans_from_ends(ends: np.ndarray, counts: np.ndarray) -> Spans:
     return Spans(ends[ink - 1], ends[ink], np.concatenate(([0], np.cumsum(counts // 2))))
 
 
+def _spans_of_rows(width: int, rows: list[tuple[int, ...]]) -> Spans:
+    """The spans of run lists checked already, each summing to width."""
+    # int64 while every row offset r * width + x fits; exact ints beyond
+    dtype = np.int64 if width * len(rows) < _BULK_LIMIT else object
+    ends = np.array([*chain.from_iterable(map(accumulate, rows))], dtype)
+    return _spans_from_ends(ends, np.array([*map(len, rows)]))
+
+
 class RleImage:
     """Run-length compressed binary image, stored as the spans of its ink runs.
 
-    Built either from rows, which it checks and converts to spans once, or
-    from checked spans (``_from_spans``). ``rows`` is a view of the spans,
-    one RleRow per pixel row, built on first use and kept.
+    Built either from one run list (a sequence of ints) per row, which it
+    checks and converts to spans once, or from checked spans
+    (``_from_spans``). ``rows`` is a view of the spans, one RleRow per pixel
+    row, built on first use and kept.
     """
 
     def __init__(self, width: int, rows) -> None:
-        rows = tuple(rows)
+        rows = [tuple(map(int, runs)) for runs in rows]
         if width < 1:
             raise MalformedRleError("width must be >= 1")
         if not rows:
             raise MalformedRleError("image needs at least one row")
-        for i, row in enumerate(rows):
-            if row.width != width:
+        for i, runs in enumerate(rows):
+            fault = _run_fault(runs)
+            if fault is not None:
+                raise MalformedRleError(f"row {i}: {fault}")
+            if sum(runs) != width:
                 raise MalformedRleError(
-                    f"row {i}: runs sum to {row.width}, expected width {width}"
+                    f"row {i}: runs sum to {sum(runs)}, expected width {width}"
                 )
         self.width, self.height = width, len(rows)
-        # int64 while every row offset r * width + x fits; exact ints beyond
-        dtype = np.int64 if width * len(rows) < _BULK_LIMIT else object
-        ends = np.array([*chain.from_iterable(row.ends for row in rows)], dtype)
-        spans = _spans_from_ends(ends, np.array([len(row.runs) for row in rows]))
-        # Rows that passed RleRow's checks give non-empty, increasing spans; a
-        # row built unchecked whose prefix sums disagree with that is rejected.
-        starts, stops, iptr = spans
-        first = np.zeros(len(starts) + 1, dtype=bool)
-        first[iptr[:-1]] = True  # each row's first span
-        bad = (stops <= starts) | (~first[:-1] & (starts <= np.roll(stops, 1)))
-        if bad.any():
-            row = int(np.searchsorted(iptr, np.argmax(bad), "right")) - 1
-            raise MalformedRleError(
-                f"row {row}: its prefix sums give an empty or out-of-order ink run"
-            )
-        self.spans = spans
+        self.spans = _spans_of_rows(width, rows)
 
     @classmethod
     def _from_spans(cls, width: int, spans: Spans) -> "RleImage":
@@ -218,7 +195,7 @@ class RleImage:
     @cached_property
     def rows(self) -> tuple[RleRow, ...]:
         """The rows, each with its prefix sums, built from the spans."""
-        return tuple(starmap(RleRow._checked, self._row_runs()))
+        return tuple(starmap(RleRow, self._row_runs()))
 
     @cached_property
     def offset_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -414,13 +391,13 @@ def read_rle(path) -> RleImage:
         if not all(map(str.isdigit, tokens)):
             raise ParseError(path, lineno, f"malformed run list {_quote(line)}")
         try:
-            row = RleRow(tokens)
-        # ValueError: a token of more digits than Python converts to an int
-        except (MalformedRleError, ValueError) as exc:
+            runs = tuple(map(int, tokens))
+        except ValueError as exc:  # more digits than Python converts to an int
             raise ParseError(path, lineno, str(exc)) from exc
-        if row.width != width:
-            raise ParseError(
-                path, lineno, f"runs sum to {row.width}, header width is {width}"
-            )
-        rows.append(row)
-    return RleImage(width, tuple(rows))
+        fault = _run_fault(runs)
+        if fault is not None:
+            raise ParseError(path, lineno, fault)
+        if sum(runs) != width:
+            raise ParseError(path, lineno, f"runs sum to {sum(runs)}, header width is {width}")
+        rows.append(runs)
+    return RleImage._from_spans(width, _spans_of_rows(width, rows))

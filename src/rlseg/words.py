@@ -98,7 +98,10 @@ def select_threshold(widths: list[int], mode: ThresholdMode = AUTO) -> float:
         return mode.value
     if not widths:
         raise NoGapsError("cannot average gaps of a single-component line")
-    mean = sum(widths) / len(widths)
+    try:
+        mean = sum(widths) / len(widths)
+    except OverflowError:  # a mean gap past the largest float
+        mean = math.inf
     threshold = mean * mode.value if mode.kind == "scale" else mean
     if not math.isfinite(threshold):
         raise SettingError("threshold", f"{mode.value} x mean gap {mean} is not finite")

@@ -56,7 +56,7 @@ from rlseg.pixel_baseline import (
 from rlseg.projection import Component, Occupancy, components, occupancy, union
 from rlseg.records import dumps, line_char_records, word_record
 from rlseg.pbm import _next_token, read_pbm, write_pbm
-from rlseg.rle import RleImage, RleRow, crop_columns, locate_run, read_rle, write_rle
+from rlseg.rle import RleImage, crop_columns, locate_run, read_rle, write_rle
 from rlseg.words import plan_words, separator_at, separators_at
 
 from support import (
@@ -71,6 +71,7 @@ from support import (
     random_bitmap,
     random_blob_line,
     read_rle_reference,
+    reference_row,
     scan_header_token,
     scan_p1_raster,
     shift_right,
@@ -102,7 +103,7 @@ def _check_spans(image, rng):
         for b in range(a + 1, image.height + 1):
             assert image.runs_in(a, b) == sum(lengths[a:b]), (a, b)
     from_spans = RleImage._from_spans(image.width, spans)
-    from_rows = RleImage(image.width, image.rows)
+    from_rows = RleImage(image.width, [row.runs for row in image.rows])
     assert from_rows == image
     x = rng.randrange(image.width)
     for a, b in ((0, image.width - 1), (x, rng.randint(x, image.width - 1))):
@@ -219,13 +220,14 @@ def check_crop_matches_pixel_slice(seed, tmp_path):
         crop = crop_columns(rle, a, b)
         assert crop == encode(Bitmap(px[:, a : b + 1])), (a, b)
         _check_spans(crop, random.Random(seed))
-        # Row equality compares runs only: check what the crop stores beside them.
+        # Each row of the view holds plain-int tuples: its runs and their prefix sums.
         for row in crop.rows:
-            assert vars(row)["ends"] == tuple(accumulate(row.runs)), (a, b, row.runs)
+            assert row.ends == tuple(accumulate(row.runs)), (a, b, row.runs)
             assert row.width == b - a + 1, (a, b, row.runs)
             assert type(row.runs) is tuple and type(row.ends) is tuple
             assert all(type(n) is int for n in row.runs + row.ends)
-            assert RleRow(row.runs) == row  # the validated constructor accepts it
+            # the checking constructor accepts it
+            assert RleImage(b - a + 1, [row.runs]).rows[0] == row
 
 
 _ROW_ALPHABET = "0123456789 \t\r+-_x\u00b2"
@@ -354,23 +356,9 @@ def check_read_rle_bulk_matches_reference(seed, tmp_path):
             continue
         _check_spans(got, random.Random(seed))
         for row in got.rows:
-            # a file row has its prefix sums from the read when int64 sums are safe
-            assert width * height >= 2**62 or "ends" in vars(row), (width, lines)
             assert all(type(n) is int for n in row.runs + row.ends)
             assert row.ends == tuple(accumulate(row.runs))
             assert row.width == width
-
-
-def _reference_row(values):
-    """Stored runs, or the error message, of the generator-based validation."""
-    runs = tuple(int(n) for n in values)
-    if not runs:
-        return "a row needs at least one run"
-    if any(n < 0 for n in runs):
-        return "run lengths cannot be negative"
-    if any(n == 0 for n in runs[1:]):
-        return "only the leading background run may be 0"
-    return runs
 
 
 def check_row_validation_reference(seed, tmp_path):
@@ -385,14 +373,17 @@ def check_row_validation_reference(seed, tmp_path):
     values = tuple(rng.choice(makers)() for _ in range(rng.randint(0, 6)))
     if values and rng.random() < 0.3:
         values = (0,) + values
-    expected = _reference_row(values)
+    expected = reference_row(values)
+    if expected == (0,):  # a valid run list, but no image is 0 columns wide
+        expected = "runs sum to 0, expected width 1"
+    width = sum(expected) if isinstance(expected, tuple) else 1
     try:
-        row = RleRow(values)
+        row = RleImage(width, [values]).rows[0]
     except MalformedRleError as exc:
-        assert str(exc) == expected, (values, str(exc))
+        assert str(exc) == f"row 0: {expected}", (values, str(exc))
     else:
         assert row.runs == expected, values
-        assert all(type(n) is int for n in row.runs)
+        assert all(type(n) is int for n in row.runs + row.ends)
 
 
 def _pairs(comps):

@@ -7,10 +7,9 @@ from pathlib import Path
 
 import numpy as np
 
-from rlseg import Bitmap, MalformedRleError, ParseError, RleImage, encode
+from rlseg import Bitmap, ParseError, RleImage, encode
 from rlseg.chars import RepairOp, RepairResult
 from rlseg.projection import Component
-from rlseg.rle import RleRow
 
 # Worked reference line: 13 component intervals of a sample sentence.
 REFERENCE_LINE_COMPONENTS = [
@@ -79,8 +78,8 @@ def shift_right(rle: RleImage, k: int) -> RleImage:
     for row in rle.rows:
         runs = list(row.runs)
         runs[0] += k
-        rows.append(RleRow(tuple(runs)))
-    return RleImage(rle.width + k, tuple(rows))
+        rows.append(runs)
+    return RleImage(rle.width + k, rows)
 
 
 def shifted_plan(result: RepairResult, dx: int) -> RepairResult:
@@ -217,8 +216,8 @@ def encode_reference(bitmap: Bitmap) -> RleImage:
         lengths = np.diff(bounds).tolist()
         if px[0]:
             lengths.insert(0, 0)
-        rows.append(RleRow(tuple(lengths)))
-    return RleImage(width, tuple(rows))
+        rows.append(lengths)
+    return RleImage(width, rows)
 
 
 def decode_reference(rle: RleImage) -> Bitmap:
@@ -317,11 +316,24 @@ def _ref_is_run_list(line: str) -> bool:
     )
 
 
+def reference_row(values):
+    """The run list of one row's values, or the message that rejects them:
+    the row rule of RleImage and read_rle, written out on its own."""
+    runs = tuple(int(n) for n in values)
+    if not runs:
+        return "a row needs at least one run"
+    if any(n < 0 for n in runs):
+        return "run lengths cannot be negative"
+    if any(n == 0 for n in runs[1:]):
+        return "only the leading background run may be 0"
+    return runs
+
+
 def read_rle_reference(path) -> RleImage:
     """The per-line .rle reader that read_rle's bulk path must agree with.
 
-    Every row goes through ``RleRow(...)`` and its checks, one line at a
-    time, so the first bad line raises; long lines are quoted in messages as
+    Every row goes through ``reference_row`` and the width check, one line at
+    a time, so the first bad line raises; long lines are quoted in messages as
     their first 40 characters and their length.
     """
     path = Path(path)
@@ -353,13 +365,10 @@ def read_rle_reference(path) -> RleImage:
     for lineno, line in enumerate(lines[1:], start=2):
         if each_line and not _ref_is_run_list(line):
             raise ParseError(path, lineno, f"malformed run list {_ref_quote(line)}")
-        try:
-            row = RleRow(line.split(" "))
-        except MalformedRleError as exc:
-            raise ParseError(path, lineno, str(exc)) from exc
-        if row.width != width:
-            raise ParseError(
-                path, lineno, f"runs sum to {row.width}, header width is {width}"
-            )
-        rows.append(row)
-    return RleImage(width, tuple(rows))
+        runs = reference_row(line.split(" "))
+        if isinstance(runs, str):
+            raise ParseError(path, lineno, runs)
+        if sum(runs) != width:
+            raise ParseError(path, lineno, f"runs sum to {sum(runs)}, header width is {width}")
+        rows.append(runs)
+    return RleImage(width, rows)

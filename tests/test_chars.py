@@ -31,7 +31,7 @@ from rlseg.chars import (
     split_bands,
 )
 from rlseg.projection import Component, Occupancy, column_frequency, occupancy
-from rlseg.rle import RleImage, RleRow, crop_columns, locate_run
+from rlseg.rle import RleImage, crop_columns, locate_run
 from rlseg.words import separators_at
 
 from support import (
@@ -57,7 +57,7 @@ def test_roi_uses_ink_bounds():
     word = glyph_word([(1, 6)], height=30)
     # pad two blank rows around the ink
     padded = RleImage(
-        word.width, (RleRow((word.width,)),) + word.rows + (RleRow((word.width,)),)
+        word.width, [(word.width,), *(row.runs for row in word.rows), (word.width,)]
     )
     assert roi_from_bounds(*ink_row_bounds(padded), 0.2) == RoiRows(7, 25)
 
@@ -70,7 +70,7 @@ def test_roi_fallback_flags_full_box():
 
 def test_roi_empty_word():
     with pytest.raises(EmptyWordError):
-        ink_row_bounds(RleImage(5, (RleRow((5,)),)))
+        ink_row_bounds(RleImage(5, ((5,),)))
 
 
 @pytest.mark.parametrize(
@@ -263,7 +263,7 @@ def test_segment_chars_falls_back_when_roi_is_blank():
 
 def test_segment_chars_empty_word():
     with pytest.raises(EmptyWordError):
-        segment_chars(RleImage(6, (RleRow((6,)), RleRow((6,)))))
+        segment_chars(RleImage(6, ((6,), (6,))))
 
 
 def test_segment_line_chars_line_coordinates():

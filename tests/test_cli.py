@@ -20,7 +20,6 @@ from rlseg import (
     write_rle,
 )
 from rlseg.cli import main
-from rlseg.rle import RleRow
 from rlseg.synth import SynthConfig, write_corpus
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -266,13 +265,13 @@ def test_chars_mode_single_glyph_line(tmp_path):
 
 def test_blank_line_exits_2(tmp_path):
     blank = tmp_path / "blank.rle"
-    write_rle(RleImage(8, (RleRow((8,)), RleRow((8,)))), blank)
+    write_rle(RleImage(8, ((8,), (8,))), blank)
     assert main(["segment", str(blank)]) == 2
 
 
 def test_blank_line_in_directory_names_the_file(tmp_path, corpus, capsys):
     lines = corpus / "lines"
-    write_rle(RleImage(8, (RleRow((8,)), RleRow((8,)))), lines / "zz_blank.rle")
+    write_rle(RleImage(8, ((8,), (8,))), lines / "zz_blank.rle")
     for mode in ("words", "chars"):
         assert main(["segment", str(lines), "--mode", mode]) == 2
         captured = capsys.readouterr()
@@ -333,7 +332,7 @@ def test_huge_width_line_of_words_is_cut_exactly(tmp_path, capsys, lead, width, 
     L, g, G = 2**57, 2**55, 2**59
     runs = (lead, L, g, L, G, L, g, L, G, L, g, L)
     line = tmp_path / "huge.rle"
-    write_rle(RleImage(width, (RleRow(runs + (width - sum(runs),)),) * 3), line)
+    write_rle(RleImage(width, (runs + (width - sum(runs),),) * 3), line)
     assert read_rle(line).spans.starts.dtype == object
     assert main(["segment", str(line), "--mode", mode]) == 0
     records = _records(capsys.readouterr().out)
@@ -363,7 +362,7 @@ def test_word_memory_does_not_grow_with_width():
     width = 10**7
     # three words of two glyphs each, spread over the line, on four rows
     runs = (1000, 40, 5, 40, 3_000_000, 40, 5, 40, 3_000_000, 40, 5, 40)
-    rows = tuple(RleRow(runs + (width - sum(runs),)) for _ in range(4))
+    rows = tuple(runs + (width - sum(runs),) for _ in range(4))
     line = RleImage(width, rows)
     tracemalloc.start()
     try:
@@ -377,7 +376,7 @@ def test_word_memory_does_not_grow_with_width():
 
 def test_char_memory_does_not_grow_with_width():
     # one all-ink row: the ROI is a single row, so the middle band is empty
-    line = RleImage(10**7, (RleRow((0, 10**7)),))
+    line = RleImage(10**7, ((0, 10**7),))
     tracemalloc.start()
     try:
         seg = segment_line_chars(line)
@@ -390,7 +389,7 @@ def test_char_memory_does_not_grow_with_width():
 
 def test_tall_char_memory_does_not_grow_with_width():
     # three all-ink rows: the middle band's frequencies come from column_frequency
-    line = RleImage(10**7, (RleRow((0, 10**7)),) * 3)
+    line = RleImage(10**7, ((0, 10**7),) * 3)
     tracemalloc.start()
     try:
         seg = segment_line_chars(line)
@@ -497,6 +496,9 @@ def test_evaluate_bad_predictions_exit_4(tmp_path, corpus, capsys, text, detail)
     assert err.count("\n") == 1
 
 
+_NOT_PAIRS = "ValueError(\"line a: 'words' is not a list of [start, end] integer pairs\")"
+
+
 @pytest.mark.parametrize(
     "text,detail",
     [
@@ -504,8 +506,22 @@ def test_evaluate_bad_predictions_exit_4(tmp_path, corpus, capsys, text, detail)
         ("[" * 100_000, ":0: bad ground truth: RecursionError("),
         ('[{"line_id": "a"}]', ":0: bad ground truth: KeyError('words')"),
         ("[1,2]", ":0: bad ground truth: TypeError("),
+        # bounds and ids are checked as predictions are, never converted:
+        # [0, 5.9] must not score as [0, 5]
+        ('[{"line_id": "a", "words": [[0, 5.9]]}]', f":0: bad ground truth: {_NOT_PAIRS}"),
+        ('[{"line_id": "a", "words": [[0, true]]}]', f":0: bad ground truth: {_NOT_PAIRS}"),
+        ('[{"line_id": "a", "words": [[0, "8"]]}]', f":0: bad ground truth: {_NOT_PAIRS}"),
+        (
+            '[{"line_id": "a", "words": [[0, 8]], "chars": [[[0, 2.5]]]}]',
+            ":0: bad ground truth: ValueError(\"line a: 'chars' word 0 is not a list of",
+        ),
+        ('[{"line_id": 7, "words": [[0, 8]]}]',
+         ":0: bad ground truth: ValueError('line_id 7 is not a string')"),
     ],
-    ids=["not_json", "too_deep", "no_words", "not_objects"],
+    ids=[
+        "not_json", "too_deep", "no_words", "not_objects", "float_bound", "bool_bound",
+        "string_bound", "float_char_bound", "int_line_id",
+    ],
 )
 def test_evaluate_bad_truth_exit_4(tmp_path, corpus, capsys, text, detail):
     words = tmp_path / "w.json"
@@ -552,7 +568,9 @@ def test_evaluate_truth_value_errors_name_the_truth_file(
 def test_evaluate_overlap_out_of_range_exits_1(tmp_path, corpus, capsys):
     truth = corpus / "ground_truth.json"
     assert main(["evaluate", str(truth), str(truth), "--overlap", "1.5"]) == 1
-    assert capsys.readouterr().err == "rlseg: error: overlap must be in (0, 1], got 1.5\n"
+    assert capsys.readouterr().err == (
+        "rlseg: error: --overlap: overlap must be in (0, 1], got 1.5\n"
+    )
 
 
 def test_render_bad_segmentation_exits_4(tmp_path, corpus, capsys):
@@ -611,12 +629,14 @@ def test_usage_error_exits_1():
 
 
 def _run_setting_case(tmp_path, corpus, capsys, argv, config):
-    """Run argv with MANIFEST and OUT filled in and, if given, a config file
+    """Run argv with MANIFEST, TRUTH and OUT filled in and, if given, a config file
     holding config; return the exit code and stderr."""
-    argv = [
-        {"MANIFEST": str(corpus / "manifest.txt"), "OUT": str(tmp_path / "out")}.get(a, a)
-        for a in argv
-    ]
+    names = {
+        "MANIFEST": str(corpus / "manifest.txt"),
+        "TRUTH": str(corpus / "ground_truth.json"),
+        "OUT": str(tmp_path / "out"),
+    }
+    argv = [names.get(a, a) for a in argv]
     if config is not None:
         (tmp_path / "bad.conf").write_text(config + "\n")
         argv += ["--config", str(tmp_path / "bad.conf")]
@@ -634,15 +654,30 @@ def _run_setting_case(tmp_path, corpus, capsys, argv, config):
         (["synth", "--out", "OUT"], "seed=x", "CONFIG: seed"),
         (["bench", "MANIFEST", "--repeat", "0"], None, "--repeat"),
         (["synth", "--out", "OUT", "--lines", "0"], None, "--lines"),
+        (["evaluate", "TRUTH", "TRUTH", "--overlap", "2"], None, "--overlap"),
+        (["evaluate", "TRUTH", "TRUTH"], "overlap=0", "CONFIG: overlap"),
+        # a flag value that does not convert: one line, not argparse's usage block
+        (["evaluate", "TRUTH", "TRUTH", "--overlap", "abc"], None, "--overlap"),
+        (["synth", "--out", "OUT", "--lines", "abc"], None, "--lines"),
+        (["synth", "--out", "OUT", "--words-per-line", "abc"], None, "--words-per-line"),
+        (["synth", "--out", "OUT", "--inter-gap", "abc"], None, "--inter-gap"),
+        (["synth", "--out", "OUT", "--intra-gap", "abc"], None, "--intra-gap"),
+        (["synth", "--out", "OUT", "--touch-rate", "abc"], None, "--touch-rate"),
+        (["synth", "--out", "OUT", "--seed", "abc"], None, "--seed"),
+        (["bench", "MANIFEST", "--repeat", "abc"], None, "--repeat"),
     ],
-    ids=["roi_t", "alpha", "config_alpha", "config_threshold", "config_seed", "repeat", "lines"],
+    ids=[
+        "roi_t", "alpha", "config_alpha", "config_threshold", "config_seed", "repeat", "lines",
+        "overlap", "config_overlap", "overlap_abc", "lines_abc", "words_per_line_abc",
+        "inter_gap_abc", "intra_gap_abc", "touch_rate_abc", "seed_abc", "repeat_abc",
+    ],
 )
 def test_bad_setting_exits_1_with_one_line(tmp_path, corpus, capsys, argv, config, source):
     code, err = _run_setting_case(tmp_path, corpus, capsys, argv, config)
     assert code == 1
     assert err.startswith(f"rlseg: error: {source.replace('CONFIG', str(tmp_path / 'bad.conf'))}: ")
     assert err.count("\n") == 1
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "usage:" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -669,6 +704,28 @@ def test_non_finite_setting_exits_1_and_writes_nothing(
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threshold", [None, "scale:2", "fixed:1"])
+@pytest.mark.parametrize("mode", ["words", "chars"])
+def test_gap_too_wide_for_a_float_mean(tmp_path, capsys, threshold, mode):
+    # a mean gap past the largest float is a non-finite threshold: one line, exit 1;
+    # a fixed threshold takes no mean and cuts the line exactly
+    width = 10**400
+    line = tmp_path / "huge.rle"
+    line.write_text(f"RLE1 {width} 1\n0 1 {width - 2} 1\n")
+    argv = ["segment", str(line), "--mode", mode, "--out", str(tmp_path / "out")]
+    code = main(argv + (["--threshold", threshold] if threshold else []))
+    err = capsys.readouterr().err
+    if threshold == "fixed:1":
+        assert (code, err) == (0, "")
+        records = _records((tmp_path / "out").read_text())
+        assert [iv for rec in records for iv in rec[mode]] == [[0, 0], [width - 1, width - 1]]
+    else:
+        assert code == 1
+        assert err.startswith("rlseg: error: --threshold: ") and "not finite" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 def test_bench_csv(tmp_path, corpus, capsys):

@@ -15,7 +15,7 @@ from rlseg.projection import (
     occupancy,
     union,
 )
-from rlseg.rle import RleImage, RleRow
+from rlseg.rle import RleImage
 from rlseg.words import gap_widths
 
 from support import (
@@ -34,8 +34,7 @@ from support import (
 
 
 def _one_row_spans(runs):
-    row = RleRow(runs)
-    occ = occupancy(RleImage(row.width, (row,)), (0, 1))
+    occ = occupancy(RleImage(sum(runs), (runs,)), (0, 1))
     return [(c.x_min, c.x_max) for c in components(occ)]
 
 
@@ -55,17 +54,17 @@ def test_one_row_occupancy_matches_decoded_row():
 
 
 def test_occupancy_single_row():
-    rle = RleImage(4, (RleRow((0, 2, 1, 1)),))
+    rle = RleImage(4, ((0, 2, 1, 1),))
     assert occupancy(rle, (0, 1)) == Occupancy(4, ((0, 1), (3, 3)))
 
 
 def test_occupancy_two_rows_or():
-    rle = RleImage(4, (RleRow((0, 2, 2)), RleRow((2, 2))))
+    rle = RleImage(4, ((0, 2, 2), (2, 2)))
     assert occupancy(rle, (0, 2)) == Occupancy(4, ((0, 3),))
 
 
 def test_occupancy_all_background():
-    rle = RleImage(5, (RleRow((5,)), RleRow((5,))))
+    rle = RleImage(5, ((5,), (5,)))
     assert occupancy(rle, (0, 2)) == Occupancy(5, ())
 
 
@@ -82,7 +81,7 @@ def test_union_examples():
 
 
 def test_occupancy_range_errors():
-    rle = RleImage(4, (RleRow((4,)),))
+    rle = RleImage(4, ((4,),))
     with pytest.raises(EmptyRangeError):
         occupancy(rle, (1, 1))
     with pytest.raises(OutOfBoundsError):
@@ -149,14 +148,14 @@ def test_occupancy_and_frequency_match_pixel_oracle():
 
 def test_column_frequency_steps_at_run_boundaries():
     # rows: ink [2, 5) and [7, 8); ink [4, 7); all background
-    rle = RleImage(9, (RleRow((2, 3, 2, 1, 1)), RleRow((4, 3, 2)), RleRow((9,))))
+    rle = RleImage(9, ((2, 3, 2, 1, 1), (4, 3, 2), (9,)))
     assert column_frequency(rle, (0, 3)) == ([0, 2, 4, 5, 7, 8], [0, 1, 2, 1, 1, 0])
     assert column_frequency(rle, (2, 3)) == ([0], [0])
     assert expand_steps(column_frequency(rle, (0, 2)), 9) == [0, 0, 1, 1, 2, 1, 1, 1, 0]
 
 
 def test_column_frequency_is_bounded_by_runs_not_width():
-    wide = RleImage(10**9, (RleRow((0, 10**9)), RleRow((5, 10**9 - 10, 5))))
+    wide = RleImage(10**9, ((0, 10**9), (5, 10**9 - 10, 5)))
     assert column_frequency(wide, (0, 2)) == ([0, 5, 10**9 - 5, 10**9], [1, 2, 1, 0])
 
 

@@ -18,7 +18,7 @@ from rlseg import (
     read_rle,
     write_rle,
 )
-from rlseg.rle import RleRow, crop_columns, locate_run
+from rlseg.rle import crop_columns, locate_run
 
 from support import (
     brute_locate,
@@ -40,8 +40,8 @@ def test_encode_leading_foreground_row():
 
 
 def test_decode_examples():
-    assert decode(RleImage(4, (RleRow((4,)),))) == Bitmap([[0, 0, 0, 0]])
-    assert decode(RleImage(4, (RleRow((0, 2, 1, 1)),))) == Bitmap([[1, 1, 0, 1]])
+    assert decode(RleImage(4, ((4,),))) == Bitmap([[0, 0, 0, 0]])
+    assert decode(RleImage(4, ((0, 2, 1, 1),))) == Bitmap([[1, 1, 0, 1]])
 
 
 @pytest.mark.parametrize(
@@ -86,18 +86,18 @@ def test_encode_holds_only_its_spans_and_write_rle_keeps_no_rows(tmp_path):
 
 def test_row_sum_mismatch_rejected():
     with pytest.raises(MalformedRleError):
-        RleImage(4, (RleRow((2, 1)),))
+        RleImage(4, ((2, 1),))
 
 
 def test_row_width_mismatch_names_the_first_bad_row():
-    rows = (RleRow((4,)), RleRow((2, 1)), RleRow((5,)))
+    rows = ((4,), (2, 1), (5,))
     with pytest.raises(MalformedRleError, match=r"^row 1: runs sum to 3, expected width 4$"):
         RleImage(4, rows)
 
 
 def test_interior_zero_run_rejected():
-    with pytest.raises(MalformedRleError):
-        RleRow((2, 0, 2))
+    with pytest.raises(MalformedRleError, match=r"^row 0: only the leading background run may be 0$"):
+        RleImage(4, ((2, 0, 2),))
 
 
 def test_roundtrip_random():
@@ -112,8 +112,8 @@ def test_roundtrip_random():
 
 
 def test_cumulative_runs_examples():
-    assert RleRow((0, 2, 1, 1)).ends == (0, 2, 3, 4)
-    assert RleRow((4,)).ends == (4,)
+    assert RleImage(4, ((0, 2, 1, 1),)).rows[0].ends == (0, 2, 3, 4)
+    assert RleImage(4, ((4,),)).rows[0].ends == (4,)
 
 
 def test_cumulative_runs_differencing():
@@ -127,13 +127,14 @@ def test_cumulative_runs_differencing():
 
 
 def test_locate_run_examples():
-    row = RleRow((0, 2, 1, 1))
+    row = RleImage(4, ((0, 2, 1, 1),)).rows[0]
     assert locate_run(row, 0) == 1
     assert locate_run(row, 2) == 2
+    blank = RleImage(4, ((4,),)).rows[0]
     with pytest.raises(OutOfBoundsError):
-        locate_run(RleRow((4,)), 4)
+        locate_run(blank, 4)
     with pytest.raises(OutOfBoundsError):
-        locate_run(RleRow((4,)), -1)
+        locate_run(blank, -1)
 
 
 def test_locate_run_matches_brute_force():
@@ -244,28 +245,18 @@ def test_file_rows_arrive_with_prefix_sums(tmp_path):
     rle = read_rle(path)
     assert [row.runs for row in rle.rows] == [(0, 2, 1, 1), (4,), (1, 3)]
     for row in rle.rows:
-        assert vars(row)["ends"] == tuple(accumulate(row.runs))
+        assert row.ends == tuple(accumulate(row.runs))
         assert row.width == 4
-    # rows built any other way keep building them on first use
-    assert "ends" not in vars(RleRow((1, 3)))
 
 
 def test_crop_rows_arrive_with_prefix_sums():
-    line = RleImage(8, (RleRow((0, 3, 2, 3)), RleRow((2, 4, 2)), RleRow((8,))))
+    line = RleImage(8, ((0, 3, 2, 3), (2, 4, 2), (8,)))
     # columns 1..6: starts inside ink on row 0, inside background on row 1
     crop = crop_columns(line, 1, 6)
     assert [row.runs for row in crop.rows] == [(0, 2, 2, 2), (1, 4, 1), (6,)]
     for row in crop.rows:
-        assert vars(row)["ends"] == tuple(accumulate(row.runs))
+        assert row.ends == tuple(accumulate(row.runs))
         assert row.width == 6
-
-
-def test_image_rejects_a_row_whose_prefix_sums_disagree_with_its_runs():
-    # runs say run 2 ends at column 6, ends say 8: the prefix sums give an
-    # empty ink run [8, 8), which converting the rows to spans rejects
-    bad = RleRow._checked((2, 3, 1, 2), (2, 5, 8, 8))
-    with pytest.raises(MalformedRleError, match="empty or out-of-order ink run"):
-        RleImage(8, (bad,))
 
 
 BIG = 2**60  # width * height < 2**62: the bulk path runs and must report these

@@ -6,7 +6,7 @@ import pytest
 
 from rlseg import EmptyLineError, NoGapsError, ThresholdMode, decode, segment_words
 from rlseg.projection import Component
-from rlseg.rle import RleImage, RleRow, crop_columns, locate_run
+from rlseg.rle import RleImage, crop_columns, locate_run
 from rlseg.words import AUTO, gap_midpoint, gap_widths, plan_words, select_threshold
 
 from support import (
@@ -114,7 +114,7 @@ def test_segment_words_single_blob():
 
 
 def test_segment_words_empty_line():
-    line = RleImage(10, (RleRow((10,)), RleRow((10,))))
+    line = RleImage(10, ((10,), (10,)))
     with pytest.raises(EmptyLineError):
         segment_words(line)
 
