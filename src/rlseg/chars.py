@@ -72,8 +72,7 @@ class Backend(NamedTuple):
     separators_at: Callable  # (image, xs) -> one SeparatorPoint per x
 
 
-@dataclass(frozen=True)
-class RoiRows:
+class RoiRows(NamedTuple):
     """Half-open row span of the region of interest."""
 
     start: int
@@ -81,8 +80,7 @@ class RoiRows:
     full_box_fallback: bool = False
 
 
-@dataclass(frozen=True)
-class BandSet:
+class BandSet(NamedTuple):
     """Top/middle/bottom row ranges partitioning the ROI exactly."""
 
     top: range
@@ -90,48 +88,27 @@ class BandSet:
     bottom: range
 
 
-@dataclass(frozen=True)
-class RepairOp:
-    """Audit record: a separator that was removed or inserted at column x."""
+class RepairOp(NamedTuple):
+    """Audit record: a separator that was "removed" or "inserted" at column x."""
 
     op: str
     x: int
 
-    def __post_init__(self):
-        if self.op not in ("removed", "inserted"):
-            raise ValueError(f"unknown repair op {self.op!r}")
 
-
-@dataclass(frozen=True)
-class RepairResult:
+class RepairResult(NamedTuple):
     chars: tuple[Component, ...]
     cuts: tuple[int, ...]
     repairs: tuple[RepairOp, ...]
 
 
-@dataclass(frozen=True)
-class CharSegmentation:
-    """Ordered character intervals, their separators, and the repair trail."""
+class CharSegmentation(NamedTuple):
+    """Ordered character intervals, their separators, and the repair trail:
+    at least one character, and one separator strictly inside each gap."""
 
     chars: tuple[Component, ...]
     separators: tuple[SeparatorPoint, ...]
     repairs: tuple[RepairOp, ...]
     params: RoiParams
-
-    def __post_init__(self):
-        object.__setattr__(self, "chars", tuple(self.chars))
-        object.__setattr__(self, "separators", tuple(self.separators))
-        object.__setattr__(self, "repairs", tuple(self.repairs))
-        if not self.chars:
-            raise ValueError("a segmentation needs at least one character")
-        if len(self.separators) != len(self.chars) - 1:
-            raise ValueError("need exactly one separator between consecutive characters")
-        for left, right, sep in zip(self.chars, self.chars[1:], self.separators):
-            if not left.x_max < sep.x_mid < right.x_min:
-                raise ValueError(
-                    f"separator {sep.x_mid} not between characters "
-                    f"ending {left.x_max} and starting {right.x_min}"
-                )
 
 
 def ink_row_bounds(word: RleImage) -> tuple[int, int]:
@@ -344,8 +321,7 @@ def segment_chars(
     return word_chars(_run_backend(), word, params, counter)
 
 
-@dataclass(frozen=True)
-class LineCharSegmentation:
+class LineCharSegmentation(NamedTuple):
     """Full word -> character chain for one line, in line coordinates."""
 
     words: WordSegmentation

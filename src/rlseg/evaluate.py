@@ -39,8 +39,10 @@ class AccuracyReport:
 
 
 def _is_pair(iv) -> bool:
-    """[start, end], two ints; a bool is not an int here."""
-    return isinstance(iv, (list, tuple)) and len(iv) == 2 and all(type(v) is int for v in iv)
+    """[start, end], two ints, neither below 0; a bool is not an int here."""
+    if not isinstance(iv, (list, tuple)) or len(iv) != 2:
+        return False
+    return all(type(v) is int and v >= 0 for v in iv)
 
 
 def _pairs(ivs, what: str) -> tuple[tuple[int, int], ...]:
@@ -128,8 +130,8 @@ def predicted_intervals(pred_records, mode: str = "word") -> dict[str, list[tupl
     Word mode reads the records' "words", char mode their "chars", and
     concatenates them per line_id; records without that key are skipped.
     Raises KeyError for a record without line_id and ValueError when the
-    records are not a list of objects whose intervals are [start, end] integer
-    pairs, sorted and disjoint within each line.
+    records are not a list of objects with a string line_id whose intervals
+    are [start, end] pairs of ints >= 0, sorted and disjoint within each line.
     """
     if mode not in ("word", "char"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
@@ -140,7 +142,9 @@ def predicted_intervals(pred_records, mode: str = "word") -> dict[str, list[tupl
     for i, rec in enumerate(pred_records):
         if not isinstance(rec, dict):
             raise ValueError(f"record {i} is {type(rec).__name__}, not an object")
-        line_id = str(rec["line_id"])
+        line_id = rec["line_id"]
+        if not isinstance(line_id, str):
+            raise ValueError(f"record {i}: line_id {line_id!r} is not a string")
         if key not in rec:
             continue
         per_line.setdefault(line_id, []).extend(_pairs(rec[key], f"record {i}: {key!r}"))

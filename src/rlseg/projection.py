@@ -3,27 +3,27 @@
 Cost model: every operation here visits each run of the selected rows once,
 with no per-row loop. The ink runs of rows [a, b) are one slice of the
 image's flat spans (``RleImage.spans``), which a read file or a crop arrives
-with, so projection never builds a row. An occupancy is the sorted union of
-the ink runs' spreads, as plain int pairs: ``union`` sorts NumPy copies of
-the span slices and finds every break with one comparison of the sorted
-stops against the next sorted starts, so no per-run Python object is built.
-A ``Component`` is such a pair as a named tuple, equal to the pair, so
-``components`` only tags an occupancy's pairs, and the word and char plans
-read each gap's width and midpoint from the two Components around it; there
-is no separate gap type. A column frequency is
-a step function over the run boundaries. Both take O(runs log runs) time
-and O(runs) memory, whatever the width. ``column_frequency`` stays on lists
-(``tolist``, ``sorted``, bisection): it runs on one word's middle band, a
-few dozen runs, where the fixed cost of each NumPy call outweighs the
-per-run work it saves. The optional WorkCounter records exactly those run
-visits, counted from the spans (``RleImage.runs_in``), so the claim is
-assertable.
+with, so projection never builds a row. An ``Occupancy`` is a named tuple of
+the image width and the sorted union of the ink runs' spreads, as plain int
+pairs; it checks nothing when built (the image entry points reject a zero
+width). ``union`` sorts NumPy copies of the span slices and finds every
+break with one comparison of the sorted stops against the next sorted
+starts, so no per-run Python object is built. A ``Component`` is such a
+pair as a named tuple, equal to the pair, so ``components`` only tags an
+occupancy's pairs, and the word and char plans read each gap's width and
+midpoint from the two Components around it; there is no separate gap type.
+A column frequency is a step function over the run boundaries. Both take
+O(runs log runs) time and O(runs) memory, whatever the width.
+``column_frequency`` stays on lists (``tolist``, ``sorted``, bisection): it
+runs on one word's middle band, a few dozen runs, where the fixed cost of
+each NumPy call outweighs the per-run work it saves. The optional
+WorkCounter records exactly those run visits, counted from the spans
+(``RleImage.runs_in``), so the claim is assertable.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import repeat, starmap
 from operator import sub
 from typing import NamedTuple
@@ -58,18 +58,12 @@ class Component(NamedTuple):
         return self.x_max - self.x_min + 1
 
 
-@dataclass(frozen=True)
-class Occupancy:
+class Occupancy(NamedTuple):
     """Inked columns of an image `width` wide: sorted, pairwise separated
     spans, each an inclusive ``(x_min, x_max)`` pair of plain ints."""
 
     width: int
     spans: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "spans", tuple(self.spans))
-        if self.width < 1:
-            raise ValueError("occupancy cannot be zero-width")
 
 
 def _check_row_range(height: int, row_range) -> tuple[int, int]:

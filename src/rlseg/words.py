@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +52,7 @@ class ThresholdMode:
 AUTO = ThresholdMode("auto")
 
 
-@dataclass(frozen=True)
-class SeparatorPoint:
+class SeparatorPoint(NamedTuple):
     """A cut column and, per row of the source image, the run that holds it.
 
     ``runs[r]`` is the index of the run containing column ``x_mid`` in row r,
@@ -63,28 +63,13 @@ class SeparatorPoint:
     runs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class WordSegmentation:
-    """Ordered word intervals with the separators that divide them."""
+class WordSegmentation(NamedTuple):
+    """Ordered word intervals with the separators that divide them: at least
+    one word, and one separator strictly inside each gap between words."""
 
     words: tuple[Component, ...]
     separators: tuple[SeparatorPoint, ...]
     threshold_used: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "words", tuple(self.words))
-        object.__setattr__(self, "separators", tuple(self.separators))
-        object.__setattr__(self, "threshold_used", float(self.threshold_used))
-        if not self.words:
-            raise ValueError("a segmentation needs at least one word")
-        if len(self.separators) != len(self.words) - 1:
-            raise ValueError("need exactly one separator between consecutive words")
-        for left, right, sep in zip(self.words, self.words[1:], self.separators):
-            if not left.x_max < sep.x_mid < right.x_min:
-                raise ValueError(
-                    f"separator {sep.x_mid} not strictly inside gap "
-                    f"({left.x_max}, {right.x_min})"
-                )
 
 
 def gap_widths(comps: list[Component]) -> list[int]:

@@ -443,7 +443,7 @@ def _separated_spans(rng, width):
         end = rng.randint(x, min(width - 1, x + 6))
         spans.append((x, end))
         x = end + 2 + rng.randrange(4)
-    return spans
+    return tuple(spans)
 
 
 def check_band_or_matches_column_or(seed, tmp_path):
@@ -454,10 +454,8 @@ def check_band_or_matches_column_or(seed, tmp_path):
         # a bottom span starting right after a top span ends: the two must merge
         t_max = rng.choice([hi for _, hi in top if hi + 1 < width])
         touching = (t_max + 1, rng.randint(t_max + 1, min(width - 1, t_max + 4)))
-        bottom = sorted(
-            [(lo, hi) for lo, hi in bottom if hi + 1 < touching[0] or lo > touching[1] + 1]
-            + [touching]
-        )
+        kept = [(lo, hi) for lo, hi in bottom if hi + 1 < touching[0] or lo > touching[1] + 1]
+        bottom = tuple(sorted([*kept, touching]))
     bits = [False] * width
     for lo, hi in top + bottom:
         for x in range(lo, hi + 1):
@@ -468,8 +466,8 @@ def check_band_or_matches_column_or(seed, tmp_path):
     assert merged == band_or(Occupancy(width, bottom), Occupancy(width, top))
     if width > 1:  # the smallest touching pair, checked on every seed
         x = rng.randrange(width - 1)
-        left = Occupancy(width, [(0, x)])
-        right = Occupancy(width, [(x + 1, width - 1)])
+        left = Occupancy(width, ((0, x),))
+        right = Occupancy(width, ((x + 1, width - 1),))
         assert _exact_int_pairs(band_or(left, right).spans) == [(0, width - 1)]
 
 
@@ -714,8 +712,21 @@ def check_repair_cuts_are_gap_midpoints(seed, tmp_path):
     assert all(0 <= c.x_min <= c.x_max for c in result.chars)
 
 
+def _assert_separated(intervals, separators, height):
+    """At least one interval, one separator strictly inside each gap, and a
+    run index per row of the line for every separator."""
+    assert type(intervals) is tuple and type(separators) is tuple
+    assert intervals, "a segmentation needs at least one interval"
+    assert len(separators) == len(intervals) - 1, (intervals, separators)
+    for left, right, sep in zip(intervals, intervals[1:], separators):
+        assert left.x_max < sep.x_mid < right.x_min, (left, sep, right)
+        assert type(sep.runs) is tuple and len(sep.runs) == height, sep
+
+
 def check_segment_intervals_in_bounds(seed, tmp_path):
-    """Every word and char of both pipelines satisfies 0 <= x_min <= x_max < width."""
+    """Every word and char of both pipelines satisfies 0 <= x_min <= x_max < width,
+    and every word and char segmentation is well formed: the invariants its
+    named tuple does not check when it is built."""
     rng = random.Random(seed)
     line = random_blob_line(rng)
     try:
@@ -723,8 +734,15 @@ def check_segment_intervals_in_bounds(seed, tmp_path):
     except EmptyLineError:
         return
     for seg in (cdp, pdp_segment_line_chars(decode(line))):
-        intervals = list(seg.words.words)
+        words = seg.words
+        assert type(words.threshold_used) is float, words.threshold_used
+        _assert_separated(words.words, words.separators, line.height)
+        assert len(seg.per_word) == len(words.words)
+        intervals = list(words.words)
         for word_seg in seg.per_word:
+            _assert_separated(word_seg.chars, word_seg.separators, line.height)
+            assert type(word_seg.repairs) is tuple
+            assert all(op.op in ("removed", "inserted") for op in word_seg.repairs)
             intervals.extend(word_seg.chars)
         assert all(0 <= c.x_min <= c.x_max < line.width for c in intervals), intervals
 

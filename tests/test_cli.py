@@ -481,10 +481,23 @@ def test_long_malformed_row_gives_a_short_error(tmp_path, monkeypatch, capsys):
             '{"line_id": "a", "words": [[5, 3]]}',
             ":0: bad predictions: line a predicted interval [5, 3] is inverted",
         ),
+        (
+            '{"line_id": "a", "words": [[-5, 5]]}',
+            ":0: bad predictions: record 0: 'words' is not a list of [start, end] integer pairs",
+        ),
+        # a line_id is never converted: 5 must not score as truth line "5"
+        (
+            '{"line_id": 5, "words": [[0, 5]]}',
+            ":0: bad predictions: record 0: line_id 5 is not a string",
+        ),
+        (
+            '{"line_id": null, "words": [[0, 5]]}',
+            ":0: bad predictions: record 0: line_id None is not a string",
+        ),
     ],
     ids=[
         "not_json", "too_deep", "too_long_int", "no_line_id", "not_objects", "not_a_list",
-        "not_pairs", "triple", "inverted",
+        "not_pairs", "triple", "inverted", "negative_bound", "int_line_id", "null_line_id",
     ],
 )
 def test_evaluate_bad_predictions_exit_4(tmp_path, corpus, capsys, text, detail):
@@ -517,10 +530,11 @@ _NOT_PAIRS = "ValueError(\"line a: 'words' is not a list of [start, end] integer
         ),
         ('[{"line_id": 7, "words": [[0, 8]]}]',
          ":0: bad ground truth: ValueError('line_id 7 is not a string')"),
+        ('[{"line_id": "a", "words": [[-5, 5]]}]', f":0: bad ground truth: {_NOT_PAIRS}"),
     ],
     ids=[
         "not_json", "too_deep", "no_words", "not_objects", "float_bound", "bool_bound",
-        "string_bound", "float_char_bound", "int_line_id",
+        "string_bound", "float_char_bound", "int_line_id", "negative_bound",
     ],
 )
 def test_evaluate_bad_truth_exit_4(tmp_path, corpus, capsys, text, detail):

@@ -2,9 +2,19 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from rlseg import EmptyRangeError, OutOfBoundsError, WorkCounter, encode
+from rlseg import (
+    Bitmap,
+    EmptyRangeError,
+    MalformedRleError,
+    OutOfBoundsError,
+    ParseError,
+    WorkCounter,
+    encode,
+    read_rle,
+)
 from rlseg.chars import repair
 from rlseg.pixel_baseline import pdp_column_frequency
 from rlseg.projection import (
@@ -68,9 +78,16 @@ def test_occupancy_all_background():
     assert occupancy(rle, (0, 2)) == Occupancy(5, ())
 
 
-def test_occupancy_needs_width():
-    with pytest.raises(ValueError):
-        Occupancy(0, ())
+def test_zero_width_images_are_rejected_at_every_entry_point(tmp_path):
+    # so an Occupancy, which checks nothing, never gets a zero width
+    with pytest.raises(MalformedRleError, match="width must be >= 1"):
+        RleImage(0, ((0,),))
+    with pytest.raises(ValueError, match="at least 1x1"):
+        Bitmap(np.zeros((1, 0)))
+    path = tmp_path / "zero.rle"
+    path.write_text("RLE1 0 1\n0\n")
+    with pytest.raises(ParseError, match="width and height must be >= 1, got 0x1"):
+        read_rle(path)
 
 
 def test_union_examples():
