@@ -39,17 +39,20 @@ class AccuracyReport:
 
 
 def _is_pair(iv) -> bool:
-    """[start, end], two ints, neither below 0; a bool is not an int here."""
+    """[start, end], two ints; a bool is not an int here."""
     if not isinstance(iv, (list, tuple)) or len(iv) != 2:
         return False
-    return all(type(v) is int and v >= 0 for v in iv)
+    return all(type(v) is int for v in iv)
 
 
 def _pairs(ivs, what: str) -> tuple[tuple[int, int], ...]:
     """ivs as a tuple of (start, end) pairs; ValueError unless it is a list of
-    [start, end] integer pairs."""
+    [start, end] integer pairs, none with a bound below 0."""
     if not isinstance(ivs, list) or not all(map(_is_pair, ivs)):
         raise ValueError(f"{what} is not a list of [start, end] integer pairs")
+    for k, (a, b) in enumerate(ivs):
+        if a < 0 or b < 0:
+            raise ValueError(f"{what} interval {k} [{a}, {b}] has a bound below 0")
     return tuple(map(tuple, ivs))
 
 

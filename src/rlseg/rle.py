@@ -9,9 +9,11 @@ cumulative(j) - runs[j] <= x < cumulative(j).
 Cost model: an image stores only its ink runs, as flat arrays (``Spans``): the
 start and stop column of every ink run of every row, row after row, and a row
 pointer into them; its ``RleRow``s (runs and prefix sums) are a read-only view
-built from them on first use. ``RleImage(width, rows)`` and read_rle's per-line
-path check each run list with one rule (``_run_fault``) and the width, then
-build the spans in one NumPy pass; the bulk path, encode and crops skip both.
+built from them on first use by the NumPy passes (``_row_tokens``) that also
+give write_rle its tokens, whose digits it scatters into one byte buffer.
+``RleImage(width, rows)`` and read_rle's per-line path check each run list with
+one rule (``_run_fault``) and the width, then build the spans in one NumPy
+pass; the bulk path, encode and crops skip both.
 encode and decode are one NumPy pass each: the spans are cut from the edges of
 the zero-padded bitmap, and the pixels are the running sum of +1 at every span
 start and -1 at every stop. read_rle checks the syntax of all row lines in one
@@ -37,8 +39,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from functools import cached_property
-from itertools import accumulate, chain, starmap
-from operator import sub
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -181,21 +182,11 @@ class RleImage:
     def __repr__(self) -> str:
         return f"RleImage(width={self.width!r}, rows={self.rows!r})"
 
-    def _row_runs(self):
-        """Each row's runs and their prefix sums, as tuples of plain ints."""
-        width = self.width
-        starts, stops, iptr = (a.tolist() for a in self.spans)
-        for a, b in zip(iptr, iptr[1:]):
-            ends = [*chain.from_iterable(zip(starts[a:b], stops[a:b]))]
-            if a == b or ends[-1] != width:
-                ends.append(width)  # the trailing background run
-            ends = tuple(ends)
-            yield tuple(map(sub, ends, (0, *ends))), ends
-
     @cached_property
     def rows(self) -> tuple[RleRow, ...]:
         """The rows, each with its prefix sums, built from the spans."""
-        return tuple(starmap(RleRow, self._row_runs()))
+        runs, ends, tptr = (tuple(a.tolist()) for a in _row_tokens(self))
+        return tuple(RleRow(runs[a:b], ends[a:b]) for a, b in zip(tptr, tptr[1:]))
 
     @cached_property
     def offset_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,6 +211,26 @@ class RleImage:
     @property
     def total_runs(self) -> int:
         return self.runs_in(0, self.height)
+
+
+def _row_tokens(rle: RleImage) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every row's runs and their prefix sums, laid end to end in the spans'
+    dtype, and a row pointer: row r's are [tptr[r], tptr[r + 1]). A row's
+    prefix sums are its ink starts and stops in turn, then the width unless
+    its last ink run stops there."""
+    starts, stops, iptr = rle.spans
+    m = np.diff(iptr)
+    counts = 2 * m + 1
+    # only a row's last ink run can stop at the width; one past it is iptr[r + 1]
+    counts[np.searchsorted(iptr, np.flatnonzero(stops == rle.width) + 1) - 1] -= 1
+    tptr = np.concatenate(([0], np.cumsum(counts)))
+    ends = np.full(tptr[-1], rle.width, dtype=starts.dtype)
+    slot = 2 * np.arange(starts.size) + np.repeat(tptr[:-1] - 2 * iptr[:-1], m)
+    ends[slot] = starts
+    ends[slot + 1] = stops
+    runs = np.diff(ends, prepend=ends[:1])
+    runs[tptr[:-1]] = ends[tptr[:-1]]  # a row's first run starts at column 0
+    return runs, ends, tptr
 
 
 def encode(bitmap: Bitmap) -> RleImage:
@@ -318,8 +329,9 @@ def _bulk_spans(body: bytes, width: int, height: int) -> Spans | None:
     if seps[0] or (seps[1:] & seps[:-1]).any():
         return None
     # Each token ends at one separator, so the tokens of rows 0..r are those
-    # up to row r's newline among the separators.
-    row_stops = np.flatnonzero(raw[seps] == 10) + 1
+    # up to row r's newline among the separators (an index gather of them
+    # costs about a third of a boolean one).
+    row_stops = np.flatnonzero(raw[np.flatnonzero(seps)] == 10) + 1
     row_starts = np.concatenate(([0], row_stops[:-1]))
     counts = row_stops - row_starts
     values = np.fromstring(body, dtype=np.int64, sep=" ")
@@ -342,10 +354,22 @@ def _bulk_spans(body: bytes, width: int, height: int) -> Spans | None:
 
 
 def write_rle(rle: RleImage, path) -> None:
-    """Write the text .rle format: header line, then one run list per row."""
-    lines = [f"RLE1 {rle.width} {rle.height}"]
-    lines.extend(" ".join(map(str, runs)) for runs, _ in rle._row_runs())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    """Write the text .rle format: header line, then one run list per row,
+    its digits scattered into one byte buffer a digit position at a time."""
+    runs, _, tptr = _row_tokens(rle)
+    n_digits = len(str(rle.width))
+    # Python ints in the runs' dtype: an int64 10**k wraps past 18 digits
+    tens = np.array([10**k for k in range(1, n_digits)], dtype=runs.dtype)
+    digits = np.searchsorted(tens, runs, "right") + 1
+    stop = np.cumsum(digits + 1)  # past each token's separator
+    buf = np.full(stop[-1], ord(" "), dtype=np.uint8)
+    buf[stop[tptr[1:] - 1] - 1] = ord("\n")  # after each row's last token
+    pos = stop - 2  # each token's units digit
+    for k in range(1, n_digits + 1):  # the tokens of k digits or more
+        buf[pos] = runs % 10 + ord("0")
+        more = digits > k
+        runs, digits, pos = runs[more] // 10, digits[more], pos[more] - 1
+    Path(path).write_bytes(f"RLE1 {rle.width} {rle.height}\n".encode() + buf.tobytes())
 
 
 def read_rle(path) -> RleImage:

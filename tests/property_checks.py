@@ -72,10 +72,12 @@ from support import (
     random_blob_line,
     read_rle_reference,
     reference_row,
+    rows_reference,
     scan_header_token,
     scan_p1_raster,
     shift_right,
     shifted_plan,
+    write_rle_reference,
 )
 
 
@@ -228,6 +230,53 @@ def check_crop_matches_pixel_slice(seed, tmp_path):
             assert all(type(n) is int for n in row.runs + row.ends)
             # the checking constructor accepts it
             assert RleImage(b - a + 1, [row.runs]).rows[0] == row
+
+
+def _edge_bitmap(rng):
+    """A random bitmap, one column wide at times, whose rows are each blank,
+    all ink or random, so rows start and end in ink or background."""
+    width, height = rng.choice([1, rng.randint(2, 40)]), rng.randint(1, 6)
+    px = np.array([[rng.random() for _ in range(width)] for _ in range(height)]) < 0.5
+    for row in px:
+        kind = rng.randrange(4)
+        if kind < 2:
+            row[:] = kind
+    return Bitmap(px.astype(np.uint8))
+
+
+def _random_runs(rng, width):
+    """A run list of width: up to four color changes, ink first at times."""
+    cuts = sorted({rng.randrange(1, width) for _ in range(rng.randint(0, 4))} if width > 1 else ())
+    runs = [b - a for a, b in zip([0, *cuts], [*cuts, width])]
+    return [0, *runs] if rng.random() < 0.5 else runs
+
+
+def _writer_cases(rng):
+    """Images for write_rle: encoded random bitmaps and crops of them, and
+    run lists by hand with widths of 1 to 20 digits (int64 spans up to just
+    below 2**62, object spans beyond) and an object-dtype width past 2**64."""
+    image = encode(_edge_bitmap(rng))
+    yield image
+    x = rng.randrange(image.width)
+    yield crop_columns(image, x, rng.randint(x, image.width - 1))
+    height = rng.randint(1, 4)
+    digits = rng.randint(1, 20)
+    for width in (rng.randrange(10 ** (digits - 1), 10**digits), 2**62 // height - 1, 2**64 + 5):
+        yield RleImage(width, [_random_runs(rng, width) for _ in range(height)])
+
+
+def check_write_rle_matches_reference(seed, tmp_path):
+    """write_rle's bytes and the rows view equal the per-row references, and
+    writing builds no rows."""
+    rng = random.Random(seed)
+    for case, image in enumerate(_writer_cases(rng)):
+        path, expected = tmp_path / f"w{seed}_{case}.rle", tmp_path / f"r{seed}_{case}.rle"
+        write_rle(image, path)
+        assert "rows" not in vars(image)
+        write_rle_reference(image, expected)
+        assert path.read_bytes() == expected.read_bytes(), (image.width, case)
+        assert image.rows == rows_reference(image), (image.width, case)
+        assert read_rle(path) == image
 
 
 _ROW_ALPHABET = "0123456789 \t\r+-_x\u00b2"
@@ -1085,6 +1134,7 @@ CHECKS = [
     ("locate_every_row", check_locate_every_row),
     ("separators_at_matches_locate_run", check_separators_at_matches_locate_run),
     ("crop_matches_pixel_slice", check_crop_matches_pixel_slice),
+    ("write_rle_matches_reference", check_write_rle_matches_reference),
     ("read_rle_row_syntax", check_read_rle_row_syntax),
     ("row_validation_reference", check_row_validation_reference),
     ("read_rle_bulk_matches_reference", check_read_rle_bulk_matches_reference),

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import re
+from itertools import chain
+from operator import sub
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +232,30 @@ def decode_reference(rle: RleImage) -> Bitmap:
                 out[r, x : x + run] = 1
             x += run
     return Bitmap(out)
+
+
+def rows_reference(rle: RleImage) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Each row's runs and their prefix sums, as tuples of plain ints, built
+    one row at a time from the spans: the per-row builder that
+    ``RleImage.rows`` and ``write_rle``'s whole-image passes must agree with."""
+    width = rle.width
+    starts, stops, iptr = (a.tolist() for a in rle.spans)
+    rows = []
+    for a, b in zip(iptr, iptr[1:]):
+        ends = [*chain.from_iterable(zip(starts[a:b], stops[a:b]))]
+        if a == b or ends[-1] != width:
+            ends.append(width)  # the trailing background run
+        ends = tuple(ends)
+        rows.append((tuple(map(sub, ends, (0, *ends))), ends))
+    return tuple(rows)
+
+
+def write_rle_reference(rle: RleImage, path) -> None:
+    """The per-row .rle writer that write_rle's digit scatter must agree
+    with: each row's runs joined as decimal strings."""
+    lines = [f"RLE1 {rle.width} {rle.height}"]
+    lines.extend(" ".join(map(str, runs)) for runs, _ in rows_reference(rle))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def brute_locate(row_pixels, x: int) -> int:

@@ -173,6 +173,15 @@ def test_file_format_shape(tmp_path):
     assert path.read_text() == "RLE1 4 2\n0 2 1 1\n4\n"
 
 
+def test_write_rle_round_trips_a_401_digit_width(tmp_path):
+    width = 10**400
+    rle = RleImage(width, [[0, 3, width - 3], [width]])
+    path = tmp_path / "wide.rle"
+    write_rle(rle, path)
+    assert path.read_text() == f"RLE1 {width} 2\n0 3 {width - 3}\n{width}\n"
+    assert read_rle(path) == rle
+
+
 @pytest.mark.parametrize(
     "content,line",
     [
