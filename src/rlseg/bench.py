@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .chars import DEFAULT_PARAMS, RoiParams, segment_line_chars
-from .errors import SettingError
+from .errors import EmptyLineError, SettingError
 from .pixel_baseline import pdp_segment_line_chars, pdp_segment_words
 from .projection import WorkCounter
 from .rle import decode, read_rle
@@ -136,7 +136,13 @@ def bench_file(
 
 
 def bench_paths(paths, params=DEFAULT_PARAMS, mode=AUTO, repeat=1) -> list[BenchRow]:
-    return [bench_file(p, params, mode, repeat) for p in paths]
+    rows = []
+    for path in paths:
+        try:
+            rows.append(bench_file(path, params, mode, repeat))
+        except EmptyLineError as exc:
+            raise EmptyLineError(f"{path}: {exc}") from exc
+    return rows
 
 
 def _cell(fmt: str | None, value):

@@ -230,16 +230,14 @@ def cmd_render(args) -> int:
     seg = _read_records(args.seg)
     stem = Path(args.rle).stem
     try:
-        xs = sorted(
-            {
-                sep["x"]
-                for rec in seg
-                if rec.get("line_id") == stem
-                for sep in rec.get("separators", [])
-            }
-        )
+        xs = [sep["x"] for rec in seg if rec.get("line_id") == stem
+              for sep in rec.get("separators", [])]
     except (AttributeError, KeyError, TypeError) as exc:
         raise ParseError(args.seg, 0, f"bad record: {exc!r}") from exc
+    for x in xs:
+        if type(x) is not int or not 0 <= x < line.width:  # so no bool or float either
+            detail = f"separator x {json.dumps(x)} is not an int in [0, {line.width})"
+            raise ParseError(args.seg, 0, detail)
     write_pbm(overlay(line, xs), args.out, binary=args.binary)
     return EXIT_OK
 

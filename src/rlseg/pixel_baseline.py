@@ -5,16 +5,17 @@ segmentations on decode-equal inputs) and the timing baseline. Projection,
 ink-row search and coordinate location here read every pixel their scans
 cover, one row at a time: each row becomes a Python list (NumPy's
 ``tolist``) and is folded in by the C-level builtins the run-domain path
-uses (``map``, ``sum``, ``any``, ``compress``), with no NumPy arithmetic
-across pixels or rows. So a pixel visit costs a builtin's step, not a NumPy
-scalar, and the per-pixel visit counts are those of the algorithms.
+uses (``map``, ``sum``, ``any``, ``compress``, ``accumulate``), with no NumPy
+arithmetic across pixels or rows. So a pixel visit costs a builtin's step,
+not a NumPy scalar, and the per-pixel visit counts are those of the
+algorithms: a batch of cuts reads each row's pixels 0..max(x) once.
 Everything else (thresholds, merging, bands, repair, the per-word driver) is
 the run-domain code, handed these primitives as a chars.Backend.
 """
 
 from __future__ import annotations
 
-from itertools import compress, islice
+from itertools import accumulate, compress, islice
 from operator import add, ne, or_, xor
 
 from .chars import (
@@ -109,8 +110,23 @@ def pdp_separator_at(bitmap: Bitmap, x: int) -> SeparatorPoint:
 
 
 def pdp_separators_at(bitmap: Bitmap, xs) -> tuple[SeparatorPoint, ...]:
-    """One pdp_separator_at per cut, so each cut keeps its per-pixel scan."""
-    return tuple(pdp_separator_at(bitmap, x) for x in xs)
+    """pdp_separator_at for every column of the sequence xs, reading each row's
+    pixels 0..max(xs) once: a running sum of the row's color changes gives
+    pdp_locate_run's index at every column. Holds one row's lists at a time.
+    """
+    if not xs:
+        return ()
+    width = bitmap.width
+    if min(xs) < 0 or max(xs) >= width:
+        x = next(x for x in xs if not 0 <= x < width)
+        raise OutOfBoundsError(f"column {x} outside row of width {width}")
+    picked = []
+    for row in bitmap.pixels[:, : max(xs) + 1]:
+        px = row.tolist()
+        runs = list(accumulate(map(xor, islice(px, 1, None), px), initial=px[0]))
+        picked.append(tuple(map(runs.__getitem__, xs)))
+        del px, runs  # so the next row's lists are not built beside these
+    return tuple(map(SeparatorPoint, xs, zip(*picked)))
 
 
 def pdp_crop_columns(bitmap: Bitmap, x_min: int, x_max: int) -> Bitmap:

@@ -52,6 +52,7 @@ from rlseg.pixel_baseline import (
     pdp_locate_run,
     pdp_occupancy,
     pdp_separator_at,
+    pdp_separators_at,
 )
 from rlseg.projection import Component, Occupancy, components, occupancy, union
 from rlseg.records import dumps, line_char_records, word_record
@@ -612,6 +613,33 @@ def check_pdp_primitives_match_brute(seed, tmp_path):
                 raise AssertionError(f"column {bad} of a width-{width} bitmap was located")
 
 
+def check_pdp_separators_at_matches_references(seed, tmp_path):
+    """The oracle's batch cut location equals one pdp_separator_at per cut and
+    the run domain's separators_at, and names the first bad column the same way."""
+    rng = random.Random(seed)
+    bitmap = _edge_bitmap(rng)
+    rle, width = encode(bitmap), bitmap.width
+    # random columns, column 0 and the last at times, a repeat, in random order
+    xs = [rng.randrange(width) for _ in range(rng.randint(0, 5))]
+    xs += [x for x in (0, width - 1) if rng.random() < 0.5]
+    xs += [rng.choice(xs)] if xs else []
+    rng.shuffle(xs)
+    seps = pdp_separators_at(bitmap, xs)
+    assert seps == tuple(pdp_separator_at(bitmap, x) for x in xs) == separators_at(rle, xs)
+    assert all(type(j) is int for sep in seps for j in sep.runs)
+    assert pdp_separators_at(bitmap, []) == ()
+    bad = rng.choice([-1, width, width + rng.randint(1, 5)])
+    xs.insert(rng.randint(0, len(xs)), bad)
+    xs.insert(rng.randint(xs.index(bad) + 1, len(xs)), rng.choice([-2, width + 6]))
+    for locate, image in ((pdp_separators_at, bitmap), (separators_at, rle)):
+        try:
+            locate(image, xs)
+        except OutOfBoundsError as exc:
+            assert str(exc) == f"column {bad} outside row of width {width}", locate
+        else:
+            raise AssertionError(f"{locate.__name__} located column {bad} of width {width}")
+
+
 def check_separators_on_background(seed, tmp_path):
     rng = random.Random(seed)
     line = random_blob_line(rng)
@@ -1144,6 +1172,7 @@ CHECKS = [
     ("component_list_invariants", check_component_list_invariants),
     ("occupancy_work_counters", check_occupancy_work_counters),
     ("pdp_primitives_match_brute", check_pdp_primitives_match_brute),
+    ("pdp_separators_at_matches_references", check_pdp_separators_at_matches_references),
     ("separators_on_background", check_separators_on_background),
     ("threshold_monotonicity", check_threshold_monotonicity),
     ("word_idempotence", check_word_idempotence),

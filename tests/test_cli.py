@@ -293,8 +293,8 @@ def test_blank_line_exits_2(tmp_path):
 def test_blank_line_in_directory_names_the_file(tmp_path, corpus, capsys):
     lines = corpus / "lines"
     write_rle(RleImage(8, ((8,), (8,))), lines / "zz_blank.rle")
-    for mode in ("words", "chars"):
-        assert main(["segment", str(lines), "--mode", mode]) == 2
+    for argv in (["segment", "--mode", "words"], ["segment", "--mode", "chars"], ["bench"]):
+        assert main([*argv, str(lines)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
@@ -627,16 +627,27 @@ def test_render_bad_segmentation_exits_4(tmp_path, corpus, capsys):
     [
         ("1\n2", ":0: bad record: AttributeError("),
         ('{"line_id": "STEM", "separators": [{}]}', ":0: bad record: KeyError('x')"),
+        ('{"line_id": "STEM", "separators": [{"x": WIDTH}]}',
+         ":0: separator x WIDTH is not an int in [0, WIDTH)\n"),
+        ('{"line_id": "STEM", "separators": [{"x": 2}, {"x": -1}]}',
+         ":0: separator x -1 is not an int in [0, WIDTH)\n"),
+        ('{"line_id": "STEM", "separators": [{"x": 1.5}]}',
+         ":0: separator x 1.5 is not an int in [0, WIDTH)\n"),
+        ('{"line_id": "STEM", "separators": [{"x": "1"}]}',
+         ':0: separator x "1" is not an int in [0, WIDTH)\n'),
+        ('{"line_id": "STEM", "separators": [{"x": true}]}',
+         ":0: separator x true is not an int in [0, WIDTH)\n"),
     ],
-    ids=["not_objects", "no_x"],
+    ids=["not_objects", "no_x", "x_at_width", "x_negative", "x_float", "x_string", "x_bool"],
 )
 def test_render_bad_records_exit_4(tmp_path, corpus, capsys, text, detail):
     first = sorted((corpus / "lines").glob("*.rle"))[0]
+    width = str(read_rle(first).width)
     seg = tmp_path / "seg.json"
-    seg.write_text(text.replace("STEM", first.stem))
+    seg.write_text(text.replace("STEM", first.stem).replace("WIDTH", width))
     assert main(["render", str(first), str(seg), str(tmp_path / "ov.pbm")]) == 4
     err = capsys.readouterr().err
-    assert err.startswith(f"rlseg: parse error: {seg}{detail}")
+    assert err.startswith(f"rlseg: parse error: {seg}{detail.replace('WIDTH', width)}")
     assert err.count("\n") == 1
 
 

@@ -24,7 +24,12 @@ from rlseg import (
     segment_words,
 )
 from rlseg.errors import EmptyWordError
-from rlseg.pixel_baseline import pdp_locate_run, pdp_occupancy, pdp_separator_at
+from rlseg.pixel_baseline import (
+    pdp_locate_run,
+    pdp_occupancy,
+    pdp_separator_at,
+    pdp_separators_at,
+)
 from rlseg.projection import Occupancy, components, occupancy
 from rlseg.records import char_record, dumps, line_char_records, word_record
 from rlseg.rle import crop_columns, locate_run
@@ -148,9 +153,9 @@ def test_char_stage_runs_the_seams_named_at_call_time(monkeypatch):
         counting(rlseg.pixel_baseline, f"pdp_{name}", pixels_in)
     for name in ("crop_columns", "separators_at"):
         counting(rlseg.chars, name)
-    # perfbench charges the oracle's per-row cut scan to pdp_locate_run, so it
-    # must stay one call per row and cut
-    for name in ("pdp_separator_at", "pdp_locate_run", "pdp_ink_row_bounds"):
+    # the oracle locates all of a line's char cuts in one batch, and calls
+    # the one-cut references not at all
+    for name in ("pdp_separators_at", "pdp_separator_at", "pdp_locate_run", "pdp_ink_row_bounds"):
         counting(rlseg.pixel_baseline, name)
 
     run_counter, pdp_counter = WorkCounter(), WorkCounter()
@@ -161,11 +166,9 @@ def test_char_stage_runs_the_seams_named_at_call_time(monkeypatch):
     assert cuts > 0
     assert set(calls) == {
         "occupancy", "column_frequency", "crop_columns", "separators_at",
-        "pdp_occupancy", "pdp_column_frequency", "pdp_separator_at",
-        "pdp_locate_run", "pdp_ink_row_bounds",
+        "pdp_occupancy", "pdp_column_frequency", "pdp_separators_at", "pdp_ink_row_bounds",
     }
-    assert calls["pdp_separator_at"] == cuts
-    assert calls["pdp_locate_run"] == bitmap.height * cuts
+    assert calls["pdp_separators_at"] == 1
     assert calls["pdp_ink_row_bounds"] == len(pdp_words.words)
     assert visits["rlseg.chars"] == run_counter.count > 0
     assert visits["rlseg.pixel_baseline"] == pdp_counter.count > 0
@@ -187,6 +190,26 @@ def test_pdp_separator_at_holds_one_row_of_pixels():
     held = sys.getsizeof(sep.runs) + sum(map(sys.getsizeof, sep.runs))
     # the result may be built through a growing list before it is a tuple
     assert peak <= row + 2 * held + 4096, (peak, row, held)
+
+
+def test_pdp_separators_at_holds_one_row_of_pixels():
+    # each row's pixels and run indices are one list each, built one row at a
+    # time; lists of the whole bitmap would hold 300 rows of each
+    rng = np.random.default_rng(7)
+    bitmap = Bitmap(rng.random((300, 2000)) < 0.5)
+    xs = [bitmap.width - 1, 0, 1000, bitmap.width - 1]
+    tracemalloc.start()
+    try:
+        seps = pdp_separators_at(bitmap, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row = sys.getsizeof(bitmap.pixels[0].tolist())
+    # a run-index list grows as it is built, and its indices past 256 are new ints
+    indices = row * 9 // 8 + 64 + bitmap.width * sys.getsizeof(bitmap.width)
+    held = sum(sys.getsizeof(s.runs) + sum(map(sys.getsizeof, s.runs)) for s in seps)
+    # the result is built through per-row tuples of the cuts' indices
+    assert peak <= row + indices + 2 * held + 4096, (peak, row, indices, held)
 
 
 def test_word_chars_on_random_noise_bitmaps():
