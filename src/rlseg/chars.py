@@ -3,7 +3,8 @@
 Touching characters mostly connect in the middle of the x-height, so cuts are
 taken where the OR of the top-band and bottom-band occupancies goes dark.
 Length statistics then remove negligible fragments (merge) and split oversized
-segments at the weakest middle-band column.
+segments at the weakest middle-band column; only a word that must split has
+its middle band projected.
 
 The driver (plan_chars, word_chars, line_chars) is the same for runs and
 pixels: each domain hands it its primitives as a Backend.
@@ -201,7 +202,10 @@ def repair(
     alpha*mean merge into the neighbor across the smaller gap (cascading until
     none remain below the bar); components longer than beta*mean are split once
     at the lowest middle-band frequency column, which the cut consumes.
-    middle_freq is in column_frequency's step form (xs, counts).
+    middle_freq is a zero-argument callable returning the middle band's step
+    form (xs, counts), as column_frequency gives it; it is called at most once,
+    after the merges (which can make one oversized), and only if some
+    component is longer than beta*mean.
     """
     comps = list(chars)
     if not comps:
@@ -230,14 +234,16 @@ def repair(
         comps[left : left + 2] = [Component(comps[left].x_min, comps[left + 1].x_max)]
         del cuts[left]
 
-    if middle_freq is None and any(c.length > high for c in comps):
+    oversized = any(c.length > high for c in comps)
+    if oversized and middle_freq is None:
         raise ValueError("middle-band frequencies are required to split a component")
+    freq = middle_freq() if oversized else None
     min_piece = max(1, math.ceil(low))
     i = 0
     while i < len(comps):
         comp = comps[i]
         if comp.length > high:
-            x = _weakest_column(comp, middle_freq, min_piece)
+            x = _weakest_column(comp, freq, min_piece)
             if x is not None:
                 comps[i : i + 1] = [Component(comp.x_min, x - 1), Component(x + 1, comp.x_max)]
                 cuts.insert(i, x)
@@ -275,12 +281,14 @@ def plan_chars(
         spans = backend.occupancy(word, (ink_top, ink_bot + 1), counter).spans
     comps = [Component(lo + dx, hi + dx) for lo, hi in spans]
     middle = bands.middle
-    if len(middle):
+
+    def middle_freq():
+        if not middle:
+            return [0], [0]  # an empty middle band: 0 in every column
         xs, counts = backend.column_frequency(word, (middle.start, middle.stop), counter)
-        freq = ([x + dx for x in xs], counts)
-    else:
-        freq = ([0], [0])  # an empty middle band: 0 in every column
-    return repair(comps, params, freq)
+        return [x + dx for x in xs], counts
+
+    return repair(comps, params, middle_freq)
 
 
 def _located_chars(

@@ -122,8 +122,8 @@ def _read_text(path) -> str:
         raise ParseError(path, 0, f"not UTF-8: {exc}") from exc
 
 
-def _read_records(path) -> list:
-    """The records of a JSON Lines file, skipping empty lines.
+def _read_records(path) -> list[tuple[int, object]]:
+    """The records of a JSON Lines file with their line numbers, skipping empty lines.
 
     Only "\n" ends a line: the writer escapes every other line break.
     """
@@ -131,7 +131,7 @@ def _read_records(path) -> list:
     for lineno, line in enumerate(_read_text(path).split("\n"), 1):
         if line:
             try:
-                records.append(json.loads(line))
+                records.append((lineno, json.loads(line)))
             except (ValueError, RecursionError) as exc:
                 # bad syntax, an int past Python's digit limit, or nesting too deep
                 msg = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
@@ -178,10 +178,13 @@ def cmd_segment(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     overlap = _setting(args, cfg, "overlap", _overlap, 0.9)
+    numbered = _read_records(args.pred)
     try:
-        per_line = predicted_intervals(_read_records(args.pred), args.mode)
+        per_line = predicted_intervals([rec for _, rec in numbered], args.mode)
     except KeyError as exc:
-        raise ParseError(args.pred, 0, f"record has no {exc} field") from exc
+        # every record before the first one without the field was an object with it
+        lineno = next((n for n, rec in numbered if exc.args[0] not in rec), 0)
+        raise ParseError(args.pred, lineno, f"record has no {exc} field") from exc
     except ValueError as exc:
         raise ParseError(args.pred, 0, f"bad predictions: {exc}") from exc
     try:
@@ -227,17 +230,19 @@ def cmd_synth(args) -> int:
 
 def cmd_render(args) -> int:
     line = read_rle(args.rle)
-    seg = _read_records(args.seg)
     stem = Path(args.rle).stem
-    try:
-        xs = [sep["x"] for rec in seg if rec.get("line_id") == stem
-              for sep in rec.get("separators", [])]
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise ParseError(args.seg, 0, f"bad record: {exc!r}") from exc
-    for x in xs:
-        if type(x) is not int or not 0 <= x < line.width:  # so no bool or float either
-            detail = f"separator x {json.dumps(x)} is not an int in [0, {line.width})"
-            raise ParseError(args.seg, 0, detail)
+    xs = []
+    for lineno, rec in _read_records(args.seg):
+        try:
+            seps = rec.get("separators", []) if rec.get("line_id") == stem else []
+            own = [sep["x"] for sep in seps]
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ParseError(args.seg, lineno, f"bad record: {exc!r}") from exc
+        for x in own:
+            if type(x) is not int or not 0 <= x < line.width:  # so no bool or float either
+                detail = f"separator x {json.dumps(x)} is not an int in [0, {line.width})"
+                raise ParseError(args.seg, lineno, detail)
+        xs += own
     write_pbm(overlay(line, xs), args.out, binary=args.binary)
     return EXIT_OK
 

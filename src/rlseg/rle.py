@@ -277,9 +277,10 @@ def crop_columns(rle: RleImage, x_min: int, x_max: int) -> RleImage:
     For all rows at once: one sorted search of the offset stops finds each
     row's first ink run stopping after x_min, one of the offset starts its
     last starting at or before x_max, one gather collects the runs between,
-    and ``maximum``/``minimum`` clip them to the window. O(rows log runs +
-    runs in the window), in NumPy passes; the cropped image's rows are built
-    only if something asks for them.
+    and ``maximum``/``minimum`` clip the gathered copies to the window in
+    place. O(rows log runs + runs in the window), in NumPy passes with no
+    temporary beyond the gather; the cropped image's rows are built only if
+    something asks for them.
     """
     if not 0 <= x_min <= x_max < rle.width:
         raise OutOfBoundsError(
@@ -289,14 +290,16 @@ def crop_columns(rle: RleImage, x_min: int, x_max: int) -> RleImage:
     base, off_starts, off_stops = rle.offset_spans
     first = np.searchsorted(off_stops, base + x_min, "right")
     counts = np.searchsorted(off_starts, base + x_max, "right") - first
-    iptr = np.concatenate(([0], np.cumsum(counts)))
-    take = np.arange(iptr[-1]) + np.repeat(first - iptr[:-1], counts)
-    cut = Spans(
-        np.maximum(starts[take], x_min) - x_min,
-        np.minimum(stops[take], x_max + 1) - x_min,
-        iptr,
-    )
-    return RleImage._from_spans(x_max - x_min + 1, cut)
+    iptr = np.zeros(counts.size + 1, counts.dtype)
+    counts.cumsum(out=iptr[1:])
+    take = np.repeat(first - iptr[:-1], counts)
+    take += np.arange(iptr[-1])
+    s, e = starts[take], stops[take]
+    np.maximum(s, x_min, out=s)
+    np.minimum(e, x_max + 1, out=e)
+    s -= x_min
+    e -= x_min
+    return RleImage._from_spans(x_max - x_min + 1, Spans(s, e, iptr))
 
 
 _HEADER_RE = re.compile(r"^RLE1 ([0-9]+) ([0-9]+)$")

@@ -69,6 +69,8 @@ from support import (
     decode_reference,
     encode_reference,
     gap_walk_reference,
+    glyph_word,
+    plan_chars_eager,
     random_bitmap,
     random_blob_line,
     read_rle_reference,
@@ -744,7 +746,7 @@ def check_inserted_cuts_at_frequency_minima(seed, tmp_path):
     mean = sum(c.length for c in comps) / len(comps)
     if any(c.length < params.alpha * mean for c in comps):
         return
-    result = repair(comps, params, as_steps(freq))
+    result = repair(comps, params, lambda: as_steps(freq))
     min_piece = max(1, math.ceil(params.alpha * mean))
     expected = []
     for comp in comps:
@@ -780,7 +782,7 @@ def check_repair_cuts_are_gap_midpoints(seed, tmp_path):
     comps, width = _random_components(rng)
     params = RoiParams(t=0.2, alpha=rng.uniform(0.1, 0.9), beta=rng.uniform(1.05, 3.0))
     freq = [rng.randint(0, 9) for _ in range(width + 4)]
-    result = repair(comps, params, as_steps(freq))
+    result = repair(comps, params, lambda: as_steps(freq))
     inserted = {op.x for op in result.repairs if op.op == "inserted"}
     removed = [op.x for op in result.repairs if op.op == "removed"]
     kept = [x for x in result.cuts if x not in inserted]
@@ -831,7 +833,7 @@ def check_merge_completeness(seed, tmp_path):
     beta = rng.uniform(1.05, 3.0)
     freq = [rng.randint(0, 9) for _ in range(width + 4)]
     mean = sum(c.length for c in comps) / len(comps)
-    result = repair(comps, RoiParams(t=0.2, alpha=alpha, beta=beta), as_steps(freq))
+    result = repair(comps, RoiParams(t=0.2, alpha=alpha, beta=beta), lambda: as_steps(freq))
     assert all(c.length >= alpha * mean for c in result.chars)
     assert len(result.cuts) == len(result.chars) - 1
 
@@ -885,6 +887,59 @@ def check_plan_chars_in_line_coordinates(seed, tmp_path):
                 got = plan_chars(word, params, backend, counter, dx)
                 assert got == shifted_plan(base, dx), (w, dx)
                 assert counter.count == base_counter.count
+
+
+# A word whose one oversized component comes from a merge: (0, 9) absorbs the
+# 1-column (11, 11) across the 1-column gap. The mean length is 5.8, and under
+# the default params 10 <= 1.75 * 5.8 < 12.
+MERGE_OVERSIZED_WORD = [(0, 9), (11, 11), (20, 25), (30, 35), (40, 45)]
+
+
+def check_plan_chars_matches_eager_reference(seed, tmp_path):
+    """plan_chars equals the reference that projects every word's middle band,
+    on both domains, with params that split (beta 1.1) and that do not (1.75).
+    It projects the band at most once per word, and once for every word that
+    splits (unless that band is empty), so the reference counts more by
+    exactly the middle-band runs (or pixels) of the words whose band it left
+    alone. The last case splits only because a merge made a component
+    oversized."""
+    rng = random.Random(seed)
+    line = random_blob_line(rng)
+    t, alpha = rng.choice([0.0, 0.2, 0.4]), rng.choice([0.2, 0.33, 0.6])
+    merged = glyph_word(MERGE_OVERSIZED_WORD)
+    cases = [
+        (line, segment_words(line).words, RoiParams(t, alpha, beta), False)
+        for beta in (1.1, 1.75)
+    ]
+    cases.append((merged, [Component(0, merged.width - 1)], DEFAULT_PARAMS, True))
+    for image, words, params, must_split in cases:
+        for backend, source, cost in (
+            (_run_backend(), image, lambda word, a, b: word.runs_in(a, b)),
+            (_pixel_backend(), decode(image), lambda word, a, b: word.width * (b - a)),
+        ):
+            calls = []
+
+            def counting(word, rows, counter, project=backend.column_frequency):
+                calls.append(rows)
+                return project(word, rows, counter)
+
+            lazy = backend._replace(column_frequency=counting)
+            for w in words:
+                word = backend.crop(source, w.x_min, w.x_max)
+                calls.clear()
+                got_counter, eager_counter = WorkCounter(), WorkCounter()
+                got = plan_chars(word, params, lazy, got_counter, w.x_min)
+                want = plan_chars_eager(word, params, backend, eager_counter, w.x_min)
+                assert got == want, (w, params)
+                split = any(op.op == "inserted" for op in got.repairs)
+                assert split >= must_split, (w, params)
+                bounds = backend.ink_row_bounds(word)
+                middle = split_bands(roi_from_bounds(*bounds, params.t)).middle
+                # an empty middle band is never projected: it counts 0 everywhere
+                band = (middle.start, middle.stop) if middle else None
+                assert calls in ([], [band]) and len(calls) >= (split and bool(band)), calls
+                skipped = 0 if calls or not band else cost(word, *band)
+                assert eager_counter.count - got_counter.count == skipped, (w, params)
 
 
 def check_match_symmetry(seed, tmp_path):
@@ -1188,6 +1243,7 @@ CHECKS = [
     ("roi_monotonic", check_roi_monotonic),
     ("char_determinism", check_char_determinism),
     ("plan_chars_in_line_coordinates", check_plan_chars_in_line_coordinates),
+    ("plan_chars_matches_eager_reference", check_plan_chars_matches_eager_reference),
     ("match_symmetry", check_match_symmetry),
     ("ar_monotone", check_ar_monotone),
     ("overlap_one_exact", check_overlap_one_exact),

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from rlseg import Bitmap, ParseError, RleImage, encode
-from rlseg.chars import RepairOp, RepairResult
-from rlseg.projection import Component
+from rlseg.chars import RepairOp, RepairResult, band_or, repair, roi_from_bounds, split_bands
+from rlseg.projection import Component, Occupancy
 
 # Worked reference line: 13 component intervals of a sample sentence.
 REFERENCE_LINE_COMPONENTS = [
@@ -92,6 +92,34 @@ def shifted_plan(result: RepairResult, dx: int) -> RepairResult:
         tuple(x + dx for x in result.cuts),
         tuple(RepairOp(r.op, r.x + dx) for r in result.repairs),
     )
+
+
+def plan_chars_eager(word, params, backend, counter=None, dx: int = 0) -> RepairResult:
+    """The char plan that projects the middle band of every word, split or
+    not: the reference for plan_chars, which projects it only when repair
+    must split."""
+    ink_top, ink_bot = backend.ink_row_bounds(word)
+    rows = roi_from_bounds(ink_top, ink_bot, params.t)
+    bands = split_bands(rows)
+
+    def band_occupancy(band: range) -> Occupancy:
+        if len(band) == 0:
+            return Occupancy(word.width, ())
+        return backend.occupancy(word, (band.start, band.stop), counter)
+
+    spans = band_or(band_occupancy(bands.top), band_occupancy(bands.bottom)).spans
+    if not spans:
+        spans = backend.occupancy(word, (rows.start, rows.stop), counter).spans
+    if not spans:
+        spans = backend.occupancy(word, (ink_top, ink_bot + 1), counter).spans
+    comps = [Component(lo + dx, hi + dx) for lo, hi in spans]
+    middle = bands.middle
+    if len(middle):
+        xs, counts = backend.column_frequency(word, (middle.start, middle.stop), counter)
+        freq = ([x + dx for x in xs], counts)
+    else:
+        freq = ([0], [0])  # an empty middle band: 0 in every column
+    return repair(comps, params, lambda: freq)
 
 
 def gap_walk_reference(comps, mode):

@@ -11,8 +11,11 @@ from rlseg import (
     Bitmap,
     EmptyWordError,
     WidthMismatchError,
+    WorkCounter,
     decode,
     encode,
+    pdp_segment_line_chars,
+    read_rle,
     segment_chars,
     segment_line_chars,
 )
@@ -32,6 +35,7 @@ from rlseg.chars import (
 )
 from rlseg.projection import Component, Occupancy, column_frequency, occupancy
 from rlseg.rle import RleImage, crop_columns, locate_run
+from rlseg.synth import SynthConfig, write_corpus
 from rlseg.words import separators_at
 
 from support import (
@@ -187,7 +191,7 @@ def test_repair_splits_oversized_at_frequency_minimum():
     comps = [Component(0, 4), Component(8, 12), Component(16, 20), Component(24, 47)]
     freq = [5] * 48
     freq[35] = 0
-    result = repair(comps, RoiParams(alpha=0.2, beta=1.8), middle_freq=as_steps(freq))
+    result = repair(comps, RoiParams(alpha=0.2, beta=1.8), middle_freq=lambda: as_steps(freq))
     inserted = [r for r in result.repairs if r.op == "inserted"]
     assert inserted == [RepairOp("inserted", 35)]
     assert Component(24, 34) in result.chars and Component(36, 47) in result.chars
@@ -205,7 +209,7 @@ def test_repair_splits_oversized_at_frequency_minimum():
 def test_repair_split_reads_step_frequencies(steps, x):
     # the 24-column component splits only at columns 26..45 (min_piece 2)
     comps = [Component(0, 4), Component(8, 12), Component(16, 20), Component(24, 47)]
-    result = repair(comps, RoiParams(alpha=0.2, beta=1.8), middle_freq=steps)
+    result = repair(comps, RoiParams(alpha=0.2, beta=1.8), middle_freq=lambda: steps)
     assert [r for r in result.repairs if r.op == "inserted"] == [RepairOp("inserted", x)]
 
 
@@ -342,3 +346,29 @@ def test_char_cuts_avoid_top_bottom_ink():
             column = px[:, sep.x_mid]
             assert not column[bands.top.start : bands.top.stop].any()
             assert not column[bands.bottom.start : bands.bottom.stop].any()
+
+
+# Seed-1 corpora shaped like the benchmark's char workloads (touch rate 0.3),
+# cut short: (lines, words per line, ink runs read, run visits, pixel visits).
+# A middle band is projected only for a word that splits, and none does here,
+# so the visits are those of the word and band occupancies alone. Projecting
+# every word's middle band read 42,844 and 42,466 run visits (329,064 and
+# 330,576 pixels).
+BENCHMARK_SHAPED_WORK = {
+    "chars_narrow": (12, 8, 24488, 36972, 295845),
+    "chars_wide": (3, 32, 24110, 36594, 297357),
+}
+
+
+@pytest.mark.parametrize("name", BENCHMARK_SHAPED_WORK)
+def test_benchmark_shaped_char_work_is_pinned(tmp_path, name):
+    lines, words, runs, run_visits, pixel_visits = BENCHMARK_SHAPED_WORK[name]
+    write_corpus(SynthConfig(lines=lines, words_per_line=words, touch_rate=0.3, seed=1), tmp_path)
+    run_counter, pixel_counter, read = WorkCounter(), WorkCounter(), 0
+    for rel in (tmp_path / "manifest.txt").read_text().splitlines():
+        line = read_rle(tmp_path / rel)
+        read += line.total_runs
+        seg = segment_line_chars(line, counter=run_counter)
+        assert not any(word.repairs for word in seg.per_word)  # nothing split or merged
+        pdp_segment_line_chars(decode(line), counter=pixel_counter)
+    assert (read, run_counter.count, pixel_counter.count) == (runs, run_visits, pixel_visits)

@@ -484,7 +484,11 @@ def test_long_malformed_row_gives_a_short_error(tmp_path, monkeypatch, capsys):
             '{"line_id": "a", "words": [[0, 1' + "0" * 5000 + "]]}",
             ":1: not JSON: Exceeds the limit",
         ),
-        ('{"words": [[0, 3]]}', ":0: record has no 'line_id' field"),
+        ('{"words": [[0, 3]]}', ":1: record has no 'line_id' field"),
+        (
+            '{"line_id": "a", "words": [[0, 3]]}\n\n{"words": [[5, 8]]}\n{}',
+            ":3: record has no 'line_id' field",
+        ),
         ("1\n2", ":0: bad predictions: record 0 is int, not an object"),
         (
             '[{"line_id": "a", "words": [[0, 3]]}]',
@@ -517,7 +521,8 @@ def test_long_malformed_row_gives_a_short_error(tmp_path, monkeypatch, capsys):
         ),
     ],
     ids=[
-        "not_json", "too_deep", "too_long_int", "no_line_id", "not_objects", "not_a_list",
+        "not_json", "too_deep", "too_long_int", "no_line_id", "no_line_id_on_line_3",
+        "not_objects", "not_a_list",
         "not_pairs", "triple", "inverted", "negative_bound", "int_line_id", "null_line_id",
     ],
 )
@@ -625,20 +630,33 @@ def test_render_bad_segmentation_exits_4(tmp_path, corpus, capsys):
 @pytest.mark.parametrize(
     "text,detail",
     [
-        ("1\n2", ":0: bad record: AttributeError("),
-        ('{"line_id": "STEM", "separators": [{}]}', ":0: bad record: KeyError('x')"),
+        ("1\n2", ":1: bad record: AttributeError("),
+        ('{"line_id": "STEM", "separators": [{}]}', ":1: bad record: KeyError('x')"),
         ('{"line_id": "STEM", "separators": [{"x": WIDTH}]}',
-         ":0: separator x WIDTH is not an int in [0, WIDTH)\n"),
+         ":1: separator x WIDTH is not an int in [0, WIDTH)\n"),
         ('{"line_id": "STEM", "separators": [{"x": 2}, {"x": -1}]}',
-         ":0: separator x -1 is not an int in [0, WIDTH)\n"),
+         ":1: separator x -1 is not an int in [0, WIDTH)\n"),
         ('{"line_id": "STEM", "separators": [{"x": 1.5}]}',
-         ":0: separator x 1.5 is not an int in [0, WIDTH)\n"),
+         ":1: separator x 1.5 is not an int in [0, WIDTH)\n"),
         ('{"line_id": "STEM", "separators": [{"x": "1"}]}',
-         ':0: separator x "1" is not an int in [0, WIDTH)\n'),
+         ':1: separator x "1" is not an int in [0, WIDTH)\n'),
         ('{"line_id": "STEM", "separators": [{"x": true}]}',
-         ":0: separator x true is not an int in [0, WIDTH)\n"),
+         ":1: separator x true is not an int in [0, WIDTH)\n"),
+        # the bad record is on line 3, after good records of this line and another
+        ('{"line_id": "STEM", "separators": [{"x": 1}]}\n\n'
+         '{"line_id": "other", "separators": [{"x": -7}]}\n'
+         '{"line_id": "STEM", "separators": [{"x": -1}]}',
+         ":4: separator x -1 is not an int in [0, WIDTH)\n"),
+        ('{"line_id": "STEM", "separators": [{"x": 1}]}\n{"line_id": "x"}\n[]',
+         ":3: bad record: AttributeError("),
+        ('{"line_id": "STEM", "separators": [{"x": 1}]}\n{"line_id": "x"}\n'
+         '{"line_id": "STEM", "separators": [{"x": 2}, {"x": WIDTH}]}',
+         ":3: separator x WIDTH is not an int in [0, WIDTH)\n"),
     ],
-    ids=["not_objects", "no_x", "x_at_width", "x_negative", "x_float", "x_string", "x_bool"],
+    ids=[
+        "not_objects", "no_x", "x_at_width", "x_negative", "x_float", "x_string", "x_bool",
+        "x_negative_on_line_4", "not_object_on_line_3", "x_at_width_on_line_3",
+    ],
 )
 def test_render_bad_records_exit_4(tmp_path, corpus, capsys, text, detail):
     first = sorted((corpus / "lines").glob("*.rle"))[0]

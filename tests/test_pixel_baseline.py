@@ -23,6 +23,7 @@ from rlseg import (
     segment_line_chars,
     segment_words,
 )
+from rlseg.chars import DEFAULT_PARAMS, RoiParams
 from rlseg.errors import EmptyWordError
 from rlseg.pixel_baseline import (
     pdp_locate_run,
@@ -118,9 +119,10 @@ def test_word_level_char_records_byte_identical():
         assert cdp == dumps([char_record("w", f"w{i}", pdp_segment_chars(decode(word)))])
 
 
-def test_char_stage_runs_the_seams_named_at_call_time(monkeypatch):
-    # Replacing a primitive by its module name must reach the shared driver in
-    # both domains; a backend bound at import time would bypass the wrappers.
+def _seam_run(monkeypatch, params):
+    """Both domains' char stage on one line, with every primitive the driver
+    looks up by module name replaced by a counting wrapper. Returns the calls
+    per name, the visits per module, both counters and both results."""
     px = np.zeros((24, 90), np.uint8)
     for a, b in [(3, 10), (13, 20), (22, 40), (60, 67), (70, 77), (80, 86)]:
         px[:, a : b + 1] = 1
@@ -159,19 +161,37 @@ def test_char_stage_runs_the_seams_named_at_call_time(monkeypatch):
         counting(rlseg.pixel_baseline, name)
 
     run_counter, pdp_counter = WorkCounter(), WorkCounter()
-    run = segment_line_chars(line, counter=run_counter, words=run_words)
-    pdp = pdp_segment_line_chars(bitmap, counter=pdp_counter, words=pdp_words)
+    run = segment_line_chars(line, params, counter=run_counter, words=run_words)
+    pdp = pdp_segment_line_chars(bitmap, params, counter=pdp_counter, words=pdp_words)
     assert dumps(line_char_records("l", run)) == dumps(line_char_records("l", pdp))
-    cuts = sum(len(seg.separators) for seg in pdp.per_word)
-    assert cuts > 0
-    assert set(calls) == {
-        "occupancy", "column_frequency", "crop_columns", "separators_at",
-        "pdp_occupancy", "pdp_column_frequency", "pdp_separators_at", "pdp_ink_row_bounds",
-    }
     assert calls["pdp_separators_at"] == 1
     assert calls["pdp_ink_row_bounds"] == len(pdp_words.words)
     assert visits["rlseg.chars"] == run_counter.count > 0
     assert visits["rlseg.pixel_baseline"] == pdp_counter.count > 0
+    return calls, pdp
+
+
+def test_char_stage_runs_the_seams_named_at_call_time(monkeypatch):
+    # Replacing a primitive by its module name must reach the shared driver in
+    # both domains; a backend bound at import time would bypass the wrappers.
+    # No component here is longer than beta * mean, so no middle band is
+    # projected.
+    calls, pdp = _seam_run(monkeypatch, DEFAULT_PARAMS)
+    assert sum(len(seg.separators) for seg in pdp.per_word) > 0
+    assert not any(seg.repairs for seg in pdp.per_word)
+    assert set(calls) == {
+        "occupancy", "crop_columns", "separators_at",
+        "pdp_occupancy", "pdp_separators_at", "pdp_ink_row_bounds",
+    }
+
+
+def test_char_stage_projects_the_middle_band_of_each_splitting_word(monkeypatch):
+    # Under beta 1.1 the bridged glyphs (22, 40) are longer than beta * mean,
+    # so their word splits, and each domain projects its middle band once.
+    calls, pdp = _seam_run(monkeypatch, RoiParams(beta=1.1))
+    splitting = sum(any(op.op == "inserted" for op in seg.repairs) for seg in pdp.per_word)
+    assert splitting == 1
+    assert calls["column_frequency"] == calls["pdp_column_frequency"] == splitting
 
 
 def test_pdp_separator_at_holds_one_row_of_pixels():
