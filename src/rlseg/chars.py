@@ -6,8 +6,12 @@ Length statistics then remove negligible fragments (merge) and split oversized
 segments at the weakest middle-band column; only a word that must split has
 its middle band projected.
 
-The driver (plan_chars, word_chars, line_chars) is the same for runs and
-pixels: each domain hands it its primitives as a Backend.
+The per-word pipeline (plan_chars, word_chars, line_chars) is the same for runs
+and pixels: each domain hands it its primitives as a Backend, and the pixel
+oracle runs it word by word. segment_line_chars plans all of a line's words
+at once on runs: one occupancy of a stack of every word's top-band and
+bottom-band rows gives every word's band OR, since words are separated by
+blank columns. Only the fallbacks, a split's middle band and repair run per word.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .errors import EmptyWordError, SettingError, WidthMismatchError
 from .projection import (
     Component,
@@ -27,7 +33,7 @@ from .projection import (
     components,  # unused here; perfbench's tracer patches it under this module's name
     occupancy,
 )
-from .rle import RleImage, crop_columns
+from .rle import RleImage, Spans, crop_columns
 from .words import (
     AUTO,
     SeparatorPoint,
@@ -216,6 +222,8 @@ def repair(
     mean = sum(c.length for c in comps) / len(comps)
     low = params.alpha * mean
     high = params.beta * mean
+    if all(low <= c.length <= high for c in comps):  # nothing to merge or split
+        return RepairResult(tuple(comps), tuple(cuts), ())
     repairs: list[RepairOp] = []
 
     while len(comps) > 1:
@@ -351,6 +359,52 @@ def line_chars(
     return LineCharSegmentation(words, _located_chars(backend, line, plans, params))
 
 
+def _band_stack(frame: RleImage, words: list[Component], t: float):
+    """Every word's ink rows, ROI and middle band, and one image of frame width
+    whose rows are every word's top-band and bottom-band rows, each holding
+    that word's ink runs. Each ink run lies in one word window, the last
+    starting at or before it, as words are unions of occupancy components.
+    A stable sort by word keeps each word's runs in row order, so the keys
+    word * height + row come out sorted."""
+    starts, stops, iptr = frame.spans
+    height = frame.height
+    word_starts = np.array([w.x_min - words[0].x_min for w in words], starts.dtype)
+    run_word = np.searchsorted(word_starts, starts, "right") - 1
+    order = np.argsort(run_word, kind="stable")
+    keys = run_word[order] * height + np.repeat(np.arange(height), np.diff(iptr))[order]
+    first = np.searchsorted(keys, np.arange(len(words) + 1) * height)
+    ink = zip(keys[first[:-1]].tolist(), keys[first[1:] - 1].tolist())
+    rois, stacked = [], []  # stacked: the key of each stacked row
+    for w, (top, bot) in enumerate(ink):
+        ink_top, ink_bot = top - w * height, bot - w * height
+        rows = roi_from_bounds(ink_top, ink_bot, t)
+        bands = split_bands(rows)
+        rois.append((ink_top, ink_bot, rows, bands.middle))
+        for band in (bands.top, bands.bottom):
+            stacked += range(w * height + band.start, w * height + band.stop)
+    # gather each stacked row's runs, as crop_columns gathers a window's
+    row_first = np.searchsorted(keys, stacked)
+    counts = np.searchsorted(keys, stacked, "right") - row_first
+    sptr = np.concatenate(([0], np.cumsum(counts)))
+    take = order[np.repeat(row_first - sptr[:-1], counts) + np.arange(sptr[-1])]
+    stack = RleImage._from_spans(frame.width, Spans(starts[take], stops[take], sptr))
+    return rois, word_starts, stack
+
+
+def _middle_freq(line: RleImage, w: Component, middle: range, counter):
+    """plan_chars's middle_freq for word w of line: its middle band, projected
+    on a crop of the word, in line columns."""
+
+    def middle_freq():
+        if not middle:
+            return [0], [0]
+        word = crop_columns(line, w.x_min, w.x_max)
+        xs, counts = column_frequency(word, (middle.start, middle.stop), counter)
+        return [x + w.x_min for x in xs], counts
+
+    return middle_freq
+
+
 def segment_line_chars(
     line: RleImage,
     params: RoiParams = DEFAULT_PARAMS,
@@ -358,7 +412,28 @@ def segment_line_chars(
     counter: WorkCounter | None = None,
     words: WordSegmentation | None = None,
 ) -> LineCharSegmentation:
-    """Run word segmentation, then character segmentation inside each word."""
+    """Run word segmentation (or take the line's, as words), then plan every
+    word's characters at once on runs: one crop of the inked columns (the
+    frame), one occupancy of the band stack, and a word crop only for a
+    fallback or a split. Equal to line_chars on the run backend."""
     if words is None:
         words = segment_words(line, mode, counter)
-    return line_chars(_run_backend(), line, words, params, counter)
+    ws = words.words
+    x0 = ws[0].x_min
+    rois, word_starts, stack = _band_stack(crop_columns(line, x0, ws[-1].x_max), ws, params.t)
+    ors = occupancy(stack, (0, stack.height), counter).spans
+    firsts = np.array([lo for lo, _ in ors], word_starts.dtype)  # word i's from its start on
+    cut = [*np.searchsorted(firsts, word_starts).tolist(), len(ors)]
+    results = []
+    for i, (w, (ink_top, ink_bot, rows, middle)) in enumerate(zip(ws, rois)):
+        spans = ors[cut[i] : cut[i + 1]]
+        dx = x0
+        if not spans:  # the band OR is dark: the ROI, then the ink box, on the word
+            word, dx = crop_columns(line, w.x_min, w.x_max), w.x_min
+            spans = occupancy(word, (rows.start, rows.stop), counter).spans
+            if not spans:
+                spans = occupancy(word, (ink_top, ink_bot + 1), counter).spans
+        comps = [Component(lo + dx, hi + dx) for lo, hi in spans]
+        results.append(repair(comps, params, _middle_freq(line, w, middle, counter)))
+    return LineCharSegmentation(words, _located_chars(_run_backend(), line, results, params))
+

@@ -17,7 +17,7 @@ from .errors import (
     ParseError,
     SettingError,
 )
-from .evaluate import load_ground_truth, predicted_intervals, score_intervals
+from .evaluate import BadRecordError, load_ground_truth, predicted_intervals, score_intervals
 from .pbm import read_pbm, write_pbm
 from .records import dumps, line_char_records, word_record
 from .render import overlay
@@ -185,6 +185,9 @@ def cmd_evaluate(args) -> int:
         # every record before the first one without the field was an object with it
         lineno = next((n for n, rec in numbered if exc.args[0] not in rec), 0)
         raise ParseError(args.pred, lineno, f"record has no {exc} field") from exc
+    except BadRecordError as exc:
+        lineno = numbered[exc.index][0]
+        raise ParseError(args.pred, lineno, f"bad predictions: {exc.reason}") from exc
     except ValueError as exc:
         raise ParseError(args.pred, 0, f"bad predictions: {exc}") from exc
     try:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,8 +82,22 @@ class GroundTruthLine:
 
 
 def load_ground_truth(path) -> list[GroundTruthLine]:
+    """The truth lines of a JSON file; ValueError when a line_id repeats, so
+    that no prediction is scored twice."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [GroundTruthLine.from_json(obj) for obj in data]
+    lines = [GroundTruthLine.from_json(obj) for obj in data]
+    repeated = [k for k, n in Counter(line.line_id for line in lines).items() if n > 1]
+    if repeated:
+        raise ValueError(f"line_id {repeated[0]!r} appears more than once")
+    return lines
+
+
+class BadRecordError(ValueError):
+    """A prediction record that cannot be scored: its index, and why."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"record {index}: {reason}")
+        self.index, self.reason = index, reason
 
 
 def _check_sorted_disjoint(name: str, intervals) -> None:
@@ -132,9 +147,10 @@ def predicted_intervals(pred_records, mode: str = "word") -> dict[str, list[tupl
 
     Word mode reads the records' "words", char mode their "chars", and
     concatenates them per line_id; records without that key are skipped.
-    Raises KeyError for a record without line_id and ValueError when the
-    records are not a list of objects with a string line_id whose intervals
-    are [start, end] pairs of ints >= 0, sorted and disjoint within each line.
+    Raises KeyError for a record without line_id, ValueError when the records
+    are not a list, and BadRecordError (a ValueError) naming the first record
+    that is not an object with a string line_id whose intervals are [start,
+    end] pairs of ints >= 0, sorted and disjoint within each line.
     """
     if mode not in ("word", "char"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
@@ -144,15 +160,20 @@ def predicted_intervals(pred_records, mode: str = "word") -> dict[str, list[tupl
     per_line: dict[str, list[tuple[int, int]]] = {}
     for i, rec in enumerate(pred_records):
         if not isinstance(rec, dict):
-            raise ValueError(f"record {i} is {type(rec).__name__}, not an object")
+            raise BadRecordError(i, f"record is {type(rec).__name__}, not an object")
         line_id = rec["line_id"]
         if not isinstance(line_id, str):
-            raise ValueError(f"record {i}: line_id {line_id!r} is not a string")
+            raise BadRecordError(i, f"line_id {line_id!r} is not a string")
         if key not in rec:
             continue
-        per_line.setdefault(line_id, []).extend(_pairs(rec[key], f"record {i}: {key!r}"))
-    for line_id, ivs in per_line.items():
-        _check_sorted_disjoint(f"line {line_id} predicted", ivs)
+        ivs = per_line.setdefault(line_id, [])
+        try:
+            new = _pairs(rec[key], repr(key))
+            # the line's intervals so far were checked; the last one bounds these
+            _check_sorted_disjoint(f"line {line_id} predicted", [*ivs[-1:], *new])
+        except ValueError as exc:
+            raise BadRecordError(i, str(exc)) from exc
+        ivs.extend(new)
     return per_line
 
 

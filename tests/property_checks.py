@@ -18,6 +18,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import rlseg.chars
 from rlseg import (
     Bitmap,
     EmptyLineError,
@@ -37,6 +38,7 @@ from rlseg.chars import (
     RoiParams,
     _run_backend,
     band_or,
+    line_chars,
     plan_chars,
     repair,
     roi_from_bounds,
@@ -58,7 +60,7 @@ from rlseg.projection import Component, Occupancy, components, occupancy, union
 from rlseg.records import dumps, line_char_records, word_record
 from rlseg.pbm import _next_token, read_pbm, write_pbm
 from rlseg.rle import RleImage, crop_columns, locate_run, read_rle, write_rle
-from rlseg.words import plan_words, separator_at, separators_at
+from rlseg.words import AUTO, plan_words, separator_at, separators_at
 
 from support import (
     as_steps,
@@ -942,6 +944,81 @@ def check_plan_chars_matches_eager_reference(seed, tmp_path):
                 assert eager_counter.count - got_counter.count == skipped, (w, params)
 
 
+# A line of five words under a fixed word threshold of 12, as (x_min, x_max,
+# first row, stop row) ink boxes 30 rows high. Under the default params each
+# word's ROI is rows [6, 24), banded [6, 12), [12, 18), [18, 24). Word 0 has
+# ink in the middle band and the trimmed rows only, so its band OR is dark;
+# word 1 only in the trimmed rows, so its ROI is blank too; word 2 is
+# MERGE_OVERSIZED_WORD, which merges, then splits; word 3 splits; word 4 merges.
+FALLBACK_LINE = [
+    (0, 3, 0, 6), (5, 8, 12, 18), (10, 13, 24, 30),
+    (30, 33, 0, 6), (36, 39, 24, 30),
+    *((a + 60, b + 60, 0, 30) for a, b in MERGE_OVERSIZED_WORD),
+    (130, 135, 0, 30), (140, 145, 0, 30), (150, 175, 0, 30),
+    (200, 209, 0, 30), (211, 211, 0, 30), (215, 224, 0, 30),
+]
+
+
+def _boxes_line(boxes, lead: int, width: int) -> RleImage:
+    px = np.zeros((30, width), np.uint8)
+    for a, b, r0, r1 in boxes:
+        px[r0:r1, lead + a : lead + b + 1] = 1
+    return encode(Bitmap(px))
+
+
+def check_line_plan_matches_per_word_reference(seed, tmp_path):
+    """segment_line_chars, which plans every word of a line at once, equals
+    line_chars on the run backend, which plans each word on its crop; and
+    its WorkCounter holds exactly the runs of the row ranges it projected.
+    Random blob lines run under beta 1.1 and 1.75; FALLBACK_LINE hits both
+    fallbacks, merges and splits, and runs again past 2**62 columns, on
+    dtype=object spans."""
+    rng = random.Random(seed)
+    line = random_blob_line(rng)
+    t, alpha = rng.choice([0.0, 0.2, 0.4]), rng.choice([0.2, 0.33, 0.6])
+    cases = [(line, AUTO, RoiParams(t, alpha, beta)) for beta in (1.1, 1.75)]
+    fixed = ThresholdMode("fixed", 12)
+    lead = rng.randint(0, 5)
+    boxes = _boxes_line(FALLBACK_LINE, lead, 230 + lead + rng.randint(1, 4))
+    pad = rng.randint(2**62, 2**64)  # every row of boxes starts and ends with background
+    rows = [(r.runs[0] + pad, *r.runs[1:-1], r.runs[-1] + pad) for r in boxes.rows]
+    huge = RleImage(boxes.width + 2 * pad, rows)
+    assert huge.spans.starts.dtype == object
+    cases += [(boxes, fixed, DEFAULT_PARAMS), (huge, fixed, DEFAULT_PARAMS)]
+    for image, mode, params in cases:
+        words = segment_words(image, mode)
+        want = line_chars(_run_backend(), image, words, params, None)
+        projected = []
+
+        def visiting(name):
+            project = getattr(rlseg.chars, name)
+
+            def wrapper(img, rows, counter=None):
+                projected.append((name, img.runs_in(*rows)))
+                return project(img, rows, counter)
+
+            return wrapper
+
+        counter = WorkCounter()
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("occupancy", "column_frequency"):
+                mp.setattr(rlseg.chars, name, visiting(name))
+            got = segment_line_chars(image, params, counter=counter, words=words)
+        assert got == want, params
+        assert counter.count == sum(n for _, n in projected)
+        if mode is fixed:
+            # occupancy: the band stack, word 0's ROI, word 1's ROI and ink box;
+            # column_frequency: the middle bands of the two splitting words
+            names = [name for name, _ in projected]
+            assert (names.count("occupancy"), names.count("column_frequency")) == (4, 2)
+            x = words.words[0].x_min  # lead, or lead + pad
+            assert [p.chars for p in got.per_word[:2]] == [
+                ((x + 5, x + 8),), ((x + 30, x + 33), (x + 36, x + 39))
+            ]
+            repairs = [[op.op for op in p.repairs] for p in got.per_word]
+            assert repairs[2:] == [["removed", "inserted"], ["inserted"], ["removed"]], repairs
+
+
 def check_match_symmetry(seed, tmp_path):
     rng = random.Random(seed)
     a, _ = _random_components(rng)
@@ -1244,6 +1321,7 @@ CHECKS = [
     ("char_determinism", check_char_determinism),
     ("plan_chars_in_line_coordinates", check_plan_chars_in_line_coordinates),
     ("plan_chars_matches_eager_reference", check_plan_chars_matches_eager_reference),
+    ("line_plan_matches_per_word_reference", check_line_plan_matches_per_word_reference),
     ("match_symmetry", check_match_symmetry),
     ("ar_monotone", check_ar_monotone),
     ("overlap_one_exact", check_overlap_one_exact),

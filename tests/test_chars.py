@@ -351,12 +351,15 @@ def test_char_cuts_avoid_top_bottom_ink():
 # Seed-1 corpora shaped like the benchmark's char workloads (touch rate 0.3),
 # cut short: (lines, words per line, ink runs read, run visits, pixel visits).
 # A middle band is projected only for a word that splits, and none does here,
-# so the visits are those of the word and band occupancies alone. Projecting
-# every word's middle band read 42,844 and 42,466 run visits (329,064 and
-# 330,576 pixels).
+# so the visits are those of the word and band occupancies alone. The run
+# path projects the band rows of all of a line's words in one stack at frame
+# width, so a band row whose ink reaches its word's right edge counts one run
+# more than on a word crop: planning word by word read 36,972 and 36,594 run
+# visits. Projecting every word's middle band read 42,844 and 42,466 run
+# visits (329,064 and 330,576 pixels).
 BENCHMARK_SHAPED_WORK = {
-    "chars_narrow": (12, 8, 24488, 36972, 295845),
-    "chars_wide": (3, 32, 24110, 36594, 297357),
+    "chars_narrow": (12, 8, 24488, 38206, 295845),
+    "chars_wide": (3, 32, 24110, 37957, 297357),
 }
 
 
@@ -372,3 +375,27 @@ def test_benchmark_shaped_char_work_is_pinned(tmp_path, name):
         assert not any(word.repairs for word in seg.per_word)  # nothing split or merged
         pdp_segment_line_chars(decode(line), counter=pixel_counter)
     assert (read, run_counter.count, pixel_counter.count) == (runs, run_visits, pixel_visits)
+
+
+@pytest.mark.parametrize("name", BENCHMARK_SHAPED_WORK)
+def test_benchmark_shaped_lines_take_one_crop_and_one_projection(tmp_path, monkeypatch, name):
+    # The line's frame crop and its band-stack occupancy; no word takes a
+    # fallback or splits on these corpora, so no word is cropped or projected.
+    lines, words = BENCHMARK_SHAPED_WORK[name][:2]
+    write_corpus(SynthConfig(lines=lines, words_per_line=words, touch_rate=0.3, seed=1), tmp_path)
+    calls = []
+
+    def counting(label, fn):
+        def wrapper(*args):
+            calls.append(label)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(rlseg.chars, "crop_columns", counting("crop", crop_columns))
+    monkeypatch.setattr(rlseg.chars, "occupancy", counting("occupancy", occupancy))
+    for rel in (tmp_path / "manifest.txt").read_text().splitlines():
+        calls.clear()
+        seg = segment_line_chars(read_rle(tmp_path / rel))  # words project through rlseg.words
+        assert len(seg.per_word) == words
+        assert sorted(calls) == ["crop", "occupancy"], rel

@@ -489,41 +489,60 @@ def test_long_malformed_row_gives_a_short_error(tmp_path, monkeypatch, capsys):
             '{"line_id": "a", "words": [[0, 3]]}\n\n{"words": [[5, 8]]}\n{}',
             ":3: record has no 'line_id' field",
         ),
-        ("1\n2", ":0: bad predictions: record 0 is int, not an object"),
+        ("1\n2", ":1: bad predictions: record is int, not an object"),
         (
             '[{"line_id": "a", "words": [[0, 3]]}]',
-            ":0: bad predictions: record 0 is list, not an object",
+            ":1: bad predictions: record is list, not an object",
         ),
         (
             '{"line_id": "a", "words": [0, 3]}',
-            ":0: bad predictions: record 0: 'words' is not a list of [start, end] integer pairs",
+            ":1: bad predictions: 'words' is not a list of [start, end] integer pairs",
         ),
         (
             '{"line_id": "a", "words": [[0, 3, 5]]}',
-            ":0: bad predictions: record 0: 'words' is not a list of [start, end] integer pairs",
+            ":1: bad predictions: 'words' is not a list of [start, end] integer pairs",
         ),
         (
             '{"line_id": "a", "words": [[5, 3]]}',
-            ":0: bad predictions: line a predicted interval [5, 3] is inverted",
+            ":1: bad predictions: line a predicted interval [5, 3] is inverted",
         ),
         (
             '{"line_id": "a", "words": [[-5, 5]]}',
-            ":0: bad predictions: record 0: 'words' interval 0 [-5, 5] has a bound below 0",
+            ":1: bad predictions: 'words' interval 0 [-5, 5] has a bound below 0",
         ),
         # a line_id is never converted: 5 must not score as truth line "5"
         (
             '{"line_id": 5, "words": [[0, 5]]}',
-            ":0: bad predictions: record 0: line_id 5 is not a string",
+            ":1: bad predictions: line_id 5 is not a string",
         ),
         (
             '{"line_id": null, "words": [[0, 5]]}',
-            ":0: bad predictions: record 0: line_id None is not a string",
+            ":1: bad predictions: line_id None is not a string",
+        ),
+        # the file line is named, not the record's index among non-empty lines
+        (
+            '{"line_id": "a", "words": [[0, 3]]}\n\n[1,2]',
+            ":3: bad predictions: record is list, not an object",
+        ),
+        (
+            '{"line_id": "a", "words": [[0, 3]]}\n\n{"line_id": 5, "words": []}',
+            ":3: bad predictions: line_id 5 is not a string",
+        ),
+        (
+            '{"line_id": "a", "words": [[0, 3]]}\n\n{"line_id": "b", "words": [[0, 3.5]]}',
+            ":3: bad predictions: 'words' is not a list of [start, end] integer pairs",
+        ),
+        # two records of one line: the second overlaps the first's interval
+        (
+            '{"line_id": "a", "words": [[0, 3]]}\n\n{"line_id": "a", "words": [[3, 8]]}',
+            ":3: bad predictions: line a predicted intervals overlap or are unsorted at [3, 8]",
         ),
     ],
     ids=[
         "not_json", "too_deep", "too_long_int", "no_line_id", "no_line_id_on_line_3",
         "not_objects", "not_a_list",
         "not_pairs", "triple", "inverted", "negative_bound", "int_line_id", "null_line_id",
+        "list_on_line_3", "int_line_id_on_line_3", "float_bound_on_line_3", "overlap_on_line_3",
     ],
 )
 def test_evaluate_bad_predictions_exit_4(tmp_path, corpus, capsys, text, detail):
@@ -561,10 +580,15 @@ _NOT_PAIRS = "ValueError(\"line a: 'words' is not a list of [start, end] integer
             ":0: bad ground truth: ValueError(\"line a: 'words' interval 0 [-5, 5] "
             'has a bound below 0")',
         ),
+        # a repeated line would score its predictions twice
+        (
+            '[{"line_id": "a", "words": [[0, 5]]}, {"line_id": "a", "words": [[0, 5]]}]',
+            ":0: bad ground truth: ValueError(\"line_id 'a' appears more than once\")",
+        ),
     ],
     ids=[
         "not_json", "too_deep", "no_words", "not_objects", "float_bound", "bool_bound",
-        "string_bound", "float_char_bound", "int_line_id", "negative_bound",
+        "string_bound", "float_char_bound", "int_line_id", "negative_bound", "repeated_line_id",
     ],
 )
 def test_evaluate_bad_truth_exit_4(tmp_path, corpus, capsys, text, detail):
