@@ -21,7 +21,6 @@ from .errors import (
     ParseError,
     RlsegError,
     SettingError,
-    WidthMismatchError,
 )
 from .evaluate import GroundTruthLine, evaluate_records, load_ground_truth
 from .pbm import read_pbm, write_pbm

@@ -6,12 +6,14 @@ Length statistics then remove negligible fragments (merge) and split oversized
 segments at the weakest middle-band column; only a word that must split has
 its middle band projected.
 
-The per-word pipeline (plan_chars, word_chars, line_chars) is the same for runs
-and pixels: each domain hands it its primitives as a Backend, and the pixel
-oracle runs it word by word. segment_line_chars plans all of a line's words
-at once on runs: one occupancy of a stack of every word's top-band and
-bottom-band rows gives every word's band OR, since words are separated by
-blank columns. Only the fallbacks, a split's middle band and repair run per word.
+One driver, line_chars, serves runs and pixels: each domain hands it its
+primitives as a Backend. The backend's word_bands gives every word of a line
+its ink rows, ROI, middle band and band OR at once; plan_chars then finishes
+each word (the dark-band fallbacks and the middle band on a crop of the word,
+and repair), and all of the line's cuts are located with one call. On runs,
+word_bands takes one occupancy of the band runs of the whole line, since
+words are separated by blank columns; the pixel oracle projects each word's
+two bands on its crop.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import EmptyWordError, SettingError, WidthMismatchError
+from .errors import EmptyWordError, SettingError
 from .projection import (
     Component,
-    Occupancy,
     WorkCounter,
     column_frequency,
     components,  # unused here; perfbench's tracer patches it under this module's name
@@ -73,7 +74,7 @@ class Backend(NamedTuple):
     """The primitives one image domain (runs or pixels) gives the char stage."""
 
     crop: Callable  # (image, x_min, x_max) -> the inclusive column window
-    ink_row_bounds: Callable  # image -> (first, last) inked row
+    word_bands: Callable  # (line, words, t, counter) -> one WordBands per word
     occupancy: Callable  # (image, (start, stop), counter) -> Occupancy
     column_frequency: Callable  # (image, (start, stop), counter) -> step form (xs, counts)
     separators_at: Callable  # (image, xs) -> one SeparatorPoint per x
@@ -118,13 +119,14 @@ class CharSegmentation(NamedTuple):
     params: RoiParams
 
 
-def ink_row_bounds(word: RleImage) -> tuple[int, int]:
-    """First and last row indices containing ink (inclusive): the last row
-    whose span pointer is 0, and the row before the first one at the total."""
-    iptr = word.spans.iptr
-    if not iptr[-1]:
-        raise EmptyWordError("word image has no ink")
-    return int(iptr.searchsorted(0, "right")) - 1, int(iptr.searchsorted(iptr[-1])) - 1
+class WordBands(NamedTuple):
+    """One word of a line as a Backend's word_bands gives it: first and last
+    inked rows, ROI, middle band, and top/bottom band OR in line columns."""
+
+    ink: tuple[int, int]
+    roi: RoiRows
+    middle: range
+    top_or_bottom: tuple[Component, ...]
 
 
 def roi_from_bounds(ink_top: int, ink_bot: int, t: float) -> RoiRows:
@@ -159,26 +161,6 @@ def split_bands(rows) -> BandSet:
     middle = range(top.stop, top.stop + mid_n)
     bottom = range(middle.stop, stop)
     return BandSet(top, middle, bottom)
-
-
-def band_or(top: Occupancy, bottom: Occupancy) -> Occupancy:
-    """Columnwise OR of two band occupancies, as one linear merge.
-
-    Each band's (x_min, x_max) pairs are already sorted and separated, so
-    sorting their concatenation is a merge of two runs (Timsort finds them),
-    and one pass then coalesces each pair into the previous one when they
-    touch or overlap (x_min <= previous x_max + 1).
-    """
-    if top.width != bottom.width:
-        raise WidthMismatchError(f"widths differ: {top.width} vs {bottom.width}")
-    merged: list[tuple[int, int]] = []
-    for lo, hi in sorted(top.spans + bottom.spans):
-        if merged and lo <= merged[-1][1] + 1:
-            if hi > merged[-1][1]:
-                merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return Occupancy(top.width, tuple(merged))
 
 
 def _weakest_column(comp: Component, freq, min_piece: int) -> int | None:
@@ -264,77 +246,30 @@ def repair(
 
 
 def plan_chars(
-    word, params: RoiParams, backend: Backend, counter: WorkCounter | None = None, dx: int = 0
+    backend: Backend, line, w: Component, bands: WordBands, params: RoiParams, counter=None
 ) -> RepairResult:
-    """Character plan of one word image, on either domain, in the columns of
-    its line: dx is the word's first column there.
+    """Character plan of word w of line, on either domain, in line columns.
 
-    Falls back to the full-ROI and then full-ink-box occupancy when the
-    top/bottom OR is completely dark (all ink in the middle band), so every
-    non-empty word yields at least one character.
+    Falls back to the full-ROI and then full-ink-box occupancy of the word's
+    crop when its top/bottom OR is completely dark (all ink in the middle
+    band), so every non-empty word yields at least one character.
     """
-    ink_top, ink_bot = backend.ink_row_bounds(word)
-    rows = roi_from_bounds(ink_top, ink_bot, params.t)
-    bands = split_bands(rows)
-
-    def band_occupancy(band: range) -> Occupancy:
-        if len(band) == 0:
-            return Occupancy(word.width, ())
-        return backend.occupancy(word, (band.start, band.stop), counter)
-
-    spans = band_or(band_occupancy(bands.top), band_occupancy(bands.bottom)).spans
-    if not spans:
+    (ink_top, ink_bot), rows, middle, comps = bands
+    if not comps:
+        word = backend.crop(line, w.x_min, w.x_max)
         spans = backend.occupancy(word, (rows.start, rows.stop), counter).spans
-    if not spans:
-        spans = backend.occupancy(word, (ink_top, ink_bot + 1), counter).spans
-    comps = [Component(lo + dx, hi + dx) for lo, hi in spans]
-    middle = bands.middle
+        if not spans:
+            spans = backend.occupancy(word, (ink_top, ink_bot + 1), counter).spans
+        comps = [Component(lo + w.x_min, hi + w.x_min) for lo, hi in spans]
 
     def middle_freq():
         if not middle:
             return [0], [0]  # an empty middle band: 0 in every column
+        word = backend.crop(line, w.x_min, w.x_max)
         xs, counts = backend.column_frequency(word, (middle.start, middle.stop), counter)
-        return [x + dx for x in xs], counts
+        return [x + w.x_min for x in xs], counts
 
     return repair(comps, params, middle_freq)
-
-
-def _located_chars(
-    backend: Backend, line, plans: list[RepairResult], params: RoiParams
-) -> tuple[CharSegmentation, ...]:
-    """One CharSegmentation per plan, in line coordinates.
-
-    Every cut of every plan is located against line by one separators_at
-    call, and the separators are handed back to their plans in order, so the
-    output is self-contained.
-    """
-    located = iter(backend.separators_at(line, [x for p in plans for x in p.cuts]))
-    return tuple(
-        CharSegmentation(p.chars, tuple(islice(located, len(p.cuts))), p.repairs, params)
-        for p in plans
-    )
-
-
-def word_chars(
-    backend: Backend, word, params: RoiParams, counter: WorkCounter | None
-) -> CharSegmentation:
-    """Characters of one word image, in its own columns."""
-    return _located_chars(backend, word, [plan_chars(word, params, backend, counter)], params)[0]
-
-
-def _run_backend() -> Backend:
-    # Built per call from the module globals, so a name replaced at run time
-    # (a tracer or a test's counting wrapper) is the one that runs.
-    return Backend(crop_columns, ink_row_bounds, occupancy, column_frequency, separators_at)
-
-
-def segment_chars(
-    word: RleImage,
-    params: RoiParams = DEFAULT_PARAMS,
-    counter: WorkCounter | None = None,
-) -> CharSegmentation:
-    """Segment one word image into characters, working on runs only."""
-    return word_chars(_run_backend(), word, params, counter)
 
 
 class LineCharSegmentation(NamedTuple):
@@ -347,62 +282,92 @@ class LineCharSegmentation(NamedTuple):
 def line_chars(
     backend: Backend, line, words: WordSegmentation, params: RoiParams, counter: WorkCounter | None
 ) -> LineCharSegmentation:
-    """Character segmentation of every word of a line, each planned on its crop.
+    """Character segmentation of every word of a line, in line coordinates.
 
-    Every word is planned first; then all of the line's char cuts are located
-    with one separators_at call.
+    The backend gives every word's bands at once, and each word is planned
+    from its own. Then every cut of every plan is located against line by
+    one separators_at call, and the separators are handed back to their
+    plans in order, so the output is self-contained.
     """
-    plans = []
-    for w in words.words:
-        word = backend.crop(line, w.x_min, w.x_max)
-        plans.append(plan_chars(word, params, backend, counter, w.x_min))
-    return LineCharSegmentation(words, _located_chars(backend, line, plans, params))
+    ws = words.words
+    bands = backend.word_bands(line, ws, params.t, counter)
+    plans = [plan_chars(backend, line, w, b, params, counter) for w, b in zip(ws, bands)]
+    located = iter(backend.separators_at(line, [x for p in plans for x in p.cuts]))
+    per_word = tuple(
+        CharSegmentation(p.chars, tuple(islice(located, len(p.cuts))), p.repairs, params)
+        for p in plans
+    )
+    return LineCharSegmentation(words, per_word)
 
 
-def _band_stack(frame: RleImage, words: list[Component], t: float):
-    """Every word's ink rows, ROI and middle band, and one image of frame width
-    whose rows are every word's top-band and bottom-band rows, each holding
-    that word's ink runs. Each ink run lies in one word window, the last
-    starting at or before it, as words are unions of occupancy components.
-    A stable sort by word keeps each word's runs in row order, so the keys
-    word * height + row come out sorted."""
+def word_chars(
+    backend: Backend, word, params: RoiParams, counter: WorkCounter | None
+) -> CharSegmentation:
+    """Characters of one word image, in its own columns: line_chars over one
+    word spanning the whole image."""
+    whole = WordSegmentation((Component(0, word.width - 1),), (), 0.0)
+    return line_chars(backend, word, whole, params, counter).per_word[0]
+
+
+def word_bands(
+    line: RleImage, words, t: float, counter: WorkCounter | None = None
+) -> list[WordBands]:
+    """Every word's WordBands on runs, for all of a line's words at once.
+
+    On one crop of the inked columns (the frame), one sorted search gives
+    each ink run its word, the last starting at or before it: words are
+    unions of occupancy components, so each ink run lies in one word window.
+    A word's ink rows are the least and greatest row of its runs. A mask
+    keeps the runs in their word's top or bottom band, and one occupancy of
+    those runs, in the frame's own rows, is every word's band OR in turn,
+    since words are separated by blank columns; one sorted search hands its
+    intervals to their words.
+    """
+    x0 = words[0].x_min
+    frame = crop_columns(line, x0, words[-1].x_max)
     starts, stops, iptr = frame.spans
     height = frame.height
-    word_starts = np.array([w.x_min - words[0].x_min for w in words], starts.dtype)
+    word_starts = np.array([w.x_min - x0 for w in words], starts.dtype)
     run_word = np.searchsorted(word_starts, starts, "right") - 1
-    order = np.argsort(run_word, kind="stable")
-    keys = run_word[order] * height + np.repeat(np.arange(height), np.diff(iptr))[order]
-    first = np.searchsorted(keys, np.arange(len(words) + 1) * height)
-    ink = zip(keys[first[:-1]].tolist(), keys[first[1:] - 1].tolist())
-    rois, stacked = [], []  # stacked: the key of each stacked row
-    for w, (top, bot) in enumerate(ink):
-        ink_top, ink_bot = top - w * height, bot - w * height
-        rows = roi_from_bounds(ink_top, ink_bot, t)
-        bands = split_bands(rows)
-        rois.append((ink_top, ink_bot, rows, bands.middle))
-        for band in (bands.top, bands.bottom):
-            stacked += range(w * height + band.start, w * height + band.stop)
-    # gather each stacked row's runs, as crop_columns gathers a window's
-    row_first = np.searchsorted(keys, stacked)
-    counts = np.searchsorted(keys, stacked, "right") - row_first
-    sptr = np.concatenate(([0], np.cumsum(counts)))
-    take = order[np.repeat(row_first - sptr[:-1], counts) + np.arange(sptr[-1])]
-    stack = RleImage._from_spans(frame.width, Spans(starts[take], stops[take], sptr))
-    return rois, word_starts, stack
+    run_row = np.repeat(np.arange(height), np.diff(iptr))
+    tops, bots = np.full(len(words), height), np.full(len(words), -1)
+    np.minimum.at(tops, run_word, run_row)
+    np.maximum.at(bots, run_word, run_row)
+    if bots.min() < 0:
+        raise EmptyWordError("word image has no ink")
+    ink = list(zip(tops.tolist(), bots.tolist()))
+    rois = [roi_from_bounds(top, bot, t) for top, bot in ink]
+    middles = [split_bands(roi).middle for roi in rois]
+    # per run, its word's band edges: top band [e0, e1), bottom band [e2, e3)
+    e0, e1, e2, e3 = np.array(
+        [(roi.start, mid.start, mid.stop, roi.stop) for roi, mid in zip(rois, middles)]
+    )[run_word].T
+    keep = (e0 <= run_row) & (run_row < e1) | (e2 <= run_row) & (run_row < e3)
+    kept = np.zeros(keep.size + 1, iptr.dtype)  # kept runs before each run
+    np.cumsum(keep, out=kept[1:])
+    band_runs = RleImage._from_spans(frame.width, Spans(starts[keep], stops[keep], kept[iptr]))
+    ors = occupancy(band_runs, (0, height), counter).spans
+    firsts = np.array([lo for lo, _ in ors], word_starts.dtype)  # word i's from its start on
+    cut = [*np.searchsorted(firsts, word_starts).tolist(), len(ors)]
+    return [
+        WordBands(rows, roi, mid, tuple(Component(lo + x0, hi + x0) for lo, hi in ors[a:b]))
+        for rows, roi, mid, a, b in zip(ink, rois, middles, cut, cut[1:])
+    ]
 
 
-def _middle_freq(line: RleImage, w: Component, middle: range, counter):
-    """plan_chars's middle_freq for word w of line: its middle band, projected
-    on a crop of the word, in line columns."""
+def _run_backend() -> Backend:
+    # Built per call from the module globals, so a name replaced at run time
+    # (a tracer or a test's counting wrapper) is the one that runs.
+    return Backend(crop_columns, word_bands, occupancy, column_frequency, separators_at)
 
-    def middle_freq():
-        if not middle:
-            return [0], [0]
-        word = crop_columns(line, w.x_min, w.x_max)
-        xs, counts = column_frequency(word, (middle.start, middle.stop), counter)
-        return [x + w.x_min for x in xs], counts
 
-    return middle_freq
+def segment_chars(
+    word: RleImage,
+    params: RoiParams = DEFAULT_PARAMS,
+    counter: WorkCounter | None = None,
+) -> CharSegmentation:
+    """Segment one word image into characters, working on runs only."""
+    return word_chars(_run_backend(), word, params, counter)
 
 
 def segment_line_chars(
@@ -412,28 +377,8 @@ def segment_line_chars(
     counter: WorkCounter | None = None,
     words: WordSegmentation | None = None,
 ) -> LineCharSegmentation:
-    """Run word segmentation (or take the line's, as words), then plan every
-    word's characters at once on runs: one crop of the inked columns (the
-    frame), one occupancy of the band stack, and a word crop only for a
-    fallback or a split. Equal to line_chars on the run backend."""
+    """Run word segmentation (or take the line's, as words), then segment
+    every word into characters on runs: line_chars on the run backend."""
     if words is None:
         words = segment_words(line, mode, counter)
-    ws = words.words
-    x0 = ws[0].x_min
-    rois, word_starts, stack = _band_stack(crop_columns(line, x0, ws[-1].x_max), ws, params.t)
-    ors = occupancy(stack, (0, stack.height), counter).spans
-    firsts = np.array([lo for lo, _ in ors], word_starts.dtype)  # word i's from its start on
-    cut = [*np.searchsorted(firsts, word_starts).tolist(), len(ors)]
-    results = []
-    for i, (w, (ink_top, ink_bot, rows, middle)) in enumerate(zip(ws, rois)):
-        spans = ors[cut[i] : cut[i + 1]]
-        dx = x0
-        if not spans:  # the band OR is dark: the ROI, then the ink box, on the word
-            word, dx = crop_columns(line, w.x_min, w.x_max), w.x_min
-            spans = occupancy(word, (rows.start, rows.stop), counter).spans
-            if not spans:
-                spans = occupancy(word, (ink_top, ink_bot + 1), counter).spans
-        comps = [Component(lo + dx, hi + dx) for lo, hi in spans]
-        results.append(repair(comps, params, _middle_freq(line, w, middle, counter)))
-    return LineCharSegmentation(words, _located_chars(_run_backend(), line, results, params))
-
+    return line_chars(_run_backend(), line, words, params, counter)

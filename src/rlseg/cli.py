@@ -193,9 +193,11 @@ def cmd_evaluate(args) -> int:
     try:
         truth = load_ground_truth(args.truth)
         report = score_intervals(per_line, truth, args.mode, overlap)
-    # ValueError covers JSON and UTF-8, RecursionError JSON nested too deeply
+    # ValueError covers JSON and UTF-8, RecursionError JSON nested too deeply;
+    # only the JSON decoder knows a line
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        raise ParseError(args.truth, 0, f"bad ground truth: {exc!r}") from exc
+        lineno = exc.lineno if isinstance(exc, json.JSONDecodeError) else 0
+        raise ParseError(args.truth, lineno, f"bad ground truth: {exc!r}") from exc
     _emit(json.dumps(report, indent=1), args.out)
     return EXIT_OK
 

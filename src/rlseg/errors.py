@@ -35,10 +35,6 @@ class EmptyWordError(RlsegError):
     """The word image contains no ink."""
 
 
-class WidthMismatchError(RlsegError):
-    """Occupancies of different widths were combined."""
-
-
 class NoGapsError(RlsegError):
     """Automatic threshold selection needs at least one gap."""
 

@@ -9,13 +9,15 @@ uses (``map``, ``sum``, ``any``, ``compress``, ``accumulate``), with no NumPy
 arithmetic across pixels or rows. So a pixel visit costs a builtin's step,
 not a NumPy scalar, and the per-pixel visit counts are those of the
 algorithms: a batch of cuts reads each row's pixels 0..max(x) once.
-Everything else (thresholds, merging, bands, repair, the per-word driver) is
-the run-domain code, handed these primitives as a chars.Backend.
+pdp_word_bands projects each word's bands on its crop, word by word.
+Everything else (thresholds, merging, ROI and bands, fallbacks, repair, the
+char driver) is the run-domain code, handed these primitives as a
+chars.Backend.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress, islice, starmap
 from operator import add, ne, or_, xor
 
 from .chars import (
@@ -24,12 +26,15 @@ from .chars import (
     CharSegmentation,
     LineCharSegmentation,
     RoiParams,
+    WordBands,
     line_chars,
     plan_chars,  # unused here; perfbench's tracer patches it under this module's name
+    roi_from_bounds,
+    split_bands,
     word_chars,
 )
 from .errors import EmptyWordError, OutOfBoundsError
-from .projection import Occupancy, WorkCounter, _check_row_range, components, union
+from .projection import Component, Occupancy, WorkCounter, _check_row_range, components, union
 from .rle import Bitmap
 from .words import AUTO, SeparatorPoint, ThresholdMode, WordSegmentation, plan_words
 
@@ -134,11 +139,29 @@ def pdp_crop_columns(bitmap: Bitmap, x_min: int, x_max: int) -> Bitmap:
     return Bitmap(bitmap.pixels[:, x_min : x_max + 1])
 
 
+def pdp_word_bands(
+    bitmap: Bitmap, words, t: float, counter: WorkCounter | None = None
+) -> list[WordBands]:
+    """Every word's WordBands, word by word on its crop: pdp_ink_row_bounds,
+    then one union of its top-band and bottom-band pdp_occupancy."""
+    out = []
+    for w in words:
+        word = pdp_crop_columns(bitmap, w.x_min, w.x_max)
+        ink = pdp_ink_row_bounds(word)
+        roi = roi_from_bounds(*ink, t)
+        top, middle, bottom = split_bands(roi)
+        occs = [pdp_occupancy(word, (b.start, b.stop), counter) for b in (top, bottom) if b]
+        spans = [(lo + w.x_min, hi + w.x_min) for occ in occs for lo, hi in occ.spans]
+        ors = union(bitmap.width, [lo for lo, _ in spans], [hi + 1 for _, hi in spans])
+        out.append(WordBands(ink, roi, middle, tuple(starmap(Component, ors.spans))))
+    return out
+
+
 def _backend() -> Backend:
     # Built per call from the module globals, so a name replaced at run time
     # (a tracer or a test's counting wrapper) is the one that runs.
     return Backend(
-        pdp_crop_columns, pdp_ink_row_bounds, pdp_occupancy, pdp_column_frequency, pdp_separators_at
+        pdp_crop_columns, pdp_word_bands, pdp_occupancy, pdp_column_frequency, pdp_separators_at
     )
 
 

@@ -35,14 +35,15 @@ from rlseg import (
 )
 from rlseg.chars import (
     DEFAULT_PARAMS,
+    RepairResult,
     RoiParams,
     _run_backend,
-    band_or,
     line_chars,
-    plan_chars,
     repair,
     roi_from_bounds,
     split_bands,
+    word_bands,
+    word_chars,
 )
 from rlseg.cli import main
 from rlseg.errors import EmptyWordError, MalformedRleError, OutOfBoundsError, ParseError
@@ -55,12 +56,13 @@ from rlseg.pixel_baseline import (
     pdp_occupancy,
     pdp_separator_at,
     pdp_separators_at,
+    pdp_word_bands,
 )
-from rlseg.projection import Component, Occupancy, components, occupancy, union
+from rlseg.projection import Component, components, occupancy, union
 from rlseg.records import dumps, line_char_records, word_record
 from rlseg.pbm import _next_token, read_pbm, write_pbm
 from rlseg.rle import RleImage, crop_columns, locate_run, read_rle, write_rle
-from rlseg.words import AUTO, plan_words, separator_at, separators_at
+from rlseg.words import AUTO, WordSegmentation, plan_words, separator_at, separators_at
 
 from support import (
     as_steps,
@@ -82,6 +84,7 @@ from support import (
     scan_p1_raster,
     shift_right,
     shifted_plan,
+    word_bands_reference,
     write_rle_reference,
 )
 
@@ -489,42 +492,6 @@ def check_union_matches_column_or(seed, tmp_path):
         assert _exact_int_pairs(occ.spans, shift) == brute_components(bits)
 
 
-def _separated_spans(rng, width):
-    """Random sorted (x_min, x_max) pairs in [0, width) with at least one
-    blank column between."""
-    spans, x = [], rng.randrange(4)
-    while x < width and rng.random() < 0.85:
-        end = rng.randint(x, min(width - 1, x + 6))
-        spans.append((x, end))
-        x = end + 2 + rng.randrange(4)
-    return tuple(spans)
-
-
-def check_band_or_matches_column_or(seed, tmp_path):
-    rng = random.Random(seed)
-    width = rng.randint(1, 60)
-    top, bottom = _separated_spans(rng, width), _separated_spans(rng, width)
-    if top and top[-1][1] + 1 < width:
-        # a bottom span starting right after a top span ends: the two must merge
-        t_max = rng.choice([hi for _, hi in top if hi + 1 < width])
-        touching = (t_max + 1, rng.randint(t_max + 1, min(width - 1, t_max + 4)))
-        kept = [(lo, hi) for lo, hi in bottom if hi + 1 < touching[0] or lo > touching[1] + 1]
-        bottom = tuple(sorted([*kept, touching]))
-    bits = [False] * width
-    for lo, hi in top + bottom:
-        for x in range(lo, hi + 1):
-            bits[x] = True
-    merged = band_or(Occupancy(width, top), Occupancy(width, bottom))
-    assert merged.width == width
-    assert _exact_int_pairs(merged.spans) == brute_components(bits), (top, bottom)
-    assert merged == band_or(Occupancy(width, bottom), Occupancy(width, top))
-    if width > 1:  # the smallest touching pair, checked on every seed
-        x = rng.randrange(width - 1)
-        left = Occupancy(width, ((0, x),))
-        right = Occupancy(width, ((x + 1, width - 1),))
-        assert _exact_int_pairs(band_or(left, right).spans) == [(0, width - 1)]
-
-
 def check_projection_oracle_equivalence(seed, tmp_path):
     rng = random.Random(seed)
     bitmap = random_bitmap(rng)
@@ -869,26 +836,35 @@ def check_char_determinism(seed, tmp_path):
     assert dumps(line_char_records("d", first)) == dumps(line_char_records("d", second))
 
 
+def _plan_of(seg) -> RepairResult:
+    """A CharSegmentation as the plan it was located from."""
+    return RepairResult(seg.chars, tuple(sep.x_mid for sep in seg.separators), seg.repairs)
+
+
+def _one_word(w: Component) -> WordSegmentation:
+    return WordSegmentation((w,), (), 0.0)
+
+
 def check_plan_chars_in_line_coordinates(seed, tmp_path):
-    """A word planned with dx equals its dx=0 plan shifted by dx, on both
-    domains, with the same work counted; dx is the word's place in its line
-    and one arbitrary offset."""
+    """Translation invariance: a word's plan inside its line equals the plan
+    of its crop shifted by its x_min, on both domains. The oracle counts the
+    same pixels either way, as it plans each word on its crop in both."""
     rng = random.Random(seed)
     line = random_blob_line(rng)
-    bitmap = decode(line)
     params = RoiParams(
         rng.choice([0.0, 0.2, 0.4]), rng.choice([0.2, 0.33, 0.6]), rng.choice([1.1, 1.75])
     )
-    for w in segment_words(line).words:
-        for backend, image in ((_run_backend(), line), (_pixel_backend(), bitmap)):
+    words = segment_words(line)
+    domains = ((_run_backend(), line, False), (_pixel_backend(), decode(line), True))
+    for backend, image, same_work in domains:
+        counter, word_counter = WorkCounter(), WorkCounter()
+        in_line = line_chars(backend, image, words, params, counter)
+        for w, seg in zip(words.words, in_line.per_word):
             word = backend.crop(image, w.x_min, w.x_max)
-            base_counter = WorkCounter()
-            base = plan_chars(word, params, backend, base_counter)
-            for dx in (w.x_min, rng.randint(1, 10**6)):
-                counter = WorkCounter()
-                got = plan_chars(word, params, backend, counter, dx)
-                assert got == shifted_plan(base, dx), (w, dx)
-                assert counter.count == base_counter.count
+            alone = word_chars(backend, word, params, word_counter)
+            assert _plan_of(seg) == shifted_plan(_plan_of(alone), w.x_min), w
+        if same_work:
+            assert counter.count == word_counter.count
 
 
 # A word whose one oversized component comes from a merge: (0, 9) absorbs the
@@ -898,13 +874,14 @@ MERGE_OVERSIZED_WORD = [(0, 9), (11, 11), (20, 25), (30, 35), (40, 45)]
 
 
 def check_plan_chars_matches_eager_reference(seed, tmp_path):
-    """plan_chars equals the reference that projects every word's middle band,
-    on both domains, with params that split (beta 1.1) and that do not (1.75).
-    It projects the band at most once per word, and once for every word that
-    splits (unless that band is empty), so the reference counts more by
-    exactly the middle-band runs (or pixels) of the words whose band it left
-    alone. The last case splits only because a merge made a component
-    oversized."""
+    """line_chars, whose plan_chars projects a word's middle band only when
+    repair must split, equals the reference that projects every word's
+    middle band, on both domains, with params that split (beta 1.1) and that
+    do not (1.75). Each word runs through line_chars alone, so its calls are
+    its own: it projects the band at most once, and once if it splits (unless
+    that band is empty), so the reference counts more by exactly the
+    middle-band runs (or pixels) of the words whose band it left alone. The
+    last case splits only because a merge made a component oversized."""
     rng = random.Random(seed)
     line = random_blob_line(rng)
     t, alpha = rng.choice([0.0, 0.2, 0.4]), rng.choice([0.2, 0.33, 0.6])
@@ -927,19 +904,19 @@ def check_plan_chars_matches_eager_reference(seed, tmp_path):
 
             lazy = backend._replace(column_frequency=counting)
             for w in words:
-                word = backend.crop(source, w.x_min, w.x_max)
                 calls.clear()
                 got_counter, eager_counter = WorkCounter(), WorkCounter()
-                got = plan_chars(word, params, lazy, got_counter, w.x_min)
-                want = plan_chars_eager(word, params, backend, eager_counter, w.x_min)
+                (got,) = line_chars(lazy, source, _one_word(w), params, got_counter).per_word
+                got = _plan_of(got)
+                (bands,) = backend.word_bands(source, [w], params.t, eager_counter)
+                want = plan_chars_eager(backend, source, w, bands, params, eager_counter)
                 assert got == want, (w, params)
                 split = any(op.op == "inserted" for op in got.repairs)
                 assert split >= must_split, (w, params)
-                bounds = backend.ink_row_bounds(word)
-                middle = split_bands(roi_from_bounds(*bounds, params.t)).middle
                 # an empty middle band is never projected: it counts 0 everywhere
-                band = (middle.start, middle.stop) if middle else None
+                band = (bands.middle.start, bands.middle.stop) if bands.middle else None
                 assert calls in ([], [band]) and len(calls) >= (split and bool(band)), calls
+                word = backend.crop(source, w.x_min, w.x_max)
                 skipped = 0 if calls or not band else cost(word, *band)
                 assert eager_counter.count - got_counter.count == skipped, (w, params)
 
@@ -966,17 +943,9 @@ def _boxes_line(boxes, lead: int, width: int) -> RleImage:
     return encode(Bitmap(px))
 
 
-def check_line_plan_matches_per_word_reference(seed, tmp_path):
-    """segment_line_chars, which plans every word of a line at once, equals
-    line_chars on the run backend, which plans each word on its crop; and
-    its WorkCounter holds exactly the runs of the row ranges it projected.
-    Random blob lines run under beta 1.1 and 1.75; FALLBACK_LINE hits both
-    fallbacks, merges and splits, and runs again past 2**62 columns, on
-    dtype=object spans."""
-    rng = random.Random(seed)
-    line = random_blob_line(rng)
-    t, alpha = rng.choice([0.0, 0.2, 0.4]), rng.choice([0.2, 0.33, 0.6])
-    cases = [(line, AUTO, RoiParams(t, alpha, beta)) for beta in (1.1, 1.75)]
+def _fallback_cases(rng):
+    """FALLBACK_LINE at a random lead, and again past 2**62 columns, on
+    dtype=object spans, each with its fixed word threshold."""
     fixed = ThresholdMode("fixed", 12)
     lead = rng.randint(0, 5)
     boxes = _boxes_line(FALLBACK_LINE, lead, 230 + lead + rng.randint(1, 4))
@@ -984,10 +953,47 @@ def check_line_plan_matches_per_word_reference(seed, tmp_path):
     rows = [(r.runs[0] + pad, *r.runs[1:-1], r.runs[-1] + pad) for r in boxes.rows]
     huge = RleImage(boxes.width + 2 * pad, rows)
     assert huge.spans.starts.dtype == object
-    cases += [(boxes, fixed, DEFAULT_PARAMS), (huge, fixed, DEFAULT_PARAMS)]
+    return [(boxes, fixed), (huge, fixed)]
+
+
+def check_word_bands_match_per_word_reference(seed, tmp_path):
+    """word_bands, which takes every word's bands from one occupancy of the
+    line's band runs, equals word_bands_reference, which crops and projects
+    each word, and on a decodable line the oracle's pdp_word_bands. Every ink
+    run of the line lies in exactly one word window, as word_bands assumes.
+    Cases: a random blob line, FALLBACK_LINE and that line past 2**62
+    columns."""
+    rng = random.Random(seed)
+    t = rng.choice([0.0, 0.2, 0.4])
+    for image, mode in [(random_blob_line(rng), AUTO), *_fallback_cases(rng)]:
+        words = segment_words(image, mode).words
+        starts, stops, _ = image.spans
+        for a, b in zip(starts.tolist(), stops.tolist()):
+            assert sum(w.x_min <= a and b - 1 <= w.x_max for w in words) == 1, (a, b)
+        got = word_bands(image, words, t)
+        assert got == word_bands_reference(image, words, t)
+        for bands in got:
+            assert all(type(v) is int for c in bands.top_or_bottom for v in c)
+        if image.width < 2**62:
+            assert got == pdp_word_bands(decode(image), words, t)
+
+
+def check_line_plan_matches_per_word_reference(seed, tmp_path):
+    """line_chars on the run backend, which takes every word's bands at once,
+    equals it with word_bands_reference, which takes each word's on its crop;
+    and its WorkCounter holds exactly the runs of the row ranges it
+    projected. Random blob lines run under beta 1.1 and 1.75; FALLBACK_LINE
+    hits both fallbacks, merges and splits, and runs again past 2**62
+    columns, on dtype=object spans."""
+    rng = random.Random(seed)
+    line = random_blob_line(rng)
+    t, alpha = rng.choice([0.0, 0.2, 0.4]), rng.choice([0.2, 0.33, 0.6])
+    cases = [(line, AUTO, RoiParams(t, alpha, beta)) for beta in (1.1, 1.75)]
+    cases += [(image, mode, DEFAULT_PARAMS) for image, mode in _fallback_cases(rng)]
+    reference = _run_backend()._replace(word_bands=word_bands_reference)
     for image, mode, params in cases:
         words = segment_words(image, mode)
-        want = line_chars(_run_backend(), image, words, params, None)
+        want = line_chars(reference, image, words, params, None)
         projected = []
 
         def visiting(name):
@@ -1003,11 +1009,11 @@ def check_line_plan_matches_per_word_reference(seed, tmp_path):
         with pytest.MonkeyPatch.context() as mp:
             for name in ("occupancy", "column_frequency"):
                 mp.setattr(rlseg.chars, name, visiting(name))
-            got = segment_line_chars(image, params, counter=counter, words=words)
+            got = line_chars(_run_backend(), image, words, params, counter)
         assert got == want, params
         assert counter.count == sum(n for _, n in projected)
-        if mode is fixed:
-            # occupancy: the band stack, word 0's ROI, word 1's ROI and ink box;
+        if mode is not AUTO:
+            # occupancy: the band runs, word 0's ROI, word 1's ROI and ink box;
             # column_frequency: the middle bands of the two splitting words
             names = [name for name, _ in projected]
             assert (names.count("occupancy"), names.count("column_frequency")) == (4, 2)
@@ -1299,7 +1305,6 @@ CHECKS = [
     ("row_validation_reference", check_row_validation_reference),
     ("read_rle_bulk_matches_reference", check_read_rle_bulk_matches_reference),
     ("union_matches_column_or", check_union_matches_column_or),
-    ("band_or_matches_column_or", check_band_or_matches_column_or),
     ("projection_oracle_equivalence", check_projection_oracle_equivalence),
     ("component_list_invariants", check_component_list_invariants),
     ("occupancy_work_counters", check_occupancy_work_counters),
@@ -1321,6 +1326,7 @@ CHECKS = [
     ("char_determinism", check_char_determinism),
     ("plan_chars_in_line_coordinates", check_plan_chars_in_line_coordinates),
     ("plan_chars_matches_eager_reference", check_plan_chars_matches_eager_reference),
+    ("word_bands_match_per_word_reference", check_word_bands_match_per_word_reference),
     ("line_plan_matches_per_word_reference", check_line_plan_matches_per_word_reference),
     ("match_symmetry", check_match_symmetry),
     ("ar_monotone", check_ar_monotone),

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import numpy as np
 
-from rlseg import Bitmap, ParseError, RleImage, encode
-from rlseg.chars import RepairOp, RepairResult, band_or, repair, roi_from_bounds, split_bands
-from rlseg.projection import Component, Occupancy
+from rlseg import Bitmap, EmptyWordError, ParseError, RleImage, encode
+from rlseg.chars import RepairOp, RepairResult, WordBands, repair, roi_from_bounds, split_bands
+from rlseg.projection import Component, occupancy, union
+from rlseg.rle import crop_columns
 
 # Worked reference line: 13 component intervals of a sample sentence.
 REFERENCE_LINE_COMPONENTS = [
@@ -85,8 +86,8 @@ def shift_right(rle: RleImage, k: int) -> RleImage:
 
 
 def shifted_plan(result: RepairResult, dx: int) -> RepairResult:
-    """A word's plan moved dx columns right, into the coordinates of its line:
-    the reference for planning a word with ``plan_chars(..., dx=dx)``."""
+    """A word's plan moved dx columns right: the plan of a word image, moved
+    into the coordinates of the line it was cropped from."""
     return RepairResult(
         tuple(Component(c.x_min + dx, c.x_max + dx) for c in result.chars),
         tuple(x + dx for x in result.cuts),
@@ -94,29 +95,46 @@ def shifted_plan(result: RepairResult, dx: int) -> RepairResult:
     )
 
 
-def plan_chars_eager(word, params, backend, counter=None, dx: int = 0) -> RepairResult:
+def word_bands_reference(line: RleImage, words, t: float, counter=None) -> list[WordBands]:
+    """Each word's WordBands from its own crop: its ink rows from the crop's
+    row pointer (the last row whose pointer is 0, and the row before the
+    first one at the total), and the occupancy of its top and bottom bands,
+    ORed by one union. The per-word reference for chars.word_bands."""
+    out = []
+    for w in words:
+        word = crop_columns(line, w.x_min, w.x_max)
+        iptr = word.spans.iptr
+        if not iptr[-1]:
+            raise EmptyWordError("word image has no ink")
+        ink = int(iptr.searchsorted(0, "right")) - 1, int(iptr.searchsorted(iptr[-1])) - 1
+        roi = roi_from_bounds(*ink, t)
+        bands = split_bands(roi)
+        spans = [
+            span
+            for band in (bands.top, bands.bottom)
+            if band
+            for span in occupancy(word, (band.start, band.stop), counter).spans
+        ]
+        ors = union(word.width, [lo for lo, _ in spans], [hi + 1 for _, hi in spans]).spans
+        comps = tuple(Component(lo + w.x_min, hi + w.x_min) for lo, hi in ors)
+        out.append(WordBands(ink, roi, bands.middle, comps))
+    return out
+
+
+def plan_chars_eager(backend, line, w, bands, params, counter=None) -> RepairResult:
     """The char plan that projects the middle band of every word, split or
     not: the reference for plan_chars, which projects it only when repair
     must split."""
-    ink_top, ink_bot = backend.ink_row_bounds(word)
-    rows = roi_from_bounds(ink_top, ink_bot, params.t)
-    bands = split_bands(rows)
-
-    def band_occupancy(band: range) -> Occupancy:
-        if len(band) == 0:
-            return Occupancy(word.width, ())
-        return backend.occupancy(word, (band.start, band.stop), counter)
-
-    spans = band_or(band_occupancy(bands.top), band_occupancy(bands.bottom)).spans
-    if not spans:
+    (ink_top, ink_bot), rows, middle, comps = bands
+    word = backend.crop(line, w.x_min, w.x_max)
+    if not comps:
         spans = backend.occupancy(word, (rows.start, rows.stop), counter).spans
-    if not spans:
-        spans = backend.occupancy(word, (ink_top, ink_bot + 1), counter).spans
-    comps = [Component(lo + dx, hi + dx) for lo, hi in spans]
-    middle = bands.middle
+        if not spans:
+            spans = backend.occupancy(word, (ink_top, ink_bot + 1), counter).spans
+        comps = [Component(lo + w.x_min, hi + w.x_min) for lo, hi in spans]
     if len(middle):
         xs, counts = backend.column_frequency(word, (middle.start, middle.stop), counter)
-        freq = ([x + dx for x in xs], counts)
+        freq = ([x + w.x_min for x in xs], counts)
     else:
         freq = ([0], [0])  # an empty middle band: 0 in every column
     return repair(comps, params, lambda: freq)

@@ -10,7 +10,6 @@ import rlseg.words
 from rlseg import (
     Bitmap,
     EmptyWordError,
-    WidthMismatchError,
     WorkCounter,
     decode,
     encode,
@@ -21,19 +20,16 @@ from rlseg import (
 )
 from rlseg.chars import (
     DEFAULT_PARAMS,
-    Backend,
     RepairOp,
-    RepairResult,
     RoiParams,
     RoiRows,
-    band_or,
-    ink_row_bounds,
-    plan_chars,
     repair,
     roi_from_bounds,
     split_bands,
+    word_bands,
 )
-from rlseg.projection import Component, Occupancy, column_frequency, occupancy
+from rlseg.pixel_baseline import pdp_ink_row_bounds
+from rlseg.projection import Component, occupancy
 from rlseg.rle import RleImage, crop_columns, locate_run
 from rlseg.synth import SynthConfig, write_corpus
 from rlseg.words import separators_at
@@ -43,7 +39,6 @@ from support import (
     REFERENCE_WORD_LENGTHS,
     as_steps,
     brute_components,
-    brute_occupancy,
     glyph_word,
     random_bitmap,
 )
@@ -57,24 +52,33 @@ def test_roi_arithmetic():
     assert roi_from_bounds(0, 9, 0.3) == RoiRows(3, 7)
 
 
+def _whole_word_bands(word, t):
+    (bands,) = word_bands(word, [Component(0, word.width - 1)], t)
+    return bands
+
+
 def test_roi_uses_ink_bounds():
     word = glyph_word([(1, 6)], height=30)
     # pad two blank rows around the ink
     padded = RleImage(
         word.width, [(word.width,), *(row.runs for row in word.rows), (word.width,)]
     )
-    assert roi_from_bounds(*ink_row_bounds(padded), 0.2) == RoiRows(7, 25)
+    bands = _whole_word_bands(padded, 0.2)
+    assert bands.ink == (1, 30) == pdp_ink_row_bounds(decode(padded))
+    assert bands.roi == RoiRows(7, 25)
 
 
 def test_roi_fallback_flags_full_box():
     word = glyph_word([(0, 3)], height=4)
-    r = roi_from_bounds(*ink_row_bounds(word), 0.6)
-    assert r == RoiRows(0, 4, full_box_fallback=True)
+    assert _whole_word_bands(word, 0.6).roi == RoiRows(0, 4, full_box_fallback=True)
 
 
 def test_roi_empty_word():
+    blank = RleImage(5, ((5,),))
     with pytest.raises(EmptyWordError):
-        ink_row_bounds(RleImage(5, ((5,),)))
+        _whole_word_bands(blank, 0.2)
+    with pytest.raises(EmptyWordError):
+        pdp_ink_row_bounds(decode(blank))
 
 
 @pytest.mark.parametrize(
@@ -88,40 +92,11 @@ def test_split_bands_sizes(n, sizes):
     assert bands.top.stop == bands.middle.start and bands.middle.stop == bands.bottom.start
 
 
-def _occupancy_of_bits(bits):
-    return Occupancy(len(bits), tuple(brute_components(bits)))
-
-
-def test_band_or_examples():
-    a = Occupancy(4, ((0, 1),))
-    b = Occupancy(4, ((2, 3),))
-    assert band_or(a, b) == Occupancy(4, ((0, 3),))
-    assert band_or(a, Occupancy(4, ())) == a
-    with pytest.raises(WidthMismatchError):
-        band_or(a, Occupancy(1, ((0, 0),)))
-
-
-def test_band_or_matches_pixel_oracle():
-    rng = random.Random(47)
-    for _ in range(50):
-        width = rng.randint(1, 30)
-        top = Bitmap([[rng.random() < 0.4 for _ in range(width)] for _ in range(3)])
-        bottom = Bitmap([[rng.random() < 0.4 for _ in range(width)] for _ in range(3)])
-        occ_a = _occupancy_of_bits(brute_occupancy(top, (0, 3)))
-        occ_b = _occupancy_of_bits(brute_occupancy(bottom, (0, 3)))
-        stacked = Bitmap(np.vstack([top.pixels, bottom.pixels]))
-        spans = list(band_or(occ_a, occ_b).spans)
-        assert spans == brute_components(brute_occupancy(stacked, (0, 6)))
-
-
-RUN_BACKEND = Backend(crop_columns, ink_row_bounds, occupancy, column_frequency, separators_at)
-
-
 def _cuts_of_columns(bits):
     # every row inks the same columns, so the band OR equals bits
-    result = plan_chars(encode(Bitmap([bits] * 12)), DEFAULT_PARAMS, RUN_BACKEND)
-    assert isinstance(result, RepairResult) and result.repairs == ()
-    return list(result.cuts)
+    seg = segment_chars(encode(Bitmap([bits] * 12)))
+    assert seg.repairs == ()
+    return [sep.x_mid for sep in seg.separators]
 
 
 def test_candidate_separators_examples():
@@ -352,14 +327,11 @@ def test_char_cuts_avoid_top_bottom_ink():
 # cut short: (lines, words per line, ink runs read, run visits, pixel visits).
 # A middle band is projected only for a word that splits, and none does here,
 # so the visits are those of the word and band occupancies alone. The run
-# path projects the band rows of all of a line's words in one stack at frame
-# width, so a band row whose ink reaches its word's right edge counts one run
-# more than on a word crop: planning word by word read 36,972 and 36,594 run
-# visits. Projecting every word's middle band read 42,844 and 42,466 run
-# visits (329,064 and 330,576 pixels).
+# path projects the band runs of all of a line's words in one occupancy over
+# the frame's rows, so each frame row counts its kept runs once per line.
 BENCHMARK_SHAPED_WORK = {
-    "chars_narrow": (12, 8, 24488, 38206, 295845),
-    "chars_wide": (3, 32, 24110, 37957, 297357),
+    "chars_narrow": (12, 8, 24488, 37283, 295845),
+    "chars_wide": (3, 32, 24110, 36656, 297357),
 }
 
 
@@ -379,8 +351,8 @@ def test_benchmark_shaped_char_work_is_pinned(tmp_path, name):
 
 @pytest.mark.parametrize("name", BENCHMARK_SHAPED_WORK)
 def test_benchmark_shaped_lines_take_one_crop_and_one_projection(tmp_path, monkeypatch, name):
-    # The line's frame crop and its band-stack occupancy; no word takes a
-    # fallback or splits on these corpora, so no word is cropped or projected.
+    # The line's frame crop and the occupancy of its band runs; no word takes
+    # a fallback or splits on these corpora, so no word is cropped or projected.
     lines, words = BENCHMARK_SHAPED_WORK[name][:2]
     write_corpus(SynthConfig(lines=lines, words_per_line=words, touch_rate=0.3, seed=1), tmp_path)
     calls = []

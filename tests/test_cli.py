@@ -560,7 +560,7 @@ _NOT_PAIRS = "ValueError(\"line a: 'words' is not a list of [start, end] integer
 @pytest.mark.parametrize(
     "text,detail",
     [
-        ("[{", ":0: bad ground truth: JSONDecodeError("),
+        ("[{", ":1: bad ground truth: JSONDecodeError("),
         ("[" * 100_000, ":0: bad ground truth: RecursionError("),
         ('[{"line_id": "a"}]', ":0: bad ground truth: KeyError('words')"),
         ("[1,2]", ":0: bad ground truth: TypeError("),
@@ -599,6 +599,20 @@ def test_evaluate_bad_truth_exit_4(tmp_path, corpus, capsys, text, detail):
     assert main(["evaluate", str(words), str(truth)]) == 4
     err = capsys.readouterr().err
     assert err.startswith(f"rlseg: parse error: {truth}{detail}")
+    assert err.count("\n") == 1
+
+
+def test_evaluate_bad_truth_json_names_its_line(tmp_path, corpus, capsys):
+    # the decoder's line, not 0: a comma missing at the end of line 3
+    words = tmp_path / "w.json"
+    assert main(["segment", str(corpus / "manifest.txt"), "--out", str(words)]) == 0
+    truth = tmp_path / "truth.json"
+    truth.write_text('[\n {"line_id": "a",\n  "words": [[0, 5]]}\n {"line_id": "b"}\n]\n')
+    assert main(["evaluate", str(words), str(truth)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"rlseg: parse error: {truth}:4: bad ground truth: JSONDecodeError(\"Expecting ',' "
+    )
     assert err.count("\n") == 1
 
 

@@ -1,13 +1,18 @@
-"""Every name a module of the package imports is used there.
+"""Every name a module of the package imports or defines is used.
 
 A name a module imports must be used in that module, re-exported by the
 package ``__init__``, or marked on its import line as one that perfbench's
 tracer patches. The marked ones are listed in TRACER_ONLY, which shrinks as
 the tracer stops wrapping names the program no longer calls.
+
+A top-level function or class must be referenced somewhere in the package,
+exported by ``__init__``, or wrapped by perfbench's tracer (its SITES).
 """
 
 import ast
 from pathlib import Path
+
+from test_tracer_seams import _load_tracing
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rlseg"
 TRACER_MARK = "perfbench's tracer patches it"
@@ -71,3 +76,34 @@ def test_every_unused_import_is_marked_for_the_tracer():
 
 def test_tracer_only_imports_are_the_listed_ones():
     assert set(_unused_imports()) == TRACER_ONLY
+
+
+def _definitions():
+    """(module, name) of every top-level def and class of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield path.stem, node.name
+
+
+def _referenced() -> set[str]:
+    """Every name the package's code reads, bare or as an attribute."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_definition_is_used_exported_or_traced():
+    used, exported = _referenced(), _reexported()
+    traced = {attr for _, attr, _ in _load_tracing().SITES}
+    dead = [
+        f"{module}.{name}"
+        for module, name in _definitions()
+        if name not in used and (module, name) not in exported and name not in traced
+    ]
+    assert dead == []
