@@ -8,12 +8,15 @@ its middle band projected.
 
 One driver, line_chars, serves runs and pixels: each domain hands it its
 primitives as a Backend. The backend's word_bands gives every word of a line
-its ink rows, ROI, middle band and band OR at once; plan_chars then finishes
-each word (the dark-band fallbacks and the middle band on a crop of the word,
-and repair), and all of the line's cuts are located with one call. On runs,
-word_bands takes one occupancy of the band runs of the whole line, since
-words are separated by blank columns; the pixel oracle projects each word's
-two bands on its crop.
+its ink rows, ROI, middle band and band OR at once, as int arrays (a
+LineBands). line_chars then triages the words in NumPy: a word whose band OR
+is dark, or has an interval outside [alpha x mean, beta x mean], is flagged,
+and only flagged words go through plan_chars (the dark-band fallbacks and the
+middle band on a crop of the word, and repair). Every other word's chars are
+its intervals and its cuts their gap midpoints. All of the line's cuts are
+located with one call. On runs, word_bands takes one occupancy of the band
+runs of the whole line, since words are separated by blank columns; the
+pixel oracle projects each word's two bands on its crop.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,7 +50,7 @@ from .words import (
     separators_at,
 )
 
-_EPS = 1e-9  # guards floor() against binary float artifacts like 0.3*10 -> 2.999...96
+_EPS = 1e-9  # guards floor() against binary float artifacts like 0.29*100 -> 28.999...96
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ class Backend(NamedTuple):
     """The primitives one image domain (runs or pixels) gives the char stage."""
 
     crop: Callable  # (image, x_min, x_max) -> the inclusive column window
-    word_bands: Callable  # (line, words, t, counter) -> one WordBands per word
+    word_bands: Callable  # (line, words, t, counter) -> LineBands
     occupancy: Callable  # (image, (start, stop), counter) -> Occupancy
     column_frequency: Callable  # (image, (start, stop), counter) -> step form (xs, counts)
     separators_at: Callable  # (image, xs) -> one SeparatorPoint per x
@@ -86,14 +89,6 @@ class RoiRows(NamedTuple):
     start: int
     stop: int
     full_box_fallback: bool = False
-
-
-class BandSet(NamedTuple):
-    """Top/middle/bottom row ranges partitioning the ROI exactly."""
-
-    top: range
-    middle: range
-    bottom: range
 
 
 class RepairOp(NamedTuple):
@@ -129,38 +124,54 @@ class WordBands(NamedTuple):
     top_or_bottom: tuple[Component, ...]
 
 
-def roi_from_bounds(ink_top: int, ink_bot: int, t: float) -> RoiRows:
-    """Trim floor(t*H) rows off each end of the ink box of height H.
+class LineBands(NamedTuple):
+    """Every word of a line as a Backend's word_bands gives it, in int arrays.
 
-    Trimming never empties the ROI for t < 0.5; larger t values fall back to
-    the full ink box and flag it.
+    One entry per word: first and last inked rows, ROI rows (half-open),
+    whether the ROI fell back to the full ink box, and the middle band
+    (half-open). Then the intervals of the top/bottom band OR in line
+    columns, inclusive: word i's are lo[wptr[i]:wptr[i + 1]].
+    """
+
+    ink_top: np.ndarray
+    ink_bot: np.ndarray
+    roi_start: np.ndarray
+    roi_stop: np.ndarray
+    fallback: np.ndarray
+    mid_start: np.ndarray
+    mid_stop: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    wptr: np.ndarray
+
+    def word(self, i: int) -> WordBands:
+        """Word i's bands in plain ints, as plan_chars takes them."""
+        top, bot, start, stop, fallback, m0, m1 = (field[i].item() for field in self[:7])
+        a, b = self.wptr[i : i + 2].tolist()
+        comps = tuple(map(Component, self.lo[a:b].tolist(), self.hi[a:b].tolist()))
+        return WordBands((top, bot), RoiRows(start, stop, fallback), range(m0, m1), comps)
+
+
+def roi_bands(top: np.ndarray, bot: np.ndarray, t: float) -> tuple[np.ndarray, ...]:
+    """Every word's ROI and bands from its first and last inked rows:
+    roi_start, roi_stop, fallback, mid_start and mid_stop, as LineBands holds
+    them.
+
+    The ROI trims floor(t*H + _EPS) rows, in float64, off each end of an ink
+    box H rows high. Trimming never empties it for t < 0.5; a larger t falls
+    back to the full ink box and flags it. The ROI's n = 3b + r rows band as
+    b + (r >= 1) top rows, b + (r >= 2) middle rows and b bottom rows, so a
+    ROI under 3 rows leaves the trailing bands empty.
     """
     if t < 0 or t >= 1:
         raise ValueError("t must be in [0, 1)")
-    height = ink_bot - ink_top + 1
-    trim = math.floor(t * height + _EPS)
-    if 2 * trim >= height:
-        return RoiRows(ink_top, ink_bot + 1, full_box_fallback=True)
-    return RoiRows(ink_top + trim, ink_bot + 1 - trim)
-
-
-def split_bands(rows) -> BandSet:
-    """Divide a row span (anything with .start/.stop) into three bands.
-
-    Bands are as equal as possible; remainder rows go to the top first.
-    A span shorter than 3 rows leaves the trailing bands empty.
-    """
-    start, stop = rows.start, rows.stop
-    n = stop - start
-    if n < 1:
-        raise ValueError("cannot band an empty row span")
-    base, rem = divmod(n, 3)
-    top_n = base + (1 if rem >= 1 else 0)
-    mid_n = base + (1 if rem >= 2 else 0)
-    top = range(start, start + top_n)
-    middle = range(top.stop, top.stop + mid_n)
-    bottom = range(middle.stop, stop)
-    return BandSet(top, middle, bottom)
+    height = bot - top + 1
+    trim = np.floor(t * height + _EPS).astype(height.dtype)
+    fallback = 2 * trim >= height
+    trim[fallback] = 0
+    start, stop = top + trim, bot + 1 - trim
+    rows = stop - start
+    return start, stop, fallback, start + (rows + 2) // 3, stop - rows // 3
 
 
 def _weakest_column(comp: Component, freq, min_piece: int) -> int | None:
@@ -279,19 +290,44 @@ class LineCharSegmentation(NamedTuple):
     per_word: tuple[CharSegmentation, ...]
 
 
+def _flagged(bands: LineBands, params: RoiParams, width: int) -> list[bool]:
+    """Per word, whether its band OR is dark or has an interval outside
+    [alpha x mean, beta x mean]: repair's test for returning at once. Below
+    2**53 columns every length and sum is exact in float64, so the mean and
+    the comparisons are repair's; a wider line flags every word."""
+    count = bands.wptr[1:] - bands.wptr[:-1]
+    if width >= 2**53:
+        return [True] * len(count)
+    word = np.repeat(np.arange(len(count)), count)
+    length = bands.hi - bands.lo + 1
+    mean = (np.bincount(word, length, len(count)) / np.maximum(count, 1))[word]
+    off = (length < params.alpha * mean) | (length > params.beta * mean)
+    return ((count == 0) | (np.bincount(word[off], minlength=len(count)) > 0)).tolist()
+
+
 def line_chars(
     backend: Backend, line, words: WordSegmentation, params: RoiParams, counter: WorkCounter | None
 ) -> LineCharSegmentation:
     """Character segmentation of every word of a line, in line coordinates.
 
-    The backend gives every word's bands at once, and each word is planned
-    from its own. Then every cut of every plan is located against line by
-    one separators_at call, and the separators are handed back to their
-    plans in order, so the output is self-contained.
+    The backend gives every word's bands at once. A flagged word is planned
+    from its own; every other word takes its band OR's intervals as chars,
+    cut at the gap midpoints of one array expression over the line. Then
+    every cut of every plan is located against line by one separators_at
+    call, and the separators are handed back to their plans in order, so the
+    output is self-contained.
     """
     ws = words.words
     bands = backend.word_bands(line, ws, params.t, counter)
-    plans = [plan_chars(backend, line, w, b, params, counter) for w, b in zip(ws, bands)]
+    chars = list(map(Component, bands.lo.tolist(), bands.hi.tolist()))
+    mids = ((bands.hi[:-1] + bands.lo[1:]) // 2).tolist()
+    ptr, flags = bands.wptr.tolist(), _flagged(bands, params, line.width)
+    plans = [
+        plan_chars(backend, line, w, bands.word(i), params, counter)
+        if flag
+        else RepairResult(tuple(chars[a:b]), tuple(mids[a : b - 1]), ())
+        for i, (w, flag, a, b) in enumerate(zip(ws, flags, ptr, ptr[1:]))
+    ]
     located = iter(backend.separators_at(line, [x for p in plans for x in p.cuts]))
     per_word = tuple(
         CharSegmentation(p.chars, tuple(islice(located, len(p.cuts))), p.repairs, params)
@@ -309,50 +345,49 @@ def word_chars(
     return line_chars(backend, word, whole, params, counter).per_word[0]
 
 
-def word_bands(
-    line: RleImage, words, t: float, counter: WorkCounter | None = None
-) -> list[WordBands]:
-    """Every word's WordBands on runs, for all of a line's words at once.
+def word_bands(line: RleImage, words, t: float, counter: WorkCounter | None = None) -> LineBands:
+    """Every word's bands on runs, for all of a line's words at once.
 
-    On one crop of the inked columns (the frame), one sorted search gives
-    each ink run its word, the last starting at or before it: words are
-    unions of occupancy components, so each ink run lies in one word window.
-    A word's ink rows are the least and greatest row of its runs. A mask
-    keeps the runs in their word's top or bottom band, and one occupancy of
-    those runs, in the frame's own rows, is every word's band OR in turn,
-    since words are separated by blank columns; one sorted search hands its
-    intervals to their words.
+    On one crop of the inked columns (the frame), words are unions of
+    occupancy components, so each ink run lies in one word window, and the
+    runs of one row and one word are one slice of the spans. One sorted
+    search of the row-offset starts counts every slice; a word's ink rows
+    are its first and last row with a non-empty slice, and roi_bands gives
+    every word's ROI and bands. The slices in a word's top or bottom band
+    are kept, and one occupancy of those runs, in the frame's own rows, is
+    every word's band OR in turn, since words are separated by blank
+    columns; one sorted search hands its intervals to their words. The
+    rows x words counts take about the memory of the run lists of the line's
+    word cuts, rows x (words - 1) ints, which its output holds anyway.
     """
     x0 = words[0].x_min
     frame = crop_columns(line, x0, words[-1].x_max)
     starts, stops, iptr = frame.spans
     height = frame.height
-    word_starts = np.array([w.x_min - x0 for w in words], starts.dtype)
-    run_word = np.searchsorted(word_starts, starts, "right") - 1
-    run_row = np.repeat(np.arange(height), np.diff(iptr))
-    tops, bots = np.full(len(words), height), np.full(len(words), -1)
-    np.minimum.at(tops, run_word, run_row)
-    np.maximum.at(bots, run_word, run_row)
-    if bots.min() < 0:
+    # word starts in frame columns, then the frame's end
+    bounds = np.array([w.x_min - x0 for w in words] + [frame.width], starts.dtype)
+    # the runs of row r in word i are one slice of the spans, and the slices
+    # tile them row by row: one search of the row-offset starts bounds each
+    base = np.arange(height, dtype=starts.dtype) * frame.width
+    off_starts = starts + np.repeat(base, iptr[1:] - iptr[:-1])
+    first = np.searchsorted(off_starts, np.add.outer(base, bounds))
+    counts = first[:, 1:] - first[:, :-1]
+    inked = counts > 0
+    if not inked.any(0).all():
         raise EmptyWordError("word image has no ink")
-    ink = list(zip(tops.tolist(), bots.tolist()))
-    rois = [roi_from_bounds(top, bot, t) for top, bot in ink]
-    middles = [split_bands(roi).middle for roi in rois]
-    # per run, its word's band edges: top band [e0, e1), bottom band [e2, e3)
-    e0, e1, e2, e3 = np.array(
-        [(roi.start, mid.start, mid.stop, roi.stop) for roi, mid in zip(rois, middles)]
-    )[run_word].T
-    keep = (e0 <= run_row) & (run_row < e1) | (e2 <= run_row) & (run_row < e3)
+    top, bot = inked.argmax(0), height - 1 - inked[::-1].argmax(0)
+    roi = roi_bands(top, bot, t)
+    roi_start, roi_stop, _, mid_start, mid_stop = roi
+    row = np.arange(height)[:, None]
+    band = (roi_start <= row) & (row < mid_start) | (mid_stop <= row) & (row < roi_stop)
+    keep = np.repeat(band.ravel(), counts.ravel())
     kept = np.zeros(keep.size + 1, iptr.dtype)  # kept runs before each run
     np.cumsum(keep, out=kept[1:])
     band_runs = RleImage._from_spans(frame.width, Spans(starts[keep], stops[keep], kept[iptr]))
     ors = occupancy(band_runs, (0, height), counter).spans
-    firsts = np.array([lo for lo, _ in ors], word_starts.dtype)  # word i's from its start on
-    cut = [*np.searchsorted(firsts, word_starts).tolist(), len(ors)]
-    return [
-        WordBands(rows, roi, mid, tuple(Component(lo + x0, hi + x0) for lo, hi in ors[a:b]))
-        for rows, roi, mid, a, b in zip(ink, rois, middles, cut, cut[1:])
-    ]
+    lo, hi = np.fromiter(chain.from_iterable(ors), starts.dtype, 2 * len(ors)).reshape(-1, 2).T
+    wptr = np.searchsorted(lo, bounds)  # word i's from its start on
+    return LineBands(top, bot, *roi, lo + x0, hi + x0, wptr)
 
 
 def _run_backend() -> Backend:

@@ -9,32 +9,34 @@ uses (``map``, ``sum``, ``any``, ``compress``, ``accumulate``), with no NumPy
 arithmetic across pixels or rows. So a pixel visit costs a builtin's step,
 not a NumPy scalar, and the per-pixel visit counts are those of the
 algorithms: a batch of cuts reads each row's pixels 0..max(x) once.
-pdp_word_bands projects each word's bands on its crop, word by word.
-Everything else (thresholds, merging, ROI and bands, fallbacks, repair, the
-char driver) is the run-domain code, handed these primitives as a
-chars.Backend.
+pdp_word_bands projects each word's bands on its crop, word by word, and
+hands them over as the run backend's word_bands does, in one LineBands of
+int arrays. Everything else (thresholds, merging, ROI and bands, the word
+triage, fallbacks, repair, the char driver) is the run-domain code, handed
+these primitives as a chars.Backend.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, compress, islice, starmap
+from itertools import accumulate, compress, islice
 from operator import add, ne, or_, xor
+
+import numpy as np
 
 from .chars import (
     DEFAULT_PARAMS,
     Backend,
     CharSegmentation,
     LineCharSegmentation,
+    LineBands,
     RoiParams,
-    WordBands,
     line_chars,
     plan_chars,  # unused here; perfbench's tracer patches it under this module's name
-    roi_from_bounds,
-    split_bands,
+    roi_bands,
     word_chars,
 )
 from .errors import EmptyWordError, OutOfBoundsError
-from .projection import Component, Occupancy, WorkCounter, _check_row_range, components, union
+from .projection import Occupancy, WorkCounter, _check_row_range, components, union
 from .rle import Bitmap
 from .words import AUTO, SeparatorPoint, ThresholdMode, WordSegmentation, plan_words
 
@@ -141,20 +143,22 @@ def pdp_crop_columns(bitmap: Bitmap, x_min: int, x_max: int) -> Bitmap:
 
 def pdp_word_bands(
     bitmap: Bitmap, words, t: float, counter: WorkCounter | None = None
-) -> list[WordBands]:
-    """Every word's WordBands, word by word on its crop: pdp_ink_row_bounds,
-    then one union of its top-band and bottom-band pdp_occupancy."""
-    out = []
-    for w in words:
-        word = pdp_crop_columns(bitmap, w.x_min, w.x_max)
-        ink = pdp_ink_row_bounds(word)
-        roi = roi_from_bounds(*ink, t)
-        top, middle, bottom = split_bands(roi)
-        occs = [pdp_occupancy(word, (b.start, b.stop), counter) for b in (top, bottom) if b]
-        spans = [(lo + w.x_min, hi + w.x_min) for occ in occs for lo, hi in occ.spans]
-        ors = union(bitmap.width, [lo for lo, _ in spans], [hi + 1 for _, hi in spans])
-        out.append(WordBands(ink, roi, middle, tuple(starmap(Component, ors.spans))))
-    return out
+) -> LineBands:
+    """Every word's bands, word by word on its crop: pdp_ink_row_bounds, then
+    (after roi_bands for all words) one union of its top-band and
+    bottom-band pdp_occupancy."""
+    crops = [pdp_crop_columns(bitmap, w.x_min, w.x_max) for w in words]
+    top, bot = np.array([pdp_ink_row_bounds(word) for word in crops]).reshape(-1, 2).T
+    roi = roi_bands(top, bot, t)
+    ors, wptr = [], [0]
+    for w, word, (start, stop, _, m0, m1) in zip(words, crops, zip(*(a.tolist() for a in roi))):
+        bands = [band for band in ((start, m0), (m1, stop)) if band[0] < band[1]]
+        spans = [span for band in bands for span in pdp_occupancy(word, band, counter).spans]
+        spans = union(word.width, [lo for lo, _ in spans], [hi + 1 for _, hi in spans]).spans
+        ors += [(lo + w.x_min, hi + w.x_min) for lo, hi in spans]
+        wptr.append(len(ors))
+    lo, hi = np.array(ors, np.int64).reshape(-1, 2).T
+    return LineBands(top, bot, *roi, lo, hi, np.array(wptr))
 
 
 def _backend() -> Backend:

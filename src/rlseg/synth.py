@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chars import roi_from_bounds, split_bands
+from .chars import roi_bands
 from .errors import SettingError
 from .rle import Bitmap, RleImage, encode, write_rle
 
@@ -63,7 +63,7 @@ class SynthLine:
 
 def _generate_line(rng: random.Random, cfg: SynthConfig, line_id: str) -> SynthLine:
     glyph_rects: list[tuple[int, int, int, int]] = []  # x0, x1, r0, r1 (rows half-open)
-    bridges: list[tuple[int, int, int]] = []  # x0, x1, center row
+    touching: list[tuple[int, int, list]] = []  # ink top, ink bottom, gap spans of a word
     words: list[tuple[int, int]] = []
     chars: list[tuple[tuple[int, int], ...]] = []
     x = _MARGIN
@@ -85,13 +85,9 @@ def _generate_line(rng: random.Random, cfg: SynthConfig, line_id: str) -> SynthL
             else:
                 x += width
         if pending:
-            # segmentation trims the ROI per word, so the bridge must sit at
-            # the center of this word's middle band, not the line's
             ink_top = min(r0 for _, _, r0, _ in rects)
             ink_bot = max(r1 for _, _, _, r1 in rects) - 1
-            middle = split_bands(roi_from_bounds(ink_top, ink_bot, _ROI_T)).middle
-            center = middle.start + len(middle) // 2
-            bridges.extend((a, b, center) for a, b in pending)
+            touching.append((ink_top, ink_bot, pending))
         glyph_rects.extend(rects)
         words.append((glyphs[0][0], glyphs[-1][1]))
         chars.append(tuple(glyphs))
@@ -102,8 +98,14 @@ def _generate_line(rng: random.Random, cfg: SynthConfig, line_id: str) -> SynthL
     px = np.zeros((_HEIGHT, width), dtype=np.uint8)
     for x0, x1, r0, r1 in glyph_rects:
         px[r0:r1, x0 : x1 + 1] = 1
-    for a, b, center in bridges:
-        px[center - 1 : center + 2, a : b + 1] = 1
+    if touching:
+        # segmentation trims the ROI per word, so a bridge must sit at the
+        # center of its word's middle band, not the line's
+        tops, bots, spans = zip(*touching)
+        *_, mid_start, mid_stop = roi_bands(np.array(tops), np.array(bots), _ROI_T)
+        for center, pending in zip(((mid_start + mid_stop) // 2).tolist(), spans):
+            for a, b in pending:
+                px[center - 1 : center + 2, a : b + 1] = 1
 
     return SynthLine(line_id, encode(Bitmap(px)), tuple(words), tuple(chars))
 

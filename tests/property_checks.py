@@ -40,8 +40,7 @@ from rlseg.chars import (
     _run_backend,
     line_chars,
     repair,
-    roi_from_bounds,
-    split_bands,
+    roi_bands,
     word_bands,
     word_chars,
 )
@@ -65,7 +64,10 @@ from rlseg.rle import RleImage, crop_columns, locate_run, read_rle, write_rle
 from rlseg.words import AUTO, WordSegmentation, plan_words, separator_at, separators_at
 
 from support import (
+    FALLBACK_LINE,
+    MERGE_OVERSIZED_WORD,
     as_steps,
+    boxes_line,
     brute_components,
     brute_frequency,
     brute_locate,
@@ -74,16 +76,20 @@ from support import (
     encode_reference,
     gap_walk_reference,
     glyph_word,
+    line_chars_per_word,
     plan_chars_eager,
     random_bitmap,
     random_blob_line,
     read_rle_reference,
     reference_row,
+    roi_bands_reference,
+    roi_from_bounds,
     rows_reference,
     scan_header_token,
     scan_p1_raster,
     shift_right,
     shifted_plan,
+    split_bands,
     word_bands_reference,
     write_rle_reference,
 )
@@ -811,9 +817,23 @@ def check_band_partition(seed, tmp_path):
     rng = random.Random(seed)
     start = rng.randint(0, 10)
     stop = start + rng.randint(1, 40)
-    bands = split_bands(range(start, stop))
-    assert len(bands.top) + len(bands.middle) + len(bands.bottom) == stop - start
-    assert bands.top.start == start and bands.bottom.stop == stop
+    ends = roi_bands(np.array([start]), np.array([stop - 1]), 0.0)  # t = 0: the ink box
+    roi_start, roi_stop, _, mid_start, mid_stop = (a.item() for a in ends)
+    assert (roi_start, roi_stop) == (start, stop)
+    top, middle, bottom = mid_start - start, mid_stop - mid_start, stop - mid_stop
+    assert 0 <= bottom <= middle <= top <= bottom + 1, (top, middle, bottom)
+
+
+def check_roi_bands_match_scalar_helpers(seed, tmp_path):
+    """roi_bands, which trims and bands every word at once in float64 and
+    int arrays, equals roi_from_bounds and split_bands word by word, for
+    every ink height 1..4096 at a random first row and a random t."""
+    rng = random.Random(seed)
+    t = rng.choice([rng.uniform(0, 0.5), rng.uniform(0.49, 0.5), rng.choice([0.1, 0.3, 0.45])])
+    top = np.array([rng.randint(0, 50) for _ in range(4096)])
+    bot = top + np.arange(4096)
+    got = [a.tolist() for a in roi_bands(top, bot, t)]
+    assert got == roi_bands_reference(top.tolist(), bot.tolist(), t), t
 
 
 def check_roi_monotonic(seed, tmp_path):
@@ -822,9 +842,8 @@ def check_roi_monotonic(seed, tmp_path):
     bot = top + rng.randint(0, 40)
     t1 = rng.uniform(0, 0.49)
     t2 = rng.uniform(t1, 0.49)
-    r1 = roi_from_bounds(top, bot, t1)
-    r2 = roi_from_bounds(top, bot, t2)
-    assert r1.start <= r2.start and r2.stop <= r1.stop
+    r1, r2 = (roi_bands(np.array([top]), np.array([bot]), t)[:2] for t in (t1, t2))
+    assert r1[0] <= r2[0] and r2[1] <= r1[1]
 
 
 def check_char_determinism(seed, tmp_path):
@@ -867,12 +886,6 @@ def check_plan_chars_in_line_coordinates(seed, tmp_path):
             assert counter.count == word_counter.count
 
 
-# A word whose one oversized component comes from a merge: (0, 9) absorbs the
-# 1-column (11, 11) across the 1-column gap. The mean length is 5.8, and under
-# the default params 10 <= 1.75 * 5.8 < 12.
-MERGE_OVERSIZED_WORD = [(0, 9), (11, 11), (20, 25), (30, 35), (40, 45)]
-
-
 def check_plan_chars_matches_eager_reference(seed, tmp_path):
     """line_chars, whose plan_chars projects a word's middle band only when
     repair must split, equals the reference that projects every word's
@@ -908,7 +921,7 @@ def check_plan_chars_matches_eager_reference(seed, tmp_path):
                 got_counter, eager_counter = WorkCounter(), WorkCounter()
                 (got,) = line_chars(lazy, source, _one_word(w), params, got_counter).per_word
                 got = _plan_of(got)
-                (bands,) = backend.word_bands(source, [w], params.t, eager_counter)
+                bands = backend.word_bands(source, [w], params.t, eager_counter).word(0)
                 want = plan_chars_eager(backend, source, w, bands, params, eager_counter)
                 assert got == want, (w, params)
                 split = any(op.op == "inserted" for op in got.repairs)
@@ -921,34 +934,12 @@ def check_plan_chars_matches_eager_reference(seed, tmp_path):
                 assert eager_counter.count - got_counter.count == skipped, (w, params)
 
 
-# A line of five words under a fixed word threshold of 12, as (x_min, x_max,
-# first row, stop row) ink boxes 30 rows high. Under the default params each
-# word's ROI is rows [6, 24), banded [6, 12), [12, 18), [18, 24). Word 0 has
-# ink in the middle band and the trimmed rows only, so its band OR is dark;
-# word 1 only in the trimmed rows, so its ROI is blank too; word 2 is
-# MERGE_OVERSIZED_WORD, which merges, then splits; word 3 splits; word 4 merges.
-FALLBACK_LINE = [
-    (0, 3, 0, 6), (5, 8, 12, 18), (10, 13, 24, 30),
-    (30, 33, 0, 6), (36, 39, 24, 30),
-    *((a + 60, b + 60, 0, 30) for a, b in MERGE_OVERSIZED_WORD),
-    (130, 135, 0, 30), (140, 145, 0, 30), (150, 175, 0, 30),
-    (200, 209, 0, 30), (211, 211, 0, 30), (215, 224, 0, 30),
-]
-
-
-def _boxes_line(boxes, lead: int, width: int) -> RleImage:
-    px = np.zeros((30, width), np.uint8)
-    for a, b, r0, r1 in boxes:
-        px[r0:r1, lead + a : lead + b + 1] = 1
-    return encode(Bitmap(px))
-
-
 def _fallback_cases(rng):
     """FALLBACK_LINE at a random lead, and again past 2**62 columns, on
     dtype=object spans, each with its fixed word threshold."""
     fixed = ThresholdMode("fixed", 12)
     lead = rng.randint(0, 5)
-    boxes = _boxes_line(FALLBACK_LINE, lead, 230 + lead + rng.randint(1, 4))
+    boxes = boxes_line(FALLBACK_LINE, lead, 230 + lead + rng.randint(1, 4))
     pad = rng.randint(2**62, 2**64)  # every row of boxes starts and ends with background
     rows = [(r.runs[0] + pad, *r.runs[1:-1], r.runs[-1] + pad) for r in boxes.rows]
     huge = RleImage(boxes.width + 2 * pad, rows)
@@ -956,13 +947,18 @@ def _fallback_cases(rng):
     return [(boxes, fixed), (huge, fixed)]
 
 
+def _line_bands_lists(bands):
+    """A LineBands as plain nested lists, for equality across backends."""
+    return [a.tolist() for a in bands]
+
+
 def check_word_bands_match_per_word_reference(seed, tmp_path):
     """word_bands, which takes every word's bands from one occupancy of the
     line's band runs, equals word_bands_reference, which crops and projects
-    each word, and on a decodable line the oracle's pdp_word_bands. Every ink
-    run of the line lies in exactly one word window, as word_bands assumes.
-    Cases: a random blob line, FALLBACK_LINE and that line past 2**62
-    columns."""
+    each word, and on a decodable line the oracle's pdp_word_bands array for
+    array. Every ink run of the line lies in exactly one word window, as
+    word_bands assumes. Cases: a random blob line, FALLBACK_LINE and that
+    line past 2**62 columns."""
     rng = random.Random(seed)
     t = rng.choice([0.0, 0.2, 0.4])
     for image, mode in [(random_blob_line(rng), AUTO), *_fallback_cases(rng)]:
@@ -971,29 +967,53 @@ def check_word_bands_match_per_word_reference(seed, tmp_path):
         for a, b in zip(starts.tolist(), stops.tolist()):
             assert sum(w.x_min <= a and b - 1 <= w.x_max for w in words) == 1, (a, b)
         got = word_bands(image, words, t)
-        assert got == word_bands_reference(image, words, t)
-        for bands in got:
+        per_word = [got.word(i) for i in range(len(words))]
+        assert per_word == word_bands_reference(image, words, t)
+        for bands in per_word:
             assert all(type(v) is int for c in bands.top_or_bottom for v in c)
+            assert all(type(v) is int for v in (*bands.ink, *bands.roi[:2]))
         if image.width < 2**62:
-            assert got == pdp_word_bands(decode(image), words, t)
+            pixel = pdp_word_bands(decode(image), words, t)
+            assert _line_bands_lists(got) == _line_bands_lists(pixel)
+
+
+def _past_2_53_case(rng):
+    """A one-word line about 2**54 columns wide, on int64 spans, whose two
+    full-height components are 2**52 and 3 * 2**52 - 3 columns long. With
+    beta 1.5, beta x mean is 3 * 2**52 - 4 as a float, so repair splits the
+    second; in float64 its length would round down onto that bound and
+    pass."""
+    lead = rng.randint(0, 5)
+    lengths = (2**52, 3 * 2**52 - 3)
+    runs = (lead, lengths[0], 3, lengths[1], rng.randint(1, 4))
+    line = RleImage(sum(runs), [runs] * 30)
+    assert line.width >= 2**53 and line.spans.starts.dtype == np.int64
+    params = RoiParams(alpha=0.33, beta=1.5)
+    mean = sum(lengths) / 2
+    assert lengths[1] > params.beta * mean and float(lengths[1]) <= params.beta * mean
+    return line, ThresholdMode("fixed", 12), params
 
 
 def check_line_plan_matches_per_word_reference(seed, tmp_path):
-    """line_chars on the run backend, which takes every word's bands at once,
-    equals it with word_bands_reference, which takes each word's on its crop;
-    and its WorkCounter holds exactly the runs of the row ranges it
-    projected. Random blob lines run under beta 1.1 and 1.75; FALLBACK_LINE
-    hits both fallbacks, merges and splits, and runs again past 2**62
-    columns, on dtype=object spans."""
+    """line_chars, which triages a line's words in NumPy and plans only the
+    flagged ones, equals line_chars_per_word, which plans every word through
+    plan_chars, on both backends: on runs with word_bands_reference's
+    per-word crops, on pixels with the oracle's own bands. Its WorkCounter
+    holds exactly the runs of the row ranges it projected. Random blob lines
+    run under beta 1.1 and 1.75; FALLBACK_LINE hits both fallbacks, merges
+    and splits, and runs again past 2**62 columns, on dtype=object spans; a
+    line past 2**53 columns holds a component whose length float64 cannot
+    hold, so every word goes through plan_chars."""
     rng = random.Random(seed)
     line = random_blob_line(rng)
     t, alpha = rng.choice([0.0, 0.2, 0.4]), rng.choice([0.2, 0.33, 0.6])
     cases = [(line, AUTO, RoiParams(t, alpha, beta)) for beta in (1.1, 1.75)]
     cases += [(image, mode, DEFAULT_PARAMS) for image, mode in _fallback_cases(rng)]
-    reference = _run_backend()._replace(word_bands=word_bands_reference)
+    cases.append(_past_2_53_case(rng))
     for image, mode, params in cases:
         words = segment_words(image, mode)
-        want = line_chars(reference, image, words, params, None)
+        bands = word_bands_reference(image, words.words, params.t)
+        want = line_chars_per_word(_run_backend(), image, words, params, None, bands)
         projected = []
 
         def visiting(name):
@@ -1012,7 +1032,13 @@ def check_line_plan_matches_per_word_reference(seed, tmp_path):
             got = line_chars(_run_backend(), image, words, params, counter)
         assert got == want, params
         assert counter.count == sum(n for _, n in projected)
-        if mode is not AUTO:
+        if image.width < 2**53:
+            bitmap, pixel = decode(image), _pixel_backend()
+            pdp_words = pdp_segment_words(bitmap, mode)
+            assert pdp_words == words
+            pdp_got = line_chars(pixel, bitmap, words, params, None)
+            assert pdp_got == line_chars_per_word(pixel, bitmap, words, params) == got
+        if mode is not AUTO and params is DEFAULT_PARAMS:
             # occupancy: the band runs, word 0's ROI, word 1's ROI and ink box;
             # column_frequency: the middle bands of the two splitting words
             names = [name for name, _ in projected]
@@ -1023,6 +1049,8 @@ def check_line_plan_matches_per_word_reference(seed, tmp_path):
             ]
             repairs = [[op.op for op in p.repairs] for p in got.per_word]
             assert repairs[2:] == [["removed", "inserted"], ["inserted"], ["removed"]], repairs
+        elif mode is not AUTO:
+            assert [[op.op for op in p.repairs] for p in got.per_word] == [["inserted"]]
 
 
 def check_match_symmetry(seed, tmp_path):
@@ -1322,6 +1350,7 @@ CHECKS = [
     ("segment_intervals_in_bounds", check_segment_intervals_in_bounds),
     ("merge_completeness", check_merge_completeness),
     ("band_partition", check_band_partition),
+    ("roi_bands_match_scalar_helpers", check_roi_bands_match_scalar_helpers),
     ("roi_monotonic", check_roi_monotonic),
     ("char_determinism", check_char_determinism),
     ("plan_chars_in_line_coordinates", check_plan_chars_in_line_coordinates),

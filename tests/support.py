@@ -2,15 +2,27 @@
 
 from __future__ import annotations
 
+import math
 import re
-from itertools import chain
+from itertools import chain, islice
+from typing import NamedTuple
 from operator import sub
 from pathlib import Path
 
 import numpy as np
 
 from rlseg import Bitmap, EmptyWordError, ParseError, RleImage, encode
-from rlseg.chars import RepairOp, RepairResult, WordBands, repair, roi_from_bounds, split_bands
+from rlseg.chars import (
+    _EPS,
+    CharSegmentation,
+    LineCharSegmentation,
+    RepairOp,
+    RepairResult,
+    RoiRows,
+    WordBands,
+    plan_chars,
+    repair,
+)
 from rlseg.projection import Component, occupancy, union
 from rlseg.rle import crop_columns
 
@@ -25,6 +37,35 @@ REFERENCE_LINE_GAP_WIDTHS = [10, 13, 8, 8, 13, 12, 12, 15, 11, 13, 14, 15]
 # Worked reference word: 6 component intervals of an 8-letter cursive word.
 REFERENCE_WORD_COMPONENTS = [(2, 3), (6, 18), (20, 34), (37, 45), (48, 59), (63, 73)]
 REFERENCE_WORD_LENGTHS = [2, 13, 15, 9, 12, 11]
+
+
+# A word whose one oversized component comes from a merge: (0, 9) absorbs the
+# 1-column (11, 11) across the 1-column gap. The mean length is 5.8, and under
+# the default params 10 <= 1.75 * 5.8 < 12.
+MERGE_OVERSIZED_WORD = [(0, 9), (11, 11), (20, 25), (30, 35), (40, 45)]
+
+
+# A line of five words under a fixed word threshold of 12, as (x_min, x_max,
+# first row, stop row) ink boxes 30 rows high. Under the default params each
+# word's ROI is rows [6, 24), banded [6, 12), [12, 18), [18, 24). Word 0 has
+# ink in the middle band and the trimmed rows only, so its band OR is dark;
+# word 1 only in the trimmed rows, so its ROI is blank too; word 2 is
+# MERGE_OVERSIZED_WORD, which merges, then splits; word 3 splits; word 4 merges.
+FALLBACK_LINE = [
+    (0, 3, 0, 6), (5, 8, 12, 18), (10, 13, 24, 30),
+    (30, 33, 0, 6), (36, 39, 24, 30),
+    *((a + 60, b + 60, 0, 30) for a, b in MERGE_OVERSIZED_WORD),
+    (130, 135, 0, 30), (140, 145, 0, 30), (150, 175, 0, 30),
+    (200, 209, 0, 30), (211, 211, 0, 30), (215, 224, 0, 30),
+]
+
+
+def boxes_line(boxes, lead: int, width: int) -> RleImage:
+    """A 30-row line of ink boxes (x_min, x_max, first row, stop row), moved lead columns right."""
+    px = np.zeros((30, width), np.uint8)
+    for a, b, r0, r1 in boxes:
+        px[r0:r1, lead + a : lead + b + 1] = 1
+    return encode(Bitmap(px))
 
 
 def bars_bitmap(intervals, width=None, height=10, row_span=None) -> Bitmap:
@@ -95,6 +136,50 @@ def shifted_plan(result: RepairResult, dx: int) -> RepairResult:
     )
 
 
+class BandSet(NamedTuple):
+    """Top/middle/bottom row ranges partitioning the ROI exactly."""
+
+    top: range
+    middle: range
+    bottom: range
+
+
+def roi_from_bounds(ink_top: int, ink_bot: int, t: float) -> RoiRows:
+    """Trim floor(t*H) rows off each end of the ink box of height H, one
+    word at a time: the scalar reference for chars.roi_bands.
+
+    Trimming never empties the ROI for t < 0.5; larger t values fall back to
+    the full ink box and flag it.
+    """
+    if t < 0 or t >= 1:
+        raise ValueError("t must be in [0, 1)")
+    height = ink_bot - ink_top + 1
+    trim = math.floor(t * height + _EPS)
+    if 2 * trim >= height:
+        return RoiRows(ink_top, ink_bot + 1, full_box_fallback=True)
+    return RoiRows(ink_top + trim, ink_bot + 1 - trim)
+
+
+def split_bands(rows) -> BandSet:
+    """Divide a row span (anything with .start/.stop) into three bands: the
+    scalar reference for chars.roi_bands' bands.
+
+    Bands are as equal as possible; remainder rows go to the top first.
+    A span shorter than 3 rows leaves the trailing bands empty.
+    """
+    start, stop = rows.start, rows.stop
+    n = stop - start
+    if n < 1:
+        raise ValueError("cannot band an empty row span")
+    base, rem = divmod(n, 3)
+    top_n = base + (1 if rem >= 1 else 0)
+    mid_n = base + (1 if rem >= 2 else 0)
+    top = range(start, start + top_n)
+    middle = range(top.stop, top.stop + mid_n)
+    bottom = range(middle.stop, stop)
+    return BandSet(top, middle, bottom)
+
+
 def word_bands_reference(line: RleImage, words, t: float, counter=None) -> list[WordBands]:
     """Each word's WordBands from its own crop: its ink rows from the crop's
     row pointer (the last row whose pointer is 0, and the row before the
@@ -119,6 +204,34 @@ def word_bands_reference(line: RleImage, words, t: float, counter=None) -> list[
         comps = tuple(Component(lo + w.x_min, hi + w.x_min) for lo, hi in ors)
         out.append(WordBands(ink, roi, bands.middle, comps))
     return out
+
+
+def roi_bands_reference(tops, bots, t: float) -> list[list]:
+    """roi_from_bounds and split_bands word by word, as the five lists
+    roi_bands returns as arrays: ROI start and stop, fallback flag, and
+    middle-band start and stop."""
+    rois = [roi_from_bounds(top, bot, t) for top, bot in zip(tops, bots)]
+    middles = [split_bands(roi).middle for roi in rois]
+    starts, stops, fallbacks = (list(v) for v in zip(*rois))
+    return [starts, stops, fallbacks, [m.start for m in middles], [m.stop for m in middles]]
+
+
+def line_chars_per_word(backend, line, words, params, counter=None, bands=None):
+    """The char driver that plans every word through plan_chars: the
+    reference for line_chars, which plans only the words its triage flags.
+    bands are the words' WordBands, by default the backend's word_bands taken
+    word by word. All cuts are located by one separators_at call."""
+    ws = words.words
+    if bands is None:
+        line_bands = backend.word_bands(line, ws, params.t, counter)
+        bands = [line_bands.word(i) for i in range(len(ws))]
+    plans = [plan_chars(backend, line, w, b, params, counter) for w, b in zip(ws, bands)]
+    located = iter(backend.separators_at(line, [x for p in plans for x in p.cuts]))
+    per_word = tuple(
+        CharSegmentation(p.chars, tuple(islice(located, len(p.cuts))), p.repairs, params)
+        for p in plans
+    )
+    return LineCharSegmentation(words, per_word)
 
 
 def plan_chars_eager(backend, line, w, bands, params, counter=None) -> RepairResult:

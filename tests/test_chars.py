@@ -10,6 +10,7 @@ import rlseg.words
 from rlseg import (
     Bitmap,
     EmptyWordError,
+    ThresholdMode,
     WorkCounter,
     decode,
     encode,
@@ -21,39 +22,75 @@ from rlseg import (
 from rlseg.chars import (
     DEFAULT_PARAMS,
     RepairOp,
+    _run_backend,
+    line_chars,
     RoiParams,
     RoiRows,
+    plan_chars,
     repair,
-    roi_from_bounds,
-    split_bands,
+    roi_bands,
     word_bands,
 )
-from rlseg.pixel_baseline import pdp_ink_row_bounds
+from rlseg.pixel_baseline import _backend as _pixel_backend, pdp_ink_row_bounds
 from rlseg.projection import Component, occupancy
 from rlseg.rle import RleImage, crop_columns, locate_run
 from rlseg.synth import SynthConfig, write_corpus
-from rlseg.words import separators_at
+from rlseg.words import segment_words, separators_at
 
 from support import (
+    FALLBACK_LINE,
     REFERENCE_WORD_COMPONENTS,
     REFERENCE_WORD_LENGTHS,
     as_steps,
+    boxes_line,
     brute_components,
     glyph_word,
+    line_chars_per_word,
     random_bitmap,
+    roi_bands_reference,
+    roi_from_bounds,
+    split_bands,
+    word_bands_reference,
 )
 
 
+def _roi(top: int, bot: int, t: float) -> RoiRows:
+    start, stop, fallback, _, _ = (a.item() for a in roi_bands(np.array([top]), np.array([bot]), t))
+    return RoiRows(start, stop, fallback)
+
+
 def test_roi_arithmetic():
-    assert roi_from_bounds(0, 29, 0.2) == RoiRows(6, 24)
-    assert roi_from_bounds(0, 29, 0.0) == RoiRows(0, 30)
-    assert roi_from_bounds(0, 2, 0.4) == RoiRows(1, 2)
-    # 0.3 * 10 is 2.999...96 in binary; the trim must still be 3
-    assert roi_from_bounds(0, 9, 0.3) == RoiRows(3, 7)
+    assert _roi(0, 29, 0.2) == RoiRows(6, 24)
+    assert _roi(0, 29, 0.0) == RoiRows(0, 30)
+    assert _roi(0, 2, 0.4) == RoiRows(1, 2)
+    assert _roi(0, 9, 0.3) == RoiRows(3, 7)
+    # 0.29 * 100 is 28.999...96 in binary; the trim must still be 29
+    assert _roi(0, 99, 0.29) == RoiRows(29, 71)
+    with pytest.raises(ValueError):
+        _roi(0, 9, 1.0)
+
+
+# at 0.29 and 0.35 some t * H fall just below an integer (0.29 * 100); four random t follow
+_RNG_T = random.Random(61)
+ROI_TS = [0, 0.1, 0.2, 0.25, 0.3, 0.33, 0.45, 0.4999, 0.29, 0.35]
+ROI_TS += [_RNG_T.uniform(0, 0.5) for _ in range(4)]
+
+
+@pytest.mark.parametrize("t", ROI_TS)
+def test_roi_bands_match_scalar_helpers_at_every_height(t):
+    # every ink height 1..4096, trimmed in float64 arrays and by math.floor
+    top = np.full(4096, 3)
+    bot = top + np.arange(4096)
+    got = [a.tolist() for a in roi_bands(top, bot, t)]
+    assert got == roi_bands_reference(top.tolist(), bot.tolist(), t)
 
 
 def _whole_word_bands(word, t):
-    (bands,) = word_bands(word, [Component(0, word.width - 1)], t)
+    """word_bands of one word spanning the whole image: one entry per word
+    array, and every band-OR interval the word's."""
+    bands = word_bands(word, [Component(0, word.width - 1)], t)
+    assert [len(a) for a in bands[:7]] == [1] * 7
+    assert bands.wptr.tolist() == [0, len(bands.lo)] and len(bands.hi) == len(bands.lo)
     return bands
 
 
@@ -64,13 +101,18 @@ def test_roi_uses_ink_bounds():
         word.width, [(word.width,), *(row.runs for row in word.rows), (word.width,)]
     )
     bands = _whole_word_bands(padded, 0.2)
-    assert bands.ink == (1, 30) == pdp_ink_row_bounds(decode(padded))
-    assert bands.roi == RoiRows(7, 25)
+    assert [a.tolist() for a in bands[:7]] == [[1], [30], [7], [25], [False], [13], [19]]
+    assert bands.word(0).ink == (1, 30) == pdp_ink_row_bounds(decode(padded))
+    assert bands.word(0).roi == RoiRows(7, 25)
+    assert bands.word(0).top_or_bottom == ((1, 6),)
 
 
 def test_roi_fallback_flags_full_box():
     word = glyph_word([(0, 3)], height=4)
-    assert _whole_word_bands(word, 0.6).roi == RoiRows(0, 4, full_box_fallback=True)
+    bands = _whole_word_bands(word, 0.6)
+    assert [a.tolist() for a in bands[2:5]] == [[0], [4], [True]]
+    assert bands.word(0).roi == RoiRows(0, 4, full_box_fallback=True)
+    assert bands.word(0).middle == split_bands(RoiRows(0, 4)).middle
 
 
 def test_roi_empty_word():
@@ -86,10 +128,13 @@ def test_roi_empty_word():
     [(9, (3, 3, 3)), (10, (4, 3, 3)), (11, (4, 4, 3)), (2, (1, 1, 0)), (1, (1, 0, 0))],
 )
 def test_split_bands_sizes(n, sizes):
+    # with t = 0 the ROI is the ink box, rows [0, n)
+    ends = roi_bands(np.array([0]), np.array([n - 1]), 0.0)
+    start, stop, _, mid_start, mid_stop = (a.item() for a in ends)
+    assert (start, stop) == (0, n)
+    assert (mid_start - start, mid_stop - mid_start, stop - mid_stop) == sizes
     bands = split_bands(range(0, n))
-    assert (len(bands.top), len(bands.middle), len(bands.bottom)) == sizes
-    assert bands.top.start == 0 and bands.bottom.stop == n
-    assert bands.top.stop == bands.middle.start and bands.middle.stop == bands.bottom.start
+    assert (bands.middle.start, bands.middle.stop) == (mid_start, mid_stop)
 
 
 def _cuts_of_columns(bits):
@@ -371,3 +416,52 @@ def test_benchmark_shaped_lines_take_one_crop_and_one_projection(tmp_path, monke
         seg = segment_line_chars(read_rle(tmp_path / rel))  # words project through rlseg.words
         assert len(seg.per_word) == words
         assert sorted(calls) == ["crop", "occupancy"], rel
+
+
+def _counting_plan_chars(monkeypatch) -> list:
+    """Record the word of every plan_chars call the char driver makes."""
+    planned = []
+
+    def counting(backend, line, w, *args):
+        planned.append(w)
+        return plan_chars(backend, line, w, *args)
+
+    monkeypatch.setattr(rlseg.chars, "plan_chars", counting)
+    return planned
+
+
+@pytest.mark.parametrize("name", BENCHMARK_SHAPED_WORK)
+def test_benchmark_shaped_lines_plan_no_word_alone(tmp_path, monkeypatch, name):
+    # Every word's band OR is lit and no interval of it lies outside
+    # [alpha x mean, beta x mean], so the triage flags none, on either domain.
+    lines, words = BENCHMARK_SHAPED_WORK[name][:2]
+    write_corpus(SynthConfig(lines=lines, words_per_line=words, touch_rate=0.3, seed=1), tmp_path)
+    planned = _counting_plan_chars(monkeypatch)
+    for rel in (tmp_path / "manifest.txt").read_text().splitlines():
+        line = read_rle(tmp_path / rel)
+        assert len(segment_line_chars(line).per_word) == words
+        assert len(pdp_segment_line_chars(decode(line)).per_word) == words
+    assert planned == []
+
+
+def test_plan_chars_runs_for_exactly_the_flagged_words(monkeypatch):
+    # FALLBACK_LINE's five words each take a fallback, a merge or a split; two
+    # clean words after them (two 6-column glyphs, one 8-column glyph) do not.
+    boxes = [*FALLBACK_LINE, (250, 255, 0, 30), (260, 265, 0, 30), (290, 297, 0, 30)]
+    line = boxes_line(boxes, 0, 300)
+    words = segment_words(line, ThresholdMode("fixed", 12))
+    assert len(words.words) == 7
+    flagged = []
+    for w, bands in zip(words.words, word_bands_reference(line, words.words, DEFAULT_PARAMS.t)):
+        lengths = [c.length for c in bands.top_or_bottom]
+        mean = sum(lengths) / max(len(lengths), 1)
+        low, high = DEFAULT_PARAMS.alpha * mean, DEFAULT_PARAMS.beta * mean
+        if not lengths or not all(low <= n <= high for n in lengths):
+            flagged.append(w)
+    assert flagged == list(words.words[:5])
+    planned = _counting_plan_chars(monkeypatch)
+    for backend, image in ((_run_backend(), line), (_pixel_backend(), decode(line))):
+        planned.clear()
+        got = line_chars(backend, image, words, DEFAULT_PARAMS, None)
+        assert planned == flagged
+        assert got == line_chars_per_word(backend, image, words, DEFAULT_PARAMS)

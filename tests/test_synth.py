@@ -6,8 +6,9 @@ import random
 import pytest
 
 from rlseg import decode, segment_line_chars, segment_words
-from rlseg.chars import roi_from_bounds, split_bands
 from rlseg.synth import SynthConfig, generate_corpus, ground_truth_records, write_corpus
+
+from support import roi_from_bounds, split_bands
 
 
 def test_same_seed_same_corpus(tmp_path):

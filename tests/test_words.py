@@ -29,6 +29,19 @@ def _gaps_of_widths(widths):
     return gap_widths(_comps_with_gaps(widths))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 10 (gap statistics that can fail): the auto threshold is the "
+    "mean gap, which assumes both gap classes are present on the line",
+)
+def test_one_word_with_uneven_intra_gaps_stays_one_word():
+    # five 5-column glyphs with intra gaps 2, 3, 4 and 3: the mean gap is 3.0,
+    # so auto reads the 4-column gap as a word gap and cuts the word in two
+    line = RleImage(39, [[1, 5, 2, 5, 3, 5, 4, 5, 3, 5, 1]])
+    assert segment_words(line).threshold_used == 3.0
+    assert len(segment_words(line).words) == 1
+
+
 def test_select_threshold_reference_mean():
     gs = gap_widths([Component(a, b) for a, b in REFERENCE_LINE_COMPONENTS])
     assert select_threshold(gs) == 12.0
