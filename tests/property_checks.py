@@ -12,7 +12,7 @@ import io
 import json
 import math
 import random
-from itertools import accumulate
+from itertools import accumulate, cycle
 
 import jsonschema
 import numpy as np
@@ -67,6 +67,7 @@ from support import (
     FALLBACK_LINE,
     MERGE_OVERSIZED_WORD,
     as_steps,
+    bars_line,
     boxes_line,
     brute_components,
     brute_frequency,
@@ -76,6 +77,7 @@ from support import (
     encode_reference,
     gap_walk_reference,
     glyph_word,
+    json_lines,
     line_chars_per_word,
     plan_chars_eager,
     random_bitmap,
@@ -1255,18 +1257,38 @@ _LINE_IDS = [
 
 
 def check_dumps_round_trips_as_json_lines(seed, tmp_path):
-    """dumps writes one line per record, and each line parses back to its
-    record exactly, for both pipelines' word and char records."""
+    """dumps writes the bytes json's encoder writes for the same records
+    (json_lines), one line per record, each parsing back to its record, for
+    both pipelines' word and char records and every line id. Lines: a random
+    blob line under beta 1.1 and 1.75, FALLBACK_LINE (fallbacks, merges and
+    splits, so repairs are not empty) and a one-bar line, one word with no
+    separators. Some records go in as plain dicts, which json writes."""
     rng = random.Random(seed)
-    line = random_blob_line(rng)
-    bitmap = decode(line)
-    records = [
-        word_record(rng.choice(_LINE_IDS), segment_words(line)),
-        word_record(rng.choice(_LINE_IDS), pdp_segment_words(bitmap)),
-        *line_char_records(rng.choice(_LINE_IDS), segment_line_chars(line)),
-        *line_char_records(rng.choice(_LINE_IDS), pdp_segment_line_chars(bitmap)),
-    ]
+    blob = random_blob_line(rng)
+    lead = rng.randint(0, 5)
+    cases = [(blob, AUTO, RoiParams(beta=beta)) for beta in (1.1, 1.75)]
+    cases.append(
+        (boxes_line(FALLBACK_LINE, lead, 231 + lead), ThresholdMode("fixed", 12), DEFAULT_PARAMS)
+    )
+    x = rng.randint(0, 4)
+    bar = bars_line([(x, x + rng.randint(0, 9))], height=rng.randint(1, 12))
+    cases.append((bar, AUTO, DEFAULT_PARAMS))
+    line_ids = cycle(rng.sample(_LINE_IDS, len(_LINE_IDS)))
+    records = []
+    for image, mode, params in cases:
+        bitmap = decode(image)
+        records += [
+            word_record(next(line_ids), segment_words(image, mode)),
+            word_record(next(line_ids), pdp_segment_words(bitmap, mode)),
+            *line_char_records(next(line_ids), segment_line_chars(image, params, mode)),
+            *line_char_records(next(line_ids), pdp_segment_line_chars(bitmap, params, mode)),
+        ]
+    assert {r["line_id"] for r in records} == set(_LINE_IDS)
+    assert any(r.get("repairs") for r in records)
+    assert not any(r["separators"] for r in records[-4:])
+    records = [dict(r) if rng.random() < 0.3 else r for r in records]
     text = dumps(records)
+    assert text == json_lines(records)
     lines = text.split("\n")
     assert text.splitlines() == lines
     assert [json.loads(x) for x in lines] == records

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from itertools import chain, islice
@@ -58,6 +59,11 @@ FALLBACK_LINE = [
     (130, 135, 0, 30), (140, 145, 0, 30), (150, 175, 0, 30),
     (200, 209, 0, 30), (211, 211, 0, 30), (215, 224, 0, 30),
 ]
+
+
+def json_lines(records) -> str:
+    """The reference for records.dumps: each record as json's encoder writes it compact."""
+    return "\n".join(json.dumps(r, separators=(",", ":")) for r in records)
 
 
 def boxes_line(boxes, lead: int, width: int) -> RleImage:

@@ -23,7 +23,7 @@ from rlseg import (
     segment_line_chars,
     segment_words,
 )
-from rlseg.chars import DEFAULT_PARAMS, RoiParams
+from rlseg.chars import DEFAULT_PARAMS, LineCharSegmentation, RoiParams
 from rlseg.errors import EmptyWordError
 from rlseg.pixel_baseline import (
     pdp_locate_run,
@@ -32,7 +32,7 @@ from rlseg.pixel_baseline import (
     pdp_separators_at,
 )
 from rlseg.projection import Occupancy, components, occupancy
-from rlseg.records import char_record, dumps, line_char_records, word_record
+from rlseg.records import dumps, line_char_records, word_record
 from rlseg.rle import crop_columns, locate_run
 
 from support import glyph_word, random_bitmap, random_blob_line
@@ -115,8 +115,11 @@ def test_word_level_char_records_byte_identical():
         line = random_blob_line(rng)
         words += [crop_columns(line, w.x_min, w.x_max) for w in segment_words(line).words]
     for i, word in enumerate(words):
-        cdp = dumps([char_record("w", f"w{i}", segment_chars(word))])
-        assert cdp == dumps([char_record("w", f"w{i}", pdp_segment_chars(decode(word)))])
+        cdp, pdp = (
+            dumps(line_char_records(f"w{i}", LineCharSegmentation(None, (seg,))))
+            for seg in (segment_chars(word), pdp_segment_chars(decode(word)))
+        )
+        assert cdp == pdp
 
 
 def _seam_run(monkeypatch, params):

@@ -6,11 +6,11 @@ from enum import IntEnum
 
 import pytest
 
-from rlseg import segment_line_chars, segment_words
-from rlseg.records import dumps, line_char_records, separator_record, word_record
-from rlseg.words import SeparatorPoint
+from rlseg import RleImage, ThresholdMode, segment_line_chars, segment_words
+from rlseg.records import Record, dumps, line_char_records, word_record
+from rlseg.words import SeparatorPoint, WordSegmentation
 
-from support import bars_line
+from support import bars_line, json_lines
 
 
 class Level(IntEnum):
@@ -77,13 +77,34 @@ def test_dumps_rejects_what_json_rejects(value):
 
 def test_dumps_rejects_one_record_dict():
     record = word_record("w", segment_words(bars_line([(2, 6), (30, 36)], width=40)))
+    assert type(record) is Record
     with pytest.raises(TypeError, match="not one record"):
         dumps(record)
+    with pytest.raises(TypeError, match="not one record"):
+        dumps(dict(record))
     assert dumps([record]) == json.dumps(record, separators=(",", ":"))
 
 
-def test_separator_record_lists_run_indices_by_row():
-    assert separator_record(SeparatorPoint(7, (0, 2, 1))) == {"x": 7, "runs": [0, 2, 1]}
+def test_changed_records_match_json():
+    # keys reordered, a key outside the schema, a non-string key, an int
+    # threshold, and a line's char records sharing one params dict
+    line = bars_line([(2, 6), (8, 12), (30, 36), (39, 44)], width=50, height=6)
+    rec = word_record("w", segment_words(line))
+    chars = line_char_records("c", segment_line_chars(line))
+    assert chars[0]["params"] is chars[1]["params"]
+    recs = [
+        Record(reversed(list(rec.items()))),
+        Record(rec, note=[1.0, None]),
+        Record({1: "a", **rec}),
+        Record(rec, threshold=3),
+        *chars,
+    ]
+    assert dumps(recs) == json_lines(recs)
+
+
+def test_record_separators_list_run_indices_by_row():
+    seg = WordSegmentation((), (SeparatorPoint(7, (0, 2, 1)),), 3.0)
+    assert word_record("w", seg)["separators"] == [{"x": 7, "runs": [0, 2, 1]}]
 
 
 # named like test_dumps_matches_json_indent, for the same reason
@@ -94,4 +115,36 @@ def test_real_records_match_json_indent():
         *line_char_records("c", segment_line_chars(line)),
     ]
     assert recs[0]["separators"] and recs[1]["separators"]
-    assert dumps(recs) == "\n".join(json.dumps(r, separators=(",", ":")) for r in recs)
+    assert dumps(recs) == json_lines(recs)
+
+
+@pytest.mark.parametrize(
+    "lead,width",
+    [
+        (2**60, 3 * 2**61),  # width * height >= 2**62: row offsets overflow int64
+        (2**63, 2**64 + 5),  # the columns themselves are past int64
+    ],
+)
+def test_records_past_2_62_columns_match_json(lead, width):
+    # three words of two glyphs, on dtype=object spans: every bound and x is
+    # past the digit table, so dumps writes them with its %d templates
+    L, g, G = 2**57, 2**55, 2**59
+    runs = (lead, L, g, L, G, L, g, L, G, L, g, L)
+    line = RleImage(width, [(*runs, width - sum(runs))] * 3)
+    assert line.spans.starts.dtype == object
+    recs = [
+        word_record("huge", segment_words(line)),
+        *line_char_records("huge", segment_line_chars(line)),
+    ]
+    assert len(recs[0]["words"]) == 3 and len(recs) == 4
+    assert dumps(recs) == json_lines(recs)
+
+
+def test_records_past_4096_runs_per_row_match_json():
+    # 2,100 one-column words 5 columns apart: the last cuts are in runs past
+    # index 4096, and the bounds past column 4096
+    line = bars_line([(5 * k, 5 * k) for k in range(2100)], height=2)
+    seg = segment_words(line, ThresholdMode("fixed", 2))
+    assert len(seg.words) == 2100 and seg.separators[-1].runs[0] > 4096
+    recs = [word_record("many", seg), *line_char_records("many", segment_line_chars(line, words=seg))]
+    assert dumps(recs) == json_lines(recs)

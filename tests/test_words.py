@@ -42,6 +42,20 @@ def test_one_word_with_uneven_intra_gaps_stays_one_word():
     assert len(segment_words(line).words) == 1
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 10 (gap statistics that can fail): auto's threshold is the mean "
+    "gap, 3.0, so the 4-column intra gap cuts the word into (2, 24) and (29, 43)",
+)
+def test_one_word_of_six_px_glyphs_stays_one_word():
+    # five 6-px glyphs at x = 2, 10, 19, 29 and 38, so intra gaps 2, 3, 4 and 3
+    line = bars_line([(x, x + 5) for x in (2, 10, 19, 29, 38)], height=8)
+    seg = segment_words(line)
+    assert seg.threshold_used == 3.0
+    assert [(w.x_min, w.x_max) for w in seg.words] == [(2, 43)]
+
+
 def test_select_threshold_reference_mean():
     gs = gap_widths([Component(a, b) for a, b in REFERENCE_LINE_COMPONENTS])
     assert select_threshold(gs) == 12.0
