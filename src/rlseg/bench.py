@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .chars import DEFAULT_PARAMS, RoiParams, segment_line_chars
-from .errors import EmptyLineError, SettingError
+from .errors import EmptyLineError, SettingError, decoding
 from .pixel_baseline import pdp_segment_line_chars, pdp_segment_words
 from .projection import WorkCounter
 from .rle import decode, read_rle
@@ -92,7 +92,8 @@ def bench_file(
     path = Path(path)
     line = read_rle(path)
     t0 = time.perf_counter()
-    bitmap = decode(line)
+    with decoding(path):
+        bitmap = decode(line)
     decode_ms = (time.perf_counter() - t0) * 1e3
 
     cdp_times, pdp_times = [], []

@@ -11,12 +11,13 @@ primitives as a Backend. The backend's word_bands gives every word of a line
 its ink rows, ROI, middle band and band OR at once, as int arrays (a
 LineBands). line_chars then triages the words in NumPy: a word whose band OR
 is dark, or has an interval outside [alpha x mean, beta x mean], is flagged,
-and only flagged words go through plan_chars (the dark-band fallbacks and the
-middle band on a crop of the word, and repair). Every other word's chars are
-its intervals and its cuts their gap midpoints. All of the line's cuts are
-located with one call. On runs, word_bands takes one occupancy of the band
-runs of the whole line, since words are separated by blank columns; the
-pixel oracle projects each word's two bands on its crop.
+and only flagged words go through plan_chars, which reads the word's entries
+of the table as plain ints (the dark-band fallbacks and the middle band on a
+crop of the word, and repair). Every other word's chars are its intervals and
+its cuts their gap midpoints. All of the line's cuts are located with one
+call. On runs, word_bands takes one occupancy of the band runs of the whole
+line, since words are separated by blank columns; the pixel oracle projects
+each word's two bands on its crop.
 """
 
 from __future__ import annotations
@@ -83,14 +84,6 @@ class Backend(NamedTuple):
     separators_at: Callable  # (image, xs) -> one SeparatorPoint per x
 
 
-class RoiRows(NamedTuple):
-    """Half-open row span of the region of interest."""
-
-    start: int
-    stop: int
-    full_box_fallback: bool = False
-
-
 class RepairOp(NamedTuple):
     """Audit record: a separator that was "removed" or "inserted" at column x."""
 
@@ -114,16 +107,6 @@ class CharSegmentation(NamedTuple):
     params: RoiParams
 
 
-class WordBands(NamedTuple):
-    """One word of a line as a Backend's word_bands gives it: first and last
-    inked rows, ROI, middle band, and top/bottom band OR in line columns."""
-
-    ink: tuple[int, int]
-    roi: RoiRows
-    middle: range
-    top_or_bottom: tuple[Component, ...]
-
-
 class LineBands(NamedTuple):
     """Every word of a line as a Backend's word_bands gives it, in int arrays.
 
@@ -143,13 +126,6 @@ class LineBands(NamedTuple):
     lo: np.ndarray
     hi: np.ndarray
     wptr: np.ndarray
-
-    def word(self, i: int) -> WordBands:
-        """Word i's bands in plain ints, as plan_chars takes them."""
-        top, bot, start, stop, fallback, m0, m1 = (field[i].item() for field in self[:7])
-        a, b = self.wptr[i : i + 2].tolist()
-        comps = tuple(map(Component, self.lo[a:b].tolist(), self.hi[a:b].tolist()))
-        return WordBands((top, bot), RoiRows(start, stop, fallback), range(m0, m1), comps)
 
 
 def roi_bands(top: np.ndarray, bot: np.ndarray, t: float) -> tuple[np.ndarray, ...]:
@@ -257,27 +233,30 @@ def repair(
 
 
 def plan_chars(
-    backend: Backend, line, w: Component, bands: WordBands, params: RoiParams, counter=None
+    backend: Backend, line, w: Component, bands: LineBands, i: int, params: RoiParams, counter=None
 ) -> RepairResult:
-    """Character plan of word w of line, on either domain, in line columns.
-
-    Falls back to the full-ROI and then full-ink-box occupancy of the word's
-    crop when its top/bottom OR is completely dark (all ink in the middle
-    band), so every non-empty word yields at least one character.
+    """Character plan of word w of line, word i of bands, on either domain, in
+    line columns. Falls back to the full-ROI and then full-ink-box occupancy
+    of the word's crop when its top/bottom OR is completely dark (all ink in
+    the middle band), so every non-empty word yields at least one character.
     """
-    (ink_top, ink_bot), rows, middle, comps = bands
+    a, b = bands.wptr[i : i + 2].tolist()
+    comps = list(map(Component, bands.lo[a:b].tolist(), bands.hi[a:b].tolist()))
     if not comps:
         word = backend.crop(line, w.x_min, w.x_max)
-        spans = backend.occupancy(word, (rows.start, rows.stop), counter).spans
+        roi = bands.roi_start[i].item(), bands.roi_stop[i].item()
+        spans = backend.occupancy(word, roi, counter).spans
         if not spans:
-            spans = backend.occupancy(word, (ink_top, ink_bot + 1), counter).spans
+            ink = bands.ink_top[i].item(), bands.ink_bot[i].item() + 1
+            spans = backend.occupancy(word, ink, counter).spans
         comps = [Component(lo + w.x_min, hi + w.x_min) for lo, hi in spans]
 
     def middle_freq():
-        if not middle:
+        middle = bands.mid_start[i].item(), bands.mid_stop[i].item()
+        if middle[0] == middle[1]:
             return [0], [0]  # an empty middle band: 0 in every column
         word = backend.crop(line, w.x_min, w.x_max)
-        xs, counts = backend.column_frequency(word, (middle.start, middle.stop), counter)
+        xs, counts = backend.column_frequency(word, middle, counter)
         return [x + w.x_min for x in xs], counts
 
     return repair(comps, params, middle_freq)
@@ -323,7 +302,7 @@ def line_chars(
     mids = ((bands.hi[:-1] + bands.lo[1:]) // 2).tolist()
     ptr, flags = bands.wptr.tolist(), _flagged(bands, params, line.width)
     plans = [
-        plan_chars(backend, line, w, bands.word(i), params, counter)
+        plan_chars(backend, line, w, bands, i, params, counter)
         if flag
         else RepairResult(tuple(chars[a:b]), tuple(mids[a : b - 1]), ())
         for i, (w, flag, a, b) in enumerate(zip(ws, flags, ptr, ptr[1:]))

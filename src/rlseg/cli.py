@@ -16,6 +16,7 @@ from .errors import (
     MalformedRleError,
     ParseError,
     SettingError,
+    decoding,
 )
 from .evaluate import BadRecordError, load_ground_truth, predicted_intervals, score_intervals
 from .pbm import read_pbm, write_pbm
@@ -31,6 +32,8 @@ EXIT_EMPTY = 2
 EXIT_EVAL = 3
 EXIT_PARSE = 4
 
+_CONFIG_KEYS = ("threshold", "roi_t", "alpha", "beta", "overlap", "seed")
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the contract says 1
@@ -40,16 +43,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_config(path) -> dict[str, str]:
-    """Parse a simple key=value config file; '#' starts a comment."""
+    """Parse a key=value config file of _CONFIG_KEYS; '#' starts a comment."""
     cfg = {}
     for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, sep, value = line.partition("=")
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise ParseError(path, lineno, f"expected key=value, got {raw!r}")
-        cfg[key.strip()] = value.strip()
+        if key not in _CONFIG_KEYS:
+            raise ParseError(path, lineno, f"unknown key {key!r}; keys: {', '.join(_CONFIG_KEYS)}")
+        cfg[key] = value
     return cfg
 
 
@@ -152,7 +157,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    write_pbm(decode(read_rle(args.rle)), args.pbm, binary=args.binary)
+    with decoding(args.rle):
+        write_pbm(decode(read_rle(args.rle)), args.pbm, binary=args.binary)
     return EXIT_OK
 
 
@@ -248,7 +254,8 @@ def cmd_render(args) -> int:
                 detail = f"separator x {json.dumps(x)} is not an int in [0, {line.width})"
                 raise ParseError(args.seg, lineno, detail)
         xs += own
-    write_pbm(overlay(line, xs), args.out, binary=args.binary)
+    with decoding(args.rle):
+        write_pbm(overlay(line, xs), args.out, binary=args.binary)
     return EXIT_OK
 
 

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from contextlib import contextmanager
+
 
 class RlsegError(Exception):
     """Base class for all rlseg errors."""
@@ -49,3 +51,12 @@ class SettingError(RlsegError, ValueError):
     def __init__(self, key: str, message: str):
         super().__init__(message)
         self.key = key
+
+
+@contextmanager
+def decoding(path):
+    """A MemoryError decoding path's pixels, as an OSError naming path (exit 1)."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise OSError(f"{path}: its decoded pixels do not fit in memory") from exc

@@ -16,11 +16,10 @@ from rlseg import Bitmap, EmptyWordError, ParseError, RleImage, encode
 from rlseg.chars import (
     _EPS,
     CharSegmentation,
+    LineBands,
     LineCharSegmentation,
     RepairOp,
     RepairResult,
-    RoiRows,
-    WordBands,
     plan_chars,
     repair,
 )
@@ -150,9 +149,10 @@ class BandSet(NamedTuple):
     bottom: range
 
 
-def roi_from_bounds(ink_top: int, ink_bot: int, t: float) -> RoiRows:
+def roi_from_bounds(ink_top: int, ink_bot: int, t: float) -> tuple[int, int, bool]:
     """Trim floor(t*H) rows off each end of the ink box of height H, one
-    word at a time: the scalar reference for chars.roi_bands.
+    word at a time: the scalar reference for chars.roi_bands. Returns the
+    ROI's half-open rows (start, stop) and whether it fell back.
 
     Trimming never empties the ROI for t < 0.5; larger t values fall back to
     the full ink box and flag it.
@@ -162,18 +162,17 @@ def roi_from_bounds(ink_top: int, ink_bot: int, t: float) -> RoiRows:
     height = ink_bot - ink_top + 1
     trim = math.floor(t * height + _EPS)
     if 2 * trim >= height:
-        return RoiRows(ink_top, ink_bot + 1, full_box_fallback=True)
-    return RoiRows(ink_top + trim, ink_bot + 1 - trim)
+        return ink_top, ink_bot + 1, True
+    return ink_top + trim, ink_bot + 1 - trim, False
 
 
-def split_bands(rows) -> BandSet:
-    """Divide a row span (anything with .start/.stop) into three bands: the
+def split_bands(start: int, stop: int) -> BandSet:
+    """Divide the half-open row span [start, stop) into three bands: the
     scalar reference for chars.roi_bands' bands.
 
     Bands are as equal as possible; remainder rows go to the top first.
     A span shorter than 3 rows leaves the trailing bands empty.
     """
-    start, stop = rows.start, rows.stop
     n = stop - start
     if n < 1:
         raise ValueError("cannot band an empty row span")
@@ -186,12 +185,13 @@ def split_bands(rows) -> BandSet:
     return BandSet(top, middle, bottom)
 
 
-def word_bands_reference(line: RleImage, words, t: float, counter=None) -> list[WordBands]:
-    """Each word's WordBands from its own crop: its ink rows from the crop's
-    row pointer (the last row whose pointer is 0, and the row before the
-    first one at the total), and the occupancy of its top and bottom bands,
-    ORed by one union. The per-word reference for chars.word_bands."""
-    out = []
+def word_bands_reference(line: RleImage, words, t: float, counter=None) -> LineBands:
+    """Every word's bands from its own crop, built word by word: its ink rows
+    from the crop's row pointer (the last row whose pointer is 0, and the
+    row before the first one at the total), roi_from_bounds and split_bands,
+    and the occupancy of its top and bottom bands, ORed by one union. The
+    per-word reference for chars.word_bands."""
+    rows, ors, wptr = [], [], [0]
     for w in words:
         word = crop_columns(line, w.x_min, w.x_max)
         iptr = word.spans.iptr
@@ -199,17 +199,19 @@ def word_bands_reference(line: RleImage, words, t: float, counter=None) -> list[
             raise EmptyWordError("word image has no ink")
         ink = int(iptr.searchsorted(0, "right")) - 1, int(iptr.searchsorted(iptr[-1])) - 1
         roi = roi_from_bounds(*ink, t)
-        bands = split_bands(roi)
+        bands = split_bands(*roi[:2])
+        rows.append((*ink, *roi, bands.middle.start, bands.middle.stop))
         spans = [
             span
             for band in (bands.top, bands.bottom)
             if band
             for span in occupancy(word, (band.start, band.stop), counter).spans
         ]
-        ors = union(word.width, [lo for lo, _ in spans], [hi + 1 for _, hi in spans]).spans
-        comps = tuple(Component(lo + w.x_min, hi + w.x_min) for lo, hi in ors)
-        out.append(WordBands(ink, roi, bands.middle, comps))
-    return out
+        spans = union(word.width, [lo for lo, _ in spans], [hi + 1 for _, hi in spans]).spans
+        ors += [(lo + w.x_min, hi + w.x_min) for lo, hi in spans]
+        wptr.append(len(ors))
+    lo, hi = np.array(ors, line.spans.starts.dtype).reshape(-1, 2).T
+    return LineBands(*map(np.array, zip(*rows)), lo, hi, np.array(wptr))
 
 
 def roi_bands_reference(tops, bots, t: float) -> list[list]:
@@ -217,7 +219,7 @@ def roi_bands_reference(tops, bots, t: float) -> list[list]:
     roi_bands returns as arrays: ROI start and stop, fallback flag, and
     middle-band start and stop."""
     rois = [roi_from_bounds(top, bot, t) for top, bot in zip(tops, bots)]
-    middles = [split_bands(roi).middle for roi in rois]
+    middles = [split_bands(start, stop).middle for start, stop, _ in rois]
     starts, stops, fallbacks = (list(v) for v in zip(*rois))
     return [starts, stops, fallbacks, [m.start for m in middles], [m.stop for m in middles]]
 
@@ -225,13 +227,12 @@ def roi_bands_reference(tops, bots, t: float) -> list[list]:
 def line_chars_per_word(backend, line, words, params, counter=None, bands=None):
     """The char driver that plans every word through plan_chars: the
     reference for line_chars, which plans only the words its triage flags.
-    bands are the words' WordBands, by default the backend's word_bands taken
-    word by word. All cuts are located by one separators_at call."""
+    bands is the words' LineBands, by default the backend's word_bands. All
+    cuts are located by one separators_at call."""
     ws = words.words
     if bands is None:
-        line_bands = backend.word_bands(line, ws, params.t, counter)
-        bands = [line_bands.word(i) for i in range(len(ws))]
-    plans = [plan_chars(backend, line, w, b, params, counter) for w, b in zip(ws, bands)]
+        bands = backend.word_bands(line, ws, params.t, counter)
+    plans = [plan_chars(backend, line, w, bands, i, params, counter) for i, w in enumerate(ws)]
     located = iter(backend.separators_at(line, [x for p in plans for x in p.cuts]))
     per_word = tuple(
         CharSegmentation(p.chars, tuple(islice(located, len(p.cuts))), p.repairs, params)
@@ -240,19 +241,21 @@ def line_chars_per_word(backend, line, words, params, counter=None, bands=None):
     return LineCharSegmentation(words, per_word)
 
 
-def plan_chars_eager(backend, line, w, bands, params, counter=None) -> RepairResult:
-    """The char plan that projects the middle band of every word, split or
-    not: the reference for plan_chars, which projects it only when repair
-    must split."""
-    (ink_top, ink_bot), rows, middle, comps = bands
+def plan_chars_eager(backend, line, w, bands, i, params, counter=None) -> RepairResult:
+    """The char plan of word w, word i of bands, that projects the middle
+    band of every word, split or not: the reference for plan_chars, which
+    projects it only when repair must split."""
+    ink_top, ink_bot, start, stop, _, m0, m1 = (field[i].item() for field in bands[:7])
+    a, b = bands.wptr[i : i + 2].tolist()
+    comps = list(map(Component, bands.lo[a:b].tolist(), bands.hi[a:b].tolist()))
     word = backend.crop(line, w.x_min, w.x_max)
     if not comps:
-        spans = backend.occupancy(word, (rows.start, rows.stop), counter).spans
+        spans = backend.occupancy(word, (start, stop), counter).spans
         if not spans:
             spans = backend.occupancy(word, (ink_top, ink_bot + 1), counter).spans
         comps = [Component(lo + w.x_min, hi + w.x_min) for lo, hi in spans]
-    if len(middle):
-        xs, counts = backend.column_frequency(word, (middle.start, middle.stop), counter)
+    if m0 < m1:
+        xs, counts = backend.column_frequency(word, (m0, m1), counter)
         freq = ([x + w.x_min for x in xs], counts)
     else:
         freq = ([0], [0])  # an empty middle band: 0 in every column

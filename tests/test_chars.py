@@ -25,7 +25,6 @@ from rlseg.chars import (
     _run_backend,
     line_chars,
     RoiParams,
-    RoiRows,
     plan_chars,
     repair,
     roi_bands,
@@ -54,18 +53,18 @@ from support import (
 )
 
 
-def _roi(top: int, bot: int, t: float) -> RoiRows:
-    start, stop, fallback, _, _ = (a.item() for a in roi_bands(np.array([top]), np.array([bot]), t))
-    return RoiRows(start, stop, fallback)
+def _roi(top: int, bot: int, t: float) -> tuple[int, int, bool]:
+    """The ROI's half-open rows and fallback flag, for one word."""
+    return tuple(a.item() for a in roi_bands(np.array([top]), np.array([bot]), t)[:3])
 
 
 def test_roi_arithmetic():
-    assert _roi(0, 29, 0.2) == RoiRows(6, 24)
-    assert _roi(0, 29, 0.0) == RoiRows(0, 30)
-    assert _roi(0, 2, 0.4) == RoiRows(1, 2)
-    assert _roi(0, 9, 0.3) == RoiRows(3, 7)
+    assert _roi(0, 29, 0.2) == (6, 24, False)
+    assert _roi(0, 29, 0.0) == (0, 30, False)
+    assert _roi(0, 2, 0.4) == (1, 2, False)
+    assert _roi(0, 9, 0.3) == (3, 7, False)
     # 0.29 * 100 is 28.999...96 in binary; the trim must still be 29
-    assert _roi(0, 99, 0.29) == RoiRows(29, 71)
+    assert _roi(0, 99, 0.29) == (29, 71, False)
     with pytest.raises(ValueError):
         _roi(0, 9, 1.0)
 
@@ -102,17 +101,15 @@ def test_roi_uses_ink_bounds():
     )
     bands = _whole_word_bands(padded, 0.2)
     assert [a.tolist() for a in bands[:7]] == [[1], [30], [7], [25], [False], [13], [19]]
-    assert bands.word(0).ink == (1, 30) == pdp_ink_row_bounds(decode(padded))
-    assert bands.word(0).roi == RoiRows(7, 25)
-    assert bands.word(0).top_or_bottom == ((1, 6),)
+    assert (bands.ink_top.item(), bands.ink_bot.item()) == pdp_ink_row_bounds(decode(padded))
+    assert (bands.lo.tolist(), bands.hi.tolist()) == ([1], [6])
 
 
 def test_roi_fallback_flags_full_box():
     word = glyph_word([(0, 3)], height=4)
     bands = _whole_word_bands(word, 0.6)
     assert [a.tolist() for a in bands[2:5]] == [[0], [4], [True]]
-    assert bands.word(0).roi == RoiRows(0, 4, full_box_fallback=True)
-    assert bands.word(0).middle == split_bands(RoiRows(0, 4)).middle
+    assert range(bands.mid_start.item(), bands.mid_stop.item()) == split_bands(0, 4).middle
 
 
 def test_roi_empty_word():
@@ -133,7 +130,7 @@ def test_split_bands_sizes(n, sizes):
     start, stop, _, mid_start, mid_stop = (a.item() for a in ends)
     assert (start, stop) == (0, n)
     assert (mid_start - start, mid_stop - mid_start, stop - mid_stop) == sizes
-    bands = split_bands(range(0, n))
+    bands = split_bands(0, n)
     assert (bands.middle.start, bands.middle.stop) == (mid_start, mid_stop)
 
 
@@ -168,8 +165,7 @@ def test_candidate_separators_match_brute_midpoints():
                 px[11:13, x : x + bridge_w] = 1  # middle-band overlap
                 x += bridge_w
         word = encode(Bitmap(px[:, : x + rng.randint(1, 4)]))
-        rows = roi_from_bounds(0, height - 1, DEFAULT_PARAMS.t)
-        bands = split_bands(rows)
+        bands = split_bands(*roi_from_bounds(0, height - 1, DEFAULT_PARAMS.t)[:2])
         decoded = decode(word).pixels
         top_or_bottom = [
             bool(
@@ -356,8 +352,7 @@ def test_char_cuts_avoid_top_bottom_ink():
             continue
         bounds_top = min(r for r in range(word.height) if len(word.rows[r].runs) > 1)
         bounds_bot = max(r for r in range(word.height) if len(word.rows[r].runs) > 1)
-        rows = roi_from_bounds(bounds_top, bounds_bot, DEFAULT_PARAMS.t)
-        bands = split_bands(rows)
+        bands = split_bands(*roi_from_bounds(bounds_top, bounds_bot, DEFAULT_PARAMS.t)[:2])
         px = decode(word).pixels
         inserted = {r.x for r in seg.repairs if r.op == "inserted"}
         for sep in seg.separators:
@@ -451,9 +446,10 @@ def test_plan_chars_runs_for_exactly_the_flagged_words(monkeypatch):
     line = boxes_line(boxes, 0, 300)
     words = segment_words(line, ThresholdMode("fixed", 12))
     assert len(words.words) == 7
+    bands = word_bands_reference(line, words.words, DEFAULT_PARAMS.t)
     flagged = []
-    for w, bands in zip(words.words, word_bands_reference(line, words.words, DEFAULT_PARAMS.t)):
-        lengths = [c.length for c in bands.top_or_bottom]
+    for w, a, b in zip(words.words, bands.wptr, bands.wptr[1:]):
+        lengths = (bands.hi[a:b] - bands.lo[a:b] + 1).tolist()
         mean = sum(lengths) / max(len(lengths), 1)
         low, high = DEFAULT_PARAMS.alpha * mean, DEFAULT_PARAMS.beta * mean
         if not lengths or not all(low <= n <= high for n in lengths):

@@ -8,6 +8,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import rlseg.bench
+import rlseg.cli
+import rlseg.render
 from rlseg import (
     Bitmap,
     RleImage,
@@ -785,6 +788,50 @@ def test_bad_setting_exits_1_with_one_line(tmp_path, corpus, capsys, argv, confi
     assert err.count("\n") == 1
     assert "Traceback" not in err and "usage:" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["segment", "MANIFEST", "--mode", "chars", "--out", "OUT"],
+        ["bench", "MANIFEST", "--out", "OUT"],
+        ["evaluate", "TRUTH", "TRUTH", "--out", "OUT"],
+        ["synth", "--out", "OUT"],
+    ],
+    ids=["segment", "bench", "evaluate", "synth"],
+)
+def test_unknown_config_key_exits_4_naming_its_line(tmp_path, corpus, capsys, argv):
+    # a misspelled key is an error, not ignored: roi-t would leave t at 0.2
+    code, err = _run_setting_case(tmp_path, corpus, capsys, argv, "beta=1.1\nroi-t = 0.45")
+    detail = "unknown key 'roi-t'; keys: threshold, roi_t, alpha, beta, overlap, seed"
+    assert code == 4
+    assert err == f"rlseg: parse error: {tmp_path / 'bad.conf'}:2: {detail}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["decode", "render", "bench"])
+def test_pixels_out_of_memory_exit_1_naming_the_file(
+    tmp_path, corpus, capsys, monkeypatch, command
+):
+    # decode fails as NumPy does on a line too wide to hold, such as
+    # "RLE1 10000000000000 2"; the line here is small, so nothing is allocated
+    # even if a patch missed
+    def no_memory(line):
+        raise MemoryError("Unable to allocate 18.2 TiB for an array")
+
+    for module in (rlseg.cli, rlseg.render, rlseg.bench):
+        monkeypatch.setattr(module, "decode", no_memory)
+    first = sorted((corpus / "lines").glob("*.rle"))[0]
+    seg, out = tmp_path / "seg.json", tmp_path / "out"
+    seg.write_text("")
+    argv = {
+        "decode": ["decode", str(first), str(out)],
+        "render": ["render", str(first), str(seg), str(out)],
+        "bench": ["bench", str(first), "--out", str(out)],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"rlseg: {first}: its decoded pixels do not fit in memory\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

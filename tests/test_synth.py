@@ -73,9 +73,7 @@ def test_bridges_stay_inside_middle_band():
                 saw_bridge = True
                 word_px = px[:, word_chars[0][0] : word_chars[-1][1] + 1]
                 word_rows = [r for r in range(word_px.shape[0]) if word_px[r].any()]
-                bands = split_bands(
-                    roi_from_bounds(word_rows[0], word_rows[-1], 0.2)
-                )
+                bands = split_bands(*roi_from_bounds(word_rows[0], word_rows[-1], 0.2)[:2])
                 bridge_rows = {r for r in range(px.shape[0]) if gap_cols[r].any()}
                 assert bridge_rows <= set(bands.middle)
     assert saw_bridge
