@@ -18,7 +18,14 @@ from .errors import (
     SettingError,
     decoding,
 )
-from .evaluate import BadRecordError, load_ground_truth, predicted_intervals, score_intervals
+from .evaluate import (
+    DEFAULT_OVERLAP,
+    BadRecordError,
+    load_ground_truth,
+    overlap_fraction,
+    predicted_intervals,
+    score_intervals,
+)
 from .pbm import read_pbm, write_pbm
 from .records import dumps, line_char_records, word_record
 from .render import overlay
@@ -32,7 +39,26 @@ EXIT_EMPTY = 2
 EXIT_EVAL = 3
 EXIT_PARSE = 4
 
-_CONFIG_KEYS = ("threshold", "roi_t", "alpha", "beta", "overlap", "seed")
+# key -> (conversion, default, help) of each setting a config file may hold; its
+# flag is --key with "-" for "_", and its default is a value its conversion takes
+_CONFIG = {
+    "threshold": (ThresholdMode.parse, "auto", "auto | fixed:<value> | scale:<factor>"),
+    "roi_t": (float, DEFAULT_PARAMS.t, "fraction trimmed off a word's ink box top and bottom"),
+    "alpha": (float, DEFAULT_PARAMS.alpha, "merge fragments shorter than alpha x mean length"),
+    "beta": (float, DEFAULT_PARAMS.beta, "split segments longer than beta x mean length"),
+    "overlap": (overlap_fraction, DEFAULT_OVERLAP, "minimum overlap fraction of a match"),
+    "seed": (int, SynthConfig.seed, "random seed of the corpus"),
+}
+# ... and of each setting that is a flag only
+_SETTINGS = {
+    **_CONFIG,
+    "repeat": (int, 1, "timed passes per file"),
+    "lines": (int, SynthConfig.lines, "lines in the corpus"),
+    "words_per_line": (int, SynthConfig.words_per_line, "words per line"),
+    "inter_gap": (int, SynthConfig.inter_gap, "columns between words"),
+    "intra_gap": (int, SynthConfig.intra_gap, "columns between the glyphs of a word"),
+    "touch_rate": (float, SynthConfig.touch_rate, "chance that a glyph gap is bridged"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,8 +68,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _convert(key: str, value):
+    """value converted by key's setting; a value it rejects raises SettingError naming key."""
+    try:
+        return _SETTINGS[key][0](value)
+    except ValueError as exc:
+        raise SettingError(key, str(exc)) from exc
+
+
+def _roi_params(settings: dict) -> RoiParams:
+    return RoiParams(settings["roi_t"], settings["alpha"], settings["beta"])
+
+
 def load_config(path) -> dict[str, str]:
-    """Parse a key=value config file of _CONFIG_KEYS; '#' starts a comment."""
+    """Parse a key=value config file of _CONFIG's keys ('#' starts a comment), then
+    check that every value converts and, with the defaults, makes a RoiParams."""
     cfg = {}
     for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -52,52 +91,34 @@ def load_config(path) -> dict[str, str]:
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise ParseError(path, lineno, f"expected key=value, got {raw!r}")
-        if key not in _CONFIG_KEYS:
-            raise ParseError(path, lineno, f"unknown key {key!r}; keys: {', '.join(_CONFIG_KEYS)}")
+        if key not in _CONFIG:
+            raise ParseError(path, lineno, f"unknown key {key!r}; keys: {', '.join(_CONFIG)}")
         cfg[key] = value
+    try:
+        _roi_params({k: _convert(k, cfg.get(k, default)) for k, (_, default, _) in _CONFIG.items()})
+    except SettingError as exc:
+        exc.in_config = True  # the file's own value, whatever flag overrides it
+        raise
     return cfg
 
 
-def _setting(args, cfg: dict, key: str, cast, default):
-    """cast of the flag value if given, else of the config-file value, else
-    the default. A value cast rejects raises SettingError naming the key."""
-    value = getattr(args, key, None)
-    if value is None:
-        if key not in cfg:
-            return default
-        value = cfg[key]
-    try:
-        return cast(value)
-    except ValueError as exc:
-        raise SettingError(key, str(exc)) from exc
+def _settings(args) -> dict:
+    """Each of the command's settings: its flag, else its config-file value, else its default."""
+    cfg = load_config(args.config) if args.config else {}
+    flags = vars(args)
+    return {
+        key: _convert(key, cfg.get(key, default) if flags[key] is None else flags[key])
+        for key, (_, default, _) in _SETTINGS.items()
+        if key in flags
+    }
 
 
-def _setting_source(args, key: str) -> str:
-    """Where a setting's value came from: its flag, or the config file and key."""
-    key = {"t": "roi_t"}.get(key, key)  # RoiParams.t is set by --roi-t / roi_t
-    if getattr(args, key, None) is not None or not getattr(args, "config", None):
-        return "--" + key.replace("_", "-")
-    return f"{args.config}: {key}"
-
-
-def _overlap(value) -> float:
-    """The minimum overlap fraction of a match, in (0, 1]."""
-    overlap = float(value)
-    if not 0 < overlap <= 1:
-        raise SettingError("overlap", f"overlap must be in (0, 1], got {overlap}")
-    return overlap
-
-
-def _resolve_params(args, cfg) -> RoiParams:
-    return RoiParams(
-        t=_setting(args, cfg, "roi_t", float, DEFAULT_PARAMS.t),
-        alpha=_setting(args, cfg, "alpha", float, DEFAULT_PARAMS.alpha),
-        beta=_setting(args, cfg, "beta", float, DEFAULT_PARAMS.beta),
-    )
-
-
-def _resolve_mode(args, cfg) -> ThresholdMode:
-    return _setting(args, cfg, "threshold", ThresholdMode.parse, ThresholdMode.parse("auto"))
+def _setting_source(args, exc: SettingError) -> str:
+    """Where a bad setting's value came from: its flag, or the config file and key."""
+    key = {"t": "roi_t"}.get(exc.key, exc.key)  # RoiParams.t is set by --roi-t / roi_t
+    if exc.in_config or (getattr(args, key, None) is None and getattr(args, "config", None)):
+        return f"{args.config}: {key}"
+    return "--" + key.replace("_", "-")
 
 
 def _input_lines(path: Path) -> list[tuple[str, Path]]:
@@ -163,9 +184,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    mode = _resolve_mode(args, cfg)
-    params = _resolve_params(args, cfg)
+    settings = _settings(args)
+    mode, params = settings["threshold"], _roi_params(settings)
     chunks = []  # each line's JSON Lines text; written once all lines succeed
     for line_id, path in _input_lines(Path(args.input)):
         line = read_rle(path)
@@ -182,8 +202,7 @@ def cmd_segment(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    overlap = _setting(args, cfg, "overlap", _overlap, 0.9)
+    overlap = _settings(args)["overlap"]
     numbered = _read_records(args.pred)
     try:
         per_line = predicted_intervals([rec for _, rec in numbered], args.mode)
@@ -209,12 +228,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    params = _resolve_params(args, cfg)
-    mode = _resolve_mode(args, cfg)
+    settings = _settings(args)
+    params, mode = _roi_params(settings), settings["threshold"]
     paths = [p for _, p in _input_lines(Path(args.input))]
-    repeat = _setting(args, {}, "repeat", int, 1)  # a flag only, not a config key
-    rows = benchmod.bench_paths(paths, params, mode, repeat=repeat)
+    rows = benchmod.bench_paths(paths, params, mode, repeat=settings["repeat"])
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             benchmod.write_csv(rows, fh)
@@ -224,17 +241,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    # only the seed is also a config key; the others are flags only
-    config = SynthConfig(
-        lines=_setting(args, {}, "lines", int, 20),
-        words_per_line=_setting(args, {}, "words_per_line", int, 4),
-        inter_gap=_setting(args, {}, "inter_gap", int, 12),
-        intra_gap=_setting(args, {}, "intra_gap", int, 3),
-        touch_rate=_setting(args, {}, "touch_rate", float, 0.0),
-        seed=_setting(args, cfg, "seed", int, 0),
-    )
-    paths = write_corpus(config, args.out)
+    paths = write_corpus(SynthConfig(**_settings(args)), args.out)
     print(f"wrote {len(paths)} lines under {args.out}")
     return EXIT_OK
 
@@ -259,6 +266,14 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+def _add_settings(parser, *keys) -> None:
+    """A flag for each of keys, its value kept a string for _settings, and --config."""
+    for key in keys:
+        _, default, text = _SETTINGS[key]
+        parser.add_argument("--" + key.replace("_", "-"), help=f"{text} (default {default})")
+    parser.add_argument("--config", help="key=value config file; flags win")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rlseg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -274,49 +289,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--binary", action="store_true", help="write packed P4 instead of P1")
     p.set_defaults(func=cmd_decode)
 
-    # the segmentation settings that segment and bench share
-    settings = argparse.ArgumentParser(add_help=False)
-    # values stay strings here: _setting converts flag and config values alike
-    settings.add_argument("--threshold", default=None,
-                          help="auto | fixed:<value> | scale:<factor> (default auto)")
-    settings.add_argument("--roi-t", dest="roi_t", default=None)
-    settings.add_argument("--alpha", default=None)
-    settings.add_argument("--beta", default=None)
-    settings.add_argument("--config", default=None, help="key=value config file; flags win")
-
-    p = sub.add_parser("segment", parents=[settings],
-                       help="segment lines into words or characters")
+    p = sub.add_parser("segment", help="segment lines into words or characters")
     p.add_argument("input", help=".rle file, directory of .rle files, or manifest")
     p.add_argument("--mode", choices=("words", "chars"), default="words")
     p.add_argument("--out", default=None, help="write JSON Lines here instead of stdout")
+    _add_settings(p, "threshold", "roi_t", "alpha", "beta")
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")
     p.add_argument("pred", help="segmentation JSON Lines from the segment command")
     p.add_argument("truth", help="ground-truth JSON")
     p.add_argument("--mode", choices=("word", "char"), default="word")
-    p.add_argument("--overlap", default=None, help="minimum overlap fraction (default 0.9)")
-    p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
+    _add_settings(p, "overlap")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("bench", parents=[settings],
-                       help="time run-domain vs pixel-domain segmentation")
+    p = sub.add_parser("bench", help="time run-domain vs pixel-domain segmentation")
     p.add_argument("input", help=".rle file, directory, or manifest")
-    p.add_argument("--repeat", default=None, help="timed passes per file (default 1)")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
+    _add_settings(p, "threshold", "roi_t", "alpha", "beta", "repeat")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with exact ground truth")
     p.add_argument("--out", required=True, help="output directory")
-    # values stay strings here too: _setting converts them
-    p.add_argument("--lines", default=None, help="(default 20)")
-    p.add_argument("--words-per-line", dest="words_per_line", default=None, help="(default 4)")
-    p.add_argument("--inter-gap", dest="inter_gap", default=None, help="(default 12)")
-    p.add_argument("--intra-gap", dest="intra_gap", default=None, help="(default 3)")
-    p.add_argument("--touch-rate", dest="touch_rate", default=None, help="(default 0.0)")
-    p.add_argument("--seed", default=None, help="(default 0)")
-    p.add_argument("--config", default=None)
+    _add_settings(p, "lines", "words_per_line", "inter_gap", "intra_gap", "touch_rate", "seed")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("render", help="overlay separators on the decoded line")
@@ -338,7 +334,7 @@ def main(argv=None) -> int:
         print(f"rlseg: empty input: {exc}", file=sys.stderr)
         return EXIT_EMPTY
     except SettingError as exc:
-        print(f"rlseg: error: {_setting_source(args, exc.key)}: {exc}", file=sys.stderr)
+        print(f"rlseg: error: {_setting_source(args, exc)}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EmptyGroundTruthError as exc:
         print(f"rlseg: evaluation error: {exc}", file=sys.stderr)

@@ -48,6 +48,8 @@ class EmptyGroundTruthError(RlsegError):
 class SettingError(RlsegError, ValueError):
     """A setting has a value outside its range; key names the setting."""
 
+    in_config = False  # true where the bad value is a config file's own
+
     def __init__(self, key: str, message: str):
         super().__init__(message)
         self.key = key

@@ -7,9 +7,10 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import EmptyGroundTruthError
+from .errors import EmptyGroundTruthError, SettingError
 
 _SLACK = 1e-9  # keeps exact-boundary overlaps from failing on float rounding
+DEFAULT_OVERLAP = 0.9  # the least overlap of a match, as a fraction of the longer interval
 
 
 @dataclass(frozen=True)
@@ -110,15 +111,22 @@ def _check_sorted_disjoint(name: str, intervals) -> None:
         prev_end = b
 
 
-def match(pred, truth, overlap_min: float = 0.9) -> MatchResult:
+def overlap_fraction(value) -> float:
+    """value as the minimum overlap fraction of a match, which must be in (0, 1]."""
+    overlap = float(value)
+    if not 0 < overlap <= 1:
+        raise SettingError("overlap", f"overlap must be in (0, 1], got {overlap}")
+    return overlap
+
+
+def match(pred, truth, overlap_min: float = DEFAULT_OVERLAP) -> MatchResult:
     """Greedy left-to-right pairing of sorted, disjoint inclusive intervals.
 
     A pair qualifies when the intersection covers at least overlap_min of the
     longer interval; each side is used at most once. With disjoint sorted
     intervals qualifying pairs cannot cross, so greedy pairing is optimal.
     """
-    if not 0 < overlap_min <= 1:
-        raise ValueError("overlap_min must be in (0, 1]")
+    overlap_min = overlap_fraction(overlap_min)
     _check_sorted_disjoint("predicted", pred)
     _check_sorted_disjoint("truth", truth)
     pairs = []
@@ -181,7 +189,7 @@ def score_intervals(
     per_line: dict[str, list[tuple[int, int]]],
     truth_lines,
     mode: str = "word",
-    overlap_min: float = 0.9,
+    overlap_min: float = DEFAULT_OVERLAP,
 ) -> dict:
     """Score each truth line against the predicted intervals of its line_id."""
     total = matched = 0
@@ -217,7 +225,7 @@ def score_intervals(
 
 
 def evaluate_records(
-    pred_records, truth_lines, mode: str = "word", overlap_min: float = 0.9
+    pred_records, truth_lines, mode: str = "word", overlap_min: float = DEFAULT_OVERLAP
 ) -> dict:
     """Score segmentation output records against ground truth, per line.
 

@@ -11,7 +11,7 @@ A cut adds one list of ints, not one small list per row, so building a pass's
 records does not feed the garbage collector with hundreds of thousands of
 container objects.
 
-The builders return ``Record``s, which ``dumps`` writes with one schema writer
+The builders return plain dicts, which ``dumps`` writes with one schema writer
 rather than json's encoder, one int at a time, to the same text.
 """
 
@@ -30,37 +30,31 @@ _DIGITS = tuple(map(str, range(1 << 12)))  # the text of each int below 4096
 _CUT = '{"x":%d,"runs":[%s]}'
 
 
-class Record(dict):
-    """A segment record as the builders below set it; ``dumps`` writes it by schema."""
-
-    __slots__ = ()
-
-
-def word_record(line_id: str, seg: WordSegmentation) -> Record:
-    return Record(
-        version=SCHEMA_VERSION,
-        line_id=line_id,
-        words=[[a, b] for a, b in seg.words],
-        separators=[{"x": x, "runs": list(runs)} for x, runs in seg.separators],
-        threshold=float(seg.threshold_used),
-    )
+def word_record(line_id: str, seg: WordSegmentation) -> dict:
+    return {
+        "version": SCHEMA_VERSION,
+        "line_id": line_id,
+        "words": [[a, b] for a, b in seg.words],
+        "separators": [{"x": x, "runs": list(runs)} for x, runs in seg.separators],
+        "threshold": float(seg.threshold_used),
+    }
 
 
-def line_char_records(line_id: str, seg: LineCharSegmentation) -> list[Record]:
+def line_char_records(line_id: str, seg: LineCharSegmentation) -> list[dict]:
     """One record per word. Words planned with the first word's ``RoiParams``
     share one ``params`` dict, so ``dumps`` encodes it once per line."""
     first = seg.per_word[0].params if seg.per_word else None
     shared = None if first is None else asdict(first)
     return [
-        Record(
-            version=SCHEMA_VERSION,
-            line_id=line_id,
-            word_id=f"{line_id}:w{i}",
-            chars=[[a, b] for a, b in w.chars],
-            separators=[{"x": x, "runs": list(runs)} for x, runs in w.separators],
-            repairs=[{"op": op, "x": x} for op, x in w.repairs] if w.repairs else [],
-            params=shared if w.params is first else asdict(w.params),
-        )
+        {
+            "version": SCHEMA_VERSION,
+            "line_id": line_id,
+            "word_id": f"{line_id}:w{i}",
+            "chars": [[a, b] for a, b in w.chars],
+            "separators": [{"x": x, "runs": list(runs)} for x, runs in w.separators],
+            "repairs": [{"op": op, "x": x} for op, x in w.repairs] if w.repairs else [],
+            "params": shared if w.params is first else asdict(w.params),
+        }
         for i, w in enumerate(seg.per_word)
     ]
 
@@ -95,30 +89,28 @@ _FIELDS = {
 def dumps(records) -> str:
     """The records as JSON Lines: one compact record per line, no final newline.
 
-    Each line is the text json's encoder writes for its record, compact;
-    escaping every non-ASCII character keeps line breaks such as U+2028 out.
-    A ``Record`` is written from its own values as the builders set them:
-    non-negative int bounds, ``x`` and run indices, each cut ``x`` then
-    ``runs``. Its other values, and a record that is not a ``Record`` or has a
-    key outside the schema, go to json's encoder, a line's shared ``line_id``
-    and ``params`` once. Before writing, raises TypeError for one record dict,
-    whose keys would be written as lines. While writing, json's encoder raises
-    TypeError and ValueError where ``json.dumps`` does, and the schema writer
-    raises TypeError for a bound or run index that is not an int and
-    ValueError for an int too long to write, as json does.
+    A record is a dict as the builders above return it, written as json's
+    encoder writes it, compact; escaping every non-ASCII character keeps line
+    breaks such as U+2028 out. Bounds, ``x`` and run indices are written with
+    no type check, each cut ``x`` then ``runs``: the builders' plain ints are
+    the contract, so ``words=[[True, 5]]`` gives ``[[1,5]]`` and a NumPy int
+    its digits, where ``json.dumps`` writes ``true`` or raises. The other
+    values go to json's encoder, a line's shared ``line_id`` and ``params``
+    once. Raises TypeError for one record dict, whose keys would be written
+    as lines, for a record that is not a dict, and for a key outside the schema.
     """
     if isinstance(records, dict):
         raise TypeError("dumps takes a list of records, not one record")
     seen = {}  # key -> (the last value json's encoder wrote there, its text)
 
     def write(record) -> str:
-        if type(record) is not Record:
-            return _ENCODE(record)
+        if not isinstance(record, dict):
+            raise TypeError(f"a record is a dict, not {type(record).__name__}")
         parts = []
         for key, value in record.items():
             head, field = _FIELDS.get(key, (None, None))
             if head is None:
-                return _ENCODE(record)
+                raise TypeError(f"record key {key!r} is outside the schema")
             if field is not None:
                 parts.append(head + field(value))
                 continue

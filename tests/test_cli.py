@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -738,13 +739,17 @@ def test_usage_error_exits_1():
 
 
 def _run_setting_case(tmp_path, corpus, capsys, argv, config):
-    """Run argv with MANIFEST, TRUTH and OUT filled in and, if given, a config file
-    holding config; return the exit code and stderr."""
+    """Run argv with MANIFEST, TRUTH, PRED (the corpus's word segmentation) and
+    OUT filled in and, if given, a config file holding config; return the exit
+    code and stderr."""
     names = {
         "MANIFEST": str(corpus / "manifest.txt"),
         "TRUTH": str(corpus / "ground_truth.json"),
+        "PRED": str(tmp_path / "pred.json"),
         "OUT": str(tmp_path / "out"),
     }
+    if "PRED" in argv:
+        assert main(["segment", names["MANIFEST"], "--out", names["PRED"]]) == 0
     argv = [names.get(a, a) for a in argv]
     if config is not None:
         (tmp_path / "bad.conf").write_text(config + "\n")
@@ -774,11 +779,27 @@ def _run_setting_case(tmp_path, corpus, capsys, argv, config):
         (["synth", "--out", "OUT", "--touch-rate", "abc"], None, "--touch-rate"),
         (["synth", "--out", "OUT", "--seed", "abc"], None, "--seed"),
         (["bench", "MANIFEST", "--repeat", "abc"], None, "--repeat"),
+        # every command checks every key of its config file, used or not
+        (["synth", "--out", "OUT"], "alpha=abc", "CONFIG: alpha"),
+        (["synth", "--out", "OUT"], "alpha=5", "CONFIG: alpha"),
+        (["synth", "--out", "OUT"], "threshold=bogus", "CONFIG: threshold"),
+        (["evaluate", "PRED", "TRUTH"], "alpha=abc", "CONFIG: alpha"),
+        (["evaluate", "PRED", "TRUTH"], "alpha=5", "CONFIG: alpha"),
+        (["evaluate", "PRED", "TRUTH"], "threshold=bogus", "CONFIG: threshold"),
+        (["synth", "--out", "OUT"], "overlap=5", "CONFIG: overlap"),
+        (["segment", "MANIFEST"], "overlap=5", "CONFIG: overlap"),
+        (["bench", "MANIFEST"], "overlap=5", "CONFIG: overlap"),
+        # ... also where a flag overrides the bad key
+        (["segment", "MANIFEST", "--alpha", "0.5"], "alpha=abc", "CONFIG: alpha"),
     ],
     ids=[
         "roi_t", "alpha", "config_alpha", "config_threshold", "config_seed", "repeat", "lines",
         "overlap", "config_overlap", "overlap_abc", "lines_abc", "words_per_line_abc",
         "inter_gap_abc", "intra_gap_abc", "touch_rate_abc", "seed_abc", "repeat_abc",
+        "synth_config_alpha_abc", "synth_config_alpha_range", "synth_config_threshold",
+        "evaluate_config_alpha_abc", "evaluate_config_alpha_range", "evaluate_config_threshold",
+        "synth_config_overlap", "segment_config_overlap", "bench_config_overlap",
+        "config_alpha_under_flag",
     ],
 )
 def test_bad_setting_exits_1_with_one_line(tmp_path, corpus, capsys, argv, config, source):
@@ -911,6 +932,33 @@ def test_synth_deterministic(tmp_path):
         if pa.is_file():
             pb = b / pa.relative_to(a)
             assert pa.read_bytes() == pb.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command,defaults",
+    [
+        ("segment", ["auto", "0.2", "0.33", "1.75"]),
+        ("evaluate", ["0.9"]),
+        ("bench", ["auto", "0.2", "0.33", "1.75", "1"]),
+        ("synth", ["20", "4", "12", "3", "0.0", "0"]),
+    ],
+)
+def test_help_shows_each_default(capsys, command, defaults):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps help lines
+    assert re.findall(r"\(default ([^)]*)\)", text) == defaults
+
+
+def test_synth_defaults_are_synth_configs(tmp_path):
+    # the CLI reads its defaults from SynthConfig, so the two cannot drift apart
+    cli, lib = tmp_path / "cli", tmp_path / "lib"
+    assert main(["synth", "--out", str(cli)]) == 0
+    write_corpus(SynthConfig(), lib)
+    files = sorted(p.relative_to(lib) for p in lib.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(cli) for p in cli.rglob("*") if p.is_file())
+    assert all((cli / f).read_bytes() == (lib / f).read_bytes() for f in files)
 
 
 def test_config_file_with_flag_override(tmp_path, corpus):

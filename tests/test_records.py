@@ -7,7 +7,7 @@ from enum import IntEnum
 import pytest
 
 from rlseg import RleImage, ThresholdMode, segment_line_chars, segment_words
-from rlseg.records import Record, dumps, line_char_records, word_record
+from rlseg.records import dumps, line_char_records, word_record
 from rlseg.words import SeparatorPoint, WordSegmentation
 
 from support import bars_line, json_lines
@@ -54,12 +54,15 @@ EXAMPLES = {
 }
 
 
-# The name predates version 3, when dumps matched json.dumps(indent=1); it is
-# kept so that each example keeps its test id.
+# Each example is the value of params, a key whose value json's encoder writes,
+# as it writes line_id, word_id, threshold and version. The name predates
+# version 3, when dumps matched json.dumps(indent=1); it is kept so that each
+# example keeps its test id.
 @pytest.mark.parametrize("value", EXAMPLES.values(), ids=EXAMPLES.keys())
 def test_dumps_matches_json_indent(value):
-    text = dumps([value])
-    assert text == json.dumps(value, separators=(",", ":"))
+    record = {"version": 3, "params": value}
+    text = dumps([record])
+    assert text == json.dumps(record, separators=(",", ":"))
     assert "\n" not in text
 
 
@@ -72,33 +75,35 @@ def test_dumps_rejects_what_json_rejects(value):
     with pytest.raises(TypeError):
         json.dumps(value)
     with pytest.raises(TypeError):
-        dumps([value])
+        dumps([{"params": value}])
 
 
 def test_dumps_rejects_one_record_dict():
     record = word_record("w", segment_words(bars_line([(2, 6), (30, 36)], width=40)))
-    assert type(record) is Record
+    assert type(record) is dict
     with pytest.raises(TypeError, match="not one record"):
         dumps(record)
-    with pytest.raises(TypeError, match="not one record"):
-        dumps(dict(record))
     assert dumps([record]) == json.dumps(record, separators=(",", ":"))
 
 
+def test_dumps_rejects_records_outside_the_schema():
+    record = word_record("w", segment_words(bars_line([(2, 6), (30, 36)], width=40)))
+    for bad in (list(record.items()), None, 7):
+        with pytest.raises(TypeError, match="a record is a dict"):
+            dumps([record, bad])
+    for extra in ({"note": [1.0, None]}, {1: "a"}, {"Words": []}):
+        with pytest.raises(TypeError, match="outside the schema"):
+            dumps([record, {**record, **extra}])
+
+
 def test_changed_records_match_json():
-    # keys reordered, a key outside the schema, a non-string key, an int
-    # threshold, and a line's char records sharing one params dict
+    # keys reordered, an int threshold, and a line's char records sharing one
+    # params dict
     line = bars_line([(2, 6), (8, 12), (30, 36), (39, 44)], width=50, height=6)
     rec = word_record("w", segment_words(line))
     chars = line_char_records("c", segment_line_chars(line))
     assert chars[0]["params"] is chars[1]["params"]
-    recs = [
-        Record(reversed(list(rec.items()))),
-        Record(rec, note=[1.0, None]),
-        Record({1: "a", **rec}),
-        Record(rec, threshold=3),
-        *chars,
-    ]
+    recs = [dict(reversed(list(rec.items()))), dict(rec, threshold=3), *chars]
     assert dumps(recs) == json_lines(recs)
 
 
