@@ -1,7 +1,10 @@
 """Wall-clock and work-counter comparison of run-domain vs pixel-domain runs.
 
 Decode time is reported but kept out of the pixel-domain total; charging
-decompression to the baseline would only widen the gap.
+decompression to the baseline would only widen the gap. Each repeat times the
+run path and then the pixel oracle, word stage then char stage; the work
+columns come from one untimed, counted char pass per domain after the timed
+passes, and the TOTAL row's ratio is corpus pixels per corpus run.
 """
 
 from __future__ import annotations
@@ -9,7 +12,6 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .chars import DEFAULT_PARAMS, RoiParams, segment_line_chars
@@ -19,8 +21,8 @@ from .projection import WorkCounter
 from .rle import decode, read_rle
 from .words import AUTO, ThresholdMode, segment_words
 
-# CSV column -> (format of a BenchRow attribute, or None to write it as is;
-# whether the TOTAL row sums it)
+# CSV column -> (format of a row's value, or None to write it as is; whether
+# the TOTAL row sums it)
 _COLUMNS = {
     "file": (None, False),
     "width": (None, False),
@@ -41,43 +43,12 @@ _COLUMNS = {
 }
 CSV_COLUMNS = list(_COLUMNS)
 
-
-@dataclass
-class BenchRow:
-    file: str
-    width: int
-    height: int
-    runs: int
-    decode_ms: float
-    cdp_word_ms: float
-    cdp_char_ms: float
-    cdp_var_ms2: float
-    pdp_word_ms: float
-    pdp_char_ms: float
-    pdp_var_ms2: float
-    cdp_work: int
-    pdp_work: int
-
-    @property
-    def compression_ratio(self) -> float:
-        return self.width * self.height / self.runs
-
-    @property
-    def cdp_total_ms(self) -> float:
-        return self.cdp_word_ms + self.cdp_char_ms
-
-    @property
-    def pdp_total_ms(self) -> float:
-        return self.pdp_word_ms + self.pdp_char_ms
-
-
-def _time_pipeline(segment_words_fn, segment_chars_fn) -> tuple[float, float]:
-    t0 = time.perf_counter()
-    words = segment_words_fn()
-    t1 = time.perf_counter()
-    segment_chars_fn(words)
-    t2 = time.perf_counter()
-    return (t1 - t0) * 1e3, (t2 - t1) * 1e3
+# (column prefix, word entry, char entry) of the run path on the line, then of
+# the pixel oracle on its decoded bitmap
+_DOMAINS = (
+    ("cdp", segment_words, segment_line_chars),
+    ("pdp", pdp_segment_words, pdp_segment_line_chars),
+)
 
 
 def bench_file(
@@ -85,8 +56,8 @@ def bench_file(
     params: RoiParams = DEFAULT_PARAMS,
     mode: ThresholdMode = AUTO,
     repeat: int = 1,
-) -> BenchRow:
-    """Time both pipelines on one line file, repeat times each."""
+) -> dict:
+    """Time both pipelines on one line file, repeat times each; a row keyed by _COLUMNS."""
     if repeat < 1:
         raise SettingError("repeat", f"repeat must be >= 1, got {repeat}")
     path = Path(path)
@@ -96,47 +67,33 @@ def bench_file(
         bitmap = decode(line)
     decode_ms = (time.perf_counter() - t0) * 1e3
 
-    cdp_times, pdp_times = [], []
+    images = (line, bitmap)
+    times = [[] for _ in _DOMAINS]  # per domain, (word ms, char ms) of each repeat
     for _ in range(repeat):
-        cdp_times.append(
-            _time_pipeline(
-                lambda: segment_words(line, mode),
-                lambda w: segment_line_chars(line, params, mode, words=w),
-            )
-        )
-        pdp_times.append(
-            _time_pipeline(
-                lambda: pdp_segment_words(bitmap, mode),
-                lambda w: pdp_segment_line_chars(bitmap, params, mode, words=w),
-            )
-        )
+        for (_, segment, segment_chars), image, domain_times in zip(_DOMAINS, images, times):
+            t0 = time.perf_counter()
+            words = segment(image, mode)
+            t1 = time.perf_counter()
+            segment_chars(image, params, mode, words=words)
+            t2 = time.perf_counter()
+            domain_times.append(((t1 - t0) * 1e3, (t2 - t1) * 1e3))
 
-    cdp_counter, pdp_counter = WorkCounter(), WorkCounter()
-    segment_line_chars(line, params, mode, counter=cdp_counter)
-    pdp_segment_line_chars(bitmap, params, mode, counter=pdp_counter)
-
-    cdp_word = statistics.fmean(t[0] for t in cdp_times)
-    cdp_char = statistics.fmean(t[1] for t in cdp_times)
-    pdp_word = statistics.fmean(t[0] for t in pdp_times)
-    pdp_char = statistics.fmean(t[1] for t in pdp_times)
-    return BenchRow(
-        file=path.name,
-        width=line.width,
-        height=line.height,
-        runs=line.total_runs,
-        decode_ms=decode_ms,
-        cdp_word_ms=cdp_word,
-        cdp_char_ms=cdp_char,
-        cdp_var_ms2=statistics.pvariance([sum(t) for t in cdp_times]),
-        pdp_word_ms=pdp_word,
-        pdp_char_ms=pdp_char,
-        pdp_var_ms2=statistics.pvariance([sum(t) for t in pdp_times]),
-        cdp_work=cdp_counter.count,
-        pdp_work=pdp_counter.count,
-    )
+    row = dict(file=path.name, width=line.width, height=line.height, runs=line.total_runs)
+    row["compression_ratio"] = line.width * line.height / line.total_runs
+    row["decode_ms"] = decode_ms
+    for (prefix, _, segment_chars), image, domain_times in zip(_DOMAINS, images, times):
+        word_ms, char_ms = (statistics.fmean(stage) for stage in zip(*domain_times))
+        counter = WorkCounter()
+        segment_chars(image, params, mode, counter=counter)
+        row[f"{prefix}_word_ms"] = word_ms
+        row[f"{prefix}_char_ms"] = char_ms
+        row[f"{prefix}_total_ms"] = word_ms + char_ms
+        row[f"{prefix}_var_ms2"] = statistics.pvariance([sum(t) for t in domain_times])
+        row[f"{prefix}_work"] = counter.count
+    return row
 
 
-def bench_paths(paths, params=DEFAULT_PARAMS, mode=AUTO, repeat=1) -> list[BenchRow]:
+def bench_paths(paths, params=DEFAULT_PARAMS, mode=AUTO, repeat=1) -> list[dict]:
     rows = []
     for path in paths:
         try:
@@ -150,23 +107,23 @@ def _cell(fmt: str | None, value):
     return value if fmt is None else fmt.format(value)
 
 
-def totals(rows: list[BenchRow]) -> dict:
+def totals(rows: list[dict]) -> dict:
     """Aggregate row for the CSV; ratio is corpus pixels per corpus run."""
     out = {
-        col: _cell(fmt, sum(getattr(r, col) for r in rows)) if summed else ""
+        col: _cell(fmt, sum(r[col] for r in rows)) if summed else ""
         for col, (fmt, summed) in _COLUMNS.items()
     }
-    pixels = sum(r.width * r.height for r in rows)
-    runs = sum(r.runs for r in rows)
+    pixels = sum(r["width"] * r["height"] for r in rows)
+    runs = sum(r["runs"] for r in rows)
     out["file"] = "TOTAL"
     out["compression_ratio"] = f"{pixels / runs:.3f}" if runs else ""
     return out
 
 
-def write_csv(rows: list[BenchRow], stream) -> None:
+def write_csv(rows: list[dict], stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow(_cell(fmt, getattr(row, col)) for col, (fmt, _) in _COLUMNS.items())
+        writer.writerow(_cell(fmt, row[col]) for col, (fmt, _) in _COLUMNS.items())
     if rows:
         writer.writerow(totals(rows).values())

@@ -130,15 +130,18 @@ def _input_lines(path: Path) -> list[tuple[str, Path]]:
         return [(p.stem, p) for p in files]
     if path.suffix == ".rle":
         return [(path.stem, path)]
-    entries = []
-    for raw in _read_text(path).splitlines():
+    entries = {}  # line_id -> file; the line_id is the file's stem, so it must not repeat
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         name = raw.strip()
         if name:
             target = (path.parent / name).resolve()
-            entries.append((target.stem, target))
+            if target.stem in entries:
+                detail = f"{name!r} repeats line_id {target.stem!r} of an earlier entry"
+                raise ParseError(path, lineno, detail)
+            entries[target.stem] = target
     if not entries:
         raise ParseError(path, 0, "manifest lists no files")
-    return entries
+    return list(entries.items())
 
 
 def _read_text(path) -> str:

@@ -238,7 +238,7 @@ def test_criterion_7_timing_and_work_ordering(tmp_path):
             paths.append(path)
         rows = bench_paths(paths, repeat=1)
         for row in rows:
-            assert row.compression_ratio >= 10.0
+            assert row["compression_ratio"] >= 10.0
         total = totals(rows)
         cdp_total = float(total["cdp_total_ms"])
         pdp_total = float(total["pdp_total_ms"])

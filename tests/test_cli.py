@@ -729,6 +729,21 @@ def test_non_utf8_manifest_and_config_exit_4(tmp_path, corpus, capsys):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["segment", "bench"])
+def test_manifest_repeating_a_line_id_exits_4(tmp_path, corpus, capsys, command):
+    # the line_id is the file's stem: a/x.rle and b/x.rle would both be line x
+    first = sorted((corpus / "lines").glob("*.rle"))[0]
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "x.rle").write_bytes(first.read_bytes())
+    manifest, out = tmp_path / "manifest.txt", tmp_path / "out"
+    manifest.write_text("a/x.rle\n\n b/x.rle\n")
+    assert main([command, str(manifest), "--out", str(out)]) == 4
+    detail = "'b/x.rle' repeats line_id 'x' of an earlier entry"
+    assert capsys.readouterr().err == f"rlseg: parse error: {manifest}:3: {detail}\n"
+    assert not out.exists()
+
+
 def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as err:
         main(["segment"])  # missing input path
