@@ -16,7 +16,6 @@ from .errors import (
     EmptyRangeError,
     EmptyWordError,
     MalformedRleError,
-    NoGapsError,
     OutOfBoundsError,
     ParseError,
     RlsegError,

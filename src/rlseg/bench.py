@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from .chars import DEFAULT_PARAMS, RoiParams, segment_line_chars
-from .errors import EmptyLineError, SettingError, decoding
+from .errors import SettingError, named
 from .pixel_baseline import pdp_segment_line_chars, pdp_segment_words
 from .projection import WorkCounter
 from .rle import decode, read_rle
@@ -63,8 +63,7 @@ def bench_file(
     path = Path(path)
     line = read_rle(path)
     t0 = time.perf_counter()
-    with decoding(path):
-        bitmap = decode(line)
+    bitmap = decode(line)
     decode_ms = (time.perf_counter() - t0) * 1e3
 
     images = (line, bitmap)
@@ -96,10 +95,8 @@ def bench_file(
 def bench_paths(paths, params=DEFAULT_PARAMS, mode=AUTO, repeat=1) -> list[dict]:
     rows = []
     for path in paths:
-        try:
+        with named(path):
             rows.append(bench_file(path, params, mode, repeat))
-        except EmptyLineError as exc:
-            raise EmptyLineError(f"{path}: {exc}") from exc
     return rows
 
 

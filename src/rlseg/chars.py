@@ -191,8 +191,6 @@ def repair(
     mean = sum(c.length for c in comps) / len(comps)
     low = params.alpha * mean
     high = params.beta * mean
-    if all(low <= c.length <= high for c in comps):  # nothing to merge or split
-        return RepairResult(tuple(comps), tuple(cuts), ())
     repairs: list[RepairOp] = []
 
     while len(comps) > 1:
@@ -204,8 +202,7 @@ def repair(
         elif idx == len(comps) - 1:
             left = idx - 1
         else:
-            lgap = comps[idx].x_min - comps[idx - 1].x_max - 1
-            rgap = comps[idx + 1].x_min - comps[idx].x_max - 1
+            lgap, rgap = gap_widths(comps[idx - 1 : idx + 2])
             left = idx - 1 if lgap <= rgap else idx
         repairs.append(RepairOp("removed", cuts[left]))
         comps[left : left + 2] = [Component(comps[left].x_min, comps[left + 1].x_max)]
@@ -271,7 +268,7 @@ class LineCharSegmentation(NamedTuple):
 
 def _flagged(bands: LineBands, params: RoiParams, width: int) -> list[bool]:
     """Per word, whether its band OR is dark or has an interval outside
-    [alpha x mean, beta x mean]: repair's test for returning at once. Below
+    [alpha x mean, beta x mean]: whether repair would merge or split. Below
     2**53 columns every length and sum is exact in float64, so the mean and
     the comparisons are repair's; a wider line flags every word."""
     count = bands.wptr[1:] - bands.wptr[:-1]

@@ -16,7 +16,7 @@ from .errors import (
     MalformedRleError,
     ParseError,
     SettingError,
-    decoding,
+    named,
 )
 from .evaluate import (
     DEFAULT_OVERLAP,
@@ -181,7 +181,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    with decoding(args.rle):
+    with named(args.rle):
         write_pbm(decode(read_rle(args.rle)), args.pbm, binary=args.binary)
     return EXIT_OK
 
@@ -192,13 +192,11 @@ def cmd_segment(args) -> int:
     chunks = []  # each line's JSON Lines text; written once all lines succeed
     for line_id, path in _input_lines(Path(args.input)):
         line = read_rle(path)
-        try:
+        with named(path):
             if args.mode == "words":
                 records = [word_record(line_id, segment_words(line, mode))]
             else:
                 records = line_char_records(line_id, segment_line_chars(line, params, mode))
-        except EmptyLineError as exc:
-            raise EmptyLineError(f"{path}: {exc}") from exc
         chunks.append(dumps(records))
     _emit("\n".join(chunks), args.out)
     return EXIT_OK
@@ -264,7 +262,7 @@ def cmd_render(args) -> int:
                 detail = f"separator x {json.dumps(x)} is not an int in [0, {line.width})"
                 raise ParseError(args.seg, lineno, detail)
         xs += own
-    with decoding(args.rle):
+    with named(args.rle):
         write_pbm(overlay(line, xs), args.out, binary=args.binary)
     return EXIT_OK
 

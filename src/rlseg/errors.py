@@ -37,10 +37,6 @@ class EmptyWordError(RlsegError):
     """The word image contains no ink."""
 
 
-class NoGapsError(RlsegError):
-    """Automatic threshold selection needs at least one gap."""
-
-
 class EmptyGroundTruthError(RlsegError):
     """Accuracy rate is undefined over an empty ground truth."""
 
@@ -56,9 +52,13 @@ class SettingError(RlsegError, ValueError):
 
 
 @contextmanager
-def decoding(path):
-    """A MemoryError decoding path's pixels, as an OSError naming path (exit 1)."""
+def named(path):
+    """The failures of work on path's line, naming path: a MemoryError (its
+    decoded pixels) as an OSError (exit 1), an empty-input error (exit 2) with
+    path in front."""
     try:
         yield
     except MemoryError as exc:
         raise OSError(f"{path}: its decoded pixels do not fit in memory") from exc
+    except (EmptyLineError, EmptyWordError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

@@ -19,7 +19,7 @@ these primitives as a chars.Backend.
 from __future__ import annotations
 
 from itertools import accumulate, compress, islice
-from operator import add, ne, or_, xor
+from operator import add, ne, xor
 
 import numpy as np
 
@@ -36,34 +36,13 @@ from .chars import (
     word_chars,
 )
 from .errors import EmptyWordError, OutOfBoundsError
-from .projection import Occupancy, WorkCounter, _check_row_range, components, union
+from .projection import Occupancy, WorkCounter, _check_columns, _check_row_range, components, union
 from .rle import Bitmap
 from .words import AUTO, SeparatorPoint, ThresholdMode, WordSegmentation, plan_words
 
 
-def pdp_occupancy(
-    bitmap: Bitmap, row_range, counter: WorkCounter | None = None
-) -> Occupancy:
-    """Columnwise OR over rows [start, stop), reading every pixel of each row."""
-    start, stop = _check_row_range(bitmap.height, row_range)
-    width = bitmap.width
-    bits = [0] * width
-    for row in bitmap.pixels[start:stop]:
-        if counter is not None:
-            counter.add(width)
-        bits = list(map(or_, bits, row.tolist()))
-    inked = list(compress(range(width), bits))
-    return union(width, inked, [x + 1 for x in inked])
-
-
-def pdp_column_frequency(
-    bitmap: Bitmap, row_range, counter: WorkCounter | None = None
-) -> tuple[list[int], list[int]]:
-    """Per-column ink counts over rows [start, stop), reading every pixel of each row.
-
-    Returned in column_frequency's step form (xs, counts): a breakpoint at
-    column 0 and at every column whose count differs from its left neighbor's.
-    """
+def _column_counts(bitmap: Bitmap, row_range, counter: WorkCounter | None) -> list[int]:
+    """Per-column ink counts over rows [start, stop), reading every pixel of each row."""
     start, stop = _check_row_range(bitmap.height, row_range)
     width = bitmap.width
     freq = [0] * width
@@ -71,7 +50,26 @@ def pdp_column_frequency(
         if counter is not None:
             counter.add(width)
         freq = list(map(add, freq, row.tolist()))
-    xs = [0, *compress(range(1, width), map(ne, freq[1:], freq))]
+    return freq
+
+
+def pdp_occupancy(
+    bitmap: Bitmap, row_range, counter: WorkCounter | None = None
+) -> Occupancy:
+    """Columnwise OR over rows [start, stop): the columns of non-zero ink count."""
+    inked = list(compress(range(bitmap.width), _column_counts(bitmap, row_range, counter)))
+    return union(bitmap.width, inked, [x + 1 for x in inked])
+
+
+def pdp_column_frequency(
+    bitmap: Bitmap, row_range, counter: WorkCounter | None = None
+) -> tuple[list[int], list[int]]:
+    """Per-column ink counts over rows [start, stop), in column_frequency's step
+    form (xs, counts): a breakpoint at column 0 and at every column whose count
+    differs from its left neighbor's.
+    """
+    freq = _column_counts(bitmap, row_range, counter)
+    xs = [0, *compress(range(1, bitmap.width), map(ne, freq[1:], freq))]
     return xs, list(map(freq.__getitem__, xs))
 
 
@@ -123,10 +121,7 @@ def pdp_separators_at(bitmap: Bitmap, xs) -> tuple[SeparatorPoint, ...]:
     """
     if not xs:
         return ()
-    width = bitmap.width
-    if min(xs) < 0 or max(xs) >= width:
-        x = next(x for x in xs if not 0 <= x < width)
-        raise OutOfBoundsError(f"column {x} outside row of width {width}")
+    _check_columns(xs, bitmap.width)
     picked = []
     for row in bitmap.pixels[:, : max(xs) + 1]:
         px = row.tolist()

@@ -75,6 +75,13 @@ def _check_row_range(height: int, row_range) -> tuple[int, int]:
     return start, stop
 
 
+def _check_columns(xs, width: int) -> None:
+    """Raise OutOfBoundsError naming the first of the columns xs outside [0, width)."""
+    if min(xs) < 0 or max(xs) >= width:
+        x = next(x for x in xs if not 0 <= x < width)
+        raise OutOfBoundsError(f"column {x} outside row of width {width}")
+
+
 def union(width: int, starts, stops) -> Occupancy:
     """Union of the non-empty half-open spans [starts[i], stops[i]).
 
@@ -102,8 +109,9 @@ def union(width: int, starts, stops) -> Occupancy:
     return Occupancy(width, tuple(zip(firsts, lasts)))
 
 
-def _ink_spans(rle: RleImage, start: int, stop: int, counter):
+def _ink_spans(rle: RleImage, row_range, counter):
     """Starts and stops of every ink run of rows [start, stop): views of the spans."""
+    start, stop = _check_row_range(rle.height, row_range)
     starts, stops, iptr = rle.spans
     a, b = iptr[start], iptr[stop]
     if counter is not None:
@@ -113,8 +121,7 @@ def _ink_spans(rle: RleImage, start: int, stop: int, counter):
 
 def occupancy(rle: RleImage, row_range, counter: WorkCounter | None = None) -> Occupancy:
     """Columnwise OR over rows [start, stop): the union of every ink run's spread."""
-    start, stop = _check_row_range(rle.height, row_range)
-    return union(rle.width, *_ink_spans(rle, start, stop, counter))
+    return union(rle.width, *_ink_spans(rle, row_range, counter))
 
 
 def column_frequency(
@@ -126,8 +133,7 @@ def column_frequency(
     boundary, and counts[i], the count in every column from xs[i] up to the
     next breakpoint. O(runs) memory, whatever the width.
     """
-    start, stop = _check_row_range(rle.height, row_range)
-    starts, stops = (a.tolist() for a in _ink_spans(rle, start, stop, counter))
+    starts, stops = (a.tolist() for a in _ink_spans(rle, row_range, counter))
     starts.sort()
     stops.sort()
     xs = sorted({0, *starts, *stops})

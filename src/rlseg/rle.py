@@ -249,7 +249,11 @@ def encode(bitmap: Bitmap) -> RleImage:
 def decode(rle: RleImage) -> Bitmap:
     """Expand runs back to pixels; exact inverse of encode. The running sum of
     +1 at each span's flat start offset and -1 at its stop; a row's last stop
-    and the next row's first start may share an offset, which gets both."""
+    and the next row's first start may share an offset, which gets both.
+    Past NumPy's largest array size it raises MemoryError, as a smaller
+    allocation that fails does."""
+    if rle.height * rle.width + 1 > np.iinfo(np.intp).max:
+        raise MemoryError(f"{rle.width} x {rle.height} pixels exceed the largest array")
     _, starts, stops = rle.offset_spans
     flat = np.zeros(rle.height * rle.width + 1, dtype=np.int8)
     flat[starts] += 1

@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyLineError, NoGapsError, OutOfBoundsError, SettingError
-from .projection import Component, WorkCounter, components, occupancy
+from .errors import EmptyLineError, SettingError
+from .projection import Component, WorkCounter, _check_columns, components, occupancy
 from .rle import RleImage, locate_run  # perfbench's tracer wraps words.locate_run
 
 
@@ -78,11 +78,12 @@ def gap_widths(comps: list[Component]) -> list[int]:
 
 
 def select_threshold(widths: list[int], mode: ThresholdMode = AUTO) -> float:
-    """Pick the inter/intra gap threshold for one line from its gap widths."""
+    """Pick the inter/intra gap threshold for one line from its gap widths;
+    a line without gaps is one word, with threshold 0.0 unless fixed."""
     if mode.kind == "fixed":
         return mode.value
     if not widths:
-        raise NoGapsError("cannot average gaps of a single-component line")
+        return 0.0
     try:
         mean = sum(widths) / len(widths)
     except OverflowError:  # a mean gap past the largest float
@@ -106,14 +107,11 @@ def plan_words(
 
     Gaps strictly wider than the threshold separate words. Returns the word
     intervals, the cut column per inter-word gap, and the threshold that was
-    applied. A line without gaps is a single word and reports threshold 0.0
-    unless a fixed threshold was requested.
+    applied (select_threshold's, also for a line without gaps).
     """
     if not comps:
         raise EmptyLineError("line has no foreground runs")
     widths = gap_widths(comps)
-    if not widths:
-        return [comps[0]], [], mode.value if mode.kind == "fixed" else 0.0
     threshold = select_threshold(widths, mode)
     words: list[Component] = []
     cuts: list[int] = []
@@ -145,10 +143,7 @@ def separators_at(image: RleImage, xs) -> tuple[SeparatorPoint, ...]:
     """
     if not xs:
         return ()
-    width = image.width
-    if min(xs) < 0 or max(xs) >= width:
-        x = next(x for x in xs if not 0 <= x < width)
-        raise OutOfBoundsError(f"column {x} outside row of width {width}")
+    _check_columns(xs, image.width)
     base, off_starts, off_stops = image.offset_spans
     queries = np.add.outer(base, np.array(xs, dtype=base.dtype))
     runs = (

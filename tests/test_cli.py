@@ -1,6 +1,8 @@
 """CLI behavior: subcommands, exit codes, config handling, schemas."""
 
+import csv
 import hashlib
+import io
 import json
 import re
 import tracemalloc
@@ -729,6 +731,48 @@ def test_non_utf8_manifest_and_config_exit_4(tmp_path, corpus, capsys):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "files,argv,detail",
+    [
+        (
+            {"bad.cfg": b"# settings\nthreshold auto\n"},
+            ["segment", "MANIFEST", "--config", "bad.cfg"],
+            "bad.cfg:2: expected key=value, got 'threshold auto'",
+        ),
+        ({"empty/notes.txt": b""}, ["segment", "empty"], "empty:0: directory contains no .rle files"),
+        ({"list.txt": b"\n  \n"}, ["bench", "list.txt"], "list.txt:0: manifest lists no files"),
+        (
+            {"zero.pbm": b"P1\n0 1\n"},
+            ["encode", "zero.pbm", "out.rle"],
+            "zero.pbm:1: width and height must be >= 1, got 0x1",
+        ),
+        (
+            {"flat.pbm": b"P4\n8 0\n"},
+            ["encode", "flat.pbm", "out.rle"],
+            "flat.pbm:1: width and height must be >= 1, got 8x0",
+        ),
+        (
+            {"p4.pbm": b"P4 8 1\x00"},
+            ["encode", "p4.pbm", "out.rle"],
+            "p4.pbm:1: expected whitespace after P4 header",
+        ),
+    ],
+    ids=["config_line_without_equals", "directory_without_rle", "empty_manifest",
+         "pbm_width_0", "pbm_height_0", "p4_header_then_nul"],
+)
+def test_bad_input_exits_4_with_one_line(
+    tmp_path, corpus, capsys, monkeypatch, files, argv, detail
+):
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        Path(name).parent.mkdir(exist_ok=True)
+        Path(name).write_bytes(data)
+    argv = [str(corpus / "manifest.txt") if arg == "MANIFEST" else arg for arg in argv]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == f"rlseg: parse error: {detail}\n"
+    assert not Path("out.rle").exists()
+
+
 @pytest.mark.parametrize("command", ["segment", "bench"])
 def test_manifest_repeating_a_line_id_exits_4(tmp_path, corpus, capsys, command):
     # the line_id is the file's stem: a/x.rle and b/x.rle would both be line x
@@ -855,19 +899,28 @@ def test_pixels_out_of_memory_exit_1_naming_the_file(
     def no_memory(line):
         raise MemoryError("Unable to allocate 18.2 TiB for an array")
 
+    def run(line):
+        argv = {
+            "decode": ["decode", str(line), str(out)],
+            "render": ["render", str(line), str(seg), str(out)],
+            "bench": ["bench", str(line), "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"rlseg: {line}: its decoded pixels do not fit in memory\n"
+        assert not out.exists()
+
     for module in (rlseg.cli, rlseg.render, rlseg.bench):
         monkeypatch.setattr(module, "decode", no_memory)
-    first = sorted((corpus / "lines").glob("*.rle"))[0]
     seg, out = tmp_path / "seg.json", tmp_path / "out"
     seg.write_text("")
-    argv = {
-        "decode": ["decode", str(first), str(out)],
-        "render": ["render", str(first), str(seg), str(out)],
-        "bench": ["bench", str(first), "--out", str(out)],
-    }[command]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == f"rlseg: {first}: its decoded pixels do not fit in memory\n"
-    assert not out.exists()
+    run(sorted((corpus / "lines").glob("*.rle"))[0])
+    # past NumPy's largest array (2**63 - 1 elements) decode itself raises
+    # MemoryError, before allocating anything
+    monkeypatch.undo()
+    for width, height in ((2**62, 4), (10**30, 1)):
+        line = tmp_path / f"huge_{height}.rle"
+        line.write_text(f"RLE1 {width} {height}\n" + f"0 5 {width - 5}\n" * height)
+        run(line)
 
 
 @pytest.mark.parametrize(
@@ -923,6 +976,24 @@ def test_bench_csv(tmp_path, corpus, capsys):
     assert lines[0].startswith("file,")
     assert lines[-1].startswith("TOTAL,")
     assert len(lines) == 2 + 4  # header + rows + total
+
+
+def test_bench_out_file_holds_the_stdout_rows(tmp_path, corpus, capsys):
+    manifest, table = str(corpus / "manifest.txt"), tmp_path / "t.csv"
+    assert main(["bench", manifest, "--out", str(table)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["bench", manifest]) == 0
+    printed = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    data = table.read_bytes()
+    assert b"\r\n" not in data
+    text = data.decode()
+    assert text.split("\n", 1)[0].split(",") == rlseg.bench.CSV_COLUMNS
+    written = list(csv.DictReader(io.StringIO(text)))
+    names = [Path(name).name for name in (corpus / "manifest.txt").read_text().split()]
+    assert [row["file"] for row in written] == [*names, "TOTAL"]
+    # the timings differ between the two runs; everything else is the same
+    same = ("file", "width", "height", "runs", "compression_ratio", "cdp_work", "pdp_work")
+    assert [[row[c] for c in same] for row in written] == [[row[c] for c in same] for row in printed]
 
 
 def test_render_marks_separators(tmp_path, corpus):

@@ -100,6 +100,11 @@ def test_interior_zero_run_rejected():
         RleImage(4, ((2, 0, 2),))
 
 
+def test_image_without_rows_rejected():
+    with pytest.raises(MalformedRleError, match=r"^image needs at least one row$"):
+        RleImage(3, [])
+
+
 def test_roundtrip_random():
     rng = random.Random(101)
     for _ in range(300):

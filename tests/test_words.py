@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rlseg import EmptyLineError, NoGapsError, ThresholdMode, decode, segment_words
+from rlseg import EmptyLineError, SettingError, ThresholdMode, decode, segment_words
 from rlseg.projection import Component
 from rlseg.rle import RleImage, crop_columns, locate_run
 from rlseg.words import AUTO, gap_midpoint, gap_widths, plan_words, select_threshold
@@ -66,10 +66,10 @@ def test_select_threshold_flat():
 
 
 def test_select_threshold_no_gaps():
-    with pytest.raises(NoGapsError):
-        select_threshold([])
-    with pytest.raises(NoGapsError):
-        select_threshold([], ThresholdMode("scale", 1.5))
+    # a line without gaps is one word: 0.0 unless a fixed threshold is asked for
+    assert select_threshold([]) == 0.0
+    assert select_threshold([], ThresholdMode("scale", 1.5)) == 0.0
+    assert select_threshold([], ThresholdMode("fixed", 3)) == 3.0
 
 
 def test_select_threshold_fixed_and_scale():
@@ -85,6 +85,22 @@ def test_threshold_mode_parse():
     assert ThresholdMode.parse("scale:1.5") == ThresholdMode("scale", 1.5)
     with pytest.raises(ValueError):
         ThresholdMode.parse("bogus")
+
+
+@pytest.mark.parametrize(
+    "kind,value,message",
+    [
+        ("mean", 1.0, "unknown threshold mode 'mean'"),
+        ("fixed", -1, "fixed threshold must be >= 0"),
+        ("scale", 0, "scale factor must be > 0"),
+        ("scale", -2, "scale factor must be > 0"),
+    ],
+    ids=["unknown_kind", "fixed_negative", "scale_zero", "scale_negative"],
+)
+def test_threshold_mode_rejects_values_out_of_range(kind, value, message):
+    with pytest.raises(SettingError, match=f"^{message}$") as exc:
+        ThresholdMode(kind, value)
+    assert exc.value.key == "threshold"
 
 
 def test_plan_words_splits_strictly_above_threshold():
