@@ -27,6 +27,6 @@ from .pixel_baseline import pdp_segment_chars, pdp_segment_line_chars, pdp_segme
 from .projection import Component, WorkCounter
 from .rle import Bitmap, RleImage, decode, encode, read_rle, write_rle
 from .synth import SynthConfig, SynthLine, generate_corpus, write_corpus
-from .words import AUTO, SeparatorPoint, ThresholdMode, WordSegmentation, segment_words
+from .words import AUTO, Cuts, SeparatorPoint, ThresholdMode, WordSegmentation, segment_words
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import accumulate, chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -41,7 +41,7 @@ from .projection import (
 from .rle import RleImage, Spans, crop_columns
 from .words import (
     AUTO,
-    SeparatorPoint,
+    Cuts,
     ThresholdMode,
     WordSegmentation,
     gap_midpoint,
@@ -81,7 +81,7 @@ class Backend(NamedTuple):
     word_bands: Callable  # (line, words, t, counter) -> LineBands
     occupancy: Callable  # (image, (start, stop), counter) -> Occupancy
     column_frequency: Callable  # (image, (start, stop), counter) -> step form (xs, counts)
-    separators_at: Callable  # (image, xs) -> one SeparatorPoint per x
+    separators_at: Callable  # (image, xs) -> the Cuts at xs
 
 
 class RepairOp(NamedTuple):
@@ -102,7 +102,7 @@ class CharSegmentation(NamedTuple):
     at least one character, and one separator strictly inside each gap."""
 
     chars: tuple[Component, ...]
-    separators: tuple[SeparatorPoint, ...]
+    separators: Cuts
     repairs: tuple[RepairOp, ...]
     params: RoiParams
 
@@ -290,8 +290,8 @@ def line_chars(
     from its own; every other word takes its band OR's intervals as chars,
     cut at the gap midpoints of one array expression over the line. Then
     every cut of every plan is located against line by one separators_at
-    call, and the separators are handed back to their plans in order, so the
-    output is self-contained.
+    call, and each plan takes its slice of those Cuts, so the output is
+    self-contained.
     """
     ws = words.words
     bands = backend.word_bands(line, ws, params.t, counter)
@@ -304,10 +304,11 @@ def line_chars(
         else RepairResult(tuple(chars[a:b]), tuple(mids[a : b - 1]), ())
         for i, (w, flag, a, b) in enumerate(zip(ws, flags, ptr, ptr[1:]))
     ]
-    located = iter(backend.separators_at(line, [x for p in plans for x in p.cuts]))
+    located = backend.separators_at(line, [x for p in plans for x in p.cuts])
+    cut_ptr = [0, *accumulate(len(p.cuts) for p in plans)]
     per_word = tuple(
-        CharSegmentation(p.chars, tuple(islice(located, len(p.cuts))), p.repairs, params)
-        for p in plans
+        CharSegmentation(p.chars, located[a:b], p.repairs, params)
+        for p, a, b in zip(plans, cut_ptr, cut_ptr[1:])
     )
     return LineCharSegmentation(words, per_word)
 
@@ -317,7 +318,7 @@ def word_chars(
 ) -> CharSegmentation:
     """Characters of one word image, in its own columns: line_chars over one
     word spanning the whole image."""
-    whole = WordSegmentation((Component(0, word.width - 1),), (), 0.0)
+    whole = WordSegmentation((Component(0, word.width - 1),), backend.separators_at(word, []), 0.0)
     return line_chars(backend, word, whole, params, counter).per_word[0]
 
 

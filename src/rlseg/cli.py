@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -38,6 +39,7 @@ EXIT_USAGE = 1
 EXIT_EMPTY = 2
 EXIT_EVAL = 3
 EXIT_PARSE = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer whose reader left
 
 # key -> (conversion, default, help) of each setting a config file may hold; its
 # flag is --key with "-" for "_", and its default is a value its conversion takes
@@ -330,7 +332,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away: stop quietly, and let the final
+        # flush write what is left to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (EmptyLineError, EmptyWordError) as exc:
         print(f"rlseg: empty input: {exc}", file=sys.stderr)
         return EXIT_EMPTY

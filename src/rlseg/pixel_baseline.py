@@ -38,7 +38,7 @@ from .chars import (
 from .errors import EmptyWordError, OutOfBoundsError
 from .projection import Occupancy, WorkCounter, _check_columns, _check_row_range, components, union
 from .rle import Bitmap
-from .words import AUTO, SeparatorPoint, ThresholdMode, WordSegmentation, plan_words
+from .words import AUTO, Cuts, SeparatorPoint, ThresholdMode, WordSegmentation, plan_words
 
 
 def _column_counts(bitmap: Bitmap, row_range, counter: WorkCounter | None) -> list[int]:
@@ -114,21 +114,22 @@ def pdp_separator_at(bitmap: Bitmap, x: int) -> SeparatorPoint:
     )
 
 
-def pdp_separators_at(bitmap: Bitmap, xs) -> tuple[SeparatorPoint, ...]:
+def pdp_separators_at(bitmap: Bitmap, xs) -> Cuts:
     """pdp_separator_at for every column of the sequence xs, reading each row's
     pixels 0..max(xs) once: a running sum of the row's color changes gives
-    pdp_locate_run's index at every column. Holds one row's lists at a time.
+    pdp_locate_run's index at every column. Holds one row's lists at a time,
+    and the picked indices of every row, which become one array.
     """
     if not xs:
-        return ()
+        return Cuts(xs, np.empty((0, bitmap.height), np.int64))
     _check_columns(xs, bitmap.width)
     picked = []
     for row in bitmap.pixels[:, : max(xs) + 1]:
         px = row.tolist()
         runs = list(accumulate(map(xor, islice(px, 1, None), px), initial=px[0]))
-        picked.append(tuple(map(runs.__getitem__, xs)))
+        picked.append(list(map(runs.__getitem__, xs)))
         del px, runs  # so the next row's lists are not built beside these
-    return tuple(map(SeparatorPoint, xs, zip(*picked)))
+    return Cuts(xs, np.array(picked, np.int64).T)
 
 
 def pdp_crop_columns(bitmap: Bitmap, x_min: int, x_max: int) -> Bitmap:

@@ -77,7 +77,7 @@ def _check_row_range(height: int, row_range) -> tuple[int, int]:
 
 def _check_columns(xs, width: int) -> None:
     """Raise OutOfBoundsError naming the first of the columns xs outside [0, width)."""
-    if min(xs) < 0 or max(xs) >= width:
+    if min(xs, default=0) < 0 or max(xs, default=0) >= width:
         x = next(x for x in xs if not 0 <= x < width)
         raise OutOfBoundsError(f"column {x} outside row of width {width}")
 

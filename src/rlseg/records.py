@@ -7,12 +7,12 @@ record per line (JSON Lines); version 2 wrote the same records as one indented
 JSON list. Since version 2 a cut's run coordinate is one flat list of run
 indices, one per row; version 1 wrote ``[row, run]`` pairs.
 
-A cut adds one list of ints, not one small list per row, so building a pass's
-records does not feed the garbage collector with hundreds of thousands of
-container objects.
-
-The builders return plain dicts, which ``dumps`` writes with one schema writer
-rather than json's encoder, one int at a time, to the same text.
+The builders return plain dicts that hold the segmentation's own values: a
+record's ``separators`` is its segmentation's ``words.Cuts``, a view of the
+one int array of its line's located cuts, so building a pass's records makes
+no per-cut object. ``dumps`` writes them with one schema writer rather than
+json's encoder, to the text json's encoder writes for the
+``[{"x", "runs"}]`` form of the same cuts.
 """
 
 from __future__ import annotations
@@ -20,13 +20,16 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 
+import numpy as np
+
 from .chars import LineCharSegmentation
-from .words import WordSegmentation
+from .words import Cuts, WordSegmentation
 
 
 SCHEMA_VERSION = 3
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 _DIGITS = tuple(map(str, range(1 << 12)))  # the text of each int below 4096
+_DIGIT_TEXT = np.array(_DIGITS, object)  # the same, for one NumPy gather
 _CUT = '{"x":%d,"runs":[%s]}'
 
 
@@ -35,7 +38,7 @@ def word_record(line_id: str, seg: WordSegmentation) -> dict:
         "version": SCHEMA_VERSION,
         "line_id": line_id,
         "words": [[a, b] for a, b in seg.words],
-        "separators": [{"x": x, "runs": list(runs)} for x, runs in seg.separators],
+        "separators": seg.separators,
         "threshold": float(seg.threshold_used),
     }
 
@@ -51,7 +54,7 @@ def line_char_records(line_id: str, seg: LineCharSegmentation) -> list[dict]:
             "line_id": line_id,
             "word_id": f"{line_id}:w{i}",
             "chars": [[a, b] for a, b in w.chars],
-            "separators": [{"x": x, "runs": list(runs)} for x, runs in w.separators],
+            "separators": w.separators,
             "repairs": [{"op": op, "x": x} for op, x in w.repairs] if w.repairs else [],
             "params": shared if w.params is first else asdict(w.params),
         }
@@ -67,12 +70,12 @@ def _pairs(pairs) -> str:
     return "[[" + "],[".join(text) + "]]" if text else "[]"
 
 
-def _separators(cuts) -> str:
-    try:
-        text = [_CUT % (c["x"], ",".join([_DIGITS[i] for i in c["runs"]])) for c in cuts]
+def _separators(cuts: Cuts) -> str:
+    try:  # every run index's text in one gather from the digit table
+        runs = map(",".join, _DIGIT_TEXT[cuts.runs].tolist())
     except IndexError:  # a run index past the digit table
-        text = [_CUT % (c["x"], ",".join(map("%d".__mod__, c["runs"]))) for c in cuts]
-    return "[" + ",".join(text) + "]"
+        runs = (",".join(map("%d".__mod__, r)) for r in cuts.runs.tolist())
+    return "[" + ",".join([_CUT % (x, r) for x, r in zip(cuts.xs, runs)]) + "]"
 
 
 # key -> (its text, the writer of its value); None: json's encoder writes it
@@ -91,10 +94,11 @@ def dumps(records) -> str:
 
     A record is a dict as the builders above return it, written as json's
     encoder writes it, compact; escaping every non-ASCII character keeps line
-    breaks such as U+2028 out. Bounds, ``x`` and run indices are written with
-    no type check, each cut ``x`` then ``runs``: the builders' plain ints are
-    the contract, so ``words=[[True, 5]]`` gives ``[[1,5]]`` and a NumPy int
-    its digits, where ``json.dumps`` writes ``true`` or raises. The other
+    breaks such as U+2028 out. ``separators`` is a ``words.Cuts``, written as
+    its ``[{"x", "runs"}]`` form, one cut ``x`` then its row of the run
+    array. Bounds, ``x`` and run indices are written with no type check: the
+    builders' plain ints are the contract, so ``words=[[True, 5]]`` gives
+    ``[[1,5]]`` and a NumPy int its digits, where ``json.dumps`` writes ``true`` or raises. The other
     values go to json's encoder, a line's shared ``line_id`` and ``params``
     once. Raises TypeError for one record dict, whose keys would be written
     as lines, for a record that is not a dict, and for a key outside the schema.

@@ -28,10 +28,10 @@ always go that way. Cropping, projection, cut location and the run count of a
 row range then run as NumPy passes over the spans, with no per-row Python
 loop: a crop is two sorted searches and one gather, O(rows log runs + runs in
 the window); projecting rows [a, b) is one slice; locating all of a line's
-cuts is one sorted search per array. Those searches run over copies of the
-spans shifted by ``row * width``, which keep every row of the image in one
-sorted array; they are int64 while ``width * height < 2**62`` and exact Python
-ints (``dtype=object``) beyond.
+cuts is one sorted search of the starts and stops interleaved. Those searches
+run over copies of the spans shifted by ``row * width``, which keep every row
+of the image in one sorted array; they are int64 while ``width * height <
+2**62`` and exact Python ints (``dtype=object``) beyond.
 """
 
 from __future__ import annotations

@@ -53,14 +53,42 @@ AUTO = ThresholdMode("auto")
 
 
 class SeparatorPoint(NamedTuple):
-    """A cut column and, per row of the source image, the run that holds it.
-
+    """One cut column and, per row of the source image, the run that holds it:
     ``runs[r]`` is the index of the run containing column ``x_mid`` in row r,
-    so the run coordinate of the cut in row r is ``(r, runs[r])``.
+    so the run coordinate of the cut in row r is ``(r, runs[r])``. It is what
+    separator_at returns and what a Cuts gives cut by cut.
     """
 
     x_mid: int
     runs: tuple[int, ...]
+
+
+class Cuts:
+    """Located cuts as one (cuts x rows) int array: cut i is column xs[i], in
+    run runs[i, r] of row r. A slice is a Cuts over the same array, an item a
+    SeparatorPoint, and a Cuts equals any sequence of equal SeparatorPoints."""
+
+    __slots__ = ("xs", "runs")
+
+    def __init__(self, xs, runs: np.ndarray) -> None:
+        self.xs, self.runs = xs, runs
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Cuts(self.xs[i], self.runs[i])
+        return SeparatorPoint(self.xs[i], tuple(self.runs[i].tolist()))
+
+    def __iter__(self):
+        return map(SeparatorPoint, self.xs, map(tuple, self.runs.tolist()))
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == tuple(other) if hasattr(other, "__iter__") else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Cuts({list(self)!r})"
 
 
 class WordSegmentation(NamedTuple):
@@ -68,7 +96,7 @@ class WordSegmentation(NamedTuple):
     one word, and one separator strictly inside each gap between words."""
 
     words: tuple[Component, ...]
-    separators: tuple[SeparatorPoint, ...]
+    separators: Cuts
     threshold_used: float
 
 
@@ -133,25 +161,21 @@ def separator_at(image: RleImage, x: int) -> SeparatorPoint:
     return SeparatorPoint(x, tuple(map(locate_run, image.rows, repeat(x))))
 
 
-def separators_at(image: RleImage, xs) -> tuple[SeparatorPoint, ...]:
+def separators_at(image: RleImage, xs) -> Cuts:
     """separator_at for every column of the sequence xs, in one pass over the line.
 
-    The run holding x in a row is the number of the row's ink starts at or
-    before x plus the number of its ink stops at or before x. One sorted
-    search per array of the image's offset spans, with the queries
-    ``r * width + x``, counts both for every row and every x at once.
+    A row's ink starts and stops, interleaved, form one sorted array, and the
+    run holding x is the number of them at or before x. One sorted search of
+    the image's offset ends, interleaved, with the queries ``r * width + x``
+    row by row (sorted, for sorted xs), counts them for every row and x at
+    once; the Cuts hold the transposed counts, minus the ends of the rows above.
     """
-    if not xs:
-        return ()
     _check_columns(xs, image.width)
     base, off_starts, off_stops = image.offset_spans
+    ends = np.stack((off_starts, off_stops), 1).ravel()
     queries = np.add.outer(base, np.array(xs, dtype=base.dtype))
-    runs = (
-        np.searchsorted(off_starts, queries, "right")
-        + np.searchsorted(off_stops, queries, "right")
-        - 2 * image.spans.iptr[:-1, None]
-    )
-    return tuple(map(SeparatorPoint, xs, map(tuple, runs.T.tolist())))
+    runs = np.searchsorted(ends, queries, "right") - 2 * image.spans.iptr[:-1, None]
+    return Cuts(xs, runs.T)
 
 
 def segment_words(

@@ -61,7 +61,7 @@ from rlseg.projection import Component, components, occupancy, union
 from rlseg.records import dumps, line_char_records, word_record
 from rlseg.pbm import _next_token, read_pbm, write_pbm
 from rlseg.rle import RleImage, crop_columns, locate_run, read_rle, write_rle
-from rlseg.words import AUTO, WordSegmentation, plan_words, separator_at, separators_at
+from rlseg.words import AUTO, Cuts, WordSegmentation, plan_words, separator_at, separators_at
 
 from support import (
     FALLBACK_LINE,
@@ -79,6 +79,9 @@ from support import (
     glyph_word,
     json_lines,
     line_chars_per_word,
+    past_2_62_line,
+    past_4096_runs_line,
+    plain_record,
     plan_chars_eager,
     random_bitmap,
     random_blob_line,
@@ -619,6 +622,50 @@ def check_pdp_separators_at_matches_references(seed, tmp_path):
             raise AssertionError(f"{locate.__name__} located column {bad} of width {width}")
 
 
+def check_cuts_match_separator_at(seed, tmp_path):
+    """The Cuts both domains hand over equal one separator_at per column, for
+    unsorted columns with repeats: as a whole, in any slice, index by index
+    and as dumps writes them. The run and pixel arrays are equal, and no
+    columns give 0 cuts, written as []. Every fourth seed also locates on a
+    line of dtype=object spans (past 2**62 columns, run domain only), and
+    every fourth on one with run indices past 4096."""
+    rng = random.Random(seed)
+    lines = [random_blob_line(rng)]
+    if seed % 4 == 1:
+        lines.append(past_2_62_line(2**60, 3 * 2**61))
+    if seed % 4 == 3:
+        lines.append(past_4096_runs_line())
+    for line in lines:
+        width = line.width
+        xs = [rng.randrange(width) for _ in range(rng.randint(1, 6))]
+        xs += [width - 1 - rng.randrange(min(width, 200)), rng.choice(xs)]
+        rng.shuffle(xs)
+        n, expected = len(xs), tuple(separator_at(line, x) for x in xs)
+        domains = [(separators_at, line)]
+        if width * line.height < 2**62:
+            domains.append((pdp_separators_at, decode(line)))
+        located = []
+        for locate, image in domains:
+            cuts = locate(image, xs)
+            assert type(cuts) is Cuts and len(cuts) == n
+            assert tuple(cuts) == expected
+            for _ in range(4):
+                i = rng.randrange(-n, n)
+                a, b = rng.randint(-n - 1, n + 1), rng.randint(-n - 1, n + 1)
+                step = rng.choice([None, 1, 2, -1])
+                part = cuts[a:b:step]
+                assert type(part) is Cuts and part == expected[a:b:step], (a, b, step)
+                assert cuts[i] == expected[i]
+            record = {"separators": cuts}
+            assert dumps([record]) == json_lines([record])
+            none = locate(image, [])
+            assert type(none) is Cuts and len(none) == 0
+            assert dumps([{"separators": none}]) == '{"separators":[]}'
+            located.append(cuts.runs)
+        if len(located) == 2:
+            assert np.array_equal(*located)
+
+
 def check_separators_on_background(seed, tmp_path):
     rng = random.Random(seed)
     line = random_blob_line(rng)
@@ -675,7 +722,7 @@ def check_run_coordinate_contract(seed, tmp_path):
             assert locate_run(row, sep.x_mid) == run_index
     # the records carry the same contract: runs[r] is row r's run at x
     records = [word_record("p", result.words), *line_char_records("p", result)]
-    sep_records = [s for rec in records for s in rec["separators"]]
+    sep_records = [s for rec in map(plain_record, records) for s in rec["separators"]]
     assert len(sep_records) == len(seps)
     for rec in sep_records:
         assert len(rec["runs"]) == line.height
@@ -771,7 +818,7 @@ def check_repair_cuts_are_gap_midpoints(seed, tmp_path):
 def _assert_separated(intervals, separators, height):
     """At least one interval, one separator strictly inside each gap, and a
     run index per row of the line for every separator."""
-    assert type(intervals) is tuple and type(separators) is tuple
+    assert type(intervals) is tuple and type(separators) is Cuts
     assert intervals, "a segmentation needs at least one interval"
     assert len(separators) == len(intervals) - 1, (intervals, separators)
     for left, right, sep in zip(intervals, intervals[1:], separators):
@@ -1302,7 +1349,7 @@ def check_dumps_round_trips_as_json_lines(seed, tmp_path):
     assert text == json_lines(records)
     lines = text.split("\n")
     assert text.splitlines() == lines
-    assert [json.loads(x) for x in lines] == records
+    assert [json.loads(x) for x in lines] == list(map(plain_record, records))
 
 
 _SCHEMAS = None
@@ -1334,11 +1381,11 @@ def check_json_outputs_validate(seed, tmp_path):
     schemas = _schemas()
     words = segment_words(line)
     rec = word_record("v", words)
-    schemas["word_record"].validate(rec)
+    schemas["word_record"].validate(plain_record(rec))
     chain = segment_line_chars(line)
     char_recs = line_char_records("v", chain)
     for cr in char_recs:
-        schemas["char_record"].validate(cr)
+        schemas["char_record"].validate(plain_record(cr))
     truth = [
         GroundTruthLine(
             "v",
@@ -1371,6 +1418,7 @@ CHECKS = [
     ("occupancy_work_counters", check_occupancy_work_counters),
     ("pdp_primitives_match_brute", check_pdp_primitives_match_brute),
     ("pdp_separators_at_matches_references", check_pdp_separators_at_matches_references),
+    ("cuts_match_separator_at", check_cuts_match_separator_at),
     ("separators_on_background", check_separators_on_background),
     ("threshold_monotonicity", check_threshold_monotonicity),
     ("word_idempotence", check_word_idempotence),

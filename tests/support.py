@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from itertools import chain, islice
+from itertools import accumulate, chain
 from typing import NamedTuple
 from operator import sub
 from pathlib import Path
@@ -25,6 +25,7 @@ from rlseg.chars import (
 )
 from rlseg.projection import Component, occupancy, union
 from rlseg.rle import crop_columns
+from rlseg.words import Cuts
 
 # Worked reference line: 13 component intervals of a sample sentence.
 REFERENCE_LINE_COMPONENTS = [
@@ -60,9 +61,32 @@ FALLBACK_LINE = [
 ]
 
 
+def plain_record(record: dict) -> dict:
+    """The record as plain JSON values: its separators, a Cuts, as the
+    [{"x", "runs"}] list that records.dumps writes for them."""
+    cuts = record.get("separators")
+    if not isinstance(cuts, Cuts):
+        return record
+    return {**record, "separators": [{"x": x, "runs": list(runs)} for x, runs in cuts]}
+
+
 def json_lines(records) -> str:
     """The reference for records.dumps: each record as json's encoder writes it compact."""
-    return "\n".join(json.dumps(r, separators=(",", ":")) for r in records)
+    return "\n".join(json.dumps(plain_record(r), separators=(",", ":")) for r in records)
+
+
+def past_2_62_line(lead: int, width: int) -> RleImage:
+    """Three rows of three words of two glyphs, on dtype=object spans: with
+    width * 3 >= 2**62, every bound and cut column is past the digit table."""
+    L, g, G = 2**57, 2**55, 2**59
+    runs = (lead, L, g, L, G, L, g, L, G, L, g, L)
+    return RleImage(width, [(*runs, width - sum(runs))] * 3)
+
+
+def past_4096_runs_line() -> RleImage:
+    """2,100 one-column words 5 columns apart in 2 rows: the last cuts are in
+    runs past index 4096, and the bounds past column 4096."""
+    return bars_line([(5 * k, 5 * k) for k in range(2100)], height=2)
 
 
 def boxes_line(boxes, lead: int, width: int) -> RleImage:
@@ -233,10 +257,11 @@ def line_chars_per_word(backend, line, words, params, counter=None, bands=None):
     if bands is None:
         bands = backend.word_bands(line, ws, params.t, counter)
     plans = [plan_chars(backend, line, w, bands, i, params, counter) for i, w in enumerate(ws)]
-    located = iter(backend.separators_at(line, [x for p in plans for x in p.cuts]))
+    located = backend.separators_at(line, [x for p in plans for x in p.cuts])
+    cut_ptr = [0, *accumulate(len(p.cuts) for p in plans)]
     per_word = tuple(
-        CharSegmentation(p.chars, tuple(islice(located, len(p.cuts))), p.repairs, params)
-        for p in plans
+        CharSegmentation(p.chars, located[a:b], p.repairs, params)
+        for p, a, b in zip(plans, cut_ptr, cut_ptr[1:])
     )
     return LineCharSegmentation(words, per_word)
 

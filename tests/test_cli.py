@@ -1,10 +1,14 @@
 """CLI behavior: subcommands, exit codes, config handling, schemas."""
 
 import csv
+import fcntl
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -25,7 +29,7 @@ from rlseg import (
     segment_words,
     write_rle,
 )
-from rlseg.cli import main
+from rlseg.cli import EXIT_PIPE, main
 from rlseg.synth import SynthConfig, write_corpus
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -1075,3 +1079,22 @@ def test_segment_stdout(tmp_path, corpus, capsys):
     assert main(["segment", str(first)]) == 0
     records = _records(capsys.readouterr().out)
     assert records[0]["line_id"] == first.stem
+
+
+def test_closed_stdout_exits_quietly(corpus):
+    # The reader takes 100 bytes and closes the pipe. The pipe holds one page,
+    # less than segment writes, so the write fails on the closed pipe.
+    read, write = os.pipe()
+    fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 4096)
+    src = str(Path(rlseg.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "rlseg.cli", "segment", str(corpus / "manifest.txt")]
+    proc = subprocess.Popen(
+        [*argv, "--mode", "chars"], stdout=write, stderr=subprocess.PIPE, env=env
+    )
+    os.close(write)
+    with os.fdopen(read, "rb") as out:
+        assert len(out.read(100)) == 100
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == EXIT_PIPE

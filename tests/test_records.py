@@ -4,13 +4,14 @@ import json
 import math
 from enum import IntEnum
 
+import numpy as np
 import pytest
 
-from rlseg import RleImage, ThresholdMode, segment_line_chars, segment_words
+from rlseg import ThresholdMode, segment_line_chars, segment_words
 from rlseg.records import dumps, line_char_records, word_record
-from rlseg.words import SeparatorPoint, WordSegmentation
+from rlseg.words import Cuts, WordSegmentation
 
-from support import bars_line, json_lines
+from support import bars_line, json_lines, past_2_62_line, past_4096_runs_line, plain_record
 
 
 class Level(IntEnum):
@@ -83,7 +84,7 @@ def test_dumps_rejects_one_record_dict():
     assert type(record) is dict
     with pytest.raises(TypeError, match="not one record"):
         dumps(record)
-    assert dumps([record]) == json.dumps(record, separators=(",", ":"))
+    assert dumps([record]) == json_lines([record])
 
 
 def test_dumps_rejects_records_outside_the_schema():
@@ -108,8 +109,26 @@ def test_changed_records_match_json():
 
 
 def test_record_separators_list_run_indices_by_row():
-    seg = WordSegmentation((), (SeparatorPoint(7, (0, 2, 1)),), 3.0)
-    assert word_record("w", seg)["separators"] == [{"x": 7, "runs": [0, 2, 1]}]
+    seg = WordSegmentation((), Cuts([7], np.array([[0, 2, 1]])), 3.0)
+    record = word_record("w", seg)
+    assert plain_record(record)["separators"] == [{"x": 7, "runs": [0, 2, 1]}]
+    assert '"separators":[{"x":7,"runs":[0,2,1]}]' in dumps([record])
+
+
+def test_records_hold_the_segmentations_own_cuts():
+    # a line's char cuts are located into one array, and each word's
+    # separators are a view of it; the builders put the views themselves,
+    # the word cuts' too, in the records
+    bars = [(2, 6), (8, 12), (30, 36), (39, 44), (60, 64), (67, 71)]
+    seg = segment_line_chars(bars_line(bars, width=80, height=6))
+    cuts = [w.separators for w in seg.per_word]
+    line_runs = cuts[0].runs.base
+    assert len(cuts) == 3 and line_runs.size == 3 * 6  # 3 cuts in 6 rows
+    assert all(type(c) is Cuts and len(c) == 1 for c in cuts)
+    assert all(np.shares_memory(c.runs, line_runs) for c in cuts)
+    assert word_record("w", seg.words)["separators"] is seg.words.separators
+    recs = line_char_records("c", seg)
+    assert all(r["separators"] is c for r, c in zip(recs, cuts, strict=True))
 
 
 # named like test_dumps_matches_json_indent, for the same reason
@@ -131,11 +150,9 @@ def test_real_records_match_json_indent():
     ],
 )
 def test_records_past_2_62_columns_match_json(lead, width):
-    # three words of two glyphs, on dtype=object spans: every bound and x is
-    # past the digit table, so dumps writes them with its %d templates
-    L, g, G = 2**57, 2**55, 2**59
-    runs = (lead, L, g, L, G, L, g, L, G, L, g, L)
-    line = RleImage(width, [(*runs, width - sum(runs))] * 3)
+    # every bound and x is past the digit table, so dumps writes them with
+    # its %d templates
+    line = past_2_62_line(lead, width)
     assert line.spans.starts.dtype == object
     recs = [
         word_record("huge", segment_words(line)),
@@ -146,9 +163,7 @@ def test_records_past_2_62_columns_match_json(lead, width):
 
 
 def test_records_past_4096_runs_per_row_match_json():
-    # 2,100 one-column words 5 columns apart: the last cuts are in runs past
-    # index 4096, and the bounds past column 4096
-    line = bars_line([(5 * k, 5 * k) for k in range(2100)], height=2)
+    line = past_4096_runs_line()
     seg = segment_words(line, ThresholdMode("fixed", 2))
     assert len(seg.words) == 2100 and seg.separators[-1].runs[0] > 4096
     recs = [word_record("many", seg), *line_char_records("many", segment_line_chars(line, words=seg))]
