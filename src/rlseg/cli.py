@@ -209,21 +209,15 @@ def cmd_evaluate(args) -> int:
     numbered = _read_records(args.pred)
     try:
         per_line = predicted_intervals([rec for _, rec in numbered], args.mode)
-    except KeyError as exc:
-        # every record before the first one without the field was an object with it
-        lineno = next((n for n, rec in numbered if exc.args[0] not in rec), 0)
-        raise ParseError(args.pred, lineno, f"record has no {exc} field") from exc
     except BadRecordError as exc:
         lineno = numbered[exc.index][0]
         raise ParseError(args.pred, lineno, f"bad predictions: {exc.reason}") from exc
-    except ValueError as exc:
-        raise ParseError(args.pred, 0, f"bad predictions: {exc}") from exc
     try:
         truth = load_ground_truth(args.truth)
         report = score_intervals(per_line, truth, args.mode, overlap)
-    # ValueError covers JSON and UTF-8, RecursionError JSON nested too deeply;
-    # only the JSON decoder knows a line
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    # ValueError covers JSON, UTF-8 and every bad record, RecursionError JSON
+    # nested too deeply; only the JSON decoder knows a line
+    except (ValueError, RecursionError) as exc:
         lineno = exc.lineno if isinstance(exc, json.JSONDecodeError) else 0
         raise ParseError(args.truth, lineno, f"bad ground truth: {exc!r}") from exc
     _emit(json.dumps(report, indent=1), args.out)

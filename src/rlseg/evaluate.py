@@ -1,4 +1,6 @@
-"""One-to-one interval matching and the accuracy-rate score."""
+"""One-to-one interval matching and the accuracy-rate score. `_intervals` states
+the one interval rule; `predicted_intervals` checks each line's predictions by
+it, `GroundTruthLine` each truth line, and `match` takes it as given."""
 
 from __future__ import annotations
 
@@ -40,52 +42,67 @@ class AccuracyReport:
         return 100.0 * self.one_to_one / self.total_truth
 
 
-def _is_pair(iv) -> bool:
-    """[start, end], two ints; a bool is not an int here."""
-    if not isinstance(iv, (list, tuple)) or len(iv) != 2:
-        return False
-    return all(type(v) is int for v in iv)
-
-
-def _pairs(ivs, what: str) -> tuple[tuple[int, int], ...]:
-    """ivs as a tuple of (start, end) pairs; ValueError unless it is a list of
-    [start, end] integer pairs, none with a bound below 0."""
-    if not isinstance(ivs, list) or not all(map(_is_pair, ivs)):
+def _intervals(ivs, what: str, after: int = -1) -> tuple[tuple[int, int], ...]:
+    """ivs as a tuple of (start, end) pairs; ValueError naming what unless it is a list
+    (or tuple) of [start, end] int pairs with 0 <= start <= end, sorted, disjoint and
+    starting past after, the end of the interval it continues."""
+    if not isinstance(ivs, (list, tuple)) or not all(
+        isinstance(iv, (list, tuple)) and len(iv) == 2 and type(iv[0]) is type(iv[1]) is int
+        for iv in ivs
+    ):
         raise ValueError(f"{what} is not a list of [start, end] integer pairs")
     for k, (a, b) in enumerate(ivs):
         if a < 0 or b < 0:
             raise ValueError(f"{what} interval {k} [{a}, {b}] has a bound below 0")
+        if a > b:
+            raise ValueError(f"{what} interval [{a}, {b}] is inverted")
+        if a <= after:
+            raise ValueError(f"{what} intervals overlap or are unsorted at [{a}, {b}]")
+        after = b
     return tuple(map(tuple, ivs))
 
 
 @dataclass(frozen=True)
 class GroundTruthLine:
-    """Reference word intervals (and optionally per-word character intervals)."""
+    """Reference word intervals (and optionally per-word character intervals); the
+    words, and the chars across all words, must follow the interval rule."""
 
     line_id: str
     words: tuple[tuple[int, int], ...]
     chars: tuple[tuple[tuple[int, int], ...], ...] | None = None
 
+    def __post_init__(self):
+        if not isinstance(self.line_id, str):
+            raise ValueError(f"line_id {self.line_id!r} is not a string")
+        what = f"line {self.line_id}:"
+        object.__setattr__(self, "words", _intervals(self.words, f"{what} 'words'"))
+        if self.chars is None:
+            return
+        if not isinstance(self.chars, (list, tuple)):
+            raise ValueError(f"{what} 'chars' is not a list of words")
+        chars, end = [], -1
+        for k, word in enumerate(self.chars):
+            chars.append(_intervals(word, f"{what} 'chars' word {k}", end))
+            end = chars[-1][-1][1] if chars[-1] else end
+        object.__setattr__(self, "chars", tuple(chars))
+
     @classmethod
-    def from_json(cls, obj: dict) -> "GroundTruthLine":
-        """One ground-truth record; ValueError unless its line_id is a string
-        and its intervals are integer pairs, as predictions must be."""
-        line_id = obj["line_id"]
-        if not isinstance(line_id, str):
-            raise ValueError(f"line_id {line_id!r} is not a string")
-        words = _pairs(obj["words"], f"line {line_id}: 'words'")
-        chars = obj.get("chars")
-        if chars is not None:
-            chars = tuple(
-                _pairs(word, f"line {line_id}: 'chars' word {k}") for k, word in enumerate(chars)
-            )
-        return cls(line_id, words, chars)
+    def from_json(cls, obj) -> "GroundTruthLine":
+        """One ground-truth record; ValueError for any fault, as GroundTruthLine's."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"record is {type(obj).__name__}, not an object")
+        for key in ("line_id", "words"):
+            if key not in obj:
+                raise ValueError(f"record has no {key!r} field")
+        return cls(obj["line_id"], obj["words"], obj.get("chars"))
 
 
 def load_ground_truth(path) -> list[GroundTruthLine]:
-    """The truth lines of a JSON file; ValueError when a line_id repeats, so
-    that no prediction is scored twice."""
+    """The truth lines of a JSON file; ValueError when the file is not a list
+    of valid records or a line_id repeats, so that no prediction is scored twice."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, list):
+        raise ValueError(f"expected a list of records, got {type(data).__name__}")
     lines = [GroundTruthLine.from_json(obj) for obj in data]
     repeated = [k for k, n in Counter(line.line_id for line in lines).items() if n > 1]
     if repeated:
@@ -101,16 +118,6 @@ class BadRecordError(ValueError):
         self.index, self.reason = index, reason
 
 
-def _check_sorted_disjoint(name: str, intervals) -> None:
-    prev_end = None
-    for a, b in intervals:
-        if a > b:
-            raise ValueError(f"{name} interval [{a}, {b}] is inverted")
-        if prev_end is not None and a <= prev_end:
-            raise ValueError(f"{name} intervals overlap or are unsorted at [{a}, {b}]")
-        prev_end = b
-
-
 def overlap_fraction(value) -> float:
     """value as the minimum overlap fraction of a match, which must be in (0, 1]."""
     overlap = float(value)
@@ -120,15 +127,14 @@ def overlap_fraction(value) -> float:
 
 
 def match(pred, truth, overlap_min: float = DEFAULT_OVERLAP) -> MatchResult:
-    """Greedy left-to-right pairing of sorted, disjoint inclusive intervals.
+    """Greedy left-to-right pairing of inclusive intervals.
 
+    Precondition, not checked here: pred and truth each follow the interval
+    rule (sorted, disjoint, start <= end), and 0 < overlap_min <= 1.
     A pair qualifies when the intersection covers at least overlap_min of the
     longer interval; each side is used at most once. With disjoint sorted
     intervals qualifying pairs cannot cross, so greedy pairing is optimal.
     """
-    overlap_min = overlap_fraction(overlap_min)
-    _check_sorted_disjoint("predicted", pred)
-    _check_sorted_disjoint("truth", truth)
     pairs = []
     i = j = 0
     while i < len(pred) and j < len(truth):
@@ -155,10 +161,9 @@ def predicted_intervals(pred_records, mode: str = "word") -> dict[str, list[tupl
 
     Word mode reads the records' "words", char mode their "chars", and
     concatenates them per line_id; records without that key are skipped.
-    Raises KeyError for a record without line_id, ValueError when the records
-    are not a list, and BadRecordError (a ValueError) naming the first record
-    that is not an object with a string line_id whose intervals are [start,
-    end] pairs of ints >= 0, sorted and disjoint within each line.
+    Raises ValueError when the records are not a list, and BadRecordError (a
+    ValueError) naming the first record that is not an object with a string
+    line_id whose intervals continue the line's under the interval rule.
     """
     if mode not in ("word", "char"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
@@ -169,6 +174,8 @@ def predicted_intervals(pred_records, mode: str = "word") -> dict[str, list[tupl
     for i, rec in enumerate(pred_records):
         if not isinstance(rec, dict):
             raise BadRecordError(i, f"record is {type(rec).__name__}, not an object")
+        if "line_id" not in rec:
+            raise BadRecordError(i, "record has no 'line_id' field")
         line_id = rec["line_id"]
         if not isinstance(line_id, str):
             raise BadRecordError(i, f"line_id {line_id!r} is not a string")
@@ -176,12 +183,9 @@ def predicted_intervals(pred_records, mode: str = "word") -> dict[str, list[tupl
             continue
         ivs = per_line.setdefault(line_id, [])
         try:
-            new = _pairs(rec[key], repr(key))
-            # the line's intervals so far were checked; the last one bounds these
-            _check_sorted_disjoint(f"line {line_id} predicted", [*ivs[-1:], *new])
+            ivs += _intervals(rec[key], f"line {line_id}: {key!r}", ivs[-1][1] if ivs else -1)
         except ValueError as exc:
             raise BadRecordError(i, str(exc)) from exc
-        ivs.extend(new)
     return per_line
 
 
@@ -192,14 +196,15 @@ def score_intervals(
     overlap_min: float = DEFAULT_OVERLAP,
 ) -> dict:
     """Score each truth line against the predicted intervals of its line_id."""
+    overlap_min = overlap_fraction(overlap_min)
     total = matched = 0
     lines = []
     for truth in truth_lines:
         if mode == "word":
-            truth_ivs = list(truth.words)
+            truth_ivs = truth.words
+        elif truth.chars is None:
+            raise ValueError(f"ground truth line {truth.line_id} has no chars")
         else:
-            if truth.chars is None:
-                raise ValueError(f"ground truth line {truth.line_id} has no chars")
             truth_ivs = [iv for word in truth.chars for iv in word]
         pred_ivs = per_line.get(truth.line_id, [])
         result = match(pred_ivs, truth_ivs, overlap_min)

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import random
+import re
 from itertools import accumulate, chain, cycle
 
 import jsonschema
@@ -46,7 +47,7 @@ from rlseg.chars import (
 )
 from rlseg.cli import main
 from rlseg.errors import EmptyWordError, MalformedRleError, OutOfBoundsError, ParseError
-from rlseg.evaluate import GroundTruthLine, match
+from rlseg.evaluate import BadRecordError, GroundTruthLine, match, predicted_intervals
 from rlseg.pixel_baseline import (
     _backend as _pixel_backend,
     pdp_column_frequency,
@@ -1144,6 +1145,161 @@ def check_overlap_one_exact(seed, tmp_path):
         assert len(match([(a, b - 1)], [(a, b)], 1.0).pairs) == 0
 
 
+# the fault kind of each injected fault, as _intervals words it
+_INTERVAL_FAULTS = {
+    "bool": "is not a list of [start, end] integer pairs",
+    "float": "is not a list of [start, end] integer pairs",
+    "triple": "is not a list of [start, end] integer pairs",
+    "not_a_list": "is not a list of [start, end] integer pairs",
+    "negative": "has a bound below 0",
+    "inverted": "is inverted",
+    "overlapping": "intervals overlap or are unsorted",
+    "unsorted": "intervals overlap or are unsorted",
+}
+
+
+def _interval_chunks(rng, ivs, fault):
+    """ivs, a sorted, disjoint list of [start, end] lists, with fault injected
+    (None for none) and split into 1-3 chunks, some possibly empty."""
+    ivs = [list(iv) for iv in ivs]
+    j = rng.randrange(1, len(ivs))  # so interval j - 1 exists
+    a, b = ivs[j]
+    if fault == "bool":
+        ivs[j][rng.randrange(2)] = rng.choice((True, False))
+    elif fault == "float":
+        ivs[j][rng.randrange(2)] += rng.choice((0.0, 0.5))
+    elif fault == "negative":
+        ivs[j][rng.randrange(2)] = -rng.randint(1, 3)
+    elif fault == "inverted":
+        ivs[j] = [b + 1, a]
+    elif fault == "overlapping":
+        ivs[j] = [ivs[j - 1][1], b]
+    elif fault == "unsorted":
+        ivs[j - 1], ivs[j] = ivs[j], ivs[j - 1]
+    elif fault == "triple":
+        ivs[j].append(b)
+    cuts = rng.sample(range(len(ivs) + 1), rng.randint(0, 2))
+    if fault and rng.random() < 0.5:
+        cuts = [j, *cuts[:1]]  # the fault opens a chunk: the chunks before must bound it
+    cuts = sorted(set(cuts))
+    chunks = [ivs[p:q] for p, q in zip([0, *cuts], [*cuts, len(ivs)])]
+    if fault == "not_a_list":
+        chunks[rng.randrange(len(chunks))] = rng.choice(({"0": [0, 1]}, 5, "[[0, 1]]", None))
+    return chunks
+
+
+def _brute_interval_fault(chunks):
+    """(index of the first chunk that breaks the interval rule, its fault), or
+    None: the columns of all chunks so far must rise strictly."""
+    columns = []
+    for r, chunk in enumerate(chunks):
+        if not isinstance(chunk, (list, tuple)) or any(
+            not isinstance(iv, (list, tuple)) or len(iv) != 2 or {type(v) for v in iv} != {int}
+            for iv in chunk
+        ):
+            return r, _INTERVAL_FAULTS["not_a_list"]
+        if any(min(iv) < 0 for iv in chunk):
+            return r, _INTERVAL_FAULTS["negative"]
+        if any(a > b for a, b in chunk):
+            return r, _INTERVAL_FAULTS["inverted"]
+        columns += [x for a, b in chunk for x in range(a, b + 1)]
+        if columns != sorted(set(columns)):
+            return r, _INTERVAL_FAULTS["unsorted"]
+    return None
+
+
+def _fault_of(message: str) -> str:
+    return next(text for text in _INTERVAL_FAULTS.values() if text in message)
+
+
+def _tuples(value):
+    """value with every list a tuple, as a hand-built GroundTruthLine holds it."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def _max_matching(pred, truth, overlap):
+    """Size of a maximum matching of qualifying pairs, by augmenting paths."""
+    owner = {}
+
+    def augment(i, seen):
+        a, b = pred[i]
+        for j, (c, d) in enumerate(truth):
+            inter, longer = min(b, d) - max(a, c) + 1, max(b - a, d - c) + 1
+            if inter + 1e-9 >= overlap * longer and j not in seen:
+                seen.add(j)
+                if j not in owner or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return sum(augment(i, set()) for i in range(len(pred)))
+
+
+def check_interval_rule(seed, tmp_path):
+    """Each interval list is checked once where it enters, predictions split
+    over records and truth chars split over words, against a brute reference."""
+    rng = random.Random(seed)
+    clean = [[c.x_min, c.x_max] for c in _random_components(rng, rng.randint(2, 7))[0]]
+    fault = rng.choice((None, *_INTERVAL_FAULTS))
+    chunks = _interval_chunks(rng, clean, fault)
+    want = _brute_interval_fault(chunks)
+    assert (want and want[1]) == (fault and _INTERVAL_FAULTS[fault])
+    # predictions: one line's records, other lines' records between them
+    records, at = [], []
+    for r, chunk in enumerate(chunks):
+        if rng.random() < 0.5:
+            records.append({"line_id": "u", "chars": [[r, r]]})
+        at.append(len(records))
+        records.append({"line_id": "v", "word_id": "x", "chars": chunk})
+    try:
+        per_line = predicted_intervals(records, "char")
+    except BadRecordError as exc:
+        got = at.index(exc.index), _fault_of(exc.reason)
+        assert exc.reason.startswith("line v: 'chars' ")
+    else:
+        got = None
+        assert per_line["v"] == [tuple(iv) for iv in clean]
+    assert got == want, (chunks, got, want)
+    # truth: the chunks as one line's words, and as its chars over its words
+    if fault == "not_a_list":
+        words = next(chunk for chunk in chunks if not isinstance(chunk, list))
+    else:
+        words = [iv for chunk in chunks for iv in chunk]
+    for as_given in (lambda v: json.loads(json.dumps(v)), _tuples):
+        for kwargs, part, want_part in (
+            ({"words": words}, "'words'", _brute_interval_fault([words])),
+            ({"words": [], "chars": chunks}, "'chars' word", want),
+        ):
+            kwargs = {key: as_given(v) for key, v in kwargs.items()}
+            try:
+                line = GroundTruthLine("v", **kwargs)
+            except ValueError as exc:
+                assert str(exc).startswith(f"line v: {part}")
+                word = re.search(r"word (\d+)", str(exc))
+                got = int(word.group(1)) if word else 0, _fault_of(str(exc))
+            else:
+                got = None
+                assert line.words == _tuples(kwargs["words"])
+            assert got == want_part, (kwargs, got, want_part)
+    if fault is not None:
+        return
+    # clean lists score the AR of a maximum matching, in either mode
+    pred = []
+    for a, b in clean:
+        roll = rng.random()
+        if roll < 0.6:
+            pred.append([a + rng.randint(0, (b - a) // 2), b - rng.randint(0, (b - a) // 3)])
+        elif roll < 0.8 and pred:
+            pred[-1][1] = b  # merged with the one before
+    overlap = rng.choice((0.5, 0.8, 0.9, 1.0))
+    want_ar = 100.0 * _max_matching(pred, clean, overlap) / len(clean)
+    truth = [GroundTruthLine("v", _tuples(clean), _tuples(chunks))]
+    split = _interval_chunks(rng, pred, None) if len(pred) > 1 else [pred]
+    for mode, key in (("word", "words"), ("char", "chars")):
+        records = [{"line_id": "v", key: chunk} for chunk in split]
+        assert evaluate_records(records, truth, mode, overlap)["ar"] == want_ar
+
+
 def check_pipeline_differential(seed, tmp_path):
     rng = random.Random(seed)
     if rng.random() < 0.5:
@@ -1441,6 +1597,7 @@ CHECKS = [
     ("match_symmetry", check_match_symmetry),
     ("ar_monotone", check_ar_monotone),
     ("overlap_one_exact", check_overlap_one_exact),
+    ("interval_rule", check_interval_rule),
     ("pipeline_differential", check_pipeline_differential),
     ("cli_determinism", check_cli_determinism),
     ("truncated_inputs_exit_4", check_truncated_inputs_exit_4),

@@ -494,10 +494,10 @@ def test_long_malformed_row_gives_a_short_error(tmp_path, monkeypatch, capsys):
             '{"line_id": "a", "words": [[0, 1' + "0" * 5000 + "]]}",
             ":1: not JSON: Exceeds the limit",
         ),
-        ('{"words": [[0, 3]]}', ":1: record has no 'line_id' field"),
+        ('{"words": [[0, 3]]}', ":1: bad predictions: record has no 'line_id' field"),
         (
             '{"line_id": "a", "words": [[0, 3]]}\n\n{"words": [[5, 8]]}\n{}',
-            ":3: record has no 'line_id' field",
+            ":3: bad predictions: record has no 'line_id' field",
         ),
         ("1\n2", ":1: bad predictions: record is int, not an object"),
         (
@@ -506,19 +506,19 @@ def test_long_malformed_row_gives_a_short_error(tmp_path, monkeypatch, capsys):
         ),
         (
             '{"line_id": "a", "words": [0, 3]}',
-            ":1: bad predictions: 'words' is not a list of [start, end] integer pairs",
+            ":1: bad predictions: line a: 'words' is not a list of [start, end] integer pairs",
         ),
         (
             '{"line_id": "a", "words": [[0, 3, 5]]}',
-            ":1: bad predictions: 'words' is not a list of [start, end] integer pairs",
+            ":1: bad predictions: line a: 'words' is not a list of [start, end] integer pairs",
         ),
         (
             '{"line_id": "a", "words": [[5, 3]]}',
-            ":1: bad predictions: line a predicted interval [5, 3] is inverted",
+            ":1: bad predictions: line a: 'words' interval [5, 3] is inverted",
         ),
         (
             '{"line_id": "a", "words": [[-5, 5]]}',
-            ":1: bad predictions: 'words' interval 0 [-5, 5] has a bound below 0",
+            ":1: bad predictions: line a: 'words' interval 0 [-5, 5] has a bound below 0",
         ),
         # a line_id is never converted: 5 must not score as truth line "5"
         (
@@ -540,12 +540,12 @@ def test_long_malformed_row_gives_a_short_error(tmp_path, monkeypatch, capsys):
         ),
         (
             '{"line_id": "a", "words": [[0, 3]]}\n\n{"line_id": "b", "words": [[0, 3.5]]}',
-            ":3: bad predictions: 'words' is not a list of [start, end] integer pairs",
+            ":3: bad predictions: line b: 'words' is not a list of [start, end] integer pairs",
         ),
         # two records of one line: the second overlaps the first's interval
         (
             '{"line_id": "a", "words": [[0, 3]]}\n\n{"line_id": "a", "words": [[3, 8]]}',
-            ":3: bad predictions: line a predicted intervals overlap or are unsorted at [3, 8]",
+            ":3: bad predictions: line a: 'words' intervals overlap or are unsorted at [3, 8]",
         ),
     ],
     ids=[
@@ -572,8 +572,16 @@ _NOT_PAIRS = "ValueError(\"line a: 'words' is not a list of [start, end] integer
     [
         ("[{", ":1: bad ground truth: JSONDecodeError("),
         ("[" * 100_000, ":0: bad ground truth: RecursionError("),
-        ('[{"line_id": "a"}]', ":0: bad ground truth: KeyError('words')"),
-        ("[1,2]", ":0: bad ground truth: TypeError("),
+        ('[{"line_id": "a"}]', ":0: bad ground truth: ValueError(\"record has no 'words' field\")"),
+        ("[1,2]", ":0: bad ground truth: ValueError('record is int, not an object')"),
+        (
+            '{"line_id": "a", "words": [[0, 5]]}',
+            ":0: bad ground truth: ValueError('expected a list of records, got dict')",
+        ),
+        (
+            '[{"line_id": "a", "words": [[0, 5]]}, 7]',
+            ":0: bad ground truth: ValueError('record is int, not an object')",
+        ),
         # bounds and ids are checked as predictions are, never converted:
         # [0, 5.9] must not score as [0, 5]
         ('[{"line_id": "a", "words": [[0, 5.9]]}]', f":0: bad ground truth: {_NOT_PAIRS}"),
@@ -582,6 +590,10 @@ _NOT_PAIRS = "ValueError(\"line a: 'words' is not a list of [start, end] integer
         (
             '[{"line_id": "a", "words": [[0, 8]], "chars": [[[0, 2.5]]]}]',
             ":0: bad ground truth: ValueError(\"line a: 'chars' word 0 is not a list of",
+        ),
+        (
+            '[{"line_id": "a", "words": [[0, 8]], "chars": 5}]',
+            ":0: bad ground truth: ValueError(\"line a: 'chars' is not a list of words\")",
         ),
         ('[{"line_id": 7, "words": [[0, 8]]}]',
          ":0: bad ground truth: ValueError('line_id 7 is not a string')"),
@@ -597,8 +609,9 @@ _NOT_PAIRS = "ValueError(\"line a: 'words' is not a list of [start, end] integer
         ),
     ],
     ids=[
-        "not_json", "too_deep", "no_words", "not_objects", "float_bound", "bool_bound",
-        "string_bound", "float_char_bound", "int_line_id", "negative_bound", "repeated_line_id",
+        "not_json", "too_deep", "no_words", "not_objects", "top_level_object", "int_record",
+        "float_bound", "bool_bound", "string_bound", "float_char_bound", "int_chars",
+        "int_line_id", "negative_bound", "repeated_line_id",
     ],
 )
 def test_evaluate_bad_truth_exit_4(tmp_path, corpus, capsys, text, detail):
@@ -632,15 +645,29 @@ def test_evaluate_bad_truth_json_names_its_line(tmp_path, corpus, capsys):
         (
             "word",
             '[{"line_id": "line0000", "words": [[40, 50], [0, 3]]}]',
-            ":0: bad ground truth: ValueError('truth intervals overlap or are unsorted",
+            ":0: bad ground truth: ValueError(\"line line0000: 'words' intervals overlap or "
+            'are unsorted at [0, 3]")',
+        ),
+        (
+            "word",
+            '[{"line_id": "line0000", "words": [[0, 3], [9, 5]]}]',
+            ":0: bad ground truth: ValueError(\"line line0000: 'words' interval [9, 5] "
+            'is inverted")',
         ),
         (
             "char",
             '[{"line_id": "line0000", "words": [[0, 3]]}]',
             ":0: bad ground truth: ValueError('ground truth line line0000 has no chars')",
         ),
+        (
+            "char",
+            '[{"line_id": "line0000", "words": [[0, 5], [8, 12]], '
+            '"chars": [[[0, 2], [3, 8]], [[8, 12]]]}]',
+            ":0: bad ground truth: ValueError(\"line line0000: 'chars' word 1 intervals "
+            'overlap or are unsorted at [8, 12]")',
+        ),
     ],
-    ids=["unsorted", "no_chars"],
+    ids=["unsorted", "inverted", "no_chars", "chars_overlap_across_words"],
 )
 def test_evaluate_truth_value_errors_name_the_truth_file(
     tmp_path, corpus, capsys, mode, truth_text, detail

@@ -1,11 +1,12 @@
 """Interval matching and accuracy rate."""
 
 import random
+import re
 
 import pytest
 
 from rlseg import EmptyGroundTruthError, GroundTruthLine, evaluate_records
-from rlseg.evaluate import AccuracyReport, match
+from rlseg.evaluate import AccuracyReport, BadRecordError, match
 
 
 def _intervals(rng, n, max_len=12, max_gap=10):
@@ -93,8 +94,23 @@ def test_exact_boundary_overlap_is_accepted():
 
 
 def test_unsorted_input_rejected():
-    with pytest.raises(ValueError):
-        match([(5, 9), (0, 3)], [(0, 3)], 0.9)
+    # match takes sorted, disjoint lists as given: the lists it once rejected
+    # are rejected where they enter, truth by GroundTruthLine (naming the line)
+    # and predictions by evaluate_records (naming the record)
+    cases = [
+        (((5, 9), (0, 3)), None, "line a: 'words' intervals overlap or are unsorted at [0, 3]"),
+        (((0, 3), (3, 8)), None, "line a: 'words' intervals overlap or are unsorted at [3, 8]"),
+        (((5, 3),), None, "line a: 'words' interval [5, 3] is inverted"),
+        # chars continue across words, past an empty one
+        (((0, 9),), (((0, 4),), ((4, 9),)), "line a: 'chars' word 1 intervals overlap"),
+        (((0, 9),), (((0, 4),), (), ((2, 9),)), "line a: 'chars' word 2 intervals overlap"),
+    ]
+    for words, chars, detail in cases:
+        with pytest.raises(ValueError, match=re.escape(detail)):
+            GroundTruthLine("a", words, chars)
+        pred = [iv for word in chars or (words,) for iv in word]
+        with pytest.raises(BadRecordError, match="^record 0: line a: 'words' interval"):
+            evaluate_records([{"line_id": "a", "words": pred}], [], "word")
 
 
 def test_evaluate_records_word_and_char_modes():
