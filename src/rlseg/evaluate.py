@@ -5,7 +5,6 @@ it, `GroundTruthLine` each truth line, and `match` takes it as given."""
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,7 +64,8 @@ def _intervals(ivs, what: str, after: int = -1) -> tuple[tuple[int, int], ...]:
 @dataclass(frozen=True)
 class GroundTruthLine:
     """Reference word intervals (and optionally per-word character intervals); the
-    words, and the chars across all words, must follow the interval rule."""
+    words, and the chars across all words, must follow the interval rule, with
+    one char list per word, each inside its word."""
 
     line_id: str
     words: tuple[tuple[int, int], ...]
@@ -84,6 +84,12 @@ class GroundTruthLine:
         for k, word in enumerate(self.chars):
             chars.append(_intervals(word, f"{what} 'chars' word {k}", end))
             end = chars[-1][-1][1] if chars[-1] else end
+        if len(chars) != len(self.words):
+            raise ValueError(f"{what} 'chars' has {len(chars)} words, 'words' {len(self.words)}")
+        for k, ((a, b), word) in enumerate(zip(self.words, chars)):
+            for c, d in word:
+                if c < a or d > b:
+                    raise ValueError(f"{what} 'chars' word {k} [{c}, {d}] is outside [{a}, {b}]")
         object.__setattr__(self, "chars", tuple(chars))
 
     @classmethod
@@ -99,15 +105,20 @@ class GroundTruthLine:
 
 def load_ground_truth(path) -> list[GroundTruthLine]:
     """The truth lines of a JSON file; ValueError when the file is not a list
-    of valid records or a line_id repeats, so that no prediction is scored twice."""
+    of valid records or a line_id repeats, so that no prediction is scored
+    twice, naming the first bad record's index as predicted_intervals does."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, list):
         raise ValueError(f"expected a list of records, got {type(data).__name__}")
-    lines = [GroundTruthLine.from_json(obj) for obj in data]
-    repeated = [k for k, n in Counter(line.line_id for line in lines).items() if n > 1]
-    if repeated:
-        raise ValueError(f"line_id {repeated[0]!r} appears more than once")
-    return lines
+    lines = {}
+    for i, obj in enumerate(data):
+        try:
+            line = GroundTruthLine.from_json(obj)
+            if lines.setdefault(line.line_id, line) is not line:
+                raise ValueError(f"line_id {line.line_id!r} appears more than once")
+        except ValueError as exc:
+            raise ValueError(f"record {i}: {exc}") from exc
+    return list(lines.values())
 
 
 class BadRecordError(ValueError):

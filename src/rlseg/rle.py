@@ -21,17 +21,19 @@ pass over their bytes (``bytes.translate``, then one mask of the separators,
 which also counts each row's tokens), parses them in one C-level pass
 (``np.fromstring``) and checks every row at once with array operations: token
 count, no token above the width, no zero past a row's first run, each row
-summing to the width. The spans are cut from the file's cumulative sum in the
-same pass. Only when a check fails does it go line by line, to report the
-first bad line; files whose ``width * height`` could overflow an int64 sum
-always go that way. Cropping, projection, cut location and the run count of a
-row range then run as NumPy passes over the spans, with no per-row Python
-loop: a crop is two sorted searches and one gather, O(rows log runs + runs in
-the window); projecting rows [a, b) is one slice; locating all of a line's
-cuts is one sorted search of the starts and stops interleaved. Those searches
-run over copies of the spans shifted by ``row * width``, which keep every row
-of the image in one sorted array; they are int64 while ``width * height <
-2**62`` and exact Python ints (``dtype=object``) beyond.
+summing to the width. The file's cumulative sum is every row's prefix sums
+shifted by its offset ``r * width``: the image keeps it as its cut index
+(``offset_tokens``) and gathers its spans and their shifted copies
+(``offset_spans``) from it. Only when a check fails does it go line by line,
+to report the first bad line; files whose ``width * height`` could overflow an
+int64 sum always go that way. Cropping, projection, cut location and the run
+count of a row range then run as NumPy passes over these arrays, with no
+per-row Python loop: a crop is two sorted searches of the shifted spans and
+one gather, O(rows log runs + runs in the window); projecting rows [a, b) is
+one slice; locating all of a line's cuts is one sorted search of the cut
+index. The shifted arrays keep every row in one sorted array (an image not
+read from a file builds them on first use); they are int64 while ``width *
+height < 2**62`` and exact Python ints (``dtype=object``) beyond.
 """
 
 from __future__ import annotations
@@ -123,28 +125,25 @@ class Spans(NamedTuple):
     iptr: np.ndarray
 
 
-def _spans_from_ends(ends: np.ndarray, counts: np.ndarray) -> Spans:
-    """The spans of rows whose prefix sums are laid end to end in one array,
-    counts[r] of them for row r. The odd runs of a row are its ink runs."""
-    row_first = np.repeat(np.cumsum(counts) - counts, counts)  # per run: its row's run 0
-    ink = np.flatnonzero((np.arange(ends.size) - row_first) & 1)
-    return Spans(ends[ink - 1], ends[ink], np.concatenate(([0], np.cumsum(counts // 2))))
-
-
-def _spans_of_rows(width: int, rows: list[tuple[int, ...]]) -> Spans:
-    """The spans of run lists checked already, each summing to width."""
+def _offset_ends(width: int, rows: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """The prefix sums of run lists checked already, each summing to width,
+    shifted by their row's offset r * width and laid end to end, and a row
+    pointer: row r's are [tptr[r], tptr[r + 1])."""
     # int64 while every row offset r * width + x fits; exact ints beyond
     dtype = np.int64 if width * len(rows) < _BULK_LIMIT else object
+    counts = np.array([*map(len, rows)])
     ends = np.array([*chain.from_iterable(map(accumulate, rows))], dtype)
-    return _spans_from_ends(ends, np.array([*map(len, rows)]))
+    ends += np.repeat(np.arange(len(rows), dtype=dtype) * width, counts)
+    return ends, np.concatenate(([0], np.cumsum(counts)))
 
 
 class RleImage:
     """Run-length compressed binary image, stored as the spans of its ink runs.
 
     Built either from one run list (a sequence of ints) per row, which it
-    checks and converts to spans once, or from checked spans
-    (``_from_spans``). ``rows`` is a view of the spans, one RleRow per pixel
+    checks and converts to spans once, from checked spans (``_from_spans``),
+    or from checked rows' shifted prefix sums, which it keeps
+    (``_from_tokens``). ``rows`` is a view of the spans, one RleRow per pixel
     row, built on first use and kept.
     """
 
@@ -163,13 +162,30 @@ class RleImage:
                     f"row {i}: runs sum to {sum(runs)}, expected width {width}"
                 )
         self.width, self.height = width, len(rows)
-        self.spans = _spans_of_rows(width, rows)
+        self.spans = RleImage._from_tokens(width, *_offset_ends(width, rows)).spans
 
     @classmethod
     def _from_spans(cls, width: int, spans: Spans) -> "RleImage":
-        """An image of spans checked already (encode, read_rle, crop_columns)."""
+        """An image of spans checked already (encode, crop_columns)."""
         image = object.__new__(cls)
         image.width, image.height, image.spans = width, len(spans.iptr) - 1, spans
+        return image
+
+    @classmethod
+    def _from_tokens(cls, width: int, ends: np.ndarray, tptr: np.ndarray) -> "RleImage":
+        """The image of checked rows whose shifted prefix sums lie in ends, row
+        r's at [tptr[r], tptr[r + 1]), kept as its offset_tokens. A row's odd
+        tokens end its ink runs, so two gathers give the offset_spans."""
+        base = np.arange(len(tptr) - 1, dtype=ends.dtype) * width
+        m = np.diff(tptr) // 2
+        iptr = np.concatenate(([0], np.cumsum(m)))
+        stop_at = np.repeat(tptr[:-1] + 1 - 2 * iptr[:-1], m)
+        stop_at += 2 * np.arange(iptr[-1])
+        off_starts, off_stops = ends[stop_at - 1], ends[stop_at]
+        shift = np.repeat(base, m)
+        image = cls._from_spans(width, Spans(off_starts - shift, off_stops - shift, iptr))
+        image.offset_spans = base, off_starts, off_stops
+        image.offset_tokens = base, ends, tptr
         return image
 
     def __eq__(self, other) -> bool:
@@ -200,6 +216,16 @@ class RleImage:
         base = np.arange(self.height, dtype=starts.dtype) * self.width
         shift = np.repeat(base, np.diff(iptr))
         return base, starts + shift, stops + shift
+
+    @cached_property
+    def offset_tokens(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row offsets ``r * width``, every row's prefix sums (``_row_tokens``)
+        shifted by its offset, which puts row r's in [r * width, (r + 1) *
+        width] and all in one sorted array, and their row pointer: the cut
+        index. A read image keeps its file's sums; others build this lazily."""
+        _, ends, tptr = _row_tokens(self)
+        base = np.arange(self.height, dtype=ends.dtype) * self.width
+        return base, ends + np.repeat(base, np.diff(tptr)), tptr
 
     def runs_in(self, start: int, stop: int) -> int:
         """Runs of rows [start, stop), from the spans: a row of m ink runs has
@@ -309,7 +335,7 @@ def crop_columns(rle: RleImage, x_min: int, x_max: int) -> RleImage:
 _HEADER_RE = re.compile(r"^RLE1 ([0-9]+) ([0-9]+)$")
 _ROW_BYTES = b"0123456789 \n"
 # Below this, every prefix sum of a valid file fits an int64, and a token that
-# passes the width check is small enough that a wrapped sum shows (_bulk_spans).
+# passes the width check is small enough that a wrapped sum shows (_bulk_image).
 _BULK_LIMIT = 2**62
 _QUOTE_CHARS = 40
 
@@ -322,8 +348,8 @@ def _quote(line: str) -> str:
     return f"{line[:_QUOTE_CHARS]!r}... ({len(line)} characters)"
 
 
-def _bulk_spans(body: bytes, width: int, height: int) -> Spans | None:
-    """The spans of every row of a body, checked and parsed at once.
+def _bulk_image(body: bytes, width: int, height: int) -> RleImage | None:
+    """The image of every row of a body, checked and parsed at once.
 
     ``body`` is the row lines' bytes, all digits, spaces and newlines, and
     ``width * height < 2**62``. Every line is a run list when no separator
@@ -340,7 +366,6 @@ def _bulk_spans(body: bytes, width: int, height: int) -> Spans | None:
     # costs about a third of a boolean one).
     row_stops = np.flatnonzero(raw[np.flatnonzero(seps)] == 10) + 1
     row_starts = np.concatenate(([0], row_stops[:-1]))
-    counts = row_stops - row_starts
     values = np.fromstring(body, dtype=np.int64, sep=" ")
     # A token too long for int64 reads as 2**63 - 1, which is above the width.
     if (
@@ -356,8 +381,8 @@ def _bulk_spans(body: bytes, width: int, height: int) -> Spans | None:
     row_totals = width * np.arange(1, height + 1, dtype=np.int64)
     if ends.min() < 0 or not np.array_equal(ends[row_stops - 1], row_totals):
         return None
-    ends -= np.repeat(row_totals - width, counts)  # prefix sums within each row
-    return _spans_from_ends(ends, counts)
+    # the file's prefix sums are the image's offset prefix sums
+    return RleImage._from_tokens(width, ends, np.concatenate(([0], row_stops)))
 
 
 def write_rle(rle: RleImage, path) -> None:
@@ -409,9 +434,9 @@ def read_rle(path) -> RleImage:
         raise ParseError(path, n_lines, f"expected {height} row lines, found {n_lines - 1}")
     body = data[head_end + 1 :]
     if width * height < _BULK_LIMIT and not body.translate(None, _ROW_BYTES):
-        spans = _bulk_spans(body, width, height)
-        if spans is not None:
-            return RleImage._from_spans(width, spans)
+        image = _bulk_image(body, width, height)
+        if image is not None:
+            return image
     # Line by line, each line's syntax is checked in step with its row checks,
     # so the first bad line is reported whichever check it fails. The text is
     # ASCII, so a token is a run length exactly when it is a non-empty
@@ -431,4 +456,4 @@ def read_rle(path) -> RleImage:
         if sum(runs) != width:
             raise ParseError(path, lineno, f"runs sum to {sum(runs)}, header width is {width}")
         rows.append(runs)
-    return RleImage._from_spans(width, _spans_of_rows(width, rows))
+    return RleImage._from_tokens(width, *_offset_ends(width, rows))

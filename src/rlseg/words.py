@@ -164,17 +164,18 @@ def separator_at(image: RleImage, x: int) -> SeparatorPoint:
 def separators_at(image: RleImage, xs) -> Cuts:
     """separator_at for every column of the sequence xs, in one pass over the line.
 
-    A row's ink starts and stops, interleaved, form one sorted array, and the
-    run holding x is the number of them at or before x. One sorted search of
-    the image's offset ends, interleaved, with the queries ``r * width + x``
-    row by row (sorted, for sorted xs), counts them for every row and x at
-    once; the Cuts hold the transposed counts, minus the ends of the rows above.
+    The run holding x in a row is the number of the row's prefix sums at or
+    before x. The image's cut index (``offset_tokens``) lays every row's sums,
+    shifted by ``r * width``, end to end in one sorted array, so one sorted
+    search of the queries ``r * width + x`` row by row (sorted, for sorted xs)
+    counts them for every row and x at once. Row r's last sum and row r + 1's
+    leading 0 both lie at or past ``(r + 1) * width``, above every query of
+    row r. The Cuts hold the transposed counts, minus the sums of the rows above.
     """
     _check_columns(xs, image.width)
-    base, off_starts, off_stops = image.offset_spans
-    ends = np.stack((off_starts, off_stops), 1).ravel()
+    base, ends, tptr = image.offset_tokens
     queries = np.add.outer(base, np.array(xs, dtype=base.dtype))
-    runs = np.searchsorted(ends, queries, "right") - 2 * image.spans.iptr[:-1, None]
+    runs = np.searchsorted(ends, queries, "right") - tptr[:-1, None]
     return Cuts(xs, runs.T)
 
 

@@ -430,6 +430,41 @@ def check_read_rle_bulk_matches_reference(seed, tmp_path):
             assert row.width == width
 
 
+def check_read_rle_hands_on_its_index(seed, tmp_path):
+    """read_rle keeps its parse's prefix sums as the image's offset_tokens and
+    gathers offset_spans from them: both equal what an image of the same spans
+    builds on first use, on the bulk path and, past 2**62 cells, the per-line
+    one, and separators_at on the read image is separator_at at every column."""
+    rng = random.Random(seed)
+    width, height = rng.choice((1, rng.randint(2, 12))), rng.randint(1, 6)
+    px = (np.array([[rng.random() for _ in range(width)] for _ in range(height)]) < 0.5)
+    px = px.astype(np.uint8)
+    for row in px:
+        kind = rng.randrange(5)
+        if kind == 0:
+            row[:] = 0  # blank
+        elif kind == 1:
+            row[:] = 1  # full ink
+        elif kind == 2:
+            row[0] = 1  # a leading 0 token
+        elif kind == 3:
+            row[-1] = 1  # the last ink run reaches the width
+    narrow, wide = tmp_path / f"index{seed}.rle", tmp_path / f"index{seed}_wide.rle"
+    write_rle(encode(Bitmap(px)), narrow)
+    write_rle(past_2_62_line(rng.choice((0, 2**60)), 3 * 2**61), wide)
+    for path in (narrow, wide):
+        image = read_rle(path)
+        built = RleImage._from_spans(image.width, image.spans)
+        assert "offset_tokens" not in vars(built)
+        for name in ("offset_tokens", "offset_spans"):
+            for got, want in zip(getattr(image, name), getattr(built, name)):
+                assert got.dtype == want.dtype and np.array_equal(got, want), (path, name)
+        starts, stops, _ = image.spans
+        xs = [0, image.width - 1, *starts.tolist(), *(stops - 1).tolist()]
+        xs = range(image.width) if image.width <= 12 else sorted(xs)
+        assert separators_at(image, xs) == tuple(separator_at(image, x) for x in xs), path
+
+
 def check_row_validation_reference(seed, tmp_path):
     rng = random.Random(seed)
     makers = [
@@ -1208,6 +1243,17 @@ def _brute_interval_fault(chunks):
     return None
 
 
+def _covering_words(chunks):
+    """A truth line's words and chars with the chunks as its chars: when the
+    chunks follow the interval rule, each non-empty chunk inside a word of
+    its own span (an empty chunk spans no columns, so it and its word are
+    left out); otherwise one column per chunk, as the chunks' fault comes first."""
+    if _brute_interval_fault(chunks):
+        return {"words": [[2 * r, 2 * r] for r in range(len(chunks))], "chars": chunks}
+    chunks = [chunk for chunk in chunks if chunk]
+    return {"words": [[chunk[0][0], chunk[-1][1]] for chunk in chunks], "chars": chunks}
+
+
 def _fault_of(message: str) -> str:
     return next(text for text in _INTERVAL_FAULTS.values() if text in message)
 
@@ -1268,7 +1314,7 @@ def check_interval_rule(seed, tmp_path):
     for as_given in (lambda v: json.loads(json.dumps(v)), _tuples):
         for kwargs, part, want_part in (
             ({"words": words}, "'words'", _brute_interval_fault([words])),
-            ({"words": [], "chars": chunks}, "'chars' word", want),
+            (_covering_words(chunks), "'chars' word", want),
         ):
             kwargs = {key: as_given(v) for key, v in kwargs.items()}
             try:
@@ -1293,7 +1339,7 @@ def check_interval_rule(seed, tmp_path):
             pred[-1][1] = b  # merged with the one before
     overlap = rng.choice((0.5, 0.8, 0.9, 1.0))
     want_ar = 100.0 * _max_matching(pred, clean, overlap) / len(clean)
-    truth = [GroundTruthLine("v", _tuples(clean), _tuples(chunks))]
+    truth = [GroundTruthLine("v", _tuples(clean), _tuples([[iv] for iv in clean]))]
     split = _interval_chunks(rng, pred, None) if len(pred) > 1 else [pred]
     for mode, key in (("word", "words"), ("char", "chars")):
         records = [{"line_id": "v", key: chunk} for chunk in split]
@@ -1568,6 +1614,7 @@ CHECKS = [
     ("read_rle_row_syntax", check_read_rle_row_syntax),
     ("row_validation_reference", check_row_validation_reference),
     ("read_rle_bulk_matches_reference", check_read_rle_bulk_matches_reference),
+    ("read_rle_hands_on_its_index", check_read_rle_hands_on_its_index),
     ("union_matches_column_or", check_union_matches_column_or),
     ("projection_oracle_equivalence", check_projection_oracle_equivalence),
     ("component_list_invariants", check_component_list_invariants),

@@ -564,7 +564,7 @@ def test_evaluate_bad_predictions_exit_4(tmp_path, corpus, capsys, text, detail)
     assert err.count("\n") == 1
 
 
-_NOT_PAIRS = "ValueError(\"line a: 'words' is not a list of [start, end] integer pairs\")"
+_NOT_PAIRS = "ValueError(\"record 0: line a: 'words' is not a list of [start, end] integer pairs\")"
 
 
 @pytest.mark.parametrize(
@@ -572,15 +572,18 @@ _NOT_PAIRS = "ValueError(\"line a: 'words' is not a list of [start, end] integer
     [
         ("[{", ":1: bad ground truth: JSONDecodeError("),
         ("[" * 100_000, ":0: bad ground truth: RecursionError("),
-        ('[{"line_id": "a"}]', ":0: bad ground truth: ValueError(\"record has no 'words' field\")"),
-        ("[1,2]", ":0: bad ground truth: ValueError('record is int, not an object')"),
+        (
+            '[{"line_id": "a"}]',
+            ":0: bad ground truth: ValueError(\"record 0: record has no 'words' field\")",
+        ),
+        ("[1,2]", ":0: bad ground truth: ValueError('record 0: record is int, not an object')"),
         (
             '{"line_id": "a", "words": [[0, 5]]}',
             ":0: bad ground truth: ValueError('expected a list of records, got dict')",
         ),
         (
             '[{"line_id": "a", "words": [[0, 5]]}, 7]',
-            ":0: bad ground truth: ValueError('record is int, not an object')",
+            ":0: bad ground truth: ValueError('record 1: record is int, not an object')",
         ),
         # bounds and ids are checked as predictions are, never converted:
         # [0, 5.9] must not score as [0, 5]
@@ -589,29 +592,41 @@ _NOT_PAIRS = "ValueError(\"line a: 'words' is not a list of [start, end] integer
         ('[{"line_id": "a", "words": [[0, "8"]]}]', f":0: bad ground truth: {_NOT_PAIRS}"),
         (
             '[{"line_id": "a", "words": [[0, 8]], "chars": [[[0, 2.5]]]}]',
-            ":0: bad ground truth: ValueError(\"line a: 'chars' word 0 is not a list of",
+            ":0: bad ground truth: ValueError(\"record 0: line a: 'chars' word 0 is not a list of",
         ),
         (
             '[{"line_id": "a", "words": [[0, 8]], "chars": 5}]',
-            ":0: bad ground truth: ValueError(\"line a: 'chars' is not a list of words\")",
+            ":0: bad ground truth: ValueError(\"record 0: line a: 'chars' is not a list of "
+            'words")',
         ),
         ('[{"line_id": 7, "words": [[0, 8]]}]',
-         ":0: bad ground truth: ValueError('line_id 7 is not a string')"),
+         ":0: bad ground truth: ValueError('record 0: line_id 7 is not a string')"),
         (
             '[{"line_id": "a", "words": [[-5, 5]]}]',
-            ":0: bad ground truth: ValueError(\"line a: 'words' interval 0 [-5, 5] "
+            ":0: bad ground truth: ValueError(\"record 0: line a: 'words' interval 0 [-5, 5] "
             'has a bound below 0")',
         ),
         # a repeated line would score its predictions twice
         (
             '[{"line_id": "a", "words": [[0, 5]]}, {"line_id": "a", "words": [[0, 5]]}]',
-            ":0: bad ground truth: ValueError(\"line_id 'a' appears more than once\")",
+            ":0: bad ground truth: ValueError(\"record 1: line_id 'a' appears more than once\")",
+        ),
+        # one char list per word, each char inside its word
+        (
+            '[{"line_id": "a", "words": [[0, 5], [8, 12]], "chars": [[[0, 5]]]}]',
+            ":0: bad ground truth: ValueError(\"record 0: line a: 'chars' has 1 words, "
+            "'words' 2\")",
+        ),
+        (
+            '[{"line_id": "a", "words": [[0, 5]], "chars": [[[0, 2], [4, 6]]]}]',
+            ":0: bad ground truth: ValueError(\"record 0: line a: 'chars' word 0 [4, 6] is outside "
+            '[0, 5]")',
         ),
     ],
     ids=[
         "not_json", "too_deep", "no_words", "not_objects", "top_level_object", "int_record",
         "float_bound", "bool_bound", "string_bound", "float_char_bound", "int_chars",
-        "int_line_id", "negative_bound", "repeated_line_id",
+        "int_line_id", "negative_bound", "repeated_line_id", "chars_per_word", "char_outside_word",
     ],
 )
 def test_evaluate_bad_truth_exit_4(tmp_path, corpus, capsys, text, detail):
@@ -645,13 +660,13 @@ def test_evaluate_bad_truth_json_names_its_line(tmp_path, corpus, capsys):
         (
             "word",
             '[{"line_id": "line0000", "words": [[40, 50], [0, 3]]}]',
-            ":0: bad ground truth: ValueError(\"line line0000: 'words' intervals overlap or "
-            'are unsorted at [0, 3]")',
+            ":0: bad ground truth: ValueError(\"record 0: line line0000: 'words' intervals "
+            'overlap or are unsorted at [0, 3]")',
         ),
         (
             "word",
             '[{"line_id": "line0000", "words": [[0, 3], [9, 5]]}]',
-            ":0: bad ground truth: ValueError(\"line line0000: 'words' interval [9, 5] "
+            ":0: bad ground truth: ValueError(\"record 0: line line0000: 'words' interval [9, 5] "
             'is inverted")',
         ),
         (
@@ -663,7 +678,7 @@ def test_evaluate_bad_truth_json_names_its_line(tmp_path, corpus, capsys):
             "char",
             '[{"line_id": "line0000", "words": [[0, 5], [8, 12]], '
             '"chars": [[[0, 2], [3, 8]], [[8, 12]]]}]',
-            ":0: bad ground truth: ValueError(\"line line0000: 'chars' word 1 intervals "
+            ":0: bad ground truth: ValueError(\"record 0: line line0000: 'chars' word 1 intervals "
             'overlap or are unsorted at [8, 12]")',
         ),
     ],

@@ -113,6 +113,24 @@ def test_unsorted_input_rejected():
             evaluate_records([{"line_id": "a", "words": pred}], [], "word")
 
 
+def test_truth_chars_match_words():
+    # one char list per word, every char inside its word; an empty list is a word without chars
+    cases = [
+        (((0, 5), (8, 12)), (((0, 5),),), "line a: 'chars' has 1 words, 'words' 2"),
+        (((0, 9),), (((0, 4),), ((6, 9),)), "line a: 'chars' has 2 words, 'words' 1"),
+        (
+            ((0, 5), (8, 12)),
+            (((0, 2), (4, 6)), ((8, 12),)),
+            "line a: 'chars' word 0 [4, 6] is outside [0, 5]",
+        ),
+        (((0, 5), (8, 12)), ((), ((7, 9),)), "line a: 'chars' word 1 [7, 9] is outside [8, 12]"),
+    ]
+    for words, chars, detail in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(detail)}$"):
+            GroundTruthLine("a", words, chars)
+    assert GroundTruthLine("a", ((0, 5), (8, 12)), ((), ((8, 9), (11, 12)))).chars[0] == ()
+
+
 def test_evaluate_records_word_and_char_modes():
     truth = [
         GroundTruthLine("a", ((0, 5), (10, 15)), (((0, 2), (4, 5)), ((10, 15),))),
