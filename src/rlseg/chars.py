@@ -14,10 +14,13 @@ is dark, or has an interval outside [alpha x mean, beta x mean], is flagged,
 and only flagged words go through plan_chars, which reads the word's entries
 of the table as plain ints (the dark-band fallbacks and the middle band on a
 crop of the word, and repair). Every other word's chars are its intervals and
-its cuts their gap midpoints. All of the line's cuts are located with one
-call. On runs, word_bands takes one occupancy of the band runs of the whole
-line, since words are separated by blank columns; the pixel oracle projects
-each word's two bands on its crop.
+its cuts their gap midpoints. line_chars takes the line's word plan (words,
+cut columns and threshold, not yet located), so one separators_at call
+locates every char cut of the line and then every word cut: one sorted search
+of the cut index on runs, one scan of each row on pixels. On runs, word_bands
+takes one occupancy of the band runs of the whole line, since words are
+separated by blank columns; the pixel oracle projects each word's two bands
+on its crop.
 """
 
 from __future__ import annotations
@@ -46,9 +49,11 @@ from .words import (
     WordSegmentation,
     gap_midpoint,
     gap_widths,
-    segment_words,
+    plan_of,
+    segment_words,  # unused here; perfbench's tracer patches it under this module's name
     separator_at,  # unused here; perfbench's tracer patches it under this module's name
     separators_at,
+    word_plan,
 )
 
 _EPS = 1e-9  # guards floor() against binary float artifacts like 0.29*100 -> 28.999...96
@@ -282,18 +287,21 @@ def _flagged(bands: LineBands, params: RoiParams, width: int) -> list[bool]:
 
 
 def line_chars(
-    backend: Backend, line, words: WordSegmentation, params: RoiParams, counter: WorkCounter | None
+    backend: Backend, line, plan: tuple, params: RoiParams, counter: WorkCounter | None
 ) -> LineCharSegmentation:
     """Character segmentation of every word of a line, in line coordinates.
 
-    The backend gives every word's bands at once. A flagged word is planned
-    from its own; every other word takes its band OR's intervals as chars,
-    cut at the gap midpoints of one array expression over the line. Then
-    every cut of every plan is located against line by one separators_at
-    call, and each plan takes its slice of those Cuts, so the output is
-    self-contained.
+    plan is the line's word plan as plan_words gives it: its words, its
+    word cut columns and the threshold used. The backend gives every word's
+    bands at once. A flagged word is planned from its own; every other word
+    takes its band OR's intervals as chars, cut at the gap midpoints of one
+    array expression over the line. Then one separators_at call locates
+    every char cut of every word, then every word cut, against line. The
+    char block is copied out as its own array, of which each char plan takes
+    its slice, so char records do not keep the word cuts' rows alive; the
+    WordSegmentation takes the tail.
     """
-    ws = words.words
+    ws, word_cuts, threshold = plan
     bands = backend.word_bands(line, ws, params.t, counter)
     chars = list(map(Component, bands.lo.tolist(), bands.hi.tolist()))
     mids = ((bands.hi[:-1] + bands.lo[1:]) // 2).tolist()
@@ -304,21 +312,24 @@ def line_chars(
         else RepairResult(tuple(chars[a:b]), tuple(mids[a : b - 1]), ())
         for i, (w, flag, a, b) in enumerate(zip(ws, flags, ptr, ptr[1:]))
     ]
-    located = backend.separators_at(line, [x for p in plans for x in p.cuts])
+    xs = [x for p in plans for x in p.cuts]
+    n = len(xs)
+    located = backend.separators_at(line, [*xs, *word_cuts])
+    char_cuts = Cuts(xs, located.runs[:n].copy())
     cut_ptr = [0, *accumulate(len(p.cuts) for p in plans)]
     per_word = tuple(
-        CharSegmentation(p.chars, located[a:b], p.repairs, params)
+        CharSegmentation(p.chars, char_cuts[a:b], p.repairs, params)
         for p, a, b in zip(plans, cut_ptr, cut_ptr[1:])
     )
-    return LineCharSegmentation(words, per_word)
+    return LineCharSegmentation(WordSegmentation(tuple(ws), located[n:], threshold), per_word)
 
 
 def word_chars(
     backend: Backend, word, params: RoiParams, counter: WorkCounter | None
 ) -> CharSegmentation:
-    """Characters of one word image, in its own columns: line_chars over one
-    word spanning the whole image."""
-    whole = WordSegmentation((Component(0, word.width - 1),), backend.separators_at(word, []), 0.0)
+    """Characters of one word image, in its own columns: line_chars over the
+    plan of one word spanning the whole image, with no word cut."""
+    whole = (Component(0, word.width - 1),), [], 0.0
     return line_chars(backend, word, whole, params, counter).per_word[0]
 
 
@@ -389,8 +400,8 @@ def segment_line_chars(
     counter: WorkCounter | None = None,
     words: WordSegmentation | None = None,
 ) -> LineCharSegmentation:
-    """Run word segmentation (or take the line's, as words), then segment
-    every word into characters on runs: line_chars on the run backend."""
-    if words is None:
-        words = segment_words(line, mode, counter)
-    return line_chars(_run_backend(), line, words, params, counter)
+    """Plan the line's words (or take the plan words was located from), then
+    segment every word into characters on runs: line_chars on the run
+    backend, which locates the char and word cuts in one batch."""
+    plan = word_plan(line, mode, counter) if words is None else plan_of(words)
+    return line_chars(_run_backend(), line, plan, params, counter)

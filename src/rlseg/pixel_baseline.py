@@ -8,12 +8,14 @@ cover, one row at a time: each row becomes a Python list (NumPy's
 uses (``map``, ``sum``, ``any``, ``compress``, ``accumulate``), with no NumPy
 arithmetic across pixels or rows. So a pixel visit costs a builtin's step,
 not a NumPy scalar, and the per-pixel visit counts are those of the
-algorithms: a batch of cuts reads each row's pixels 0..max(x) once.
-pdp_word_bands projects each word's bands on its crop, word by word, and
-hands them over as the run backend's word_bands does, in one LineBands of
-int arrays. Everything else (thresholds, merging, ROI and bands, the word
-triage, fallbacks, repair, the char driver) is the run-domain code, handed
-these primitives as a chars.Backend.
+algorithms: a batch of cuts reads each row's pixels 0..max(x) once. Word
+mode locates its word cuts in one batch; char mode plans the words and then
+locates every char cut and every word cut in one batch, so it scans each
+row of a line once. pdp_word_bands projects each word's bands on its crop,
+word by word, and hands them over as the run backend's word_bands does, in
+one LineBands of int arrays. Everything else (thresholds, merging, ROI and
+bands, the word triage, fallbacks, repair, the char driver) is the
+run-domain code, handed these primitives as a chars.Backend.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .chars import (
 from .errors import EmptyWordError, OutOfBoundsError
 from .projection import Occupancy, WorkCounter, _check_columns, _check_row_range, components, union
 from .rle import Bitmap
-from .words import AUTO, Cuts, SeparatorPoint, ThresholdMode, WordSegmentation, plan_words
+from .words import AUTO, Cuts, SeparatorPoint, ThresholdMode, WordSegmentation, plan_of, plan_words
 
 
 def _column_counts(bitmap: Bitmap, row_range, counter: WorkCounter | None) -> list[int]:
@@ -165,13 +167,20 @@ def _backend() -> Backend:
     )
 
 
+def pdp_word_plan(
+    bitmap: Bitmap, mode: ThresholdMode = AUTO, counter: WorkCounter | None = None
+) -> tuple[list, list[int], float]:
+    """plan_words over the bitmap's pixel occupancy: words.word_plan's
+    triple, with no cut located yet."""
+    return plan_words(components(pdp_occupancy(bitmap, (0, bitmap.height), counter)), mode)
+
+
 def pdp_segment_words(
     bitmap: Bitmap, mode: ThresholdMode = AUTO, counter: WorkCounter | None = None
 ) -> WordSegmentation:
-    """Word segmentation over pixels; same policy, pixel projection."""
-    occ = pdp_occupancy(bitmap, (0, bitmap.height), counter)
-    comps = components(occ)
-    word_list, cuts, threshold = plan_words(comps, mode)
+    """Word segmentation over pixels; same policy, pixel projection, then
+    one pdp_separators_at call for the cuts."""
+    word_list, cuts, threshold = pdp_word_plan(bitmap, mode, counter)
     return WordSegmentation(tuple(word_list), pdp_separators_at(bitmap, cuts), threshold)
 
 
@@ -191,7 +200,8 @@ def pdp_segment_line_chars(
     counter: WorkCounter | None = None,
     words: WordSegmentation | None = None,
 ) -> LineCharSegmentation:
-    """Pixel-domain word -> character chain, on the same driver as segment_line_chars."""
-    if words is None:
-        words = pdp_segment_words(bitmap, mode, counter)
-    return line_chars(_backend(), bitmap, words, params, counter)
+    """Pixel-domain word -> character chain, on the same driver as
+    segment_line_chars: one pdp_separators_at call locates the char and word
+    cuts of the plan, pdp_word_plan's or the one words was located from."""
+    plan = pdp_word_plan(bitmap, mode, counter) if words is None else plan_of(words)
+    return line_chars(_backend(), bitmap, plan, params, counter)

@@ -171,19 +171,34 @@ def separators_at(image: RleImage, xs) -> Cuts:
     counts them for every row and x at once. Row r's last sum and row r + 1's
     leading 0 both lie at or past ``(r + 1) * width``, above every query of
     row r. The Cuts hold the transposed counts, minus the sums of the rows above.
+    An empty xs returns empty Cuts without building the index.
     """
     _check_columns(xs, image.width)
+    if not len(xs):
+        return Cuts(xs, np.empty((0, image.height), np.int64))
     base, ends, tptr = image.offset_tokens
     queries = np.add.outer(base, np.array(xs, dtype=base.dtype))
     runs = np.searchsorted(ends, queries, "right") - tptr[:-1, None]
     return Cuts(xs, runs.T)
 
 
+def word_plan(
+    line: RleImage, mode: ThresholdMode = AUTO, counter: WorkCounter | None = None
+) -> tuple[list[Component], list[int], float]:
+    """plan_words over the occupancy of the line's runs: its words, cut
+    columns and threshold, with no cut located yet."""
+    return plan_words(components(occupancy(line, (0, line.height), counter)), mode)
+
+
+def plan_of(seg: WordSegmentation) -> tuple:
+    """The word plan a WordSegmentation was located from."""
+    return seg.words, seg.separators.xs, seg.threshold_used
+
+
 def segment_words(
     line: RleImage, mode: ThresholdMode = AUTO, counter: WorkCounter | None = None
 ) -> WordSegmentation:
-    """Segment one text line into words, working on runs only."""
-    occ = occupancy(line, (0, line.height), counter)
-    comps = components(occ)
-    word_list, cuts, threshold = plan_words(comps, mode)
+    """Segment one text line into words, working on runs only: its word_plan,
+    then one separators_at call for the cuts."""
+    word_list, cuts, threshold = word_plan(line, mode, counter)
     return WordSegmentation(tuple(word_list), separators_at(line, cuts), threshold)

@@ -20,6 +20,8 @@ import numpy as np
 import pytest
 
 import rlseg.chars
+import rlseg.pixel_baseline
+import rlseg.words
 from rlseg import (
     Bitmap,
     EmptyLineError,
@@ -36,6 +38,7 @@ from rlseg import (
 )
 from rlseg.chars import (
     DEFAULT_PARAMS,
+    LineCharSegmentation,
     RepairResult,
     RoiParams,
     _run_backend,
@@ -62,7 +65,14 @@ from rlseg.projection import Component, components, occupancy, union
 from rlseg.records import dumps, line_char_records, word_record
 from rlseg.pbm import _next_token, read_pbm, write_pbm
 from rlseg.rle import RleImage, crop_columns, locate_run, read_rle, write_rle
-from rlseg.words import AUTO, Cuts, WordSegmentation, plan_words, separator_at, separators_at
+from rlseg.words import (
+    AUTO,
+    Cuts,
+    plan_of,
+    plan_words,
+    separator_at,
+    separators_at,
+)
 
 from support import (
     FALLBACK_LINE,
@@ -945,8 +955,9 @@ def _plan_of(seg) -> RepairResult:
     return RepairResult(seg.chars, tuple(sep.x_mid for sep in seg.separators), seg.repairs)
 
 
-def _one_word(w: Component) -> WordSegmentation:
-    return WordSegmentation((w,), (), 0.0)
+def _one_word(w: Component) -> tuple:
+    """The word plan of a line whose one word is w."""
+    return (w,), [], 0.0
 
 
 def check_plan_chars_in_line_coordinates(seed, tmp_path):
@@ -962,7 +973,7 @@ def check_plan_chars_in_line_coordinates(seed, tmp_path):
     domains = ((_run_backend(), line, False), (_pixel_backend(), decode(line), True))
     for backend, image, same_work in domains:
         counter, word_counter = WorkCounter(), WorkCounter()
-        in_line = line_chars(backend, image, words, params, counter)
+        in_line = line_chars(backend, image, plan_of(words), params, counter)
         for w, seg in zip(words.words, in_line.per_word):
             word = backend.crop(image, w.x_min, w.x_max)
             alone = word_chars(backend, word, params, word_counter)
@@ -1124,7 +1135,7 @@ def check_line_plan_matches_per_word_reference(seed, tmp_path):
         with pytest.MonkeyPatch.context() as mp:
             for name in ("occupancy", "column_frequency"):
                 mp.setattr(rlseg.chars, name, visiting(name))
-            got = line_chars(_run_backend(), image, words, params, counter)
+            got = line_chars(_run_backend(), image, plan_of(words), params, counter)
         assert got == want, params
         assert _plain_ints(got) and _plain_ints(want), params
         assert counter.count == sum(n for _, n in projected)
@@ -1132,7 +1143,7 @@ def check_line_plan_matches_per_word_reference(seed, tmp_path):
             bitmap, pixel = decode(image), _pixel_backend()
             pdp_words = pdp_segment_words(bitmap, mode)
             assert pdp_words == words
-            pdp_got = line_chars(pixel, bitmap, words, params, None)
+            pdp_got = line_chars(pixel, bitmap, plan_of(words), params, None)
             assert pdp_got == line_chars_per_word(pixel, bitmap, words, params) == got
         if mode is not AUTO and params is DEFAULT_PARAMS:
             # occupancy: the band runs, word 0's ROI, word 1's ROI and ink box;
@@ -1147,6 +1158,85 @@ def check_line_plan_matches_per_word_reference(seed, tmp_path):
             assert repairs[2:] == [["removed", "inserted"], ["inserted"], ["removed"]], repairs
         elif mode is not AUTO:
             assert [[op.op for op in p.repairs] for p in got.per_word] == [["inserted"]]
+
+
+def _glyph_words_line(rng) -> RleImage:
+    """A 30-row line of one to five words, each of one to three full-height
+    glyphs 3 columns apart, the words 20 to 30 columns apart, for a fixed
+    threshold of 12: a one-glyph word has no char cut."""
+    boxes, x = [], rng.randint(0, 4)
+    for _ in range(rng.randint(1, 5)):
+        for _ in range(rng.randint(1, 3)):
+            w = rng.randint(4, 8)
+            boxes.append((x, x + w - 1, 0, 30))
+            x += w + 3
+        x += rng.randint(17, 27)
+    return boxes_line(boxes, 0, boxes[-1][1] + rng.randint(2, 5))
+
+
+def _two_call_chain(segment, backend, image, mode, params) -> LineCharSegmentation:
+    """The char chain in two locate batches: segment's words, their cuts
+    located, then line_chars over their plan without its word cuts, whose
+    one separators_at call locates the char cuts alone."""
+    words = segment(image, mode)
+    plan = words.words, [], words.threshold_used
+    return LineCharSegmentation(words, line_chars(backend, image, plan, params, None).per_word)
+
+
+def _chain_text(seg: LineCharSegmentation) -> str:
+    return dumps([word_record("c", seg.words), *line_char_records("c", seg)])
+
+
+def check_one_batch_matches_two_calls(seed, tmp_path):
+    """segment_line_chars and pdp_segment_line_chars, which locate a line's
+    char cuts and then its word cuts in one batch, equal the two-call
+    composition (the word stage's batch, then the char cuts' batch) and
+    write the same bytes, with words= given or not, and each makes one
+    separators_at call of the domain, every char cut then every word cut.
+    No word's char Cuts may share memory with the word Cuts: a view of the
+    one located array would keep the word cuts' rows alive, and
+    np.may_share_memory sees that where np.shares_memory, which looks for a
+    shared element, does not. Cases: a line of one- to three-glyph words, a
+    random blob line under random params (some flagged), and FALLBACK_LINE
+    (every word flagged), also past 2**62 columns on dtype=object spans, on
+    runs only."""
+    rng = random.Random(seed)
+    params = RoiParams(
+        rng.choice([0.0, 0.2, 0.4]), rng.choice([0.2, 0.33, 0.6]), rng.choice([1.1, 1.75])
+    )
+    cases = [(_glyph_words_line(rng), ThresholdMode("fixed", 12)), (random_blob_line(rng), AUTO)]
+    cases += _fallback_cases(rng)
+    run = (
+        [(rlseg.words, "separators_at"), (rlseg.chars, "separators_at")],
+        segment_words, segment_line_chars, _run_backend,
+    )
+    pixel = (
+        [(rlseg.pixel_baseline, "pdp_separators_at")],
+        pdp_segment_words, pdp_segment_line_chars, _pixel_backend,
+    )
+    for image, mode in cases:
+        domains = [(run, image)] + ([(pixel, decode(image))] if image.width < 2**62 else [])
+        for (sites, segment, segment_chars, backend), source in domains:
+            want = _two_call_chain(segment, backend(), source, mode, params)
+            calls = []
+            with pytest.MonkeyPatch.context() as mp:
+                for module, name in sites:
+
+                    def counting(img, xs, locate=getattr(module, name)):
+                        calls.append(list(xs))
+                        return locate(img, xs)
+
+                    mp.setattr(module, name, counting)
+                got = segment_chars(source, params, mode)
+                given = segment_chars(source, params, mode, words=want.words)
+            char_cuts = [sep.x_mid for word in want.per_word for sep in word.separators]
+            assert calls == [char_cuts + list(want.words.separators.xs)] * 2
+            for seg in (got, given):
+                assert seg == want, (image.width, mode, params)
+                assert _chain_text(seg) == _chain_text(want)
+                word_runs = seg.words.separators.runs
+                for word in seg.per_word:
+                    assert not np.may_share_memory(word.separators.runs, word_runs)
 
 
 def check_match_symmetry(seed, tmp_path):
@@ -1641,6 +1731,7 @@ CHECKS = [
     ("plan_chars_matches_eager_reference", check_plan_chars_matches_eager_reference),
     ("word_bands_match_per_word_reference", check_word_bands_match_per_word_reference),
     ("line_plan_matches_per_word_reference", check_line_plan_matches_per_word_reference),
+    ("one_batch_matches_two_calls", check_one_batch_matches_two_calls),
     ("match_symmetry", check_match_symmetry),
     ("ar_monotone", check_ar_monotone),
     ("overlap_one_exact", check_overlap_one_exact),

@@ -34,7 +34,7 @@ from rlseg.pixel_baseline import _backend as _pixel_backend, pdp_ink_row_bounds
 from rlseg.projection import Component, occupancy
 from rlseg.rle import RleImage, crop_columns, locate_run
 from rlseg.synth import SynthConfig, write_corpus
-from rlseg.words import segment_words, separators_at
+from rlseg.words import plan_of, segment_words, separators_at
 
 from support import (
     FALLBACK_LINE,
@@ -307,9 +307,10 @@ def test_segment_line_chars_line_coordinates():
             assert not pixels[:, sep.x_mid].any()
 
 
-def test_segment_line_chars_locates_cuts_in_one_call_per_stage(monkeypatch):
-    # One batched locate for the word cuts and one for all of the line's char
-    # cuts; no per-cut, per-row locate_run call.
+def test_segment_line_chars_locates_cuts_in_one_call_per_line(monkeypatch):
+    # One batched locate for all of the line's char cuts and then its word
+    # cuts; the word stage locates nothing, and no per-cut, per-row
+    # locate_run call is made.
     px = np.zeros((24, 120), np.uint8)
     for a, b in [(5, 12), (15, 22), (25, 31), (52, 59), (62, 70), (95, 101), (104, 111)]:
         px[:, a : b + 1] = 1
@@ -335,10 +336,29 @@ def test_segment_line_chars_locates_cuts_in_one_call_per_stage(monkeypatch):
     word_cuts = [sep.x_mid for sep in result.words.separators]
     char_seps = [sep for seg in result.per_word for sep in seg.separators]
     assert (len(word_cuts), len(char_seps)) == (2, 4)
-    assert batches == {"words": [word_cuts], "chars": [[sep.x_mid for sep in char_seps]]}
+    assert batches == {"words": [], "chars": [[*(sep.x_mid for sep in char_seps), *word_cuts]]}
     assert located == []
     for sep in [*result.words.separators, *char_seps]:
         assert sep.runs == tuple(locate_run(row, sep.x_mid) for row in line.rows)
+
+
+def test_segment_chars_locates_a_words_cuts_in_one_call(monkeypatch):
+    # a two-glyph word: its one char cut, and no separate call for the
+    # (absent) word cuts
+    batches = []
+
+    def counting(image, xs):
+        batches.append(list(xs))
+        return separators_at(image, xs)
+
+    monkeypatch.setattr(rlseg.chars, "separators_at", counting)
+    seg = segment_chars(glyph_word([(2, 8), (12, 18)], width=21))
+    assert [(c.x_min, c.x_max) for c in seg.chars] == [(2, 8), (12, 18)]
+    assert batches == [[10]]
+    # a one-glyph word locates no column, and builds no cut index for it
+    word = glyph_word([(2, 8)], width=11)
+    assert len(segment_chars(word).separators) == 0
+    assert batches[1:] == [[]] and "offset_tokens" not in vars(word)
 
 
 def test_char_cuts_avoid_top_bottom_ink():
@@ -458,6 +478,6 @@ def test_plan_chars_runs_for_exactly_the_flagged_words(monkeypatch):
     planned = _counting_plan_chars(monkeypatch)
     for backend, image in ((_run_backend(), line), (_pixel_backend(), decode(line))):
         planned.clear()
-        got = line_chars(backend, image, words, DEFAULT_PARAMS, None)
+        got = line_chars(backend, image, plan_of(words), DEFAULT_PARAMS, None)
         assert planned == flagged
         assert got == line_chars_per_word(backend, image, words, DEFAULT_PARAMS)

@@ -20,6 +20,7 @@ TRACER_MARK = "perfbench's tracer patches it"
 # (module, name): imported only so that perfbench's tracer can wrap it there
 TRACER_ONLY = {
     ("chars", "components"),
+    ("chars", "segment_words"),
     ("chars", "separator_at"),
     ("pixel_baseline", "plan_chars"),
 }

@@ -197,6 +197,28 @@ def test_char_stage_projects_the_middle_band_of_each_splitting_word(monkeypatch)
     assert calls["column_frequency"] == calls["pdp_column_frequency"] == splitting
 
 
+def test_pdp_segment_line_chars_scans_each_row_once(monkeypatch):
+    # one pdp_separators_at call per line, every char cut and then every
+    # word cut, so each row's pixels are read once
+    px = np.zeros((24, 120), np.uint8)
+    for a, b in [(5, 12), (15, 22), (25, 31), (52, 59), (62, 70), (95, 101), (104, 111)]:
+        px[:, a : b + 1] = 1
+    bitmap = Bitmap(px)
+    batches = []
+
+    def counting(image, xs):
+        batches.append(list(xs))
+        return pdp_separators_at(image, xs)
+
+    monkeypatch.setattr(rlseg.pixel_baseline, "pdp_separators_at", counting)
+    result = pdp_segment_line_chars(bitmap)
+    word_cuts = [sep.x_mid for sep in result.words.separators]
+    char_cuts = [sep.x_mid for seg in result.per_word for sep in seg.separators]
+    assert (word_cuts, char_cuts) == ([41, 82], [13, 23, 60, 102])
+    assert batches == [char_cuts + word_cuts]
+    assert result == segment_line_chars(encode(bitmap))
+
+
 def test_pdp_separator_at_holds_one_row_of_pixels():
     # each row is converted to a list up to the cut, one row at a time; a list
     # of the whole bitmap would hold 300 such rows

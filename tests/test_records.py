@@ -116,9 +116,11 @@ def test_record_separators_list_run_indices_by_row():
 
 
 def test_records_hold_the_segmentations_own_cuts():
-    # a line's char cuts are located into one array, and each word's
-    # separators are a view of it; the builders put the views themselves,
-    # the word cuts' too, in the records
+    # a line's char and word cuts are located in one batch; the char block
+    # is copied out as one array, each word's separators a view of it, and
+    # the word cuts are the batch's tail, sharing no memory with the char
+    # block; the builders put the views themselves, the word cuts' too, in
+    # the records
     bars = [(2, 6), (8, 12), (30, 36), (39, 44), (60, 64), (67, 71)]
     seg = segment_line_chars(bars_line(bars, width=80, height=6))
     cuts = [w.separators for w in seg.per_word]
@@ -126,6 +128,8 @@ def test_records_hold_the_segmentations_own_cuts():
     assert len(cuts) == 3 and line_runs.size == 3 * 6  # 3 cuts in 6 rows
     assert all(type(c) is Cuts and len(c) == 1 for c in cuts)
     assert all(np.shares_memory(c.runs, line_runs) for c in cuts)
+    assert len(seg.words.separators) == 2
+    assert not np.may_share_memory(seg.words.separators.runs, line_runs)
     assert word_record("w", seg.words)["separators"] is seg.words.separators
     recs = line_char_records("c", seg)
     assert all(r["separators"] is c for r, c in zip(recs, cuts, strict=True))
