@@ -11,16 +11,20 @@ not a NumPy scalar, and the per-pixel visit counts are those of the
 algorithms: a batch of cuts reads each row's pixels 0..max(x) once. Word
 mode locates its word cuts in one batch; char mode plans the words and then
 locates every char cut and every word cut in one batch, so it scans each
-row of a line once. pdp_word_bands projects each word's bands on its crop,
-word by word, and hands them over as the run backend's word_bands does, in
-one LineBands of int arrays. Everything else (thresholds, merging, ROI and
-bands, the word triage, fallbacks, repair, the char driver) is the
+row of a line once. An occupancy's spans are read off the column counts
+with builtins too, at the columns where inkedness changes, so the oracle
+shares no span code with the run domain (projection.union), and its
+equality checks that code as well. pdp_word_bands projects each word's
+bands on its crop, word by word, merges the two bands' spans, and hands
+them over as the run backend's word_bands does, in one LineBands of int
+arrays, filled by np.fromiter. Everything else (thresholds, merging, ROI
+and bands, the word triage, fallbacks, repair, the char driver) is the
 run-domain code, handed these primitives as a chars.Backend.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, compress, islice
+from itertools import accumulate, chain, compress, islice
 from operator import add, ne, xor
 
 import numpy as np
@@ -38,7 +42,7 @@ from .chars import (
     word_chars,
 )
 from .errors import EmptyWordError, OutOfBoundsError
-from .projection import Occupancy, WorkCounter, _check_columns, _check_row_range, components, union
+from .projection import Occupancy, WorkCounter, _check_columns, _check_row_range, components
 from .rle import Bitmap
 from .words import AUTO, Cuts, SeparatorPoint, ThresholdMode, WordSegmentation, plan_of, plan_words
 
@@ -58,9 +62,17 @@ def _column_counts(bitmap: Bitmap, row_range, counter: WorkCounter | None) -> li
 def pdp_occupancy(
     bitmap: Bitmap, row_range, counter: WorkCounter | None = None
 ) -> Occupancy:
-    """Columnwise OR over rows [start, stop): the columns of non-zero ink count."""
-    inked = list(compress(range(bitmap.width), _column_counts(bitmap, row_range, counter)))
-    return union(bitmap.width, inked, [x + 1 for x in inked])
+    """Columnwise OR over rows [start, stop): the columns of non-zero ink count.
+
+    Its spans start and stop at the columns where inkedness changes, the
+    edges of the count list padded with a blank column at both ends: starts
+    and (half-open) stops alternate, so the spans come out sorted and
+    separated, as plain ints.
+    """
+    width = bitmap.width
+    inked = [False, *map(bool, _column_counts(bitmap, row_range, counter)), False]
+    edges = list(compress(range(width + 1), map(ne, inked, islice(inked, 1, None))))
+    return Occupancy(width, tuple(zip(edges[::2], [x - 1 for x in edges[1::2]])))
 
 
 def pdp_column_frequency(
@@ -120,7 +132,7 @@ def pdp_separators_at(bitmap: Bitmap, xs) -> Cuts:
     """pdp_separator_at for every column of the sequence xs, reading each row's
     pixels 0..max(xs) once: a running sum of the row's color changes gives
     pdp_locate_run's index at every column. Holds one row's lists at a time,
-    and the picked indices of every row, which become one array.
+    and the picked indices of every row, which np.fromiter makes one array.
     """
     if not xs:
         return Cuts(xs, np.empty((0, bitmap.height), np.int64))
@@ -131,7 +143,8 @@ def pdp_separators_at(bitmap: Bitmap, xs) -> Cuts:
         runs = list(accumulate(map(xor, islice(px, 1, None), px), initial=px[0]))
         picked.append(list(map(runs.__getitem__, xs)))
         del px, runs  # so the next row's lists are not built beside these
-    return Cuts(xs, np.array(picked, np.int64).T)
+    flat = np.fromiter(chain.from_iterable(picked), np.int64, len(picked) * len(xs))
+    return Cuts(xs, flat.reshape(-1, len(xs)).T)
 
 
 def pdp_crop_columns(bitmap: Bitmap, x_min: int, x_max: int) -> Bitmap:
@@ -139,23 +152,38 @@ def pdp_crop_columns(bitmap: Bitmap, x_min: int, x_max: int) -> Bitmap:
     return Bitmap(bitmap.pixels[:, x_min : x_max + 1])
 
 
+def _or_spans(a, b) -> list[tuple[int, int]]:
+    """OR of two sorted lists of separated inclusive spans: sorted merges the
+    two sorted runs in linear time, then one pass lets a span that overlaps
+    or touches the last one kept extend it, as union joins touching spans."""
+    merged = []
+    for lo, hi in sorted(a + b):
+        if merged and lo <= merged[-1][1] + 1:
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
 def pdp_word_bands(
     bitmap: Bitmap, words, t: float, counter: WorkCounter | None = None
 ) -> LineBands:
     """Every word's bands, word by word on its crop: pdp_ink_row_bounds, then
-    (after roi_bands for all words) one union of its top-band and
-    bottom-band pdp_occupancy."""
+    (after roi_bands for all words) the OR of its top-band and bottom-band
+    pdp_occupancy, merged by _or_spans."""
     crops = [pdp_crop_columns(bitmap, w.x_min, w.x_max) for w in words]
-    top, bot = np.array([pdp_ink_row_bounds(word) for word in crops]).reshape(-1, 2).T
+    bounds = chain.from_iterable(map(pdp_ink_row_bounds, crops))
+    top, bot = np.fromiter(bounds, np.int64, 2 * len(crops)).reshape(-1, 2).T
     roi = roi_bands(top, bot, t)
     ors, wptr = [], [0]
     for w, word, (start, stop, _, m0, m1) in zip(words, crops, zip(*(a.tolist() for a in roi))):
-        bands = [band for band in ((start, m0), (m1, stop)) if band[0] < band[1]]
-        spans = [span for band in bands for span in pdp_occupancy(word, band, counter).spans]
-        spans = union(word.width, [lo for lo, _ in spans], [hi + 1 for _, hi in spans]).spans
-        ors += [(lo + w.x_min, hi + w.x_min) for lo, hi in spans]
+        top_band, bot_band = (
+            pdp_occupancy(word, band, counter).spans if band[0] < band[1] else ()
+            for band in ((start, m0), (m1, stop))
+        )
+        ors += [(lo + w.x_min, hi + w.x_min) for lo, hi in _or_spans(top_band, bot_band)]
         wptr.append(len(ors))
-    lo, hi = np.array(ors, np.int64).reshape(-1, 2).T
+    lo, hi = np.fromiter(chain.from_iterable(ors), np.int64, 2 * len(ors)).reshape(-1, 2).T
     return LineBands(top, bot, *roi, lo, hi, np.array(wptr))
 
 

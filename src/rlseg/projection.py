@@ -6,12 +6,13 @@ image's flat spans (``RleImage.spans``), which a read file or a crop arrives
 with, so projection never builds a row. An ``Occupancy`` is a named tuple of
 the image width and the sorted union of the ink runs' spreads, as plain int
 pairs; it checks nothing when built (the image entry points reject a zero
-width). ``union`` sorts NumPy copies of the span slices and finds every
-break with one comparison of the sorted stops against the next sorted
-starts, so no per-run Python object is built. A ``Component`` is such a
-pair as a named tuple, equal to the pair, so ``components`` only tags an
-occupancy's pairs, and the word and char plans read each gap's width and
-midpoint from the two Components around it; there is no separate gap type.
+width). ``union`` sorts NumPy copies of the span slices, in the narrowest
+unsigned type that holds the width, and finds every break with one
+comparison of the sorted stops against the next sorted starts, so no
+per-run Python object is built. A ``Component`` is such a pair as a named
+tuple, equal to the pair, so ``components`` only tags an occupancy's pairs,
+and the word and char plans read each gap's width and midpoint from the two
+Components around it; there is no separate gap type.
 A column frequency is a step function over the run boundaries. Both take
 O(runs log runs) time and O(runs) memory, whatever the width.
 ``column_frequency`` stays on lists (``tolist``, ``sorted``, bisection): it
@@ -89,17 +90,20 @@ def union(width: int, starts, stops) -> Occupancy:
     exactly when that stop is below the (i+1)-th smallest start: in between,
     i+1 spans have started and i+1 have stopped. Touching spans merge.
 
-    starts and stops are 1-D sequences of ints: lists, int64 arrays or
-    dtype=object arrays (exact ints past int64). Two sorts of copies, one
-    comparison into a break mask padded with True at both ends, and two
-    boolean gathers, all in NumPy; two .tolist() calls hand the inclusive
-    bounds back as plain ints, paired by zip.
+    starts and stops are 1-D sequences of ints in [0, width]: lists, int64
+    arrays or dtype=object arrays (exact ints past int64). Two sorts of
+    copies, one comparison into a break mask padded with True at both ends,
+    and two boolean gathers, all in NumPy; two .tolist() calls hand the
+    inclusive bounds back as plain ints, paired by zip. The copies are of
+    np.min_scalar_type(width), the narrowest unsigned type that holds every
+    bound, which sorts faster than int64; past 2**64 it is object.
     """
     if not len(starts):
         return Occupancy(width, ())
-    starts = np.array(starts)
+    dtype = np.min_scalar_type(width)
+    starts = np.array(starts, dtype)
     starts.sort()
-    stops = np.array(stops)
+    stops = np.array(stops, dtype)
     stops.sort()
     breaks = np.empty(len(starts) + 1, dtype=bool)
     breaks[0] = breaks[-1] = True

@@ -508,13 +508,23 @@ def _pairs(comps):
 _PAST_INT64 = 2**62 + 5
 
 
-def _union_inputs(starts, stops):
+def _union_inputs(starts, stops, width):
     """(shift, starts, stops): the same spans as lists, as int64 arrays, and as
-    dtype=object arrays shifted by _PAST_INT64."""
+    dtype=object arrays shifted by _PAST_INT64. Then, as lists and as arrays
+    (int64 below 2**63, object from there), shifted so that the width ends
+    just below, or at, 2**8, 2**16, 2**32 and 2**64, where the type union
+    sorts in (np.min_scalar_type of the width) widens, and so that the spans
+    straddle it."""
     yield 0, starts, stops
     yield 0, np.array(starts, dtype=np.int64), np.array(stops, dtype=np.int64)
     big = [[v + _PAST_INT64 for v in vs] for vs in (starts, stops)]
     yield _PAST_INT64, np.array(big[0], dtype=object), np.array(big[1], dtype=object)
+    for bits in (8, 16, 32, 64):
+        for shift in (2**bits - 1 - width, 2**bits - width, 2**bits - 1 - width // 2):
+            first, last = ([v + shift for v in vs] for vs in (starts, stops))
+            yield shift, first, last
+            dtype = np.int64 if width + shift < 2**63 else object
+            yield shift, np.array(first, dtype=dtype), np.array(last, dtype=dtype)
 
 
 def _exact_int_pairs(spans, shift=0):
@@ -543,7 +553,7 @@ def check_union_matches_column_or(seed, tmp_path):
     for a, b in zip(starts, stops):
         for x in range(a, b):
             bits[x] = True
-    for shift, first, last in _union_inputs(starts, stops):
+    for shift, first, last in _union_inputs(starts, stops, width):
         occ = union(width + shift, first, last)
         assert occ.width == width + shift
         assert _exact_int_pairs(occ.spans, shift) == brute_components(bits)
@@ -587,15 +597,20 @@ def check_occupancy_work_counters(seed, tmp_path):
 
 
 def _pdp_cases(rng):
-    """A random bitmap; one with an all-ink row and a row starting with ink; one
-    with a single inked row; and a 1-column image."""
+    """A random bitmap; one with an all-ink row and ink in column 0 and in the
+    last column; one with a single inked row; a 1-column image; an
+    _edge_bitmap (blank, all-ink and random rows); and one of one-column
+    spans, every other column inked from column 0 or 1 on."""
     px = random_bitmap(rng).pixels.copy()
     height, width = px.shape
     single = np.zeros_like(px)
     single[rng.randrange(height), rng.sample(range(width), rng.randint(1, width))] = 1
+    dots = np.zeros((rng.randint(1, 4), rng.randint(1, 30)), np.uint8)
+    dots[rng.randrange(dots.shape[0]), rng.randint(0, 1) :: 2] = 1
     cases = [Bitmap(px), Bitmap(single), random_bitmap(rng, max_w=1)]
+    cases += [_edge_bitmap(rng), Bitmap(dots)]
     px[rng.randrange(height)] = 1
-    px[rng.randrange(height), 0] = 1
+    px[rng.randrange(height), 0] = px[rng.randrange(height), width - 1] = 1
     return [*cases, Bitmap(px)]
 
 
@@ -639,6 +654,65 @@ def check_pdp_primitives_match_brute(seed, tmp_path):
                 assert str(exc) == f"column {bad} outside row of width {width}"
             else:
                 raise AssertionError(f"column {bad} of a width-{width} bitmap was located")
+
+
+def _band_or_line(rng):
+    """(bitmap, words, t): one to three words side by side, one blank column
+    apart, each of whose bottom-band spans touch, overlap, nest in, hold or
+    miss its top-band spans, or are left out. Ink in the first and last rows
+    keeps every word's ink box the full height, so the bands are
+    roi_from_bounds and split_bands of it; a ROI under 3 rows leaves the
+    bottom band empty, and the rows t trims can keep a band blank."""
+    height = rng.randint(1, 2) if rng.random() < 0.2 else rng.randint(3, 12)
+    t = rng.choice([0.0, 0.2, 0.4])
+    bands = split_bands(*roi_from_bounds(0, height - 1, t)[:2])
+    pieces, words, x = [], [], 0
+    for _ in range(rng.randint(1, 3)):
+        width = rng.randint(1, 24)
+        px = np.zeros((height, width), np.uint8)
+        px[0, rng.randrange(width)] = px[-1, rng.randrange(width)] = 1
+        top = brute_components([rng.random() < 0.5 for _ in range(width)])
+        bottom = []
+        for lo, hi in top:
+            kind = rng.choice(["touch", "overlap", "nest", "hold", "miss", "none"])
+            if kind == "touch":
+                bottom.append(rng.choice([(hi + 1, hi + 2), (lo - 2, lo - 1)]))
+            elif kind == "overlap":
+                bottom.append((lo + 1, hi + 2))
+            elif kind == "nest":
+                bottom.append((lo + 1, hi - 1))
+            elif kind == "hold":
+                bottom.append((lo - 1, hi + 1))
+            elif kind == "miss":
+                bottom.append((hi + 2, hi + 3))
+        for rows, spans in ((bands.top, top), (bands.bottom, bottom)):
+            for lo, hi in spans:
+                px[rows.start : rows.stop, max(lo, 0) : hi + 1] = 1
+        pieces += [px, np.zeros((height, 1), np.uint8)]
+        words.append(Component(x, x + width - 1))
+        x += width + 1
+    return Bitmap(np.hstack(pieces)), words, t
+
+
+def check_pdp_band_or_matches_union(seed, tmp_path):
+    """pdp_word_bands ORs each word's top and bottom band as union of the two
+    bands' pdp_occupancy spans does, where their spans touch, overlap or
+    nest, or a band is blank or empty."""
+    rng = random.Random(seed)
+    bitmap, words, t = _band_or_line(rng)
+    got = pdp_word_bands(bitmap, words, t)
+    lo, hi, wptr = (a.tolist() for a in got[7:])
+    rows = zip(*(a.tolist() for a in (got.roi_start, got.mid_start, got.mid_stop, got.roi_stop)))
+    for w, (start, m0, m1, stop), a, b in zip(words, rows, wptr, wptr[1:]):
+        word = Bitmap(bitmap.pixels[:, w.x_min : w.x_max + 1])
+        spans = [
+            span
+            for band in ((start, m0), (m1, stop))
+            if band[0] < band[1]
+            for span in pdp_occupancy(word, band).spans
+        ]
+        want = union(word.width, [s for s, _ in spans], [e + 1 for _, e in spans]).spans
+        assert list(zip(lo[a:b], hi[a:b])) == [(s + w.x_min, e + w.x_min) for s, e in want]
 
 
 def check_pdp_separators_at_matches_references(seed, tmp_path):
@@ -1710,6 +1784,7 @@ CHECKS = [
     ("component_list_invariants", check_component_list_invariants),
     ("occupancy_work_counters", check_occupancy_work_counters),
     ("pdp_primitives_match_brute", check_pdp_primitives_match_brute),
+    ("pdp_band_or_matches_union", check_pdp_band_or_matches_union),
     ("pdp_separators_at_matches_references", check_pdp_separators_at_matches_references),
     ("cuts_match_separator_at", check_cuts_match_separator_at),
     ("separators_on_background", check_separators_on_background),

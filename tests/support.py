@@ -383,6 +383,27 @@ def brute_components(bits) -> list[tuple[int, int]]:
     return comps
 
 
+def brute_word_bands(bitmap: Bitmap, words, t: float) -> list[tuple]:
+    """Every word's bands from its pixel columns, with no projection code:
+    ink rows, roi_from_bounds, split_bands' middle band, and the components
+    of the columnwise OR of its top-band and bottom-band pixels, in line
+    columns. One tuple per word, in LineBands' order."""
+    out = []
+    for w in words:
+        word = Bitmap(bitmap.pixels[:, w.x_min : w.x_max + 1])
+        ink = [r for r, row in enumerate(word.pixels.tolist()) if any(row)]
+        start, stop, fallback = roi_from_bounds(ink[0], ink[-1], t)
+        bands = split_bands(start, stop)
+        bits = [False] * word.width
+        for band in (bands.top, bands.bottom):
+            if band:
+                bits = [a or b for a, b in zip(bits, brute_occupancy(word, (band.start, band.stop)))]
+        ors = [(lo + w.x_min, hi + w.x_min) for lo, hi in brute_components(bits)]
+        middle = bands.middle
+        out.append((ink[0], ink[-1], start, stop, fallback, middle.start, middle.stop, ors))
+    return out
+
+
 def brute_runs(row_pixels) -> list[int]:
     """Background-first run lengths built by explicit grouping."""
     runs = []

@@ -10,6 +10,7 @@ import pytest
 
 import rlseg.chars
 import rlseg.pixel_baseline
+import rlseg.projection
 from rlseg import (
     Bitmap,
     EmptyLineError,
@@ -30,12 +31,20 @@ from rlseg.pixel_baseline import (
     pdp_occupancy,
     pdp_separator_at,
     pdp_separators_at,
+    pdp_word_bands,
 )
-from rlseg.projection import Occupancy, components, occupancy
+from rlseg.projection import Component, Occupancy, components, occupancy
 from rlseg.records import dumps, line_char_records, word_record
 from rlseg.rle import crop_columns, locate_run
 
-from support import glyph_word, random_bitmap, random_blob_line
+from support import (
+    brute_components,
+    brute_occupancy,
+    brute_word_bands,
+    glyph_word,
+    random_bitmap,
+    random_blob_line,
+)
 
 
 def test_pdp_occupancy_trivial_cases():
@@ -62,6 +71,45 @@ def test_component_equality_between_domains():
         rle = encode(bitmap)
         span = (0, bitmap.height)
         assert components(pdp_occupancy(bitmap, span)) == components(occupancy(rle, span))
+
+
+def test_pixel_spans_do_not_rest_on_the_run_union(monkeypatch):
+    # A union that keeps touching spans apart (np.less_equal for np.less)
+    # breaks the run path's occupancy; the oracle's spans, built from its own
+    # column counts, must still equal the brute references, and its char
+    # chain must not call union at all.
+    calls = []
+
+    def union_keeping_touching_spans_apart(width, starts, stops):
+        calls.append(width)
+        if not len(starts):
+            return Occupancy(width, ())
+        starts, stops = np.sort(np.array(starts)), np.sort(np.array(stops))
+        breaks = np.concatenate([[True], np.less_equal(stops[:-1], starts[1:]), [True]])
+        lasts = stops[breaks[1:]] - 1
+        return Occupancy(width, tuple(zip(starts[breaks[:-1]].tolist(), lasts.tolist())))
+
+    assert not hasattr(rlseg.pixel_baseline, "union")
+    monkeypatch.setattr(rlseg.projection, "union", union_keeping_touching_spans_apart)
+    assert occupancy(encode(Bitmap([[1, 0], [0, 1]])), (0, 2)).spans == ((0, 0), (1, 1))
+    rng = random.Random(157)
+    for _ in range(200):
+        bitmap = random_bitmap(rng)
+        span = (0, bitmap.height)
+        bits = brute_occupancy(bitmap, span)
+        assert list(pdp_occupancy(bitmap, span).spans) == brute_components(bits)
+        if not any(bits):
+            continue
+        words = [Component(*pair) for pair in brute_components(bits)]
+        t = rng.choice([0.0, 0.2, 0.4])
+        bands = pdp_word_bands(bitmap, words, t)
+        rows, (lo, hi, wptr) = zip(*(a.tolist() for a in bands[:7])), bands[7:]
+        lo, hi, wptr = lo.tolist(), hi.tolist(), wptr.tolist()
+        ors = [list(zip(lo[a:b], hi[a:b])) for a, b in zip(wptr, wptr[1:])]
+        assert [(*row, o) for row, o in zip(rows, ors)] == brute_word_bands(bitmap, words, t)
+    calls.clear()
+    pdp_segment_line_chars(decode(random_blob_line(rng)))
+    assert calls == []
 
 
 def test_pdp_locate_run_matches_run_domain():
