@@ -41,7 +41,7 @@ from .projection import (
     components,  # unused here; perfbench's tracer patches it under this module's name
     occupancy,
 )
-from .rle import RleImage, Spans, crop_columns
+from .rle import RleImage, Spans, crop_columns, run_index
 from .words import (
     AUTO,
     Cuts,
@@ -338,15 +338,16 @@ def word_bands(line: RleImage, words, t: float, counter: WorkCounter | None = No
 
     On one crop of the inked columns (the frame), words are unions of
     occupancy components, so each ink run lies in one word window, and the
-    runs of one row and one word are one slice of the spans. One sorted
-    search of the row-offset starts counts every slice; a word's ink rows
-    are its first and last row with a non-empty slice, and roi_bands gives
-    every word's ROI and bands. The slices in a word's top or bottom band
-    are kept, and one occupancy of those runs, in the frame's own rows, is
-    every word's band OR in turn, since words are separated by blank
-    columns; one sorted search hands its intervals to their words. The
-    rows x words counts take about the memory of the run lists of the line's
-    word cuts, rows x (words - 1) ints, which its output holds anyway.
+    runs of one row and one word are one slice of the spans. Ink run k is
+    run 2k + 1, so one run_index in the line of the word starts and the
+    frame's last column bounds every slice, as in crop_columns: a word's ink
+    rows are its first and last row with a non-empty slice, and roi_bands
+    gives every word's ROI and bands. The slices in a word's top or bottom
+    band are kept, and one occupancy of those runs, in the frame's own rows,
+    is every word's band OR in turn, since words are separated by blank
+    columns; one sorted search hands its intervals to their words. The rows
+    x words counts take about the memory of the run lists of the line's word
+    cuts, rows x (words - 1) ints, which its output holds anyway.
     """
     x0 = words[0].x_min
     frame = crop_columns(line, x0, words[-1].x_max)
@@ -355,10 +356,11 @@ def word_bands(line: RleImage, words, t: float, counter: WorkCounter | None = No
     # word starts in frame columns, then the frame's end
     bounds = np.array([w.x_min - x0 for w in words] + [frame.width], starts.dtype)
     # the runs of row r in word i are one slice of the spans, and the slices
-    # tile them row by row: one search of the row-offset starts bounds each
-    base = np.arange(height, dtype=starts.dtype) * frame.width
-    off_starts = starts + np.repeat(base, iptr[1:] - iptr[:-1])
-    first = np.searchsorted(off_starts, np.add.outer(base, bounds))
+    # tile them row by row: the line's ink runs before each word start, and
+    # those starting at or before the frame's last column, bound them
+    first = run_index(line, [*(w.x_min for w in words), words[-1].x_max])
+    first[:, -1] += 1
+    first //= 2
     counts = first[:, 1:] - first[:, :-1]
     inked = counts > 0
     if not inked.any(0).all():

@@ -134,9 +134,9 @@ def pdp_separators_at(bitmap: Bitmap, xs) -> Cuts:
     pdp_locate_run's index at every column. Holds one row's lists at a time,
     and the picked indices of every row, which np.fromiter makes one array.
     """
-    if not xs:
-        return Cuts(xs, np.empty((0, bitmap.height), np.int64))
     _check_columns(xs, bitmap.width)
+    if not len(xs):
+        return Cuts(xs, np.empty((0, bitmap.height), np.int64))
     picked = []
     for row in bitmap.pixels[:, : max(xs) + 1]:
         px = row.tolist()

@@ -23,17 +23,17 @@ which also counts each row's tokens), parses them in one C-level pass
 count, no token above the width, no zero past a row's first run, each row
 summing to the width. The file's cumulative sum is every row's prefix sums
 shifted by its offset ``r * width``: the image keeps it as its cut index
-(``offset_tokens``) and gathers its spans and their shifted copies
-(``offset_spans``) from it. Only when a check fails does it go line by line,
-to report the first bad line; files whose ``width * height`` could overflow an
-int64 sum always go that way. Cropping, projection, cut location and the run
-count of a row range then run as NumPy passes over these arrays, with no
-per-row Python loop: a crop is two sorted searches of the shifted spans and
-one gather, O(rows log runs + runs in the window); projecting rows [a, b) is
-one slice; locating all of a line's cuts is one sorted search of the cut
-index. The shifted arrays keep every row in one sorted array (an image not
-read from a file builds them on first use); they are int64 while ``width *
-height < 2**62`` and exact Python ints (``dtype=object``) beyond.
+(``offset_tokens``) and gathers its spans from it. Only when a check fails
+does it go line by line, to report the first bad line; files whose ``width *
+height`` could overflow an int64 sum always go that way. Cropping,
+projection, cut location and the run count of a row range then run as NumPy
+passes over these arrays, with no per-row Python loop. The cut index keeps
+every row in one sorted array, so one sorted search of it (``run_index``)
+finds the run holding any columns in every row: locating all of a line's
+cuts is one, and a crop one and a gather, O(rows log runs + runs in the
+window); projecting rows [a, b) is one slice. An image built from spans
+(encode, a crop) builds its index on first use. It is int64 while ``width
+* height < 2**62`` and exact Python ints (``dtype=object``) beyond.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -126,25 +126,22 @@ class Spans(NamedTuple):
 
 
 def _offset_ends(width: int, rows: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """The prefix sums of run lists checked already, each summing to width,
-    shifted by their row's offset r * width and laid end to end, and a row
-    pointer: row r's are [tptr[r], tptr[r + 1])."""
+    """The cut index of checked run lists, each summing to width, and its row
+    pointer: one running sum over all their tokens, as _bulk_image takes."""
     # int64 while every row offset r * width + x fits; exact ints beyond
     dtype = np.int64 if width * len(rows) < _BULK_LIMIT else object
-    counts = np.array([*map(len, rows)])
-    ends = np.array([*chain.from_iterable(map(accumulate, rows))], dtype)
-    ends += np.repeat(np.arange(len(rows), dtype=dtype) * width, counts)
-    return ends, np.concatenate(([0], np.cumsum(counts)))
+    ends = np.cumsum(np.array([*chain.from_iterable(rows)], dtype))
+    return ends, np.concatenate(([0], np.cumsum([*map(len, rows)])))
 
 
 class RleImage:
     """Run-length compressed binary image, stored as the spans of its ink runs.
 
-    Built either from one run list (a sequence of ints) per row, which it
-    checks and converts to spans once, from checked spans (``_from_spans``),
-    or from checked rows' shifted prefix sums, which it keeps
-    (``_from_tokens``). ``rows`` is a view of the spans, one RleRow per pixel
-    row, built on first use and kept.
+    Built from one run list (a sequence of ints) per row, which it checks
+    and sums into its cut index, from checked spans (``_from_spans``), or
+    from checked rows' shifted prefix sums (``_from_tokens``), keeping any
+    cut index it was built from. ``rows`` is a view of the spans, one RleRow
+    per pixel row, built on first use and kept.
     """
 
     def __init__(self, width: int, rows) -> None:
@@ -161,8 +158,9 @@ class RleImage:
                 raise MalformedRleError(
                     f"row {i}: runs sum to {sum(runs)}, expected width {width}"
                 )
+        image = RleImage._from_tokens(width, *_offset_ends(width, rows))
         self.width, self.height = width, len(rows)
-        self.spans = RleImage._from_tokens(width, *_offset_ends(width, rows)).spans
+        self.spans, self.offset_tokens = image.spans, image.offset_tokens
 
     @classmethod
     def _from_spans(cls, width: int, spans: Spans) -> "RleImage":
@@ -175,16 +173,16 @@ class RleImage:
     def _from_tokens(cls, width: int, ends: np.ndarray, tptr: np.ndarray) -> "RleImage":
         """The image of checked rows whose shifted prefix sums lie in ends, row
         r's at [tptr[r], tptr[r + 1]), kept as its offset_tokens. A row's odd
-        tokens end its ink runs, so two gathers give the offset_spans."""
+        tokens end its ink runs, so two gathers, less the row offsets, give
+        the spans."""
         base = np.arange(len(tptr) - 1, dtype=ends.dtype) * width
         m = np.diff(tptr) // 2
         iptr = np.concatenate(([0], np.cumsum(m)))
         stop_at = np.repeat(tptr[:-1] + 1 - 2 * iptr[:-1], m)
         stop_at += 2 * np.arange(iptr[-1])
-        off_starts, off_stops = ends[stop_at - 1], ends[stop_at]
         shift = np.repeat(base, m)
-        image = cls._from_spans(width, Spans(off_starts - shift, off_stops - shift, iptr))
-        image.offset_spans = base, off_starts, off_stops
+        starts, stops = ends[stop_at - 1] - shift, ends[stop_at] - shift
+        image = cls._from_spans(width, Spans(starts, stops, iptr))
         image.offset_tokens = base, ends, tptr
         return image
 
@@ -205,24 +203,12 @@ class RleImage:
         return tuple(RleRow(runs[a:b], ends[a:b]) for a, b in zip(tptr, tptr[1:]))
 
     @cached_property
-    def offset_spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row offsets ``r * width``, and the starts and stops shifted by them.
-
-        The shifted spans of every row lie in [r * width, (r + 1) * width], so
-        they form one sorted array each, and a single sorted search of the
-        queries ``r * width + x`` answers a question about every row at once.
-        """
-        starts, stops, iptr = self.spans
-        base = np.arange(self.height, dtype=starts.dtype) * self.width
-        shift = np.repeat(base, np.diff(iptr))
-        return base, starts + shift, stops + shift
-
-    @cached_property
     def offset_tokens(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row offsets ``r * width``, every row's prefix sums (``_row_tokens``)
         shifted by its offset, which puts row r's in [r * width, (r + 1) *
         width] and all in one sorted array, and their row pointer: the cut
-        index. A read image keeps its file's sums; others build this lazily."""
+        index. An image read or built from run lists keeps the sums it took;
+        one built from spans builds this on first use."""
         _, ends, tptr = _row_tokens(self)
         base = np.arange(self.height, dtype=ends.dtype) * self.width
         return base, ends + np.repeat(base, np.diff(tptr)), tptr
@@ -280,10 +266,11 @@ def decode(rle: RleImage) -> Bitmap:
     allocation that fails does."""
     if rle.height * rle.width + 1 > np.iinfo(np.intp).max:
         raise MemoryError(f"{rle.width} x {rle.height} pixels exceed the largest array")
-    _, starts, stops = rle.offset_spans
+    starts, stops, iptr = rle.spans
+    shift = np.repeat(np.arange(rle.height, dtype=starts.dtype) * rle.width, np.diff(iptr))
     flat = np.zeros(rle.height * rle.width + 1, dtype=np.int8)
-    flat[starts] += 1
-    flat[stops] -= 1
+    flat[starts + shift] += 1
+    flat[stops + shift] -= 1
     np.cumsum(flat, dtype=np.int8, out=flat)
     return Bitmap(flat[:-1].reshape(rle.height, rle.width))
 
@@ -301,25 +288,44 @@ def locate_run(row: RleRow, x: int) -> int:
     return bisect_right(ends, x)
 
 
+def run_index(image: RleImage, xs) -> np.ndarray:
+    """The (rows x len(xs)) index of the run holding column x in each row, for
+    every column x of the sequence xs, which the caller has checked.
+
+    The run holding x in a row is the number of the row's prefix sums at or
+    before x. The cut index (``offset_tokens``) lays every row's sums, shifted
+    by ``r * width``, end to end in one sorted array, so one sorted search of
+    the queries ``r * width + x`` row by row (sorted, for sorted xs) counts,
+    less the sums of the rows above, every row's at once: row r's last sum
+    and row r + 1's leading 0 both lie at or past ``(r + 1) * width``.
+    """
+    base, ends, tptr = image.offset_tokens
+    runs = np.searchsorted(ends, base[:, None] + np.array(xs, dtype=base.dtype), "right")
+    runs -= tptr[:-1, None]
+    return runs
+
+
 def crop_columns(rle: RleImage, x_min: int, x_max: int) -> RleImage:
     """Extract an inclusive column range as a standalone image.
 
-    For all rows at once: one sorted search of the offset stops finds each
-    row's first ink run stopping after x_min, one of the offset starts its
-    last starting at or before x_max, one gather collects the runs between,
-    and ``maximum``/``minimum`` clip the gathered copies to the window in
-    place. O(rows log runs + runs in the window), in NumPy passes with no
-    temporary beyond the gather; the cropped image's rows are built only if
-    something asks for them.
+    For all rows at once: one run_index of x_min and x_max finds, in each
+    row, the runs j_min and j_max holding them. Ink run k is run 2k + 1, so
+    the window's ink runs are those from j_min // 2 up to (j_max + 1) // 2;
+    one gather collects them, and ``maximum``/``minimum`` clip the gathered
+    copies to the window in place. O(rows log runs + runs in the window), in
+    NumPy passes with no temporary beyond the gather; the cropped image's
+    rows are built only if something asks for them.
     """
     if not 0 <= x_min <= x_max < rle.width:
         raise OutOfBoundsError(
             f"columns [{x_min}, {x_max}] outside image of width {rle.width}"
         )
-    starts, stops, _ = rle.spans
-    base, off_starts, off_stops = rle.offset_spans
-    first = np.searchsorted(off_stops, base + x_min, "right")
-    counts = np.searchsorted(off_starts, base + x_max, "right") - first
+    starts, stops, row_ptr = rle.spans
+    bounds = run_index(rle, (x_min, x_max))
+    bounds[:, 1] += 1
+    bounds //= 2  # j_min // 2 and (j_max + 1) // 2
+    first = bounds[:, 0] + row_ptr[:-1]
+    counts = bounds[:, 1] - bounds[:, 0]
     iptr = np.zeros(counts.size + 1, counts.dtype)
     counts.cumsum(out=iptr[1:])
     take = np.repeat(first - iptr[:-1], counts)

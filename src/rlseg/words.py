@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyLineError, SettingError
 from .projection import Component, WorkCounter, _check_columns, components, occupancy
-from .rle import RleImage, locate_run  # perfbench's tracer wraps words.locate_run
+from .rle import RleImage, locate_run, run_index  # perfbench's tracer wraps words.locate_run
 
 
 @dataclass(frozen=True)
@@ -162,24 +162,14 @@ def separator_at(image: RleImage, x: int) -> SeparatorPoint:
 
 
 def separators_at(image: RleImage, xs) -> Cuts:
-    """separator_at for every column of the sequence xs, in one pass over the line.
-
-    The run holding x in a row is the number of the row's prefix sums at or
-    before x. The image's cut index (``offset_tokens``) lays every row's sums,
-    shifted by ``r * width``, end to end in one sorted array, so one sorted
-    search of the queries ``r * width + x`` row by row (sorted, for sorted xs)
-    counts them for every row and x at once. Row r's last sum and row r + 1's
-    leading 0 both lie at or past ``(r + 1) * width``, above every query of
-    row r. The Cuts hold the transposed counts, minus the sums of the rows above.
-    An empty xs returns empty Cuts without building the index.
+    """separator_at for every column of the sequence xs, in one pass over the
+    line: the transposed run_index of xs, one sorted search of the image's
+    cut index. An empty xs returns empty Cuts without building the index.
     """
     _check_columns(xs, image.width)
     if not len(xs):
         return Cuts(xs, np.empty((0, image.height), np.int64))
-    base, ends, tptr = image.offset_tokens
-    queries = np.add.outer(base, np.array(xs, dtype=base.dtype))
-    runs = np.searchsorted(ends, queries, "right") - tptr[:-1, None]
-    return Cuts(xs, runs.T)
+    return Cuts(xs, run_index(image, xs).T)
 
 
 def word_plan(

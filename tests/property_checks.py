@@ -64,7 +64,7 @@ from rlseg.pixel_baseline import (
 from rlseg.projection import Component, components, occupancy, union
 from rlseg.records import dumps, line_char_records, word_record
 from rlseg.pbm import _next_token, read_pbm, write_pbm
-from rlseg.rle import RleImage, crop_columns, locate_run, read_rle, write_rle
+from rlseg.rle import RleImage, RleRow, crop_columns, locate_run, read_rle, run_index, write_rle
 from rlseg.words import (
     AUTO,
     Cuts,
@@ -238,6 +238,18 @@ def _crop_windows(rng, px, rle):
         c = int(c)
         windows.append((c + 1, rng.randint(c + 1, width - 1)))  # starts mid-run
         windows.append((rng.randint(0, c), c))  # ends mid-run
+    # each end on a run start, a run stop (the next run's start, or the last
+    # column of the run) or inside a run, in every pairing
+    ends = (0, *(e for e in row.ends if e))
+    kinds = {
+        "start": ends[:-1],
+        "stop": [c for e in ends[1:] for c in (e - 1, e) if c < width],
+        "inside": [c for a, b in zip(ends, ends[1:]) for c in range(a + 1, b - 1)],
+    }
+    for lo in kinds.values():
+        for hi in kinds.values():
+            if lo and hi:
+                windows.append(tuple(sorted((rng.choice(lo), rng.choice(hi)))))
     return windows
 
 
@@ -440,12 +452,9 @@ def check_read_rle_bulk_matches_reference(seed, tmp_path):
             assert row.width == width
 
 
-def check_read_rle_hands_on_its_index(seed, tmp_path):
-    """read_rle keeps its parse's prefix sums as the image's offset_tokens and
-    gathers offset_spans from them: both equal what an image of the same spans
-    builds on first use, on the bulk path and, past 2**62 cells, the per-line
-    one, and separators_at on the read image is separator_at at every column."""
-    rng = random.Random(seed)
+def _index_bitmap(rng) -> Bitmap:
+    """Up to 12 x 6 pixels whose rows are each blank, full ink, ink at column
+    0 (a leading 0 token), ink in the last column, or random."""
     width, height = rng.choice((1, rng.randint(2, 12))), rng.randint(1, 6)
     px = (np.array([[rng.random() for _ in range(width)] for _ in range(height)]) < 0.5)
     px = px.astype(np.uint8)
@@ -459,20 +468,64 @@ def check_read_rle_hands_on_its_index(seed, tmp_path):
             row[0] = 1  # a leading 0 token
         elif kind == 3:
             row[-1] = 1  # the last ink run reaches the width
+    return Bitmap(px)
+
+
+def check_read_rle_hands_on_its_index(seed, tmp_path):
+    """read_rle keeps its parse's prefix sums as the image's offset_tokens,
+    and RleImage(width, rows) keeps the running sum of its run lists: both
+    equal what an image of the same spans builds on first use, on the bulk
+    path and, past 2**62 cells, the per-line one, and separators_at on the
+    read image is separator_at at every column."""
+    rng = random.Random(seed)
     narrow, wide = tmp_path / f"index{seed}.rle", tmp_path / f"index{seed}_wide.rle"
-    write_rle(encode(Bitmap(px)), narrow)
+    write_rle(encode(_index_bitmap(rng)), narrow)
     write_rle(past_2_62_line(rng.choice((0, 2**60)), 3 * 2**61), wide)
     for path in (narrow, wide):
         image = read_rle(path)
         built = RleImage._from_spans(image.width, image.spans)
         assert "offset_tokens" not in vars(built)
-        for name in ("offset_tokens", "offset_spans"):
-            for got, want in zip(getattr(image, name), getattr(built, name)):
-                assert got.dtype == want.dtype and np.array_equal(got, want), (path, name)
+        from_rows = RleImage(image.width, [row.runs for row in image.rows])
+        for kept in (image, from_rows):
+            assert "offset_tokens" in vars(kept), path
+            for got, want in zip(kept.offset_tokens, built.offset_tokens):
+                assert got.dtype == want.dtype and np.array_equal(got, want), path
         starts, stops, _ = image.spans
         xs = [0, image.width - 1, *starts.tolist(), *(stops - 1).tolist()]
         xs = range(image.width) if image.width <= 12 else sorted(xs)
         assert separators_at(image, xs) == tuple(separator_at(image, x) for x in xs), path
+
+
+def check_run_index_matches_locate_run(seed, tmp_path):
+    """run_index(image, xs)[r, i] is locate_run(row r, xs[i]) for every column,
+    on an image read from a file, one built from its spans and one built from
+    its run lists: of rows blank, full ink, with a leading 0 token or ending
+    in ink, and of a past-2**62 line on dtype=object, at the first and last
+    column of every run there. Rows and pixels are the references."""
+    rng = random.Random(seed)
+    bitmap = _index_bitmap(rng)
+    wide = past_2_62_line(rng.choice((0, 2**60)), 3 * 2**61)
+    for k, source in enumerate((encode(bitmap), wide)):
+        runs = [row.runs for row in source.rows]
+        rows = [RleRow(r, tuple(accumulate(r))) for r in runs]
+        path = tmp_path / f"run_index{seed}_{k}.rle"
+        write_rle(source, path)
+        images = (read_rle(path), RleImage._from_spans(source.width, source.spans))
+        if source is wide:
+            xs = {c for row in rows for e in row.ends for c in (e - 1, e)}
+            xs = [x for x in xs if 0 <= x < source.width]
+        else:
+            xs = list(range(source.width))
+            for r, row in enumerate(rows):
+                assert [locate_run(row, x) for x in xs] == [
+                    brute_locate(bitmap.pixels[r], x) for x in xs
+                ]
+        rng.shuffle(xs)
+        for image in (*images, RleImage(source.width, runs)):
+            got = run_index(image, xs)
+            assert got.shape == (image.height, len(xs))
+            want = [[locate_run(row, x) for x in xs] for row in rows]
+            assert got.tolist() == want, (k, xs)
 
 
 def check_row_validation_reference(seed, tmp_path):
@@ -1779,6 +1832,7 @@ CHECKS = [
     ("row_validation_reference", check_row_validation_reference),
     ("read_rle_bulk_matches_reference", check_read_rle_bulk_matches_reference),
     ("read_rle_hands_on_its_index", check_read_rle_hands_on_its_index),
+    ("run_index_matches_locate_run", check_run_index_matches_locate_run),
     ("union_matches_column_or", check_union_matches_column_or),
     ("projection_oracle_equivalence", check_projection_oracle_equivalence),
     ("component_list_invariants", check_component_list_invariants),

@@ -355,10 +355,13 @@ def test_segment_chars_locates_a_words_cuts_in_one_call(monkeypatch):
     seg = segment_chars(glyph_word([(2, 8), (12, 18)], width=21))
     assert [(c.x_min, c.x_max) for c in seg.chars] == [(2, 8), (12, 18)]
     assert batches == [[10]]
-    # a one-glyph word locates no column, and builds no cut index for it
+    # a one-glyph word locates no column; its frame crop and word bands
+    # search its cut index, but an empty batch alone builds none
     word = glyph_word([(2, 8)], width=11)
     assert len(segment_chars(word).separators) == 0
-    assert batches[1:] == [[]] and "offset_tokens" not in vars(word)
+    assert batches[1:] == [[]]
+    word = glyph_word([(2, 8)], width=11)
+    assert separators_at(word, []) == [] and "offset_tokens" not in vars(word)
 
 
 def test_char_cuts_avoid_top_bottom_ink():

@@ -36,6 +36,7 @@ from rlseg.pixel_baseline import (
 from rlseg.projection import Component, Occupancy, components, occupancy
 from rlseg.records import dumps, line_char_records, word_record
 from rlseg.rle import crop_columns, locate_run
+from rlseg.words import separators_at
 
 from support import (
     brute_components,
@@ -119,6 +120,18 @@ def test_pdp_locate_run_matches_run_domain():
         row = encode(bitmap).rows[0]
         for x in range(bitmap.width):
             assert pdp_locate_run(bitmap.pixels[0].tolist(), x) == locate_run(row, x)
+
+
+@pytest.mark.parametrize("kind", [list, tuple, np.array])
+@pytest.mark.parametrize("cols", [[1, 3], []], ids=["two", "none"])
+def test_both_domains_locate_any_sequence_of_columns(kind, cols):
+    # a list, a tuple or an array of columns, empty or not, is located alike
+    # on runs and on pixels; rows start and end in ink or background
+    bitmap = Bitmap([[1, 1, 0, 1, 0], [0, 0, 0, 0, 0], [0, 1, 1, 0, 1]])
+    xs = kind(cols)
+    got = pdp_separators_at(bitmap, xs)
+    assert got == separators_at(encode(bitmap), xs)
+    assert got == [pdp_separator_at(bitmap, x) for x in cols]
 
 
 def test_word_pipelines_identical():
